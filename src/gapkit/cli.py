@@ -39,19 +39,28 @@ CONFIG_DEFAULTS = {
 
 
 def load_config(path=None) -> dict:
-    """key=value text config; CLI flags override these values."""
+    """key=value text config; CLI flags override these values.
+
+    A named file (`path`, else GAPKIT_CONFIG) that cannot be read is a
+    ParameterError, not a silent fall-back to the defaults.
+    """
     cfg = dict(CONFIG_DEFAULTS)
     path = path or os.environ.get("GAPKIT_CONFIG")
-    if path and os.path.exists(path):
+    if not path:
+        return cfg
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParameterError(f"bad config line: {line!r}")
-                key, val = (s.strip() for s in line.split("=", 1))
-                cfg[key] = float(val)
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParameterError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"bad config line: {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        cfg[key] = float(val)
     return cfg
 
 
@@ -125,6 +134,18 @@ def _emit(output, command: str, invocation: list, cfg: dict, result: dict) -> No
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _gap_config(cfg: dict, threads: int) -> gapnum.GapConfig:
+    """The gap certificate's settings from the effective configuration."""
+    return gapnum.GapConfig(
+        resolution=cfg["resolution"],
+        sweep_points=int(cfg["sweep_points"]),
+        sweep_n_max=int(cfg["sweep_n_max"]),
+        sweep_lo_factor=cfg["sweep_lo_factor"],
+        sweep_hi_factor=cfg["sweep_hi_factor"],
+        threads=threads,
+    )
 
 
 def _write_csv(path, header, rows) -> None:
@@ -259,15 +280,7 @@ def _cmd_gap(args, cfg, emit):
         if args.csv:
             _write_csv(args.csv, ["a", "sigma_min"], sweep.pairs())
     if args.synthesize is None and not args.sweep:
-        config = gapnum.GapConfig(
-            resolution=cfg["resolution"],
-            sweep_points=int(cfg["sweep_points"]),
-            sweep_n_max=int(cfg["sweep_n_max"]),
-            sweep_lo_factor=cfg["sweep_lo_factor"],
-            sweep_hi_factor=cfg["sweep_hi_factor"],
-            threads=args.threads,
-        )
-        cert = gapnum.estimate_gap_characteristic(seq, config)
+        cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg, args.threads))
         result["certificate"] = cert.to_json_dict()
         if args.csv and cert.sweep is not None:
             _write_csv(args.csv, ["a", "sigma_min"], cert.sweep.pairs())
@@ -308,11 +321,7 @@ def _cmd_clark(args, cfg, emit):
 
 def _cmd_report(args, cfg, emit):
     seq = _load_sequence(args)
-    config = gapnum.GapConfig(resolution=cfg["resolution"],
-                              sweep_points=int(cfg["sweep_points"]),
-                              sweep_n_max=int(cfg["sweep_n_max"]),
-                              threads=args.threads)
-    cert = gapnum.estimate_gap_characteristic(seq, config)
+    cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg, args.threads))
     d1 = density.density_lower(seq, "d1", resolution=cfg["resolution"])
     bm = density.bm_density(seq, resolution=cfg["resolution"])
     result = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partitions import greedy_density_partition, shortness
-from .seqcore import ParameterError, Partition, PointSequence
+from .seqcore import ParameterError, Partition, PointSequence, _dist0
 
 __all__ = [
     "DensityEstimate",
@@ -317,13 +317,7 @@ def _qualifies(pts, u, v, a, mode) -> bool:
 
 
 def _terms_of(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    dist = np.where(u >= 0, u, np.where(v <= 0, -v, 0.0))
-    dist = np.abs(dist)
-    return (v - u) ** 2 / (1.0 + dist ** 2)
-
-
-def _term(u: float, v: float) -> float:
-    return float(_terms_of(np.array([u]), np.array([v]))[0])
+    return (v - u) ** 2 / (1.0 + _dist0(u, v) ** 2)
 
 
 # Wide sparse intervals carry at most this many interior points; longer
@@ -437,8 +431,7 @@ def _evidence_subfamily(family, extent: float):
     if not np.any(keep):
         return False, [], 0.0, np.zeros(0)
     u, v, terms = u[keep], v[keep], terms[keep]
-    dists = np.where(u >= 0, u, np.where(v <= 0, -v, 0.0))
-    dists = np.abs(dists)
+    dists = _dist0(u, v)
     capped = float(np.sum(np.minimum(terms, LONG_TERM_CAP)))
     long = (terms.size >= LONG_MIN_COUNT
             and capped >= REFUTE_SUM

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import Interval, ParameterError, Partition, PointSequence
+from .seqcore import Interval, ParameterError, Partition, PointSequence, _dist0
 
 __all__ = [
     "total_energy",
@@ -180,12 +180,24 @@ def energy_condition_report(seq: PointSequence, part: Partition,
     """
     if not part.covers_window(seq.window):
         raise ParameterError("partition does not cover the sequence window")
+    pts = seq.points
+    u, v = part.breakpoints[:-1], part.breakpoints[1:]
+    # interval_energy's convention: (a, b], or [a, b] with include_endpoints
+    first = np.searchsorted(pts, u, side="left" if include_endpoints else "right")
+    last = np.searchsorted(pts, v, side="right")
+    dist = _dist0(u, v)
+    order = np.lexsort((u, dist))
+    z = part.zero_index
     recs = []
-    for n, iv in part.intervals():
-        count, e_n = interval_energy(seq, iv, include_endpoints=include_endpoints)
-        s_n = (count * count * math.log(iv.length) - e_n) / (1.0 + iv.dist0 ** 2)
-        recs.append(EnergyRecord(n, iv, count, e_n, s_n))
-    recs.sort(key=lambda r: (r.dist0, r.n))
+    for i, a, b, i0, i1, d in zip(order.tolist(), u[order].tolist(), v[order].tolist(),
+                                  first[order].tolist(), last[order].tolist(),
+                                  dist[order].tolist()):
+        count = i1 - i0
+        e_n = total_energy(pts[i0:i1]) if count >= 2 else 0.0
+        # math.log and Python's ** (libm pow) per summand: numpy's log and
+        # square round differently from them in rare cases
+        s_n = (count * count * math.log(b - a) - e_n) / (1.0 + d ** 2)
+        recs.append(EnergyRecord(i - z, Interval(a, b), count, e_n, s_n))
     summands = np.array([r.summand for r in recs])
     partial = np.cumsum(summands) if summands.size else np.zeros(0)
     m = summands.size

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .energy import total_energy
 from .seqcore import Interval, ParameterError
@@ -44,6 +43,8 @@ def jacobi_zeros(n: int, alpha: float, beta: float) -> np.ndarray:
         off[k - 1] = math.sqrt(num / den * factor)
     if n == 1:
         return diag.copy()
+    # imported here: scipy costs most of `import gapkit.cli`, and only this needs it
+    from scipy.linalg import eigh_tridiagonal
     z = eigh_tridiagonal(diag, off, eigvals_only=True)
     return np.sort(z)
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import _default_a_max
+from .density import _default_a_max, _grid_max_feasible
 from .energy import energy_condition_report
 from .partitions import greedy_density_partition, shortness
 from .seqcore import AtomicMeasure, ParameterError, PointSequence
@@ -45,7 +45,7 @@ class GramProbe:
     lam: np.ndarray
     gram: np.ndarray
     sigma_min: float
-    minimizing_weights: np.ndarray
+    minimizing_weights: np.ndarray | None
     eigenvalues: np.ndarray
 
     def to_json_dict(self) -> dict:
@@ -65,12 +65,14 @@ def _gram_entries(lam: np.ndarray, a: float) -> np.ndarray:
     return g
 
 
-def gram_matrix(lam, a: float) -> GramProbe:
+def gram_matrix(lam, a: float, vectors: bool = True) -> GramProbe:
     """Gram matrix of exp(i*lam_j*t) on [0, a] with closed-form entries.
 
     Entry (j, k) = (e^(i*a*(lam_j-lam_k)) - 1) / (i*(lam_j-lam_k)), a on
     the diagonal. Hermitian positive semidefinite by construction; the
-    minimizing unit-norm weight vector accompanies sigma_min.
+    minimizing unit-norm weight vector accompanies sigma_min. With
+    vectors=False LAPACK solves for the eigenvalues alone (about 2.5x
+    faster) and minimizing_weights is None.
     """
     lam = np.asarray(lam, dtype=float)
     if a <= 0:
@@ -82,6 +84,9 @@ def gram_matrix(lam, a: float) -> GramProbe:
     if np.any(np.diff(np.sort(lam)) == 0):
         raise ParameterError("frequencies must be distinct")
     g = _gram_entries(lam, a)
+    if not vectors:
+        w = np.linalg.eigvalsh(g)
+        return GramProbe(float(a), lam, g, max(float(w[0]), 0.0), None, np.maximum(w, 0.0))
     w, v = np.linalg.eigh(g)
     sigma = max(float(w[0]), 0.0)
     vec = v[:, 0]
@@ -133,7 +138,8 @@ def sigma_min_sweep(lam, a_grid, threads: int = 1) -> SweepResult:
 
     Monotone non-decreasing in a (the Gram increment over [a1, a2] is
     itself a Gram matrix, hence PSD); asserted up to a 1e-10 numerical
-    allowance. Grid points solve independently, optionally in a pool.
+    allowance. Grid points solve independently, optionally in a pool, for
+    eigenvalues only: the sweep never uses the minimizing vector.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
@@ -143,7 +149,7 @@ def sigma_min_sweep(lam, a_grid, threads: int = 1) -> SweepResult:
     lam = np.asarray(lam, dtype=float)
 
     def solve(a):
-        return gram_matrix(lam, a).sigma_min
+        return gram_matrix(lam, a, vectors=False).sigma_min
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -276,11 +282,7 @@ def _gates(seq: PointSequence, a: float):
     energy_rep = energy_condition_report(sub, res.partition)
     if energy_rep.verdict != "supported":
         return False, "energy", None
-    margin = min(
-        (c - a * (hi - lo))
-        for c, lo, hi in zip(res.counts, res.partition.breakpoints[:-1],
-                             res.partition.breakpoints[1:])
-    )
+    margin = np.min(np.asarray(res.counts) - a * np.diff(res.partition.breakpoints))
     return True, None, {
         "partition": res.partition,
         "margin": float(margin),
@@ -322,36 +324,23 @@ def estimate_gap_characteristic(seq: PointSequence,
     if len(seq) < 4:
         return GapCertificate(0.0, 0.0, seq.window,
                               diagnostics={"note": "too few points"})
-    a_max = _default_a_max(seq)
-    kmax = max(1, int(round(a_max / config.resolution)))
+    # the details of the last feasible level, which the bisection reports
+    witness = {}
 
-    def feasible(k: int) -> bool:
-        return _feasible_level(seq, k * config.resolution)[0]
+    def feasible(a: float) -> bool:
+        ok, details = _feasible_level(seq, a)
+        if ok:
+            witness.update(details)
+        return ok
 
-    lo, hi = 0, kmax + 1
-    if feasible(kmax):
-        lo = kmax
-    else:
-        hi = kmax
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if mid and feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-    c = lo * config.resolution
+    c = _grid_max_feasible(feasible, _default_a_max(seq), config.resolution)
     diagnostics = {}
     bks, margin, energy_v, short_v = (), float("nan"), "inconclusive", "inconclusive"
     if c > 0:
-        ok, details = _feasible_level(seq, c)
-        if ok:
-            bks = tuple(float(b) for b in details["partition"].breakpoints)
-            margin = details["margin"]
-            energy_v = details["energy"]
-            short_v = details["short"]
-        else:
-            diagnostics["witness"] = "re-verification failed at reported level"
-            c = 0.0
+        bks = tuple(float(b) for b in witness["partition"].breakpoints)
+        margin = witness["margin"]
+        energy_v = witness["energy"]
+        short_v = witness["short"]
     else:
         diagnostics["note"] = "no feasible density level on the grid"
     sweep = None

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import Interval, ParameterError, Partition, PointSequence
+from .seqcore import ParameterError, Partition, PointSequence, _dist0
 
 __all__ = [
     "ShortnessReport",
     "shortness",
-    "family_terms",
     "classify_terms",
     "PartitionValidity",
     "is_valid_paper_partition",
@@ -32,12 +31,6 @@ SHORT_EXPONENT = -1.2
 # the terms stays above this fraction of the overall mean.
 LONG_FLOOR_FRACTION = 0.1
 MIN_TERMS_FOR_VERDICT = 3
-
-
-def family_terms(intervals) -> np.ndarray:
-    """|I|^2 / (1 + dist(0, I)^2) per interval, ordered by distance from 0."""
-    ivs = sorted(intervals, key=lambda iv: (iv.dist0, iv.a))
-    return np.array([iv.length ** 2 / (1.0 + iv.dist0 ** 2) for iv in ivs])
 
 
 def _fitted_exponent(terms: np.ndarray) -> float:
@@ -89,11 +82,19 @@ class ShortnessReport:
 
 
 def shortness(part: Partition) -> ShortnessReport:
-    """Shortness verdict for a partition over its covered range."""
-    ivs = [iv for _, iv in part.intervals()]
-    if len(ivs) < MIN_TERMS_FOR_VERDICT:
+    """Shortness verdict for a partition over its covered range.
+
+    Terms |I|^2 / (1 + dist(0, I)^2) run in order of (dist(0, I), left end).
+    """
+    u, v = part.breakpoints[:-1], part.breakpoints[1:]
+    if u.size < MIN_TERMS_FOR_VERDICT:
         raise ParameterError("shortness needs at least 3 intervals")
-    terms = family_terms(ivs)
+    dist = _dist0(u, v)
+    order = np.lexsort((u, dist))
+    # Python's ** squares through libm pow, which rounds differently from
+    # numpy's exact x*x in about 1 case in 1000; the reported terms keep it.
+    terms = np.array([length ** 2 / (1.0 + d ** 2) for length, d in
+                      zip((v - u)[order].tolist(), dist[order].tolist())])
     verdict, exponent = classify_terms(terms)
     return ShortnessReport(terms, np.cumsum(terms), verdict, exponent, part.cover())
 

@@ -62,6 +62,11 @@ class Interval:
         return f"({self.a:g}, {self.b:g}]"
 
 
+def _dist0(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Interval.dist0 of (u, v] elementwise, for arrays of endpoints."""
+    return np.abs(np.where(u >= 0, u, np.where(v <= 0, -v, 0.0)))
+
+
 def _as_sorted_array(points) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 1:

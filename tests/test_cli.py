@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapkit
 from gapkit.cli import _build_parser, _invocation, load_config, main
 
 
@@ -248,3 +253,41 @@ def test_config_file_and_env(tmp_path, monkeypatch):
     _, payload = run_json(argv, tmp_path, "global.json")
     assert payload["invocation"] == argv
     assert payload["invocation"].count("density") == 1
+
+
+def test_missing_config_exits_2(tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "nope.conf")
+    argv = ["density", "--method", "d1", "--seq", "lattice:1", "--window=-50,50"]
+    assert main(["--config", missing] + argv) == 2
+    assert "nope.conf" in capsys.readouterr().err
+    monkeypatch.setenv("GAPKIT_CONFIG", missing)
+    assert main(argv) == 2
+
+
+def test_gap_and_report_share_sweep_range(tmp_path):
+    cfg = tmp_path / "sweep.conf"
+    cfg.write_text("sweep_lo_factor = 0.9\nsweep_hi_factor = 1.2\nsweep_points = 5\n")
+    argv = ["--seq", "lattice:1", "--window=-60,60"]
+    _, gap = run_json(["--config", str(cfg), "gap"] + argv, tmp_path, "gap.json")
+    _, report = run_json(["--config", str(cfg), "report"] + argv, tmp_path, "report.json")
+    points = gap["result"]["certificate"]["sweep"]["points"]
+    assert report["result"]["gap_certificate"]["sweep"]["points"] == points
+    c = gap["result"]["certificate"]["c_estimate"]
+    assert points[0][0] == pytest.approx(0.9 * 2 * math.pi * c)
+    assert points[-1][0] == pytest.approx(1.2 * 2 * math.pi * c)
+
+
+def test_cli_import_leaves_out_scipy():
+    # only the fekete command needs scipy; it loads on first use
+    code = ("import sys, gapkit.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+            "from gapkit.fekete import fekete_optimize\n"
+            "from gapkit.seqcore import Interval\n"
+            "res = fekete_optimize(4, Interval(-1.0, 1.0), seed=0)\n"
+            "assert res.converged and res.max_deviation <= 1e-6, res\n"
+            "assert 'scipy' in sys.modules\n")
+    src = str(Path(gapkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

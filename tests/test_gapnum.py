@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gapkit.gapnum import (GapConfig, estimate_gap_characteristic, gram_matrix,
-                           knee_location, sigma_min_sweep, synthesize_gap_measure)
+from gapkit.gapnum import (MAX_GRAM_SIZE, GapConfig, estimate_gap_characteristic,
+                           gram_matrix, knee_location, sigma_min_sweep,
+                           synthesize_gap_measure)
 from gapkit.seqcore import ParameterError, PointSequence, generate
 
 TWO_PI = 2.0 * math.pi
@@ -93,6 +94,28 @@ def test_sweep_threads_match_serial():
     serial = sigma_min_sweep(lam, grid, threads=1)
     pooled = sigma_min_sweep(lam, grid, threads=4)
     assert np.allclose(serial.sigma_values, pooled.sigma_values, atol=1e-12)
+
+
+def test_sweep_matches_gram_sigma_min():
+    # the sweep solves for eigenvalues only; gram_matrix also for the vectors
+    rng = np.random.default_rng(5)
+    lam_random = np.sort(rng.uniform(-20.0, 20.0, 48)) + np.arange(48) * 1e-7
+    for lam in (np.arange(64.0), lam_random):
+        grid = np.linspace(0.3, 1.3 * TWO_PI, 15)
+        sw = sigma_min_sweep(lam, grid)
+        expected = [gram_matrix(lam, a).sigma_min for a in grid]
+        assert np.max(np.abs(sw.sigma_values - expected)) <= 1e-12
+
+
+def test_sweep_input_validation():
+    grid = np.linspace(1.0, 2.0, 3)
+    with pytest.raises(ParameterError):
+        sigma_min_sweep([0.0, 1.0, 1.0], grid)
+    with pytest.raises(ParameterError):
+        sigma_min_sweep(np.arange(MAX_GRAM_SIZE + 1.0), grid)
+    for bad in ([0.0, 1.0], [-2.0, -1.0]):
+        with pytest.raises(ParameterError):
+            sigma_min_sweep(np.arange(4.0), bad)
 
 
 def test_knee_locator_on_synthetic_curve():
