@@ -1,0 +1,65 @@
+"""Per-stage micro-benchmarks of the gap certificate (pytest-benchmark).
+
+Times the two stages the certificate repeats at every bisection level on the
+four inputs of the `certify_bisect` workload in perfbench/workloads.py, each
+at one fixed level:
+
+- `greedy_density_partition` (both greedy walks);
+- the energy gate: the verdict of the energy-condition series on the greedy
+  partition, over the points it covers, as gapnum._gates evaluates it.
+
+The file name keeps it out of the default test collection. Run it by path:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_stages.py \
+        --benchmark-json=benchmarks/BENCH_<date>.json
+"""
+
+import functools
+
+import pytest
+
+from gapkit.energy import energy_condition_report
+from gapkit.partitions import greedy_density_partition
+from gapkit.seqcore import generate
+
+try:
+    from gapkit.energy import energy_verdict
+except ImportError:  # a tree from before energy_verdict: the gate read the report
+    def energy_verdict(seq, part):
+        return energy_condition_report(seq, part).verdict
+
+# name -> (spec, window, level). The levels sit where the certificate spends
+# its time: the lattice at its answer c = 1, the perturbed lattice and
+# Poisson input inside their feasible range; greedy fails on lacunary input
+# at every level, after walking all of its points near 0.
+INPUTS = {
+    "lattice": ("lattice:1", (-5000.0, 5000.0), 1.0),
+    "perturbed": ("perturbed:1,0.2", (-1500.0, 1500.0), 0.5),
+    "poisson": ("poisson:1", (-30000.0, 30000.0), 0.5),
+    "lacunary": ("lacunary:2", (-1e6, 1e6), 1e-3),
+}
+SEED = 1
+
+
+
+
+@functools.cache
+def _input(name):
+    spec, window, level = INPUTS[name]
+    return generate(spec, window, seed=SEED), level
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_greedy_partition(benchmark, name):
+    seq, level = _input(name)
+    res = benchmark(greedy_density_partition, seq, level)
+    assert res.ok == (name != "lacunary")
+
+
+@pytest.mark.parametrize("name", [n for n in INPUTS if n != "lacunary"])
+def test_energy_gate(benchmark, name):
+    seq, level = _input(name)
+    part = greedy_density_partition(seq, level).partition
+    sub = seq.restrict(*part.cover())
+    verdict = benchmark(energy_verdict, sub, part)
+    assert verdict == energy_condition_report(sub, part).verdict

@@ -41,8 +41,9 @@ CONFIG_DEFAULTS = {
 def load_config(path=None) -> dict:
     """key=value text config; CLI flags override these values.
 
-    A named file (`path`, else GAPKIT_CONFIG) that cannot be read is a
-    ParameterError, not a silent fall-back to the defaults.
+    A named file (`path`, else GAPKIT_CONFIG) that cannot be read, a key
+    outside CONFIG_DEFAULTS and a value that is not a finite number are
+    ParameterErrors, not a silent fall-back to the defaults.
     """
     cfg = dict(CONFIG_DEFAULTS)
     path = path or os.environ.get("GAPKIT_CONFIG")
@@ -60,15 +61,29 @@ def load_config(path=None) -> dict:
         if "=" not in line:
             raise ParameterError(f"bad config line: {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        cfg[key] = float(val)
+        if key not in CONFIG_DEFAULTS:
+            raise ParameterError(f"unknown config key {key!r} in {path!r}; "
+                                 f"known keys: {', '.join(sorted(CONFIG_DEFAULTS))}")
+        cfg[key] = _finite(val, f"config key {key!r}")
     return cfg
+
+
+def _finite(text: str, what: str) -> float:
+    """A finite float parsed from text, else a ParameterError naming it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParameterError(f"{what} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def _parse_window(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParameterError(f"window must be 'lo,hi', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _finite(parts[0], "window lo"), _finite(parts[1], "window hi")
 
 
 def _load_sequence(args) -> PointSequence:

@@ -21,6 +21,7 @@ __all__ = [
     "total_energy",
     "interval_energy",
     "energy_condition_report",
+    "energy_verdict",
     "EnergyReport",
     "EnergyRecord",
     "StepDensity",
@@ -168,15 +169,12 @@ def _least_squares_slope(y: np.ndarray) -> float:
     return float(np.sum(x * (y - y.mean())) / denom) if denom else 0.0
 
 
-def energy_condition_report(seq: PointSequence, part: Partition,
-                            include_endpoints: bool = False) -> EnergyReport:
-    """Evaluate the energy-condition series of a sequence on a partition.
+def _summands(seq: PointSequence, part: Partition, include_endpoints: bool):
+    """Per-interval terms of the energy-condition series, in series order.
 
-    Summand for interval I_n with count D and energy E:
-        s_n = (D^2 * log|I_n| - E) / (1 + dist(0, I_n)^2).
-    Partial sums run in order of increasing distance from the origin; the
-    verdict compares the fitted slope of the last third of partial sums with
-    the mean summand of the first third.
+    Returns (order, u, v, counts, energies, summands): the intervals (u, v]
+    sorted by (dist(0, I), left end), with order their positions in the
+    partition, and the other entries as Python lists in that order.
     """
     if not part.covers_window(seq.window):
         raise ParameterError("partition does not cover the sequence window")
@@ -187,18 +185,20 @@ def energy_condition_report(seq: PointSequence, part: Partition,
     last = np.searchsorted(pts, v, side="right")
     dist = _dist0(u, v)
     order = np.lexsort((u, dist))
-    z = part.zero_index
-    recs = []
-    for i, a, b, i0, i1, d in zip(order.tolist(), u[order].tolist(), v[order].tolist(),
-                                  first[order].tolist(), last[order].tolist(),
-                                  dist[order].tolist()):
-        count = i1 - i0
-        e_n = total_energy(pts[i0:i1]) if count >= 2 else 0.0
-        # math.log and Python's ** (libm pow) per summand: numpy's log and
-        # square round differently from them in rare cases
-        s_n = (count * count * math.log(b - a) - e_n) / (1.0 + d ** 2)
-        recs.append(EnergyRecord(i - z, Interval(a, b), count, e_n, s_n))
-    summands = np.array([r.summand for r in recs])
+    u, v, dist = u[order].tolist(), v[order].tolist(), dist[order].tolist()
+    first, last = first[order].tolist(), last[order].tolist()
+    counts = [i1 - i0 for i0, i1 in zip(first, last)]
+    energies = [total_energy(pts[i0:i1]) if i1 - i0 >= 2 else 0.0
+                for i0, i1 in zip(first, last)]
+    # math.log and Python's ** (libm pow) per summand: numpy's log and
+    # square round differently from them in rare cases
+    summands = [(count * count * math.log(b - a) - e_n) / (1.0 + d ** 2)
+                for a, b, count, e_n, d in zip(u, v, counts, energies, dist)]
+    return order.tolist(), u, v, counts, energies, summands
+
+
+def _series_verdict(summands: np.ndarray):
+    """(partial_sums, tail_slope, head_mean, verdict) of the summand series."""
     partial = np.cumsum(summands) if summands.size else np.zeros(0)
     m = summands.size
     head = summands[: max(1, m // 3)]
@@ -212,7 +212,32 @@ def energy_condition_report(seq: PointSequence, part: Partition,
         verdict = "unsupported"
     else:
         verdict = "inconclusive"
-    return EnergyReport(tuple(recs), partial, seq.window, slope, head_mean, verdict)
+    return partial, slope, head_mean, verdict
+
+
+def energy_condition_report(seq: PointSequence, part: Partition,
+                            include_endpoints: bool = False) -> EnergyReport:
+    """Evaluate the energy-condition series of a sequence on a partition.
+
+    Summand for interval I_n with count D and energy E:
+        s_n = (D^2 * log|I_n| - E) / (1 + dist(0, I_n)^2).
+    Partial sums run in order of increasing distance from the origin; the
+    verdict compares the fitted slope of the last third of partial sums with
+    the mean summand of the first third.
+    """
+    order, u, v, counts, energies, summands = _summands(seq, part, include_endpoints)
+    z = part.zero_index
+    recs = tuple(EnergyRecord(i - z, Interval(a, b), count, e_n, s_n)
+                 for i, a, b, count, e_n, s_n in zip(order, u, v, counts, energies, summands))
+    partial, slope, head_mean, verdict = _series_verdict(np.array(summands))
+    return EnergyReport(recs, partial, seq.window, slope, head_mean, verdict)
+
+
+def energy_verdict(seq: PointSequence, part: Partition) -> str:
+    """energy_condition_report(seq, part).verdict, without building the
+    per-interval records."""
+    summands = _summands(seq, part, include_endpoints=False)[-1]
+    return _series_verdict(np.array(summands))[3]
 
 
 # ---------------------------------------------------------------------------

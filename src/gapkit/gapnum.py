@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .density import _default_a_max, _grid_max_feasible
-from .energy import energy_condition_report
+from .energy import energy_verdict
 from .partitions import greedy_density_partition, shortness
 from .seqcore import AtomicMeasure, ParameterError, PointSequence
 
@@ -278,15 +278,14 @@ def _gates(seq: PointSequence, a: float):
     short_rep = shortness(res.partition)
     if short_rep.verdict != "short":
         return False, "shortness", None
-    sub = seq.restrict(*res.partition.cover())
-    energy_rep = energy_condition_report(sub, res.partition)
-    if energy_rep.verdict != "supported":
+    energy_v = energy_verdict(seq.restrict(*res.partition.cover()), res.partition)
+    if energy_v != "supported":
         return False, "energy", None
     margin = np.min(np.asarray(res.counts) - a * np.diff(res.partition.breakpoints))
     return True, None, {
         "partition": res.partition,
         "margin": float(margin),
-        "energy": energy_rep.verdict,
+        "energy": energy_v,
         "short": short_rep.verdict,
         "thinned": 0,
     }

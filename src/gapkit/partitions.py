@@ -161,6 +161,72 @@ class GreedyResult:
         return self.ok
 
 
+# First chunk sizes of the two galloping searches in _grow_right; each chunk
+# after the first is larger, so a search over m candidates takes O(log m)
+# numpy calls and reads at most a few times m of them.
+_STEP_CHUNK = 16
+_RUN_CHUNK = 64
+
+
+def _step(points, d, end, pos, a_i, prev_len, monotone):
+    """One greedy step from breakpoint a_i; candidates are points[pos:end].
+
+    Returns (found, exhausted): the index of the chosen point, or None with
+    exhausted False when d * length outran every point still to come.
+    """
+    j = pos
+    if monotone:
+        # Candidates shorter than prev_len are skipped. Since 0 <= prev_len
+        # <= a_i, points[j] - a_i is exact for points[j] <= a_i + prev_len
+        # and at least prev_len beyond it, so the skipped points are those
+        # below a_i + prev_len. Its rounded sum can fall one point short,
+        # never past the last skipped one; the loop's own test settles it.
+        j = max(int(points.searchsorted(a_i + prev_len)), pos)
+        if j < end and points[j] - a_i < prev_len:
+            j += 1
+    room = (points.size - pos) + 1
+    size = _STEP_CHUNK
+    while j < end:
+        stop = min(j + size, end)
+        scaled = d * (points[j:stop] - a_i)
+        count = np.arange(j - pos + 1, stop - pos + 1)
+        # count in (a_i, points[j]] is j - pos + 1; once d * length exceeds
+        # every point that could still arrive, no later candidate can do
+        hit = np.flatnonzero((count >= scaled) | (scaled > room))
+        if hit.size:
+            h = hit[0]
+            return (j + int(h), True) if count[h] >= scaled[h] else (None, False)
+        j = stop
+        size *= 2
+    return None, True
+
+
+def _single_run(points, d, end, pos, prev_len, monotone):
+    """How many single-point steps follow in a row from points[pos - 1].
+
+    Step m takes points[m] alone: 1 >= d * gap and, when monotone,
+    gap >= the previous gap, with gap = points[m] - points[m - 1]. The
+    trim test needs no check here: it fails only where the gap test does.
+    """
+    taken = 0
+    size = _RUN_CHUNK
+    while pos + taken < end:
+        lo = pos + taken
+        seg = points[lo - 1:min(lo + size, end)]
+        gaps = seg[1:] - seg[:-1]
+        ok = 1 >= d * gaps
+        if monotone:
+            ok[0] &= not gaps[0] < prev_len
+            ok[1:] &= ~(gaps[1:] < gaps[:-1])
+        m = int(ok.argmin()) if not ok.all() else ok.size
+        taken += m
+        if m < ok.size:
+            break
+        prev_len = gaps[-1]
+        size *= 4
+    return taken
+
+
 def _grow_right(points: np.ndarray, d: float, hi: float, monotone: bool):
     """Greedy breakpoints 0 = a_0 < a_1 < ... with count >= d * length.
 
@@ -172,47 +238,50 @@ def _grow_right(points: np.ndarray, d: float, hi: float, monotone: bool):
     A step where the remaining span cannot even hold an interval of the
     previous length is a truncation artifact, not a density failure: the
     walk stops there and the leftover edge is reported as trimmed.
+
+    The walk runs in numpy in two regimes. A step of any length (`_step`)
+    skips the candidates shorter than the previous length, then searches
+    galloping chunks for the first candidate that meets the count condition
+    or that proves no later one can. After a step that took one point,
+    `_single_run` accepts further single-point steps (lattices, lacunary
+    sequences near 0) in growing chunks. Every comparison evaluates the same
+    float expression, on the same operands, as a loop over the candidates
+    one at a time, so the breakpoints, counts and blocked_at agree with that
+    loop bit for bit; tests/test_series_equivalence.py keeps the loop as the
+    reference.
     """
-    bks = [0.0]
-    counts = []
-    prev_len = 0.0
-    idx = np.searchsorted(points, 0.0, side="right")
     n = points.size
-    while idx < n and points[idx] <= hi:
-        a_i = bks[-1]
+    end = int(points.searchsorted(hi, side="right"))
+    first = pos = int(points.searchsorted(0.0, side="right"))
+    runs = []                    # chosen points as [lo, hi) index ranges
+    a_i, prev_len = 0.0, 0.0
+    blocked_at, trimmed = None, False
+    while pos < end:
         if monotone and points[n - 1] - a_i < prev_len:
-            return bks[1:], counts, None, True
-        found = None
-        exhausted = True
-        j = idx
-        # count in (a_i, points[j]] is j - idx + 1
-        while j < n and points[j] <= hi:
-            length = points[j] - a_i
-            count = j - idx + 1
-            if monotone and length < prev_len:
-                j += 1
-                continue
-            if count >= d * length:
-                found = j
-                break
-            # once d*length outruns every point that could still arrive,
-            # no later candidate can satisfy the condition
-            if d * length > (n - idx) + 1:
-                exhausted = False
-                break
-            j += 1
+            trimmed = True
+            break
+        found, exhausted = _step(points, d, end, pos, a_i, prev_len, monotone)
         if found is None:
             # a stall on a final sliver of the window is a truncation
             # artifact: the points that would have completed the interval
             # were cut off, not missing
             if exhausted and a_i > 0 and hi - a_i <= 0.05 * a_i:
-                return bks[1:], counts, None, True
-            return bks[1:], counts, float(a_i), False
-        bks.append(float(points[found]))
-        counts.append(found - idx + 1)
-        prev_len = bks[-1] - a_i
-        idx = found + 1
-    return bks[1:], counts, None, False
+                trimmed = True
+            else:
+                blocked_at = float(a_i)
+            break
+        prev_len = points[found] - a_i
+        last = found
+        if found == pos:
+            taken = _single_run(points, d, end, found + 1, prev_len, monotone)
+            if taken:
+                last = found + taken
+                prev_len = points[last] - points[last - 1]
+        runs.append((found, last + 1))
+        a_i = points[last]
+        pos = last + 1
+    idx = np.concatenate([[first - 1]] + [np.arange(lo, hi) for lo, hi in runs])
+    return points[idx[1:]], np.diff(idx), blocked_at, trimmed
 
 
 def greedy_density_partition(seq: PointSequence, d: float,
@@ -233,19 +302,18 @@ def greedy_density_partition(seq: PointSequence, d: float,
     lo, hi = seq.window
     right_bks, right_counts, right_block, right_trim = _grow_right(
         seq.points, d, hi, monotone)
-    # mirror for the left side: reflect points about 0
-    mirrored = PointSequence(-seq.points[::-1], (-hi, -lo), seq.label)
+    # the left side walks the points reflected about 0
     left_bks, left_counts, left_block, left_trim = _grow_right(
-        mirrored.points, d, -lo, monotone)
+        -seq.points[::-1], d, -lo, monotone)
     if right_block is not None:
         return GreedyResult(False, None, (), "right", right_block)
     if left_block is not None:
         return GreedyResult(False, None, (), "left", -left_block)
-    bks = [-b for b in reversed(left_bks)] + [0.0] + right_bks
-    counts = tuple(reversed(left_counts)) + tuple(right_counts)
-    if len(bks) < 2:
+    bks = np.concatenate((-left_bks[::-1], [0.0], right_bks))
+    counts = tuple(np.concatenate((left_counts[::-1], right_counts)))
+    if bks.size < 2:
         return GreedyResult(False, None, (), "both", 0.0)
-    part = Partition(np.array(bks))
+    part = Partition(bks)
     covered = part.cover()
     return GreedyResult(True, part, counts, covered=covered,
                         trimmed=right_trim or left_trim)

@@ -6,6 +6,7 @@ Intervals are half-open (a, b] throughout, so partitions tile exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -67,6 +68,13 @@ def _dist0(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.abs(np.where(u >= 0, u, np.where(v <= 0, -v, 0.0)))
 
 
+def _finite_window(window) -> tuple[float, float]:
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"window [{lo}, {hi}] must have finite ends")
+    return lo, hi
+
+
 def _as_sorted_array(points) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 1:
@@ -90,11 +98,13 @@ class PointSequence:
         arr = _as_sorted_array(self.points)
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
-        lo, hi = float(self.window[0]), float(self.window[1])
+        lo, hi = _finite_window(self.window)
         if not lo <= hi:
             raise ParameterError(f"window [{lo}, {hi}] is empty")
         object.__setattr__(self, "window", (lo, hi))
         if arr.size:
+            if not np.all(np.isfinite(arr)):
+                raise ParameterError("points must be finite")
             if np.any(np.diff(arr) <= 0):
                 raise ParameterError("points must be strictly increasing")
             if arr[0] < lo or arr[-1] > hi:
@@ -297,12 +307,17 @@ def load_points(path) -> np.ndarray:
     """Read the standard sequence file: one real per line, '#' comments."""
     vals = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            vals.append(float(line))
+            try:
+                vals.append(float(line))
+            except ValueError:
+                raise ParameterError(f"{path}:{lineno}: not a number: {line!r}") from None
     arr = np.array(vals, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{path}: points must be finite")
     if arr.size and np.any(np.diff(arr) <= 0):
         raise ParameterError(f"{path}: points must be strictly increasing")
     return arr
@@ -350,7 +365,7 @@ def generate(spec, window: tuple[float, float], seed=None, label=None) -> PointS
         kind, params = parse_sequence_spec(spec)
     else:
         kind, params = spec
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = _finite_window(window)
     if not lo < hi:
         raise ParameterError(f"window [{lo}, {hi}] is empty")
     rng = np.random.default_rng(seed)

@@ -291,3 +291,34 @@ def test_cli_import_leaves_out_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("sweep_n_maxx = 64\n", "unknown config key 'sweep_n_maxx'"),
+    ("sweep_n_max = abc\n", "must be a number"),
+    ("resolution = nan\n", "must be finite"),
+    ("clark_radius = inf\n", "must be finite"),
+])
+def test_bad_config_exits_2(tmp_path, capsys, text, needle):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text(text)
+    argv = ["--config", str(cfg), "density", "--method", "d1", "--seq", "lattice:1",
+            "--window=-50,50", "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("window", ["-inf,20", "0,inf", "nan,20", "abc,20", "0,1e999"])
+def test_non_finite_window_exits_2(capsys, window):
+    assert main(["density", "--method", "d1", "--seq", "lattice:1",
+                 f"--window={window}"]) == 2
+    assert "parameter error" in capsys.readouterr().err
+    assert main(["gen", "--spec", "lattice:1", f"--window={window}"]) == 2
+
+
+def test_non_finite_file_points_exit_2(tmp_path, capsys):
+    path = tmp_path / "pts.txt"
+    path.write_text("0.0\nnan\n2.0\n")
+    assert main(["density", "--method", "d1", "--seq", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err

@@ -145,3 +145,28 @@ def test_explicit_generate(tmp_path):
     save_points(path, [0.5, 1.5, 9.0])
     seq = generate(f"file:{path}", (0, 5))
     assert seq.points.tolist() == [0.5, 1.5]
+
+
+@pytest.mark.parametrize("points", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0]])
+def test_non_finite_points_rejected(points, tmp_path):
+    with pytest.raises(ParameterError, match="finite"):
+        PointSequence(np.array(points), (-10.0, 10.0))
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(f"{x}\n" for x in points))
+    with pytest.raises(ParameterError, match="finite"):
+        load_points(path)
+
+
+@pytest.mark.parametrize("window", [(-np.inf, 20.0), (0.0, np.inf), (np.nan, 1.0)])
+def test_non_finite_window_rejected(window):
+    with pytest.raises(ParameterError, match="finite"):
+        generate("lattice:1", window)
+    with pytest.raises(ParameterError, match="finite"):
+        PointSequence(np.array([0.0, 1.0]), window)
+
+
+def test_load_points_rejects_text(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# header\n1.0\nabc\n")
+    with pytest.raises(ParameterError, match=r"bad.txt:3"):
+        load_points(path)

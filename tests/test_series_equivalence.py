@@ -1,18 +1,59 @@
-"""The array forms of shortness and energy_condition_report against the
-per-interval loops they replaced, kept here as the reference: every reported
-value must agree bitwise, including the order of the terms."""
+"""The array forms of the greedy walk, shortness and energy_condition_report
+against the per-point and per-interval loops they replaced, kept here as the
+reference: every reported value must agree bitwise, including the order of
+the terms."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapkit.energy import (SUPPORTED_SLOPE_FACTOR, UNSUPPORTED_SLOPE_FACTOR,
                            EnergyRecord, EnergyReport, _least_squares_slope,
-                           energy_condition_report, interval_energy)
-from gapkit.partitions import classify_terms, greedy_density_partition, shortness
+                           energy_condition_report, energy_verdict, interval_energy)
+from gapkit.partitions import (_grow_right, classify_terms, greedy_density_partition,
+                               shortness)
 from gapkit.seqcore import Partition, PointSequence, generate
+
+
+def loop_grow_right(points, d, hi, monotone):
+    bks = [0.0]
+    counts = []
+    prev_len = 0.0
+    idx = np.searchsorted(points, 0.0, side="right")
+    n = points.size
+    while idx < n and points[idx] <= hi:
+        a_i = bks[-1]
+        if monotone and points[n - 1] - a_i < prev_len:
+            return bks[1:], counts, None, True
+        found = None
+        exhausted = True
+        j = idx
+        while j < n and points[j] <= hi:
+            length = points[j] - a_i
+            count = j - idx + 1
+            if monotone and length < prev_len:
+                j += 1
+                continue
+            if count >= d * length:
+                found = j
+                break
+            if d * length > (n - idx) + 1:
+                exhausted = False
+                break
+            j += 1
+        if found is None:
+            if exhausted and a_i > 0 and hi - a_i <= 0.05 * a_i:
+                return bks[1:], counts, None, True
+            return bks[1:], counts, float(a_i), False
+        bks.append(float(points[found]))
+        counts.append(found - idx + 1)
+        prev_len = bks[-1] - a_i
+        idx = found + 1
+    return bks[1:], counts, None, False
 
 
 def loop_shortness(part):
@@ -105,3 +146,129 @@ def test_energy_report_matches_loop(label, seq, part, include_endpoints):
     # the same Python types (a numpy integer would not serialize at all)
     assert (json.dumps(new.to_json_dict(), sort_keys=True)
             == json.dumps(old.to_json_dict(), sort_keys=True))
+
+
+def test_energy_verdict_matches_report():
+    for label, seq, part in CASES:
+        sub = seq.restrict(*part.cover())
+        assert energy_verdict(sub, part) == energy_condition_report(sub, part).verdict, label
+
+
+# ---------------------------------------------------------------------------
+# The greedy walk
+# ---------------------------------------------------------------------------
+
+def assert_walks_agree(points, d, hi, monotone):
+    bks, counts, blocked_at, trimmed = loop_grow_right(points, d, hi, monotone)
+    new = _grow_right(points, d, hi, monotone)
+    assert new[0].dtype == np.float64 and new[1].dtype == np.int64
+    assert new[0].tobytes() == np.array(bks, dtype=float).tobytes()
+    assert new[1].tobytes() == np.array(counts, dtype=np.int64).tobytes()
+    assert type(new[2]) is type(blocked_at)
+    assert new[2] == blocked_at and new[3] == trimmed
+    return blocked_at, trimmed
+
+
+def _greedy_answer(points, lo, hi, monotone):
+    """The largest level at which the reference walk succeeds on both sides,
+    to about 1e-12 relative."""
+    mirrored = -points[::-1]
+
+    def ok(d):
+        return (loop_grow_right(points, d, hi, monotone)[2] is None
+                and loop_grow_right(mirrored, d, -lo, monotone)[2] is None)
+
+    below, above = 0.0, 1.0
+    while ok(above):
+        below, above = above, 2.0 * above
+    for _ in range(40):
+        mid = 0.5 * (below + above)
+        below, above = (mid, above) if ok(mid) else (below, mid)
+    return below
+
+
+WALK_SEQS = {
+    "lattice": generate("lattice:1", (-300, 300)),
+    "perturbed": generate("perturbed:1,0.2", (-300, 300), seed=3),
+    "poisson": generate("poisson:1", (-1500, 1500), seed=4),
+    "lacunary": generate("lacunary:2", (-1e6, 1e6)),
+}
+
+
+@pytest.mark.parametrize("monotone", [True, False])
+@pytest.mark.parametrize("name", list(WALK_SEQS))
+def test_walk_matches_loop(name, monotone):
+    seq = WALK_SEQS[name]
+    lo, hi = seq.window
+    pts = seq.points
+    if name == "lacunary":
+        assert pts[pts > 0].min() < 1e-299
+    ans = _greedy_answer(pts, lo, hi, monotone)
+    levels = {0.05, 0.5, 1.0, 2.0, 1e250}
+    if ans > 0:
+        levels |= {ans * (1 - 1e-3), ans, np.nextafter(ans, np.inf), ans * (1 + 1e-3)}
+    seen = set()
+    for points, edge in ((pts, hi), (-pts[::-1], -lo)):
+        # the window edge, an edge past the last point, and edges that cut
+        # runs of steps (at a point, just past one, between two, inside)
+        edges = (edge, edge + 100.0, float(points[-1]), float(points[-2]) + 1e-9,
+                 0.5 * (points[-20] + points[-19]), 0.8 * edge)
+        for d in sorted(levels):
+            for e in edges:
+                blocked, trimmed = assert_walks_agree(points, d, e, monotone)
+                seen.add("blocked" if blocked is not None else
+                         "trimmed" if trimmed else "complete")
+    assert "blocked" in seen and len(seen) >= 2
+
+
+def test_walk_edge_cases():
+    pts = np.arange(-5.0, 6.0)
+    for hi in (-1.0, 0.0, 0.5, 5.0, 1e300):
+        for d in (0.5, 1.0, 3.0):
+            for monotone in (True, False):
+                assert_walks_agree(pts, d, hi, monotone)
+    assert_walks_agree(np.zeros(0), 1.0, 1.0, True)
+    assert_walks_agree(np.array([-0.0, 1.0, 2.0]), 1.0, 2.0, True)
+
+
+def test_walk_single_point_runs():
+    # slowly growing gaps that shrink once, at every step of three run
+    # chunks: the run must stop there and the monotone walk skip ahead
+    base = np.cumsum(1.0 + 1e-3 * np.arange(420))
+    for k in range(1, 400):
+        pts = base.copy()
+        pts[k:] -= 0.005
+        for d in (0.5, 1.0):
+            assert_walks_agree(pts, d, 600.0, True)
+    # a run of unit steps, then points four times denser: the first step
+    # after the run must measure its length against the last unit step
+    pts = np.concatenate((np.arange(1.0, 300.0), 299.0 + 0.25 * np.arange(1, 400)))
+    for d in (0.5, 1.0, 1.5):
+        for monotone in (True, False):
+            assert_walks_agree(pts, d, 400.0, monotone)
+
+
+def test_walk_skip_boundary_rounding():
+    # a_i + prev_len rounds down onto a point about 1 time in 5 here; the
+    # loop skips that point as too short (points[j] - a_i < prev_len)
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        p0 = rng.uniform(0.01, 1.0)
+        a = p0 + rng.uniform(p0, 4.0 * p0)
+        t = a + (a - p0)
+        cluster = t + np.arange(-3, 4) * np.spacing(t)
+        assert_walks_agree(np.concatenate(([p0, a], cluster)), 1e-6, 10.0, True)
+
+
+_walk_points = st.lists(
+    st.one_of(st.floats(-50.0, 50.0), st.integers(-40, 40).map(float),
+              st.integers(-1074, 10).map(lambda e: 2.0 ** e)),
+    min_size=1, max_size=80, unique=True).map(lambda xs: np.unique(np.array(xs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_walk_points,
+       d=st.one_of(st.floats(1e-3, 20.0), st.sampled_from([0.5, 1.0, 2.0])),
+       hi=st.floats(-1.0, 60.0), monotone=st.booleans())
+def test_walk_matches_loop_on_random_points(points, d, hi, monotone):
+    assert_walks_agree(points, d, hi, monotone)
