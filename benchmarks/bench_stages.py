@@ -8,6 +8,9 @@ at one fixed level:
 - the energy gate: the verdict of the energy-condition series on the greedy
   partition, over the points it covers, as gapnum._gates evaluates it.
 
+It also times `fekete_optimize` at k = 8 on [0, 1] (the `refute_mix` job
+`fekete_8`) and at k = 12.
+
 The file name keeps it out of the default test collection. Run it by path:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_stages.py \
@@ -19,8 +22,9 @@ import functools
 import pytest
 
 from gapkit.energy import energy_condition_report
+from gapkit.fekete import fekete_optimize
 from gapkit.partitions import greedy_density_partition
-from gapkit.seqcore import generate
+from gapkit.seqcore import Interval, generate
 
 try:
     from gapkit.energy import energy_verdict
@@ -39,8 +43,6 @@ INPUTS = {
     "lacunary": ("lacunary:2", (-1e6, 1e6), 1e-3),
 }
 SEED = 1
-
-
 
 
 @functools.cache
@@ -63,3 +65,9 @@ def test_energy_gate(benchmark, name):
     sub = seq.restrict(*part.cover())
     verdict = benchmark(energy_verdict, sub, part)
     assert verdict == energy_condition_report(sub, part).verdict
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_fekete(benchmark, k):
+    res = benchmark(fekete_optimize, k, Interval(0.0, 1.0))
+    assert res.converged and res.max_deviation <= 1e-6

@@ -272,7 +272,7 @@ def _cmd_regularize(args, cfg, emit):
 
 def _cmd_fekete(args, cfg, emit):
     lo, hi = _parse_window(args.interval)
-    res = fekete.fekete_optimize(args.k, Interval(lo, hi), seed=args.seed or 0)
+    res = fekete.fekete_optimize(args.k, Interval(lo, hi))
     emit(res.to_json_dict())
     return 0 if res.converged else 3
 
@@ -465,10 +465,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("fekete", help="energy maximizer on an interval")
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--interval", required=True, help="a,b")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--output")
-    sp.add_argument("--csv")
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("gap", help="gap certificate / sigma_min sweep")
     common(sp)

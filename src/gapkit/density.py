@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partitions import greedy_density_partition, shortness
-from .seqcore import ParameterError, Partition, PointSequence, _dist0
+from .seqcore import ParameterError, Partition, PointSequence, _dist0, _slope
 
 __all__ = [
     "DensityEstimate",
@@ -165,23 +165,10 @@ def density_lower(seq: PointSequence, method: str = "d1",
 # d3: counting-function residual
 # ---------------------------------------------------------------------------
 
-def _mismatch_integral(c: float, a: float, u: float, v: float) -> float:
-    """Exact integral of |c - a*x| / (1 + x^2) over [u, v]."""
-
-    def F(x):
-        return c * math.atan(x) - 0.5 * a * math.log1p(x * x)
-
-    if a == 0.0:
-        return abs(c) * (math.atan(v) - math.atan(u))
-    xs = c / a
-    if u < xs < v:
-        return abs(F(xs) - F(u)) + abs(F(v) - F(xs))
-    return abs(F(v) - F(u))
-
-
 def _mismatch_integrals(c: np.ndarray, a: float,
                         u: np.ndarray, v: np.ndarray) -> float:
-    """Vectorized sum of the exact segment integrals above."""
+    """Sum over segments i of the exact integral of |c_i - a*x| / (1 + x^2)
+    over [u_i, v_i], splitting a segment where c_i = a*x."""
 
     def F(x, cc):
         return cc * np.arctan(x) - 0.5 * a * np.log1p(x * x)
@@ -276,11 +263,7 @@ def _d3_flat(seq: PointSequence, a: float) -> bool:
     sizes = np.array([max(abs(seq.window[0] * f), abs(seq.window[1] * f), 1.0)
                       for f, _ in curve])
     resid = np.array([r for _, r in curve])
-    ls = np.log(sizes)
-    ls = ls - ls.mean()
-    denom = float(np.sum(ls * ls))
-    slope = float(np.sum(ls * (resid - resid.mean())) / denom) if denom else 0.0
-    return slope <= D3_FLAT_SLOPE
+    return _slope(np.log(sizes), resid) <= D3_FLAT_SLOPE
 
 
 def density_d3_estimate(seq: PointSequence,

@@ -9,13 +9,12 @@ densities together with their two-sided bound suite.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import Interval, ParameterError, Partition, PointSequence, _dist0
+from .seqcore import Interval, ParameterError, Partition, PointSequence, _dist0, _slope
 
 __all__ = [
     "total_energy",
@@ -147,10 +146,6 @@ class EnergyReport:
             ],
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
@@ -161,12 +156,8 @@ class EnergyReport:
 
 
 def _least_squares_slope(y: np.ndarray) -> float:
-    if y.size < 2:
-        return 0.0
-    x = np.arange(y.size, dtype=float)
-    x = x - x.mean()
-    denom = float(np.sum(x * x))
-    return float(np.sum(x * (y - y.mean())) / denom) if denom else 0.0
+    """Least-squares slope of y against its index."""
+    return _slope(np.arange(y.size, dtype=float), y) if y.size >= 2 else 0.0
 
 
 def _summands(seq: PointSequence, part: Partition, include_endpoints: bool):
@@ -302,10 +293,6 @@ class StepDensity:
         vals = _antideriv_log_plus(self.edges - y)
         return float(np.sum(self.heights * np.diff(vals)))
 
-    def moment0_against_log_minus(self, y: float) -> float:
-        vals = _antideriv_log_minus(self.edges - y)
-        return float(np.sum(self.heights * np.diff(vals)))
-
 
 def _antideriv_log_plus(u):
     """Odd antiderivative of log_plus|u|: zero on [-1, 1]."""
@@ -315,20 +302,6 @@ def _antideriv_log_plus(u):
     big = s > 1.0
     sb = s[big]
     out[big] = sb * np.log(sb) - sb + 1.0
-    return np.sign(u) * out
-
-
-def _antideriv_log_minus(u):
-    """Odd antiderivative of log_minus|u|: saturates at +-1 outside [-1, 1]."""
-    u = np.asarray(u, dtype=float)
-    s = np.abs(u)
-    out = np.ones_like(s)
-    small = s < 1.0
-    ss = s[small]
-    vals = ss.copy()
-    pos = ss > 0
-    vals[pos] = ss[pos] - ss[pos] * np.log(ss[pos])
-    out[small] = vals
     return np.sign(u) * out
 
 

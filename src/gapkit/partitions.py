@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import ParameterError, Partition, PointSequence, _dist0
+from .seqcore import ParameterError, Partition, PointSequence, _dist0, _slope
 
 __all__ = [
     "ShortnessReport",
@@ -39,11 +39,7 @@ def _fitted_exponent(terms: np.ndarray) -> float:
     mask = terms > 0
     if np.count_nonzero(mask) < 2:
         return 0.0
-    lx = np.log(k[mask])
-    ly = np.log(terms[mask])
-    lx = lx - lx.mean()
-    denom = float(np.sum(lx * lx))
-    return float(np.sum(lx * (ly - ly.mean())) / denom) if denom else 0.0
+    return _slope(np.log(k[mask]), np.log(terms[mask]))
 
 
 def classify_terms(terms: np.ndarray) -> tuple[str, float]:

@@ -76,11 +76,6 @@ class GapFill:
     def length(self) -> float:
         return self.gap[1] - self.gap[0]
 
-    def count_window(self) -> tuple[float, float]:
-        # shading-style target band for the points carried by this cover
-        c = self.spacing
-        return self.length / (2 * c), self.length / c - 1 if c else 0.0
-
 
 @dataclass(frozen=True)
 class RegularizeResult:

@@ -28,6 +28,10 @@ __all__ = [
 # Hard cap used when evaluating exp(-i*t*x): beyond this the phase is
 # meaningless in double precision.
 PHASE_LIMIT = 1e9
+# Most points (or, for lacunary laws, walk steps) a generator may produce;
+# far above the 1.2e5-point sequences the estimators are sized for, far
+# below what exhausts memory.
+MAX_POINTS = 10**7
 
 
 class ParameterError(ValueError):
@@ -66,6 +70,14 @@ class Interval:
 def _dist0(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Interval.dist0 of (u, v] elementwise, for arrays of endpoints."""
     return np.abs(np.where(u >= 0, u, np.where(v <= 0, -v, 0.0)))
+
+
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x by the centred formula; 0 when x
+    is constant."""
+    x = x - x.mean()
+    denom = float(np.sum(x * x))
+    return float(np.sum(x * (y - y.mean())) / denom) if denom else 0.0
 
 
 def _finite_window(window) -> tuple[float, float]:
@@ -250,11 +262,18 @@ def fourier_eval(mu: AtomicMeasure, t_grid) -> np.ndarray:
 # Sequence generators
 # ---------------------------------------------------------------------------
 
+def _check_count(count: float, what: str) -> None:
+    if not count <= MAX_POINTS:
+        raise ParameterError(f"the window needs about {count:.3g} {what}, more than "
+                             f"the limit of {MAX_POINTS:.0e}")
+
+
 def _gen_lattice(h: float, lo: float, hi: float) -> np.ndarray:
     if h <= 0:
         raise ParameterError(f"lattice step must be positive, got {h}")
-    kmin = int(np.ceil(lo / h - 1e-12))
-    kmax = int(np.floor(hi / h + 1e-12))
+    kmin, kmax = np.ceil(lo / h - 1e-12), np.floor(hi / h + 1e-12)
+    _check_count(kmax - kmin + 1, "lattice points")
+    kmin, kmax = int(kmin), int(kmax)
     if kmax < kmin:
         return np.empty(0)
     return np.arange(kmin, kmax + 1, dtype=float) * h
@@ -276,6 +295,8 @@ def _gen_lacunary(q: float, lo: float, hi: float) -> np.ndarray:
         raise ParameterError(f"lacunary ratio must exceed 1, got {q}")
     if hi <= 0:
         return np.empty(0)
+    _check_count((max(0.0, -math.log(max(lo, 1e-300))) + max(0.0, math.log(hi)))
+                 / math.log(q), "lacunary walk steps")
     pts = []
     # walk down from 1 toward lo, then up from q; keeps powers exact for
     # integer ratios instead of round-tripping through logs
@@ -295,6 +316,7 @@ def _gen_lacunary(q: float, lo: float, hi: float) -> np.ndarray:
 def _gen_poisson(rate: float, lo: float, hi: float, rng) -> np.ndarray:
     if rate <= 0:
         raise ParameterError(f"poisson rate must be positive, got {rate}")
+    _check_count(rate * (hi - lo), "Poisson points")
     pts = []
     x = lo + rng.exponential(1.0 / rate)
     while x <= hi:
@@ -360,6 +382,7 @@ def generate(spec, window: tuple[float, float], seed=None, label=None) -> PointS
 
     spec is either a descriptor string (see parse_sequence_spec) or a
     (kind, params) pair. Deterministic given (spec, window, seed).
+    Laws that would need more than MAX_POINTS points are a ParameterError.
     """
     if isinstance(spec, str):
         kind, params = parse_sequence_spec(spec)

@@ -200,11 +200,12 @@ def test_invocation_omits_output_path(tmp_path, spelling):
     ["density", "--seq", "s", "--method", "bm", "-o", "-5"],
     ["--conf", "c", "density", "--c", "x.csv", "--method", "bm", "--seq", "s"],
     ["--config=density", "density", "--seq", "s", "--method=bm", "-o=x"],
-    ["spread", "--seq", "s", "--J", "0,1", "--C", "2", "--out-p", "pre", "--csv=z"],
+    ["spread", "--seq", "s", "--J", "0,1", "--C", "2", "--out-p", "pre", "--csv=z",
+     "--seed", "-3"],
     ["regularize", "--out-prefix=pre", "--seq", "s", "--C", "2", "--output", "o"],
     ["clark", "--seq", "s", "--profile=0:1:3", "--profile-c", "p.csv",
      "--profile-csv=q.csv", "-oo.json"],
-    ["fekete", "-k5", "--interval=-1,1", "--seed", "-3", "--csv", "c.csv", "-o", "f"],
+    ["fekete", "-k5", "--interval=-1,1", "-o", "f"],
     ["gap", "--seq", "s", "--cs", "g.csv", "--sweep", "1:2:3", "--threads=2"],
 ])
 def test_invocation_reparses_without_destinations(argv):
@@ -228,6 +229,19 @@ def test_report_bytes_ignore_destinations(tmp_path):
         texts.append([line for line in out.read_text().splitlines()
                       if '"timestamp":' not in line])
     assert texts[0] == texts[1]
+
+
+def test_gen_over_point_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "seq.txt"
+    assert main(["gen", "--spec", "lattice:1e-12", "--window=0,1", "-o", str(out)]) == 2
+    assert "limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fekete_cli_has_no_seed(tmp_path):
+    argv = ["fekete", "-k", "5", "--interval=0,1", "-o", str(tmp_path / "f.json")]
+    assert main(argv) == 0
+    assert main(argv + ["--seed", "1"]) == 2
 
 
 def test_parameter_error_exit_2(tmp_path):
@@ -283,7 +297,7 @@ def test_cli_import_leaves_out_scipy():
             "assert 'scipy' not in sys.modules, 'scipy imported'\n"
             "from gapkit.fekete import fekete_optimize\n"
             "from gapkit.seqcore import Interval\n"
-            "res = fekete_optimize(4, Interval(-1.0, 1.0), seed=0)\n"
+            "res = fekete_optimize(4, Interval(-1.0, 1.0))\n"
             "assert res.converged and res.max_deviation <= 1e-6, res\n"
             "assert 'scipy' in sys.modules\n")
     src = str(Path(gapkit.__file__).resolve().parents[1])

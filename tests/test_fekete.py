@@ -107,6 +107,22 @@ def test_oracle_dominance(k):
         assert r.energy >= energy(x) - 1e-9
 
 
+def test_fekete_long_interval():
+    # 1e-12 relative to the interval length
+    r = fekete_optimize(5, Interval(0.0, 1e4))
+    assert r.converged
+    assert r.max_deviation <= 1e-12 * 1e4
+
+
+@pytest.mark.parametrize("k", range(3, 41))
+def test_fekete_reaches_jacobi_zeros(k):
+    r = fekete_optimize(k, Interval(-1.0, 1.0))
+    z = np.sort(roots_jacobi(k - 2, 1.0, 1.0)[0])
+    assert np.max(np.abs(r.points[1:-1] - z)) <= 1e-13
+    assert r.points[0] == -1.0 and r.points[-1] == 1.0
+    assert r.converged and 1 <= r.n_iterations <= 50
+
+
 def test_key_example_two_points():
     energy, defect = key_example_check(2, math.e)
     assert energy == pytest.approx(2.0, rel=1e-14)

@@ -170,3 +170,16 @@ def test_load_points_rejects_text(tmp_path):
     path.write_text("# header\n1.0\nabc\n")
     with pytest.raises(ParameterError, match=r"bad.txt:3"):
         load_points(path)
+
+
+@pytest.mark.parametrize("spec", ["lattice:1e-12", "perturbed:1e-12,0", "poisson:1e12",
+                                  "lacunary:1.0000000001"])
+def test_generate_caps_point_count(spec):
+    # each would run for about 1e12 points or walk steps before the cap
+    with pytest.raises(ParameterError, match="limit"):
+        generate(spec, (0.0, 1.0), seed=1)
+
+
+def test_generate_below_cap_unchanged():
+    assert len(generate("lattice:1e-6", (0.0, 1.0))) == 1_000_001
+    assert len(generate("lacunary:2", (-1e6, 1e6))) == 1016
