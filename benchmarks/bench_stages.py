@@ -9,7 +9,11 @@ at one fixed level:
   partition, over the points it covers, as gapnum._gates evaluates it.
 
 It also times `fekete_optimize` at k = 8 on [0, 1] (the `refute_mix` job
-`fekete_8`) and at k = 12.
+`fekete_8`) and at k = 12, and whole level searches: the d4 estimate on the
+lacunary input and on Poisson input over +-10000 (the `refute_mix` jobs
+`d4_lacunary` and `d4_poisson`), and the gap certificate without its Gram
+sweep on the lacunary input. d3 on lacunary input is left out: trees from
+before the ladder walk crash there.
 
 The file name keeps it out of the default test collection. Run it by path:
 
@@ -21,8 +25,10 @@ import functools
 
 import pytest
 
+from gapkit.density import d4_complement_estimate
 from gapkit.energy import energy_condition_report
 from gapkit.fekete import fekete_optimize
+from gapkit.gapnum import GapConfig, estimate_gap_characteristic
 from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import Interval, generate
 
@@ -71,3 +77,19 @@ def test_energy_gate(benchmark, name):
 def test_fekete(benchmark, k):
     res = benchmark(fekete_optimize, k, Interval(0.0, 1.0))
     assert res.converged and res.max_deviation <= 1e-6
+
+
+D4_WINDOWS = {"lacunary": (-1e6, 1e6), "poisson": (-10000.0, 10000.0)}
+
+
+@pytest.mark.parametrize("name", list(D4_WINDOWS))
+def test_d4_level_search(benchmark, name):
+    seq = generate(INPUTS[name][0], D4_WINDOWS[name], seed=SEED)
+    est = benchmark(d4_complement_estimate, seq)
+    assert 0.0 < est.value < 1.5
+
+
+def test_gap_level_search_lacunary(benchmark):
+    seq, _ = _input("lacunary")
+    cert = benchmark(estimate_gap_characteristic, seq, GapConfig(sweep_enabled=False))
+    assert cert.c_estimate == 0.0

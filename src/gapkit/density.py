@@ -1,8 +1,11 @@
 """Interior density estimators d1-d4 and the Beurling-Malliavin density.
 
 All estimators work at truncation scale, return witnesses, and re-check
-every witness before reporting. Bisection runs on a fixed grid (default
-resolution 1e-3) and assumes feasibility is monotone in the target value.
+every witness before reporting. Every level search (here and in gapnum) is
+`_grid_max_feasible`: a walk on a ladder of grid levels (default resolution
+1e-3) that starts near twice the mean density, then a bisection between two
+neighbouring rungs. It returns the exact answer for a predicate that is
+monotone in the level.
 """
 
 from __future__ import annotations
@@ -57,8 +60,11 @@ class DensityEstimate:
 
 
 def _default_a_max(seq: PointSequence) -> float:
-    """Bisection ceiling: 1.5x the densest decile of local spacings, so a
-    one-sided or clustered sequence is not capped by an oversized window.
+    """Top rung of the level search: 1.5x the densest decile of local
+    spacings, so a one-sided or clustered sequence is not capped by an
+    oversized window. The search starts far below it on sparse input; the
+    top rung only bounds the walk up, so a predicate that always passes (d4
+    on a finite set is never refuted) still terminates.
     """
     if len(seq) < 2 or seq.span <= 0:
         return 1.0
@@ -69,26 +75,57 @@ def _default_a_max(seq: PointSequence) -> float:
     return 1.5 / dense + 10 * GRID_RESOLUTION
 
 
-def _grid_max_feasible(feasible, a_max: float, resolution: float) -> float:
-    """Largest grid multiple of `resolution` in (0, a_max] that passes.
+def _ladder_max(passes, kmax: int, start: float) -> int:
+    """Largest k in 1..kmax with passes(k), or 0 when no probe passes.
 
-    Bisection on grid indices; assumes the predicate is monotone (feasible
-    below, infeasible above). Returns 0.0 when nothing passes.
+    The rungs are kmax >> i. The walk starts at the highest rung at or below
+    `start` (the lowest rung if none is), goes down while a rung fails or up
+    while it passes, then bisects between the two neighbouring rungs with
+    mid = (lo + hi) // 2.
+
+    A top-down bisection probes the rungs from kmax down to the first that
+    passes and then bisects the same way. So the two return the same k,
+    after the same passing probes in the same order, whenever every rung
+    above the start fails; and for a predicate that is monotone in k
+    (passing below, failing above) both return its exact threshold.
     """
-    kmax = max(1, int(round(a_max / resolution)))
-    lo, hi = 0, kmax + 1  # predicate(lo) true by convention, predicate(hi) false
-    if feasible(kmax * resolution):
-        return kmax * resolution
-    hi = kmax
+    rungs = [kmax >> i for i in range(kmax.bit_length())]
+    i = next((j for j, k in enumerate(rungs) if k <= start), len(rungs) - 1)
+    if passes(rungs[i]):
+        while i > 0 and passes(rungs[i - 1]):
+            i -= 1
+        if i == 0:
+            return kmax
+    else:
+        i += 1
+        while i < len(rungs) and not passes(rungs[i]):
+            i += 1
+        if i == len(rungs):
+            return 0
+    lo, hi = rungs[i], rungs[i - 1]  # lo passes, hi fails
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mid == 0:
-            break
-        if feasible(mid * resolution):
+        if passes(mid):
             lo = mid
         else:
             hi = mid
-    return lo * resolution
+    return lo
+
+
+def _grid_max_feasible(feasible, seq: PointSequence, resolution: float) -> float:
+    """Largest grid level k * resolution, 0 < k <= kmax, that passes; 0.0
+    when none does. kmax puts the top rung `_default_a_max(seq)` on the
+    grid, and the walk (`_ladder_max`) starts at twice the mean density
+    len(seq) / |window|.
+
+    Feasibility gates need not be monotone in the level, so the walk keeps
+    to the rungs a top-down bisection from kmax would probe rather than
+    doubling from the mean density: it skips only rungs above the start,
+    and returns that bisection's answer whenever those rungs fail.
+    """
+    kmax = max(1, int(round(_default_a_max(seq) / resolution)))
+    start = 2.0 * len(seq) / seq.span / resolution if seq.span > 0 else math.inf
+    return _ladder_max(lambda k: feasible(k * resolution), kmax, start) * resolution
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +176,21 @@ def density_lower(seq: PointSequence, method: str = "d1",
     if len(seq) == 0:
         return DensityEstimate(0.0, method, seq.window)
     witness = {}
+    passed = {}  # the greedy result of the last passing level: the search's answer
 
     def feasible(a: float) -> bool:
         res = greedy_density_partition(seq, a, monotone=monotone)
         if not res.ok or len(res.partition.breakpoints) < 4:
             return False
-        return shortness(res.partition).verdict == "short"
+        if shortness(res.partition).verdict != "short":
+            return False
+        passed["res"] = res
+        return True
 
-    value = _grid_max_feasible(feasible, _default_a_max(seq), resolution)
+    value = _grid_max_feasible(feasible, seq, resolution)
     if value > 0:
-        res = greedy_density_partition(seq, value, monotone=monotone)
-        ok = res.ok and verify_partition_witness(seq, value, res.partition, monotone)
+        res = passed["res"]
+        ok = verify_partition_witness(seq, value, res.partition, monotone)
         if not ok:   # witness must reproduce the claim
             value = 0.0
         else:
@@ -211,8 +252,10 @@ def match_to_ideal_grid(seq: PointSequence, a: float) -> np.ndarray:
     neg = -pts[pts < 0][::-1]
     kmax_r = max(0, int(math.floor(a * hi))) if hi > 0 else 0
     kmax_l = max(0, int(math.floor(a * (-lo)))) if lo < 0 else 0
-    right = _greedy_match_side(pos, (np.arange(1, kmax_r + 1)) / a)
-    left = _greedy_match_side(neg, (np.arange(1, kmax_l + 1)) / a)
+    # each target uses up at least one point, so targets past a side's point
+    # count are never read: capping there keeps the arrays at most N long
+    right = _greedy_match_side(pos, np.arange(1, min(kmax_r, pos.size) + 1) / a)
+    left = _greedy_match_side(neg, np.arange(1, min(kmax_l, neg.size) + 1) / a)
     return np.sort(np.concatenate([-left, right]))
 
 
@@ -271,7 +314,7 @@ def density_d3_estimate(seq: PointSequence,
     """Largest slope whose residual curve stays flat in the window size."""
     if len(seq) == 0:
         return DensityEstimate(0.0, "d3", seq.window)
-    value = _grid_max_feasible(lambda a: _d3_flat(seq, a), _default_a_max(seq), resolution)
+    value = _grid_max_feasible(lambda a: _d3_flat(seq, a), seq, resolution)
     witness = {}
     if value > 0:
         witness = {"residual_curve": [[f, r] for f, r in d3_residual_curve(seq, value)]}
@@ -481,16 +524,15 @@ def d4_complement_estimate(seq: PointSequence,
     """Infimum of refuted levels minus one grid step (the d4 density)."""
     if len(seq) == 0:
         return DensityEstimate(0.0, "d4", seq.window)
-    a_max = _default_a_max(seq)
 
     def not_refuted(a: float) -> bool:
         refuted, _ = density_upper_d4(seq, a)
         return not refuted
 
-    value = _grid_max_feasible(not_refuted, a_max, resolution)
+    value = _grid_max_feasible(not_refuted, seq, resolution)
     refuted, witness = density_upper_d4(seq, value + resolution)
     if not refuted:
-        witness = {"note": f"no refutation found below {a_max:.6g}"}
+        witness = {"note": f"no refutation found below {_default_a_max(seq):.6g}"}
     return DensityEstimate(value, "d4", seq.window, witness)
 
 
@@ -501,15 +543,19 @@ def bm_density(seq: PointSequence,
     """
     if len(seq) == 0:
         return DensityEstimate(0.0, "bm", seq.window)
+    passed = {}  # the family of the last passing level: the search's answer
 
     def feasible(d: float) -> bool:
-        found, family, _, _ = long_family_search(seq, d, "above")
-        return found and verify_family_witness(seq, d, family, "above")
+        found, family, total, _ = long_family_search(seq, d, "above")
+        if not (found and verify_family_witness(seq, d, family, "above")):
+            return False
+        passed["family"], passed["total"] = family, total
+        return True
 
-    value = _grid_max_feasible(feasible, _default_a_max(seq), resolution)
+    value = _grid_max_feasible(feasible, seq, resolution)
     witness = {}
     if value > 0:
-        _, family, total, terms = long_family_search(seq, value, "above")
+        family, total = passed["family"], passed["total"]
         witness = {
             "intervals": [[u, v] for u, v in family],
             "sum": total,

@@ -24,6 +24,11 @@ __all__ = ["jacobi_zeros", "fekete_optimize", "FeketeResult", "key_example_check
 # step of STEP_TOL on [-1, 1] the error (of order step^2) is below rounding.
 MAX_NEWTON_STEPS = 100
 STEP_TOL = 1e-14
+# Most points fekete_optimize accepts. A Newton step holds a few k x k float64
+# arrays and a dense k x k solve: at k = 2000 the run peaks near 220 MB and
+# takes about 4 s on one core, and both grow as k^2 and k^3 beyond it
+# (k = 100000 would ask for 75 GiB in its first array).
+MAX_FEKETE_POINTS = 2000
 
 
 def jacobi_zeros(n: int, alpha: float, beta: float) -> np.ndarray:
@@ -118,6 +123,8 @@ def fekete_optimize(k: int, interval: Interval) -> FeketeResult:
     """
     if k < 2:
         raise ParameterError("need at least two points")
+    if k > MAX_FEKETE_POINTS:
+        raise ParameterError(f"at most {MAX_FEKETE_POINTS} points, got {k}")
     a, b = interval.a, interval.b
 
     def onto_interval(u):

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import _default_a_max, _grid_max_feasible
+from .density import _grid_max_feasible
 from .energy import energy_verdict
 from .partitions import greedy_density_partition, shortness
 from .seqcore import AtomicMeasure, ParameterError, PointSequence
@@ -332,7 +332,7 @@ def estimate_gap_characteristic(seq: PointSequence,
             witness.update(details)
         return ok
 
-    c = _grid_max_feasible(feasible, _default_a_max(seq), config.resolution)
+    c = _grid_max_feasible(feasible, seq, config.resolution)
     diagnostics = {}
     bks, margin, energy_v, short_v = (), float("nan"), "inconclusive", "inconclusive"
     if c > 0:

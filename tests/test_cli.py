@@ -238,6 +238,13 @@ def test_gen_over_point_cap_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fekete_over_point_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert main(["fekete", "-k", "100000", "--interval", "0,1", "-o", str(out)]) == 2
+    assert "at most" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fekete_cli_has_no_seed(tmp_path):
     argv = ["fekete", "-k", "5", "--interval=0,1", "-o", str(tmp_path / "f.json")]
     assert main(argv) == 0

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gapkit.density import (bm_density, counting_residual, d3_residual_curve,
-                            d4_complement_estimate, density_d3,
+import gapkit.density as density
+import gapkit.gapnum as gapnum
+from gapkit.density import (_greedy_match_side, bm_density, counting_residual,
+                            d3_residual_curve, d4_complement_estimate, density_d3,
                             density_estimate, density_lower, density_upper_d4,
                             match_to_ideal_grid, verify_family_witness,
                             verify_partition_witness)
@@ -85,6 +87,35 @@ def test_matching_thins_to_target():
     seq = generate("lattice:1", (0, 100))
     matched = match_to_ideal_grid(seq, 0.5)
     assert np.allclose(np.diff(matched), 2.0)
+
+
+def _match_all_targets(seq, a):
+    """match_to_ideal_grid without the cap: one target per grid step."""
+    lo, hi = seq.window
+    pts = seq.points
+    right = _greedy_match_side(pts[pts > 0], np.arange(1, math.floor(a * hi) + 1) / a)
+    left = _greedy_match_side(-pts[pts < 0][::-1],
+                              np.arange(1, math.floor(-a * lo) + 1) / a)
+    return np.sort(np.concatenate([-left, right]))
+
+
+@pytest.mark.parametrize("spec,seed", [("lattice:1", None), ("lattice:2", None),
+                                       ("perturbed:1,0.3", 3), ("perturbed:1,0.3", 1)])
+def test_matching_cap_is_exact(spec, seed):
+    # targets beyond a side's point count are never read, so capping them
+    # there changes no match, at slopes below, at and above the density
+    seq = generate(spec, WINDOW, seed=seed)
+    for a in (0.25, 0.5, 0.999, 1.0, 1.2, 3.0):
+        assert (match_to_ideal_grid(seq, a).tobytes()
+                == _match_all_targets(seq, a).tobytes())
+
+
+def test_matching_size_follows_points_not_slope():
+    # one target per grid step over +-1e6 at slope 1e12 is 2e18 targets
+    seq = generate("lacunary:2", (-1e6, 1e6))
+    matched = match_to_ideal_grid(seq, 1e12)
+    assert 0 < matched.size <= len(seq) and np.isin(matched, seq.points).all()
+    assert np.isfinite(density_d3(seq, 1e12))
 
 
 def test_counting_residual_exactness():
@@ -173,3 +204,42 @@ def test_density_estimate_dispatch():
         assert 0.9 <= est.value <= 1.1
     with pytest.raises(ParameterError):
         density_estimate(seq, "d9")
+
+
+# ---------------------------------------------------------------------------
+# The level search on sparse input
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def probe_count(monkeypatch):
+    """Count the levels every level search probes."""
+    count = [0]
+    search = density._grid_max_feasible
+
+    def counted(feasible, seq, resolution):
+        def probe(a):
+            count[0] += 1
+            return feasible(a)
+        return search(probe, seq, resolution)
+
+    monkeypatch.setattr(density, "_grid_max_feasible", counted)
+    monkeypatch.setattr(gapnum, "_grid_max_feasible", counted)
+    return count
+
+
+LACUNARY = generate("lacunary:2", (-1e6, 1e6))
+
+
+@pytest.mark.parametrize("method,limit", [
+    ("gap", 2), ("d1", 2), ("bm", 2), ("d3", 40), ("d4", 40)])
+def test_lacunary_levels_probed(probe_count, method, limit):
+    # the top rung is 2.8e269 here; a top-down bisection probed ~906 levels
+    assert density._default_a_max(LACUNARY) > 1e269
+    if method == "gap":
+        value = gapnum.estimate_gap_characteristic(
+            LACUNARY, gapnum.GapConfig(sweep_enabled=False)).c_estimate
+        assert value == 0.0
+    else:
+        value = density_estimate(LACUNARY, method).value
+    assert 1 <= probe_count[0] <= limit
+    assert 0.0 <= value < 0.1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from gapkit.fekete import fekete_optimize, jacobi_zeros, key_example_check
+from gapkit.fekete import (MAX_FEKETE_POINTS, fekete_optimize, jacobi_zeros,
+                           key_example_check)
 from gapkit.seqcore import Interval, ParameterError
 
 
@@ -121,6 +122,13 @@ def test_fekete_reaches_jacobi_zeros(k):
     assert np.max(np.abs(r.points[1:-1] - z)) <= 1e-13
     assert r.points[0] == -1.0 and r.points[-1] == 1.0
     assert r.converged and 1 <= r.n_iterations <= 50
+
+
+def test_fekete_caps_point_count():
+    # k x k arrays: k = 100000 would ask for 75 GiB before the first step
+    for k in (MAX_FEKETE_POINTS + 1, 100000):
+        with pytest.raises(ParameterError, match="at most"):
+            fekete_optimize(k, Interval(0.0, 1.0))
 
 
 def test_key_example_two_points():

@@ -1,7 +1,8 @@
 """The array forms of the greedy walk, shortness and energy_condition_report
 against the per-point and per-interval loops they replaced, kept here as the
 reference: every reported value must agree bitwise, including the order of
-the terms."""
+the terms. The ladder walk of the level search is checked the same way
+against the top-down bisection it replaced."""
 
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapkit.density import _ladder_max
 from gapkit.energy import (SUPPORTED_SLOPE_FACTOR, UNSUPPORTED_SLOPE_FACTOR,
                            EnergyRecord, EnergyReport, _least_squares_slope,
                            energy_condition_report, energy_verdict, interval_energy)
@@ -272,3 +274,94 @@ _walk_points = st.lists(
        hi=st.floats(-1.0, 60.0), monotone=st.booleans())
 def test_walk_matches_loop_on_random_points(points, d, hi, monotone):
     assert_walks_agree(points, d, hi, monotone)
+
+
+# ---------------------------------------------------------------------------
+# The level search
+# ---------------------------------------------------------------------------
+
+def loop_grid_max_feasible(feasible, a_max, resolution):
+    kmax = max(1, int(round(a_max / resolution)))
+    lo, hi = 0, kmax + 1  # predicate(lo) true by convention, predicate(hi) false
+    if feasible(kmax * resolution):
+        return kmax * resolution
+    hi = kmax
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid == 0:
+            break
+        if feasible(mid * resolution):
+            lo = mid
+        else:
+            hi = mid
+    return lo * resolution
+
+
+def assert_searches_agree(passes, kmax, start, same_passes):
+    """Same answer and, with same_passes, the same passing probes in the
+    same order. With resolution 1 (an int) the reference probes exact
+    integers."""
+    new_probes, ref_probes = [], []
+
+    def record(probes):
+        def probe(k):
+            probes.append(k)
+            return passes(k)
+        return probe
+
+    new = _ladder_max(record(new_probes), kmax, start)
+    ref = loop_grid_max_feasible(record(ref_probes), kmax, 1)
+    assert new == ref
+    if same_passes:
+        assert [k for k in new_probes if passes(k)] == [k for k in ref_probes if passes(k)]
+    return new_probes, ref_probes
+
+
+def _start_rung(kmax, start):
+    rungs = [kmax >> i for i in range(kmax.bit_length())]
+    return next((k for k in rungs if k <= start), 1), rungs
+
+
+# kmax must survive the reference's round trip through a float
+_kmax = st.integers(1, 2 ** 80).map(lambda k: max(1, int(float(k))))
+_start = st.one_of(st.floats(0.0, 2.0 ** 81), st.integers(0, 2 ** 81).map(float),
+                   st.just(math.inf))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(kmax=_kmax, threshold=st.integers(-1, 2 ** 81), start=_start)
+def test_ladder_matches_bisection_on_thresholds(kmax, threshold, start):
+    top, rungs = _start_rung(kmax, start)
+    above_fail = all(k > threshold for k in rungs if k > top)
+    assert_searches_agree(lambda k: k <= threshold, kmax, start, above_fail)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(kmax=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1),
+       p_pass=st.floats(0.0, 1.0), start=_start, clear_above=st.booleans())
+def test_ladder_matches_bisection_with_holes(kmax, seed, p_pass, start, clear_above):
+    # any predicate at all; the claim holds when every rung above the
+    # start fails, which clear_above forces half of the time
+    table = np.random.default_rng(seed).random(kmax + 1) < p_pass
+    top, rungs = _start_rung(kmax, start)
+    above = [k for k in rungs if k > top]
+    if clear_above:
+        table[above] = False
+    if not table[above].any():
+        assert_searches_agree(lambda k: bool(table[k]), kmax, start, True)
+    else:
+        assert 0 <= _ladder_max(lambda k: bool(table[k]), kmax, start) <= kmax
+
+
+def test_ladder_skips_only_failing_rungs():
+    # the walk never probes a rung above the start unless the start passes
+    kmax = 2 ** 60 + 2 ** 20
+    for threshold in (0, 1, 2, 7, 1000, 2 ** 30):
+        new, ref = assert_searches_agree(lambda k: k <= threshold, kmax, 2000.0,
+                                         threshold < 1000)
+        assert len(new) < len(ref)
+        if threshold < 1000:
+            assert max(new) < 2000
+    new, ref = assert_searches_agree(lambda k: True, kmax, 2000.0, False)
+    top, rungs = _start_rung(kmax, 2000.0)
+    assert new[-1] == kmax and len(new) == rungs.index(top) + 1
