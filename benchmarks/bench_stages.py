@@ -8,8 +8,9 @@ at one fixed level:
 - the energy gate: the verdict of the energy-condition series on the greedy
   partition, over the points it covers, as gapnum._gates evaluates it.
 
-It also times `fekete_optimize` at k = 8 on [0, 1] (the `refute_mix` job
-`fekete_8`) and at k = 12, and whole level searches: the d4 estimate on the
+It also times the d1 witness re-check, `verify_partition_witness`, on the
+lattice's greedy partition at level 1; `fekete_optimize` at k = 8 on [0, 1]
+(the `refute_mix` job `fekete_8`) and at k = 12; and whole level searches: the d4 estimate on the
 lacunary input and on Poisson input over +-10000 (the `refute_mix` jobs
 `d4_lacunary` and `d4_poisson`), and the gap certificate without its Gram
 sweep on the lacunary input. d3 on lacunary input is left out: trees from
@@ -25,7 +26,7 @@ import functools
 
 import pytest
 
-from gapkit.density import d4_complement_estimate
+from gapkit.density import d4_complement_estimate, verify_partition_witness
 from gapkit.energy import energy_condition_report
 from gapkit.fekete import fekete_optimize
 from gapkit.gapnum import GapConfig, estimate_gap_characteristic
@@ -71,6 +72,12 @@ def test_energy_gate(benchmark, name):
     sub = seq.restrict(*part.cover())
     verdict = benchmark(energy_verdict, sub, part)
     assert verdict == energy_condition_report(sub, part).verdict
+
+
+def test_partition_witness(benchmark):
+    seq, level = _input("lattice")
+    part = greedy_density_partition(seq, level).partition
+    assert benchmark(verify_partition_witness, seq, level, part, True)
 
 
 @pytest.mark.parametrize("k", [8, 12])

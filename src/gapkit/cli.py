@@ -87,19 +87,17 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _load_sequence(args) -> PointSequence:
-    spec = args.seq
-    if os.path.exists(spec):
-        pts = seqcore.load_points(spec)
-        if args.window:
-            lo, hi = _parse_window(args.window)
-        elif pts.size:
-            lo, hi = float(pts[0]), float(pts[-1])
-        else:
-            lo, hi = 0.0, 0.0
-        return PointSequence(pts[(pts >= lo) & (pts <= hi)], (lo, hi), label=spec)
-    if not args.window:
+    """The --seq sequence. A file (an existing path wins over a law spec;
+    `file:` is optional) lies on --window, or without one on the hull of its
+    points; a law spec needs --window."""
+    window = _parse_window(args.window) if args.window else None
+    kind, params = ("explicit", args.seq) if os.path.exists(args.seq) \
+        else seqcore.parse_sequence_spec(args.seq)
+    if kind == "explicit":
+        return seqcore._load_file(params, window, args.seq)
+    if window is None:
         raise ParameterError("--window is required for generated sequences")
-    return seqcore.generate(spec, _parse_window(args.window), seed=args.seed)
+    return seqcore.generate((kind, params), window, seed=args.seed, label=args.seq)
 
 
 def _load_partition(text: str, seq: PointSequence):
@@ -287,9 +285,8 @@ def _cmd_gap(args, cfg, emit):
         result["synthesis"] = syn.to_json_dict()
     if args.sweep:
         a0, a1, steps = args.sweep.split(":")
-        lam = seq.points[np.argsort(np.abs(seq.points))][: int(cfg["sweep_n_max"])]
-        sweep = gapnum.sigma_min_sweep(np.sort(lam),
-                                       np.linspace(float(a0), float(a1), int(steps)),
+        lam = gapnum._nearest_zero(seq.points, int(cfg["sweep_n_max"]))
+        sweep = gapnum.sigma_min_sweep(lam, np.linspace(float(a0), float(a1), int(steps)),
                                        threads=args.threads)
         result["sweep"] = sweep.to_json_dict()
         if args.csv:

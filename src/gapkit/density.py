@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partitions import greedy_density_partition, shortness
-from .seqcore import ParameterError, Partition, PointSequence, _dist0, _slope
+from .partitions import _monotone, greedy_density_partition, shortness
+from .seqcore import ParameterError, Partition, PointSequence, _dist0, _owned, _slope
 
 __all__ = [
     "DensityEstimate",
@@ -68,10 +68,8 @@ def _default_a_max(seq: PointSequence) -> float:
     """
     if len(seq) < 2 or seq.span <= 0:
         return 1.0
-    gaps = np.diff(seq.points)
-    dense = float(np.percentile(gaps, 10))
-    if dense <= 0:
-        dense = float(np.min(gaps[gaps > 0])) if np.any(gaps > 0) else 1.0
+    gaps = np.diff(seq.points)  # all positive, but their percentile can round to 0
+    dense = float(np.percentile(gaps, 10)) or float(np.min(gaps))
     return 1.5 / dense + 10 * GRID_RESOLUTION
 
 
@@ -121,9 +119,16 @@ def _grid_max_feasible(feasible, seq: PointSequence, resolution: float) -> float
     Feasibility gates need not be monotone in the level, so the walk keeps
     to the rungs a top-down bisection from kmax would probe rather than
     doubling from the mean density: it skips only rungs above the start,
-    and returns that bisection's answer whenever those rungs fail.
+    and returns that bisection's answer whenever those rungs fail. A top
+    rung that overflows to inf (spacings near the smallest float) is a
+    ParameterError.
     """
-    kmax = max(1, int(round(_default_a_max(seq) / resolution)))
+    top = _default_a_max(seq) / resolution
+    if top == math.inf:
+        spacing = np.diff(seq.points).min(initial=math.inf)
+        raise ParameterError(f"point spacings down to {spacing:.3g} are too small for a "
+                             f"level search on a grid of step {resolution:g}")
+    kmax = max(1, int(round(top)))
     start = 2.0 * len(seq) / seq.span / resolution if seq.span > 0 else math.inf
     return _ladder_max(lambda k: feasible(k * resolution), kmax, start) * resolution
 
@@ -136,29 +141,21 @@ def verify_partition_witness(seq: PointSequence, a: float, part: Partition,
                              monotone_required: bool) -> bool:
     """Re-check a witness partition: density condition and shortness.
 
-    Counting uses the outward-facing half-open convention that the greedy
-    construction itself uses: intervals right of 0 own their right endpoint,
-    intervals left of 0 own their left endpoint (the two agree up to one
-    point at the origin; see the module notes).
+    Counting uses the outward closure the greedy construction uses:
+    intervals right of 0 are (u, v], intervals left of 0 are [u, v), so
+    each owns the endpoint facing away from 0 (see the closures listed in
+    the seqcore module docstring).
     """
     bks = part.breakpoints
     if len(bks) < 4:
         return False
     z = part.zero_index
-    for i in range(len(bks) - 1):
-        lo, hi = bks[i], bks[i + 1]
-        if i >= z:
-            count = seq.count_in(lo, hi)
-        else:
-            count = seq.count_in(lo, hi, include_left=True) - seq.count_in(hi, hi, include_left=True)
-        if count < a * (hi - lo) - 1e-9:
+    for u, v, left in ((bks[:z], bks[1:z + 1], True), (bks[z:-1], bks[z + 1:], False)):
+        first, last = _owned(seq.points, u, v, include_left=left, include_right=not left)
+        if np.any(last - first < a * (v - u) - 1e-9):
             return False
-    if monotone_required:
-        lengths = np.diff(bks)
-        right = lengths[z:]
-        left = lengths[:z][::-1]
-        if np.any(np.diff(right) < -1e-12) or np.any(np.diff(left) < -1e-12):
-            return False
+    if monotone_required and not _monotone(part):
+        return False
     return shortness(part).verdict == "short"
 
 
@@ -325,21 +322,13 @@ def density_d3_estimate(seq: PointSequence,
 # Long-family searches: d4 refutation and the Beurling-Malliavin density
 # ---------------------------------------------------------------------------
 
-def _counts_open(pts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (np.searchsorted(pts, v, side="left")
-            - np.searchsorted(pts, u, side="right"))
-
-
-def _counts_halfopen(pts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (np.searchsorted(pts, v, side="right")
-            - np.searchsorted(pts, u, side="right"))
-
-
-def _qualifies(pts, u, v, a, mode) -> bool:
-    uu, vv = np.atleast_1d(float(u)), np.atleast_1d(float(v))
-    if mode == "below":
-        return bool(_counts_open(pts, uu, vv)[0] < a * (v - u))
-    return bool(_counts_halfopen(pts, uu, vv)[0] >= a * (v - u))
+def _qualifying(pts: np.ndarray, u, v, a: float, mode: str):
+    """Which intervals meet the count condition of a long-family mode:
+    'below' counts the open (u, v) and wants count < a|I|, 'above' counts
+    (u, v] and wants count >= a|I|."""
+    below = mode == "below"
+    first, last = _owned(pts, u, v, include_right=not below)
+    return last - first < a * (v - u) if below else last - first >= a * (v - u)
 
 
 def _terms_of(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -413,10 +402,7 @@ def _assemble_family(pts: np.ndarray, u: np.ndarray, v: np.ndarray,
     if u.size == 0:
         return []
     keep = (v > u) & ~((u < 0.0) & (v > 0.0))  # origin-straddlers carry no tail evidence
-    if mode == "below":
-        keep &= _counts_open(pts, u, v) < a * (v - u)
-    else:
-        keep &= _counts_halfopen(pts, u, v) >= a * (v - u)
+    keep &= _qualifying(pts, u, v, a, mode)
     u, v = u[keep], v[keep]
     order = np.lexsort((v - u, -np.minimum(_terms_of(u, v), 1.0)))
     starts: list[float] = []
@@ -490,10 +476,8 @@ def long_family_search(seq: PointSequence, a: float, mode: str):
 def verify_family_witness(seq: PointSequence, a: float, family, mode: str) -> bool:
     """Disjointness, the per-interval count condition, and longness."""
     fam = sorted(family)
-    for i in range(len(fam) - 1):
-        if fam[i][1] > fam[i + 1][0]:
-            return False
-    if not all(_qualifies(seq.points, u, v, a, mode) for u, v in fam):
+    u, v = np.array(fam, dtype=float).reshape(-1, 2).T
+    if np.any(v[:-1] > u[1:]) or not np.all(_qualifying(seq.points, u, v, a, mode)):
         return False
     lo, hi = seq.window
     found, _, _, _ = _evidence_subfamily(fam, max(abs(lo), abs(hi)))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import Interval, ParameterError, Partition, PointSequence, _dist0, _slope
+from .seqcore import (Interval, ParameterError, Partition, PointSequence, _dist0, _owned,
+                      _slope)
 
 __all__ = [
     "total_energy",
@@ -79,18 +80,12 @@ def interval_energy(seq, iv: Interval, include_endpoints: bool = False):
     the closed interval [a, b], the variant that folds breakpoints into the
     energy on both sides.
     """
-    pts = seq.slice_in(iv.a, iv.b, include_left=include_endpoints) \
-        if isinstance(seq, PointSequence) else None
-    if pts is None:
-        x = np.asarray(seq, dtype=float)
-        side = "left" if include_endpoints else "right"
-        i = np.searchsorted(x, iv.a, side=side)
-        j = np.searchsorted(x, iv.b, side="right")
-        pts = x[i:j]
-    count = int(pts.size)
+    x = _points_of(seq)
+    first, last = _owned(x, iv.a, iv.b, include_left=include_endpoints)
+    count = int(last - first)
     if count < 2:
         return count, 0.0
-    return count, total_energy(pts)
+    return count, total_energy(x[first:last])
 
 
 @dataclass(frozen=True)
@@ -121,10 +116,6 @@ class EnergyReport:
     tail_slope: float
     head_mean: float
     verdict: str
-
-    @property
-    def total(self) -> float:
-        return float(self.partial_sums[-1]) if len(self.partial_sums) else 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,8 +163,7 @@ def _summands(seq: PointSequence, part: Partition, include_endpoints: bool):
     pts = seq.points
     u, v = part.breakpoints[:-1], part.breakpoints[1:]
     # interval_energy's convention: (a, b], or [a, b] with include_endpoints
-    first = np.searchsorted(pts, u, side="left" if include_endpoints else "right")
-    last = np.searchsorted(pts, v, side="right")
+    first, last = _owned(pts, u, v, include_left=include_endpoints)
     dist = _dist0(u, v)
     order = np.lexsort((u, dist))
     u, v, dist = u[order].tolist(), v[order].tolist(), dist[order].tolist()

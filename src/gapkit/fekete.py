@@ -119,7 +119,9 @@ def fekete_optimize(k: int, interval: Interval) -> FeketeResult:
     strictly concave in the ordered interior points. Newton's method from
     equispaced points finds it on [-1, 1], mapped affinely onto the interval.
     The residual is the max |interior gradient component| at the returned
-    points; convergence demands residual <= 1e-8.
+    points; convergence demands that it not exceed the change that rounding
+    the points to floats can make in a component, which grows with k and
+    with the distance of the interval from 0.
     """
     if k < 2:
         raise ParameterError("need at least two points")
@@ -133,9 +135,15 @@ def fekete_optimize(k: int, interval: Interval) -> FeketeResult:
     y, it = _newton(k - 2) if k > 2 else (np.empty(0), 0)
     pts = onto_interval(y)
     pred = onto_interval(jacobi_zeros(k - 2, 1.0, 1.0) if k > 2 else y)
-    res = float(np.max(np.abs(2.0 * np.sum(_inverse_gaps(pts), axis=1)), initial=0.0))
+    inv = _inverse_gaps(pts)
+    res = float(np.max(np.abs(2.0 * np.sum(inv, axis=1)), initial=0.0))
+    # rounding each point to a float moves gradient component i by up to
+    # about eps * sum_j 2 (|x_i| + |x_j|) / (x_i - x_j)^2
+    x = np.abs(pts)
+    inv *= inv * (x[1:-1, None] + x)
+    scale = float(2.0 * np.finfo(float).eps * np.max(np.sum(inv, axis=1), initial=0.0))
     dev = float(np.max(np.abs(pts - pred)))
-    return FeketeResult(pts, total_energy(pts), res, res <= 1e-8, pred, dev, it)
+    return FeketeResult(pts, total_energy(pts), res, res <= scale, pred, dev, it)
 
 
 def key_example_check(k: int, L: float):

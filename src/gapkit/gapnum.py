@@ -48,14 +48,6 @@ class GramProbe:
     minimizing_weights: np.ndarray | None
     eigenvalues: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "n": int(self.lam.size),
-            "sigma_min": self.sigma_min,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-        }
-
 
 def _gram_entries(lam: np.ndarray, a: float) -> np.ndarray:
     d = lam[:, None] - lam[None, :]
@@ -131,6 +123,12 @@ def knee_location(a_values, sigma_values, floor: float | None = None) -> float:
         return float(a[-1]) if a.size else float("nan")
     d2 = s[2:] - 2.0 * s[1:-1] + s[:-2]
     return float(a[1 + int(np.argmax(d2))])
+
+
+def _nearest_zero(points: np.ndarray, n: int) -> np.ndarray:
+    """The n points nearest 0 (all of them if fewer), sorted: the support
+    of every Gram sweep."""
+    return np.sort(points[np.argsort(np.abs(points))[:n]])
 
 
 def sigma_min_sweep(lam, a_grid, threads: int = 1) -> SweepResult:
@@ -275,20 +273,12 @@ def _gates(seq: PointSequence, a: float):
     res = greedy_density_partition(seq, a, monotone=True)
     if not res.ok or len(res.partition.breakpoints) < 4:
         return False, "density", None
-    short_rep = shortness(res.partition)
-    if short_rep.verdict != "short":
+    if shortness(res.partition).verdict != "short":
         return False, "shortness", None
-    energy_v = energy_verdict(seq.restrict(*res.partition.cover()), res.partition)
-    if energy_v != "supported":
+    if energy_verdict(seq.restrict(*res.partition.cover()), res.partition) != "supported":
         return False, "energy", None
     margin = np.min(np.asarray(res.counts) - a * np.diff(res.partition.breakpoints))
-    return True, None, {
-        "partition": res.partition,
-        "margin": float(margin),
-        "energy": energy_v,
-        "short": short_rep.verdict,
-        "thinned": 0,
-    }
+    return True, None, {"partition": res.partition, "margin": float(margin)}
 
 
 def _feasible_level(seq: PointSequence, a: float):
@@ -306,8 +296,6 @@ def _feasible_level(seq: PointSequence, a: float):
     if len(thinned) == len(seq):
         return False, None
     ok, _, details = _gates(thinned, a)
-    if ok:
-        details["thinned"] = len(seq) - len(thinned)
     return ok, details
 
 
@@ -337,16 +325,13 @@ def estimate_gap_characteristic(seq: PointSequence,
     bks, margin, energy_v, short_v = (), float("nan"), "inconclusive", "inconclusive"
     if c > 0:
         bks = tuple(float(b) for b in witness["partition"].breakpoints)
-        margin = witness["margin"]
-        energy_v = witness["energy"]
-        short_v = witness["short"]
+        margin, energy_v, short_v = witness["margin"], "supported", "short"
     else:
         diagnostics["note"] = "no feasible density level on the grid"
     sweep = None
     knee = float("nan")
     if config.sweep_enabled and c > 0:
-        order = np.argsort(np.abs(seq.points))
-        sub = np.sort(seq.points[order[: min(config.sweep_n_max, len(seq))]])
+        sub = _nearest_zero(seq.points, config.sweep_n_max)
         center = 2.0 * math.pi * c
         grid = np.linspace(config.sweep_lo_factor * center,
                            config.sweep_hi_factor * center, config.sweep_points)

@@ -111,6 +111,11 @@ def _lengths_by_side(part: Partition):
     return left, right
 
 
+def _monotone(part: Partition) -> bool:
+    """Lengths non-decreasing away from 0 on both sides, to 1e-12."""
+    return not any(np.any(np.diff(side) < -1e-12) for side in _lengths_by_side(part))
+
+
 def _grows_outward(lengths: np.ndarray) -> bool:
     if lengths.size < 2:
         return True
@@ -135,8 +140,7 @@ def is_valid_paper_partition(part: Partition) -> PartitionValidity:
     left, right = _lengths_by_side(part)
     if not (_grows_outward(left) and _grows_outward(right)):
         reasons.append("interval lengths do not grow")
-    monotone = (not np.any(np.diff(left) < -1e-12)) and (not np.any(np.diff(right) < -1e-12))
-    return PartitionValidity(not reasons, tuple(reasons), monotone, rep)
+    return PartitionValidity(not reasons, tuple(reasons), _monotone(part), rep)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import total_energy
-from .seqcore import Interval, ParameterError, PointSequence
+from .seqcore import Interval, ParameterError, PointSequence, _owned
 
 __all__ = [
     "InfeasibleError",
@@ -41,8 +41,8 @@ def spread_points(seq: PointSequence, J: Interval, C: float,
     if C <= 1:
         raise ParameterError("spreading constant C must exceed 1")
     pts = seq.points
-    inside = (pts >= J.a) & (pts <= J.b)
-    m = int(np.count_nonzero(inside))
+    first, last = _owned(pts, J.a, J.b, include_left=True)
+    m = int(last - first)
     if m > J.length / C - 1:
         raise InfeasibleError(
             f"{m} points in J with |J|/C - 1 = {J.length / C - 1:.6g}: cannot spread")
@@ -52,7 +52,7 @@ def spread_points(seq: PointSequence, J: Interval, C: float,
         moved = np.array([0.5 * (J.a + J.b)])
     else:
         moved = np.linspace(J.a, J.b, m)
-    new_pts = np.sort(np.concatenate([pts[~inside], moved]))
+    new_pts = np.concatenate([pts[:first], moved, pts[last:]])
     if np.any(np.diff(new_pts) <= 0):
         raise InfeasibleError("spreading collided with points outside J")
     lo, hi = seq.window

@@ -1,7 +1,18 @@
 """Core domain types: point sequences, intervals, partitions, atomic measures.
 
 All types are immutable after construction and safe to share across threads.
-Intervals are half-open (a, b] throughout, so partitions tile exactly.
+Interval and Partition intervals are half-open (a, b], so partitions tile
+exactly. Which points a counting interval from u to v owns is decided by
+`_owned` alone, in one of four closures:
+
+- (u, v]: the default. PointSequence.count_in and slice_in, the energy
+  series and `interval_energy`, the intervals right of 0 in
+  `density.verify_partition_witness`, and the BM ('above') family test.
+- [u, v]: closed windows. PointSequence.restrict, `generate` on a file,
+  `interval_energy(include_endpoints=True)` and `regularize.spread_points`.
+- [u, v): the intervals left of 0 in `density.verify_partition_witness`,
+  which own the endpoint facing away from 0, as the greedy walk does.
+- (u, v): the d4 ('below') family test, whose sparse intervals end on points.
 """
 
 from __future__ import annotations
@@ -72,6 +83,16 @@ def _dist0(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.abs(np.where(u >= 0, u, np.where(v <= 0, -v, 0.0)))
 
 
+def _owned(points: np.ndarray, u, v, include_left: bool = False,
+           include_right: bool = True):
+    """(first, last) with points[first:last] the sorted points between u and
+    v, owning u with include_left and v with include_right. u and v may be
+    scalars or arrays of interval ends; the count is last - first."""
+    first = np.searchsorted(points, u, side="left" if include_left else "right")
+    last = np.searchsorted(points, v, side="right" if include_right else "left")
+    return first, last
+
+
 def _slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y against x by the centred formula; 0 when x
     is constant."""
@@ -131,23 +152,18 @@ class PointSequence:
 
     def count_in(self, lo: float, hi: float, include_left: bool = False) -> int:
         """Number of points in (lo, hi], or [lo, hi] with include_left."""
-        side = "left" if include_left else "right"
-        i = np.searchsorted(self.points, lo, side=side)
-        j = np.searchsorted(self.points, hi, side="right")
-        return int(j - i)
+        first, last = _owned(self.points, lo, hi, include_left)
+        return int(last - first)
 
     def slice_in(self, lo: float, hi: float, include_left: bool = False) -> np.ndarray:
-        side = "left" if include_left else "right"
-        i = np.searchsorted(self.points, lo, side=side)
-        j = np.searchsorted(self.points, hi, side="right")
-        return self.points[i:j]
+        first, last = _owned(self.points, lo, hi, include_left)
+        return self.points[first:last]
 
     def restrict(self, lo: float, hi: float) -> "PointSequence":
         """Sub-sequence on the intersection of the window with [lo, hi]."""
         wlo, whi = self.window
         lo, hi = max(lo, wlo), min(hi, whi)
-        keep = self.points[(self.points >= lo) & (self.points <= hi)]
-        return PointSequence(keep, (lo, hi), self.label)
+        return PointSequence(self.slice_in(lo, hi, include_left=True), (lo, hi), self.label)
 
     def translate(self, c: float) -> "PointSequence":
         lo, hi = self.window
@@ -327,8 +343,12 @@ def _gen_poisson(rate: float, lo: float, hi: float, rng) -> np.ndarray:
 
 def load_points(path) -> np.ndarray:
     """Read the standard sequence file: one real per line, '#' comments."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot read sequence file {path!r}: {exc.strerror}") from exc
     vals = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -343,6 +363,17 @@ def load_points(path) -> np.ndarray:
     if arr.size and np.any(np.diff(arr) <= 0):
         raise ParameterError(f"{path}: points must be strictly increasing")
     return arr
+
+
+def _load_file(path, window, label: str) -> PointSequence:
+    """The points of a sequence file on the closed window [lo, hi], or on
+    the hull of its points when window is None. The one file loader: the
+    explicit branch of `generate` and the CLI's --seq both use it."""
+    pts = load_points(path)
+    if window is None:
+        return PointSequence.from_points(pts, label)
+    first, last = _owned(pts, *window, include_left=True)
+    return PointSequence(pts[first:last], window, label)
 
 
 def save_points(path, points, header: str = "") -> None:
@@ -391,6 +422,10 @@ def generate(spec, window: tuple[float, float], seed=None, label=None) -> PointS
     lo, hi = _finite_window(window)
     if not lo < hi:
         raise ParameterError(f"window [{lo}, {hi}] is empty")
+    if label is None:
+        label = spec if isinstance(spec, str) else f"{kind}{params}"
+    if kind == "explicit":
+        return _load_file(params, (lo, hi), label)
     rng = np.random.default_rng(seed)
     if kind == "lattice":
         (h,) = params
@@ -404,12 +439,6 @@ def generate(spec, window: tuple[float, float], seed=None, label=None) -> PointS
     elif kind == "poisson":
         (rate,) = params
         pts = _gen_poisson(rate, lo, hi, rng)
-    elif kind == "explicit":
-        pts = load_points(params)
-        keep = (pts >= lo) & (pts <= hi)
-        pts = pts[keep]
     else:
         raise ParameterError(f"unknown sequence law '{kind}'")
-    if label is None:
-        label = spec if isinstance(spec, str) else f"{kind}{params}"
     return PointSequence(pts, (lo, hi), label=label)

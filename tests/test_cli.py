@@ -343,3 +343,41 @@ def test_non_finite_file_points_exit_2(tmp_path, capsys):
     path.write_text("0.0\nnan\n2.0\n")
     assert main(["density", "--method", "d1", "--seq", str(path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [[], ["--window=-20,20"]])
+def test_file_spellings_load_alike(tmp_path, window):
+    path = tmp_path / "pts.txt"
+    np.savetxt(path, np.arange(-20.0, 21.0))
+    reports = []
+    for i, spec in enumerate([str(path), f"file:{path}"]):
+        code, payload = run_json(["density", "--method", "d1", "--seq", spec] + window,
+                                 tmp_path, f"{i}.json")
+        assert code == 0
+        payload.pop("timestamp"), payload.pop("invocation")
+        reports.append(json.dumps(payload, sort_keys=True))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["result"]["window"] == [-20.0, 20.0]
+
+
+def test_missing_sequence_file_exits_2(tmp_path, capsys):
+    for window in ([], ["--window=0,1"]):
+        argv = ["density", "--method", "d1", "--seq", str(tmp_path / "nope.txt")]
+        assert main(argv + window) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["density", "--method", "d1"], ["gap"]])
+def test_subnormal_spacings_exit_2(tmp_path, capsys, command):
+    # ten spacings of 5e-324 put the level search's top rung at inf
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(f"{x!r}\n" for x in [k * 5e-324 for k in range(11)] + [1.0, 2.0, 3.0]))
+    out = tmp_path / "out.json"
+    assert main(command + ["--seq", str(path), "--window=-5,5", "-o", str(out)]) == 2
+    assert "spacings down to 4.94e-324" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fekete_500_converges_cli(tmp_path):
+    code, payload = run_json(["fekete", "-k", "500", "--interval", "0,1"], tmp_path)
+    assert code == 0 and payload["result"]["converged"]

@@ -46,6 +46,36 @@ def test_witness_verification_round_trip():
     assert not verify_partition_witness(seq, 1.2, res.partition, True)
 
 
+@pytest.mark.parametrize("removed,expected", [(0.0, True), (-1.0, False), (1.0, False)])
+def test_witness_counts_outward(removed, expected):
+    # unit intervals own the endpoint facing away from 0: [-1, 0) and (0, 1].
+    # Without 0 both still hold a point, though (-1, 0] would hold none;
+    # without -1 (or 1) the interval beside 0 holds only 0, which it does not own
+    lattice = generate("lattice:1", (-200.0, 200.0))
+    part = greedy_density_partition(lattice, 1.0).partition
+    seq = PointSequence(lattice.points[lattice.points != removed], lattice.window)
+    assert verify_partition_witness(seq, 1.0, part, True) is expected
+
+
+# intervals (3^k, 2 * 3^k], k = 0..11: disjoint, each with a shortness term
+# near 1, so the family is long; at this level each needs one point to meet
+# count >= a|I| and none to meet count < a|I|
+ENDPOINT_FAMILY = [(3.0 ** k, 2 * 3.0 ** k) for k in range(12)]
+ENDPOINT_LEVEL = 0.5 / 3 ** 11
+
+
+@pytest.mark.parametrize("end,mode,expected", [
+    (1, "above", True),    # (u, v] owns v
+    (0, "above", False),   # ... but not u
+    (1, "below", True),    # (u, v) owns neither
+    (0, "below", True),
+])
+def test_family_witness_point_on_endpoint(end, mode, expected):
+    pts = np.array([iv[end] for iv in ENDPOINT_FAMILY])
+    seq = PointSequence(pts, (0.0, 2 * 3.0 ** 11))
+    assert verify_family_witness(seq, ENDPOINT_LEVEL, ENDPOINT_FAMILY, mode) is expected
+
+
 # ---------------------------------------------------------------------------
 # d3: counting residual
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+import gapkit.fekete as fekete
 from gapkit.fekete import (MAX_FEKETE_POINTS, fekete_optimize, jacobi_zeros,
                            key_example_check)
 from gapkit.seqcore import Interval, ParameterError
@@ -122,6 +123,18 @@ def test_fekete_reaches_jacobi_zeros(k):
     assert np.max(np.abs(r.points[1:-1] - z)) <= 1e-13
     assert r.points[0] == -1.0 and r.points[-1] == 1.0
     assert r.converged and 1 <= r.n_iterations <= 50
+
+
+@pytest.mark.parametrize("k", [500, 1000])
+def test_fekete_converged_at_large_k(k):
+    # the gradient's rounding error grows with k: 1.6e-7 at k = 500
+    r = fekete_optimize(k, Interval(0.0, 1.0))
+    assert r.converged and r.max_deviation <= 1e-14
+
+
+def test_fekete_not_converged_after_one_step(monkeypatch):
+    monkeypatch.setattr(fekete, "MAX_NEWTON_STEPS", 1)
+    assert not fekete_optimize(50, Interval(0.0, 1.0)).converged
 
 
 def test_fekete_caps_point_count():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gapkit.seqcore import (AtomicMeasure, Interval, ParameterError, Partition,
-                            PointSequence, fourier_eval, generate, load_points,
+                            PointSequence, _owned, fourier_eval, generate, load_points,
                             save_points)
 
 
@@ -183,3 +183,41 @@ def test_generate_caps_point_count(spec):
 def test_generate_below_cap_unchanged():
     assert len(generate("lattice:1e-6", (0.0, 1.0))) == 1_000_001
     assert len(generate("lacunary:2", (-1e6, 1e6))) == 1016
+
+
+# (include_left, include_right) -> the points of [0, 1, 2, 3, 4] owned by the
+# interval from 1 to 3, whose ends are both points
+CLOSURES = {
+    (False, True): [2.0, 3.0],        # (u, v]
+    (True, True): [1.0, 2.0, 3.0],    # [u, v]
+    (True, False): [1.0, 2.0],        # [u, v)
+    (False, False): [2.0],            # (u, v)
+}
+
+
+@pytest.mark.parametrize("closure", list(CLOSURES))
+def test_owned_closures_on_endpoints(closure):
+    pts = np.arange(5.0)
+    first, last = _owned(pts, 1.0, 3.0, *closure)
+    assert pts[first:last].tolist() == CLOSURES[closure]
+    # arrays of ends give the scalar answer at every position
+    u, v = np.array([1.0, 0.0, 1.0]), np.array([3.0, 4.0, 1.0])
+    firsts, lasts = _owned(pts, u, v, *closure)
+    for i in range(u.size):
+        assert (firsts[i], lasts[i]) == _owned(pts, u[i], v[i], *closure)
+    assert (firsts[0], lasts[0]) == (first, last)
+
+
+def test_point_sequence_closures():
+    seq = PointSequence(np.arange(5.0), (0.0, 4.0))
+    assert seq.count_in(1.0, 3.0) == 2
+    assert seq.count_in(1.0, 3.0, include_left=True) == 3
+    assert seq.slice_in(1.0, 3.0).tolist() == CLOSURES[False, True]
+    assert seq.slice_in(1.0, 3.0, include_left=True).tolist() == CLOSURES[True, True]
+    assert seq.restrict(1.0, 3.0).points.tolist() == CLOSURES[True, True]
+
+
+def test_generate_file_keeps_points_on_window_ends(tmp_path):
+    path = tmp_path / "pts.txt"
+    save_points(path, np.arange(5.0))
+    assert generate(f"file:{path}", (1.0, 3.0)).points.tolist() == CLOSURES[True, True]
