@@ -5,6 +5,7 @@ four inputs of the `certify_bisect` workload in perfbench/workloads.py, each
 at one fixed level:
 
 - `greedy_density_partition` (both greedy walks);
+- `shortness` of the greedy partition (its terms and verdict);
 - the energy gate: the verdict of the energy-condition series on the greedy
   partition, over the points it covers, as gapnum._gates evaluates it.
 
@@ -30,7 +31,7 @@ from gapkit.density import d4_complement_estimate, verify_partition_witness
 from gapkit.energy import energy_condition_report
 from gapkit.fekete import fekete_optimize
 from gapkit.gapnum import GapConfig, estimate_gap_characteristic
-from gapkit.partitions import greedy_density_partition
+from gapkit.partitions import greedy_density_partition, shortness
 from gapkit.seqcore import Interval, generate
 
 try:
@@ -63,6 +64,14 @@ def test_greedy_partition(benchmark, name):
     seq, level = _input(name)
     res = benchmark(greedy_density_partition, seq, level)
     assert res.ok == (name != "lacunary")
+
+
+@pytest.mark.parametrize("name", [n for n in INPUTS if n != "lacunary"])
+def test_shortness(benchmark, name):
+    seq, level = _input(name)
+    part = greedy_density_partition(seq, level).partition
+    rep = benchmark(shortness, part)
+    assert rep.terms.size == part.breakpoints.size - 1
 
 
 @pytest.mark.parametrize("name", [n for n in INPUTS if n != "lacunary"])

@@ -25,9 +25,7 @@ from .seqcore import ParameterError
 
 __all__ = [
     "ResidueRecord",
-    "KreinInner",
     "residue_weights",
-    "krein_inner",
     "atom_sum_at",
     "tail_estimate",
     "ThetaProfile",
@@ -45,28 +43,6 @@ class ResidueRecord:
     amplitude: float       # A_n = exp(-atom_sum), in (0, 1]
     beta_n: float
     tail_bound: float
-
-
-@dataclass(frozen=True)
-class KreinInner:
-    """Breakpoint/midpoint data with residue weights on a report window."""
-
-    breakpoints: np.ndarray
-    midpoints: np.ndarray
-    deltas: np.ndarray
-    betas: np.ndarray
-    tail_bounds: np.ndarray
-    radius: float
-
-    def records(self):
-        return [
-            ResidueRecord(n, float(self.breakpoints[n]), float(self.midpoints[n]),
-                          float(self.deltas[n]),
-                          -math.log(2.0 * self.betas[n] / self.deltas[n]),
-                          2.0 * self.betas[n] / self.deltas[n],
-                          float(self.betas[n]), float(self.tail_bounds[n]))
-            for n in range(self.midpoints.size)
-        ]
 
 
 def _validate(a: np.ndarray) -> np.ndarray:
@@ -152,22 +128,6 @@ def residue_weights(a, R: float | None = None, report_width: float | None = None
         out.append(ResidueRecord(int(n), float(a[n]), float(b[n]), float(deltas[n]),
                                  s, amp, float(0.5 * deltas[n] * amp), bound))
     return out
-
-
-def krein_inner(a, R: float | None = None, report_width: float | None = None,
-                tail_mode: str = "none") -> KreinInner:
-    a = _validate(a)
-    recs = residue_weights(a, R, report_width, tail_mode)
-    if R is None:
-        R = float(max(abs(a[0]), abs(a[-1])))
-    return KreinInner(
-        breakpoints=np.array([r.a_n for r in recs]),
-        midpoints=np.array([r.b_n for r in recs]),
-        deltas=np.array([r.delta_n for r in recs]),
-        betas=np.array([r.beta_n for r in recs]),
-        tail_bounds=np.array([r.tail_bound for r in recs]),
-        radius=R,
-    )
 
 
 @dataclass(frozen=True)

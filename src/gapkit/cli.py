@@ -149,7 +149,7 @@ def _emit(output, command: str, invocation: list, cfg: dict, result: dict) -> No
         print(text)
 
 
-def _gap_config(cfg: dict, threads: int) -> gapnum.GapConfig:
+def _gap_config(cfg: dict) -> gapnum.GapConfig:
     """The gap certificate's settings from the effective configuration."""
     return gapnum.GapConfig(
         resolution=cfg["resolution"],
@@ -157,7 +157,6 @@ def _gap_config(cfg: dict, threads: int) -> gapnum.GapConfig:
         sweep_n_max=int(cfg["sweep_n_max"]),
         sweep_lo_factor=cfg["sweep_lo_factor"],
         sweep_hi_factor=cfg["sweep_hi_factor"],
-        threads=threads,
     )
 
 
@@ -286,13 +285,12 @@ def _cmd_gap(args, cfg, emit):
     if args.sweep:
         a0, a1, steps = args.sweep.split(":")
         lam = gapnum._nearest_zero(seq.points, int(cfg["sweep_n_max"]))
-        sweep = gapnum.sigma_min_sweep(lam, np.linspace(float(a0), float(a1), int(steps)),
-                                       threads=args.threads)
+        sweep = gapnum.sigma_min_sweep(lam, np.linspace(float(a0), float(a1), int(steps)))
         result["sweep"] = sweep.to_json_dict()
         if args.csv:
             _write_csv(args.csv, ["a", "sigma_min"], sweep.pairs())
     if args.synthesize is None and not args.sweep:
-        cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg, args.threads))
+        cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg))
         result["certificate"] = cert.to_json_dict()
         if args.csv and cert.sweep is not None:
             _write_csv(args.csv, ["a", "sigma_min"], cert.sweep.pairs())
@@ -333,7 +331,7 @@ def _cmd_clark(args, cfg, emit):
 
 def _cmd_report(args, cfg, emit):
     seq = _load_sequence(args)
-    cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg, args.threads))
+    cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg))
     d1 = density.density_lower(seq, "d1", resolution=cfg["resolution"])
     bm = density.bm_density(seq, resolution=cfg["resolution"])
     result = {
@@ -428,7 +426,6 @@ def _build_parser() -> _Parser:
             sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("-o", "--output", help="JSON output path (default stdout)")
         sp.add_argument("--csv", help="CSV output path")
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("gen", help="materialize a sequence law")
     sp.add_argument("--spec", required=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partitions import _monotone, greedy_density_partition, shortness
+from .partitions import _monotone, _short_greedy, _terms_of, shortness
 from .seqcore import ParameterError, Partition, PointSequence, _dist0, _owned, _slope
 
 __all__ = [
@@ -120,9 +120,11 @@ def _grid_max_feasible(feasible, seq: PointSequence, resolution: float) -> float
     to the rungs a top-down bisection from kmax would probe rather than
     doubling from the mean density: it skips only rungs above the start,
     and returns that bisection's answer whenever those rungs fail. A top
-    rung that overflows to inf (spacings near the smallest float) is a
-    ParameterError.
+    rung that overflows to inf (spacings near the smallest float) and a
+    resolution that is not finite and positive are ParameterErrors.
     """
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ParameterError(f"resolution must be finite and positive, got {resolution!r}")
     top = _default_a_max(seq) / resolution
     if top == math.inf:
         spacing = np.diff(seq.points).min(initial=math.inf)
@@ -176,10 +178,8 @@ def density_lower(seq: PointSequence, method: str = "d1",
     passed = {}  # the greedy result of the last passing level: the search's answer
 
     def feasible(a: float) -> bool:
-        res = greedy_density_partition(seq, a, monotone=monotone)
-        if not res.ok or len(res.partition.breakpoints) < 4:
-            return False
-        if shortness(res.partition).verdict != "short":
+        res, _ = _short_greedy(seq, a, monotone)
+        if res is None:
             return False
         passed["res"] = res
         return True
@@ -329,10 +329,6 @@ def _qualifying(pts: np.ndarray, u, v, a: float, mode: str):
     below = mode == "below"
     first, last = _owned(pts, u, v, include_right=not below)
     return last - first < a * (v - u) if below else last - first >= a * (v - u)
-
-
-def _terms_of(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (v - u) ** 2 / (1.0 + _dist0(u, v) ** 2)
 
 
 # Wide sparse intervals carry at most this many interior points; longer

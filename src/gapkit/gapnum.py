@@ -11,7 +11,6 @@ can be driven to zero. The transition of sigma_min as a grows localizes
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .density import _grid_max_feasible
 from .energy import energy_verdict
-from .partitions import greedy_density_partition, shortness
+from .partitions import _short_greedy
 from .seqcore import AtomicMeasure, ParameterError, PointSequence
 
 __all__ = [
@@ -131,13 +130,13 @@ def _nearest_zero(points: np.ndarray, n: int) -> np.ndarray:
     return np.sort(points[np.argsort(np.abs(points))[:n]])
 
 
-def sigma_min_sweep(lam, a_grid, threads: int = 1) -> SweepResult:
+def sigma_min_sweep(lam, a_grid) -> SweepResult:
     """sigma_min across an increasing grid of gap lengths.
 
     Monotone non-decreasing in a (the Gram increment over [a1, a2] is
     itself a Gram matrix, hence PSD); asserted up to a 1e-10 numerical
-    allowance. Grid points solve independently, optionally in a pool, for
-    eigenvalues only: the sweep never uses the minimizing vector.
+    allowance. Each grid point solves for eigenvalues only: the sweep never
+    uses the minimizing vector.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
@@ -145,15 +144,7 @@ def sigma_min_sweep(lam, a_grid, threads: int = 1) -> SweepResult:
     if np.any(np.diff(a_grid) <= 0):
         raise ParameterError("grid must be increasing")
     lam = np.asarray(lam, dtype=float)
-
-    def solve(a):
-        return gram_matrix(lam, a, vectors=False).sigma_min
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sigmas = np.array(list(pool.map(solve, a_grid)))
-    else:
-        sigmas = np.array([solve(a) for a in a_grid])
+    sigmas = np.array([gram_matrix(lam, a, vectors=False).sigma_min for a in a_grid])
     diffs = np.diff(sigmas)
     if diffs.size and float(np.min(diffs)) < -1e-10:
         raise AssertionError(
@@ -218,7 +209,6 @@ class GapConfig:
     sweep_n_max: int = 512
     sweep_lo_factor: float = 0.3
     sweep_hi_factor: float = 1.3
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -269,12 +259,11 @@ def _thin(seq: PointSequence, delta: float) -> PointSequence:
 
 
 def _gates(seq: PointSequence, a: float):
-    """(ok, blocker, details) for the three feasibility gates at level a."""
-    res = greedy_density_partition(seq, a, monotone=True)
-    if not res.ok or len(res.partition.breakpoints) < 4:
-        return False, "density", None
-    if shortness(res.partition).verdict != "short":
-        return False, "shortness", None
+    """(ok, blocker, details) for the three feasibility gates at level a:
+    d1's short-partition test, then the energy condition."""
+    res, blocker = _short_greedy(seq, a)
+    if res is None:
+        return False, blocker, None
     if energy_verdict(seq.restrict(*res.partition.cover()), res.partition) != "supported":
         return False, "energy", None
     margin = np.min(np.asarray(res.counts) - a * np.diff(res.partition.breakpoints))
@@ -335,7 +324,7 @@ def estimate_gap_characteristic(seq: PointSequence,
         center = 2.0 * math.pi * c
         grid = np.linspace(config.sweep_lo_factor * center,
                            config.sweep_hi_factor * center, config.sweep_points)
-        sweep = sigma_min_sweep(sub, grid, threads=config.threads)
+        sweep = sigma_min_sweep(sub, grid)
         knee = sweep.knee
         diagnostics["knee_over_2pic"] = knee / center
     return GapCertificate(

@@ -77,6 +77,13 @@ class ShortnessReport:
         }
 
 
+def _terms_of(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Shortness terms |I|^2 / (1 + dist(0, I)^2) of the intervals (u, v),
+    squared exactly (x * x); the one place this formula is written."""
+    length, dist = v - u, _dist0(u, v)
+    return length * length / (1.0 + dist * dist)
+
+
 def shortness(part: Partition) -> ShortnessReport:
     """Shortness verdict for a partition over its covered range.
 
@@ -85,12 +92,8 @@ def shortness(part: Partition) -> ShortnessReport:
     u, v = part.breakpoints[:-1], part.breakpoints[1:]
     if u.size < MIN_TERMS_FOR_VERDICT:
         raise ParameterError("shortness needs at least 3 intervals")
-    dist = _dist0(u, v)
-    order = np.lexsort((u, dist))
-    # Python's ** squares through libm pow, which rounds differently from
-    # numpy's exact x*x in about 1 case in 1000; the reported terms keep it.
-    terms = np.array([length ** 2 / (1.0 + d ** 2) for length, d in
-                      zip((v - u)[order].tolist(), dist[order].tolist())])
+    order = np.lexsort((u, _dist0(u, v)))
+    terms = _terms_of(u[order], v[order])
     verdict, exponent = classify_terms(terms)
     return ShortnessReport(terms, np.cumsum(terms), verdict, exponent, part.cover())
 
@@ -317,3 +320,16 @@ def greedy_density_partition(seq: PointSequence, d: float,
     covered = part.cover()
     return GreedyResult(True, part, counts, covered=covered,
                         trimmed=right_trim or left_trim)
+
+
+def _short_greedy(seq: PointSequence, d: float, monotone: bool = True):
+    """(result, blocker) for the short-partition test at level d: the greedy
+    partition succeeds with at least 4 breakpoints and is short. Returns
+    (GreedyResult, None) when it passes, else (None, "density") or
+    (None, "shortness") for the condition that failed first."""
+    res = greedy_density_partition(seq, d, monotone=monotone)
+    if not res.ok or len(res.partition.breakpoints) < 4:
+        return None, "density"
+    if shortness(res.partition).verdict != "short":
+        return None, "shortness"
+    return res, None

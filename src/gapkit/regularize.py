@@ -29,14 +29,13 @@ class InfeasibleError(ParameterError):
     """The requested spreading cannot fit the points at the demanded gap."""
 
 
-def spread_points(seq: PointSequence, J: Interval, C: float,
-                  check_energy: bool = True) -> PointSequence:
+def spread_points(seq: PointSequence, J: Interval, C: float) -> PointSequence:
     """Equally respace the points inside J (closed hull) at gaps >= C.
 
     Requires #(seq in J) <= |J|/C - 1. Points outside J are unchanged and
     the cardinality is preserved. The energy floor
         E(out) >= E(in) - (log C / C) * |J| * N
-    is asserted on every invocation unless check_energy is disabled.
+    is asserted on every invocation.
     """
     if C <= 1:
         raise ParameterError("spreading constant C must exceed 1")
@@ -57,7 +56,7 @@ def spread_points(seq: PointSequence, J: Interval, C: float,
         raise InfeasibleError("spreading collided with points outside J")
     lo, hi = seq.window
     out = PointSequence(new_pts, (min(lo, J.a), max(hi, J.b)), seq.label)
-    if check_energy and len(seq) >= 2:
+    if len(seq) >= 2:
         floor = total_energy(seq) - (math.log(C) / C) * J.length * len(seq)
         e_out = total_energy(out)
         if not e_out >= floor - 1e-9:

@@ -386,6 +386,22 @@ def save_points(path, points, header: str = "") -> None:
 
 
 _SPEC_RE = re.compile(r"^([a-z-]+)(?::(.*))?$")
+# number of parameters each generated law takes
+_LAW_ARITY = {"lattice": 1, "perturbed": 2, "lacunary": 1, "poisson": 1}
+
+
+def _law_params(spec, kind: str, params) -> tuple:
+    """params as a tuple of floats; a ParameterError naming the spec and the
+    law's parameter count when they are not that many numbers."""
+    want = _LAW_ARITY[kind]
+    try:
+        params = tuple(float(p) for p in params)
+    except (TypeError, ValueError):
+        params = None
+    if params is None or len(params) != want:
+        raise ParameterError(f"spec {spec!r}: law '{kind}' takes {want} numeric "
+                             f"parameter{'s' if want > 1 else ''}")
+    return params
 
 
 def parse_sequence_spec(text: str):
@@ -400,8 +416,7 @@ def parse_sequence_spec(text: str):
         raw = m.group(2)
         if raw is None or raw == "":
             raise ParameterError(f"spec '{text}' is missing parameters")
-        params = tuple(float(p) for p in raw.split(","))
-        return kind, params
+        return kind, _law_params(text, kind, raw.split(","))
     if text.startswith("file:"):
         return "explicit", text[5:]
     # bare path fallback
@@ -426,6 +441,9 @@ def generate(spec, window: tuple[float, float], seed=None, label=None) -> PointS
         label = spec if isinstance(spec, str) else f"{kind}{params}"
     if kind == "explicit":
         return _load_file(params, (lo, hi), label)
+    if kind not in _LAW_ARITY:
+        raise ParameterError(f"unknown sequence law '{kind}'")
+    params = _law_params(spec, kind, params)
     rng = np.random.default_rng(seed)
     if kind == "lattice":
         (h,) = params
@@ -439,6 +457,4 @@ def generate(spec, window: tuple[float, float], seed=None, label=None) -> PointS
     elif kind == "poisson":
         (rate,) = params
         pts = _gen_poisson(rate, lo, hi, rng)
-    else:
-        raise ParameterError(f"unknown sequence law '{kind}'")
     return PointSequence(pts, (lo, hi), label=label)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gapkit.clarknum import (atom_sum_at, krein_inner, residue_weights,
-                             theta_derivative_profile)
+from gapkit.clarknum import atom_sum_at, residue_weights, theta_derivative_profile
 from gapkit.seqcore import ParameterError
 
 LOG_PI_HALF = math.log(math.pi / 2.0)
@@ -93,14 +92,6 @@ def test_residue_validation():
         residue_weights(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ParameterError):
         residue_weights(np.array([0.0, 1.0]), tail_mode="bogus")
-
-
-def test_krein_inner_container():
-    inner = krein_inner(lattice(100), report_width=10.0)
-    assert inner.midpoints.size == inner.betas.size == inner.deltas.size
-    assert np.all(inner.betas > 0)
-    recs = inner.records()
-    assert recs[0].beta_n == pytest.approx(inner.betas[0])
 
 
 def test_profile_single_gap_exact():

@@ -206,7 +206,7 @@ def test_invocation_omits_output_path(tmp_path, spelling):
     ["clark", "--seq", "s", "--profile=0:1:3", "--profile-c", "p.csv",
      "--profile-csv=q.csv", "-oo.json"],
     ["fekete", "-k5", "--interval=-1,1", "-o", "f"],
-    ["gap", "--seq", "s", "--cs", "g.csv", "--sweep", "1:2:3", "--threads=2"],
+    ["gap", "--seq", "s", "--cs", "g.csv", "--sweep", "1:2:3", "--seed=2"],
 ])
 def test_invocation_reparses_without_destinations(argv):
     parser = _build_parser()
@@ -328,6 +328,35 @@ def test_bad_config_exits_2(tmp_path, capsys, text, needle):
     assert main(argv) == 2
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("spec,needle", [
+    ("lattice:abc", "takes 1 numeric parameter"),
+    ("lattice:1,2", "takes 1 numeric parameter"),
+    ("perturbed:1", "takes 2 numeric parameters"),
+])
+def test_malformed_law_spec_exits_2(tmp_path, capsys, spec, needle):
+    out = tmp_path / "out.json"
+    assert main(["density", "--method", "d1", "--seq", spec, "--window=0,10",
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and repr(spec) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resolution", ["0", "-0.001"])
+def test_non_positive_resolution_exits_2(tmp_path, capsys, resolution):
+    cfg = tmp_path / "res.conf"
+    cfg.write_text(f"resolution = {resolution}\n")
+    for command in (["density", "--method", "d1"], ["gap"]):
+        argv = ["--config", str(cfg)] + command + ["--seq", "lattice:1", "--window=0,10",
+                                                   "-o", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        assert "resolution must be finite and positive" in capsys.readouterr().err
+
+
+def test_threads_option_is_gone():
+    assert main(["gap", "--threads", "2", "--seq", "lattice:1", "--window=0,10"]) == 2
 
 
 @pytest.mark.parametrize("window", ["-inf,20", "0,inf", "nan,20", "abc,20", "0,1e999"])

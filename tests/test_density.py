@@ -236,6 +236,13 @@ def test_density_estimate_dispatch():
         density_estimate(seq, "d9")
 
 
+@pytest.mark.parametrize("resolution", [0.0, -1e-3, math.nan, math.inf])
+def test_level_search_rejects_bad_resolution(resolution):
+    seq = generate("lattice:1", (-50, 50))
+    with pytest.raises(ParameterError, match="resolution must be finite and positive"):
+        density_lower(seq, resolution=resolution)
+
+
 # ---------------------------------------------------------------------------
 # The level search on sparse input
 # ---------------------------------------------------------------------------

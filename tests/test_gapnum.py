@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gapkit.density import verify_partition_witness
 from gapkit.gapnum import (MAX_GRAM_SIZE, GapConfig, estimate_gap_characteristic,
                            gram_matrix, knee_location, sigma_min_sweep,
                            synthesize_gap_measure)
-from gapkit.seqcore import ParameterError, PointSequence, generate
+from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,14 +89,6 @@ def test_sweep_monotone_and_knee():
     assert 0.85 * TWO_PI <= sw.knee <= 1.05 * TWO_PI
 
 
-def test_sweep_threads_match_serial():
-    lam = np.arange(32.0)
-    grid = np.linspace(1.0, 7.0, 12)
-    serial = sigma_min_sweep(lam, grid, threads=1)
-    pooled = sigma_min_sweep(lam, grid, threads=4)
-    assert np.allclose(serial.sigma_values, pooled.sigma_values, atol=1e-12)
-
-
 def test_sweep_matches_gram_sigma_min():
     # the sweep solves for eigenvalues only; gram_matrix also for the vectors
     rng = np.random.default_rng(5)
@@ -162,6 +155,21 @@ def test_estimate_lattice():
     assert cert.g_estimate == 2.0 * math.pi * cert.c_estimate
     assert cert.energy_verdict == "supported"
     assert cert.shortness_verdict == "short"
+
+
+@pytest.mark.parametrize("spec,window", [
+    ("lattice:1", (-300, 300)),
+    ("perturbed:1,0.2", (-1500, 1500)),
+    ("poisson:1", (-1500, 1500)),
+])
+def test_certificate_partition_passes_d1_witness_check(spec, window):
+    # the certificate's gate and d1 share one short-partition test, so the
+    # certificate's partition must pass d1's own witness re-check at c
+    seq = generate(spec, window, seed=1)
+    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    assert cert.c_estimate > 0
+    part = Partition(np.array(cert.partition_breakpoints))
+    assert verify_partition_witness(seq, cert.c_estimate, part, monotone_required=True)
 
 
 def test_estimate_with_sweep_knee():

@@ -40,6 +40,17 @@ def test_bad_generator_parameters(spec):
         generate(spec, (0, 10), seed=1)
 
 
+@pytest.mark.parametrize("spec,needle", [
+    ("lattice:abc", "takes 1 numeric parameter"),
+    ("lattice:1,2", "takes 1 numeric parameter"),
+    (("perturbed", (1.0,)), "takes 2 numeric parameters"),
+    (("poisson", ()), "takes 1 numeric parameter"),
+])
+def test_malformed_spec_is_parameter_error(spec, needle):
+    with pytest.raises(ParameterError, match=needle):
+        generate(spec, (0, 10), seed=1)
+
+
 def test_window_containment():
     for spec, seed in (("lattice:0.7", None), ("perturbed:2,0.9", 3),
                        ("poisson:1.5", 9), ("lacunary:3", None)):

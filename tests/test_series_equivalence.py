@@ -60,7 +60,7 @@ def loop_grow_right(points, d, hi, monotone):
 
 def loop_shortness(part):
     ivs = sorted((iv for _, iv in part.intervals()), key=lambda iv: (iv.dist0, iv.a))
-    terms = np.array([iv.length ** 2 / (1.0 + iv.dist0 ** 2) for iv in ivs])
+    terms = np.array([iv.length * iv.length / (1.0 + iv.dist0 * iv.dist0) for iv in ivs])
     verdict, exponent = classify_terms(terms)
     return terms, verdict, exponent
 
