@@ -15,7 +15,10 @@ lattice's greedy partition at level 1; `fekete_optimize` at k = 8 on [0, 1]
 lacunary input and on Poisson input over +-10000 (the `refute_mix` jobs
 `d4_lacunary` and `d4_poisson`), and the gap certificate without its Gram
 sweep on the lacunary input. d3 on lacunary input is left out: trees from
-before the ladder walk crash there.
+before the ladder walk crash there. One long-family search times each mode
+at a level near its estimate's answer: 'below' (d4) on the Poisson input
+over +-10000 at a = 0.962, 'above' (BM) on the perturbed lattice over
++-15000 at a = 1.
 
 The file name keeps it out of the default test collection. Run it by path:
 
@@ -27,7 +30,8 @@ import functools
 
 import pytest
 
-from gapkit.density import d4_complement_estimate, verify_partition_witness
+from gapkit.density import (d4_complement_estimate, long_family_search,
+                            verify_partition_witness)
 from gapkit.energy import energy_condition_report
 from gapkit.fekete import fekete_optimize
 from gapkit.gapnum import GapConfig, estimate_gap_characteristic
@@ -109,3 +113,18 @@ def test_gap_level_search_lacunary(benchmark):
     seq, _ = _input("lacunary")
     cert = benchmark(estimate_gap_characteristic, seq, GapConfig(sweep_enabled=False))
     assert cert.c_estimate == 0.0
+
+
+# name -> (spec, window, level, mode)
+FAMILY_SEARCHES = {
+    "poisson_below": ("poisson:1", (-10000.0, 10000.0), 0.962, "below"),
+    "perturbed_above": ("perturbed:1,0.2", (-15000.0, 15000.0), 1.0, "above"),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILY_SEARCHES))
+def test_long_family_search(benchmark, name):
+    spec, window, level, mode = FAMILY_SEARCHES[name]
+    seq = generate(spec, window, seed=SEED)
+    found, evidence, _, terms = benchmark(long_family_search, seq, level, mode)
+    assert len(evidence) == terms.size > 0

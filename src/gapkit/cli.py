@@ -79,6 +79,27 @@ def _finite(text: str, what: str) -> float:
     return value
 
 
+def _option_values(option: str, text: str, form: str, kinds: str,
+                   prefix: str = "") -> tuple:
+    """The ':'-separated fields of an option value after `prefix`, each a
+    finite float (kind 'f') or a positive count (kind 'n'); a ParameterError
+    naming the option and its expected form otherwise."""
+    bad = ParameterError(f"{option} must have the form {form}, got {text!r}")
+    fields = text[len(prefix):].split(":")
+    if not text.startswith(prefix) or len(fields) != len(kinds):
+        raise bad
+    values = []
+    for kind, field_ in zip(kinds, fields):
+        try:
+            x = int(field_) if kind == "n" else float(field_)
+        except ValueError:
+            raise bad from None
+        if not (x >= 1 if kind == "n" else math.isfinite(x)):
+            raise bad
+        values.append(x)
+    return tuple(values)
+
+
 def _parse_window(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -101,8 +122,8 @@ def _load_sequence(args) -> PointSequence:
 
 
 def _load_partition(text: str, seq: PointSequence):
-    if text.startswith("greedy:d="):
-        d = float(text.split("=", 1)[1])
+    if text.startswith("greedy:"):
+        (d,) = _option_values("--partition", text, "greedy:d=<number>", "f", "greedy:d=")
         res = partitions.greedy_density_partition(seq, d)
         if not res.ok:
             return None, res
@@ -283,9 +304,9 @@ def _cmd_gap(args, cfg, emit):
         syn = gapnum.synthesize_gap_measure(lam, args.synthesize)
         result["synthesis"] = syn.to_json_dict()
     if args.sweep:
-        a0, a1, steps = args.sweep.split(":")
+        a0, a1, steps = _option_values("--sweep", args.sweep, "a0:a1:steps", "ffn")
         lam = gapnum._nearest_zero(seq.points, int(cfg["sweep_n_max"]))
-        sweep = gapnum.sigma_min_sweep(lam, np.linspace(float(a0), float(a1), int(steps)))
+        sweep = gapnum.sigma_min_sweep(lam, np.linspace(a0, a1, steps))
         result["sweep"] = sweep.to_json_dict()
         if args.csv:
             _write_csv(args.csv, ["a", "sigma_min"], sweep.pairs())
@@ -319,9 +340,8 @@ def _cmd_clark(args, cfg, emit):
         ],
     }
     if args.profile:
-        x0, x1, steps = args.profile.split(":")
-        prof = clarknum.theta_derivative_profile(
-            seq.points, np.linspace(float(x0), float(x1), int(steps)))
+        x0, x1, steps = _option_values("--profile", args.profile, "x0:x1:steps", "ffn")
+        prof = clarknum.theta_derivative_profile(seq.points, np.linspace(x0, x1, steps))
         result["profile_tail_bound"] = prof.tail_bound
         if args.profile_csv:
             _write_csv(args.profile_csv, ["x", "estimate"], prof.pairs())

@@ -335,27 +335,52 @@ def _qualifying(pts: np.ndarray, u, v, a: float, mode: str):
 # low-density stretches are captured by the dyadic block candidates.
 MAX_SPARSE_SPAN = 64
 
+# Evidence rule for "this disjoint family is long" at truncation scale:
+# keep only members whose shortness-type term clears an absolute floor,
+# cap each term (a genuinely long family, like dyadic blocks at a density
+# deficit, carries terms of order 1 each; one near-origin giant must not
+# buy divergence on its own), and demand enough capped mass plus reach
+# comparable to the window itself. A truncation cannot certify divergence;
+# these are the declared thresholds.
+LONG_TERM_FLOOR = 0.2
+LONG_TERM_CAP = 2.0
+LONG_MIN_COUNT = 5
+LONG_REACH_FRACTION = 0.125
+# Cap on a term in _assemble_family's pick order. Its floor filter is exact
+# only while the floor does not exceed the cap.
+PICK_CAP = 1.0
+assert LONG_TERM_FLOOR <= PICK_CAP
+
 
 def _sparse_candidates(pts: np.ndarray, a: float):
-    """Endpoint-on-point intervals with interior count < a * length: every
-    consecutive gap, plus the best widening of each start up to
-    MAX_SPARSE_SPAN interior points (vectorized per width offset).
+    """Endpoint-on-point intervals with interior count < a * length: the
+    consecutive gap of a start, plus its best widening up to MAX_SPARSE_SPAN
+    interior points (vectorized per width offset). In order: gaps, then
+    widenings, each by ascending start.
+
+    Only starts that can supply a term of at least LONG_TERM_FLOOR are kept.
+    For a fixed start the rounded term is non-decreasing in the right end,
+    on either side of 0 and across it, so a start whose widest span stays
+    below the floor has both its gap and its best widening below it.
     """
     n = pts.size
-    u_list = [pts[:-1]]
-    v_list = [pts[1:]]
-    best_term = np.full(n - 1, -1.0)
-    best_v = pts[1:].copy()
+    s = np.arange(n - 1)
+    s = s[_terms_of(pts[s], pts[np.minimum(s + MAX_SPARSE_SPAN, n - 1)]) >= LONG_TERM_FLOOR]
+    u_list = [pts[s]]
+    v_list = [pts[s + 1]]
+    best_term = np.full(s.size, -1.0)
+    best_v = pts[s + 1]
     for w in range(2, min(MAX_SPARSE_SPAN, n - 1) + 1):
-        u = pts[: n - w]
-        v = pts[w:]
+        m = np.searchsorted(s, n - w)  # starts with s + w <= n - 1
+        u = pts[s[:m]]
+        v = pts[s[:m] + w]
         ok = (w - 1) < a * (v - u)
         t = np.where(ok, _terms_of(u, v), -np.inf)
-        upd = t[: n - w] > best_term[: n - w]
-        best_term[: n - w][upd] = t[upd]
-        best_v[: n - w][upd] = v[upd]
+        upd = t > best_term[:m]
+        best_term[:m][upd] = t[upd]
+        best_v[:m][upd] = v[upd]
     widened = best_term > 0
-    u_list.append(pts[:-1][widened])
+    u_list.append(pts[s[widened]])
     v_list.append(best_v[widened])
     return np.concatenate(u_list), np.concatenate(v_list)
 
@@ -387,20 +412,26 @@ def _block_candidates(pts: np.ndarray):
 
 def _assemble_family(pts: np.ndarray, u: np.ndarray, v: np.ndarray,
                      a: float, mode: str):
-    """Greedy disjoint accumulation of qualifying intervals.
+    """Greedy disjoint accumulation of qualifying intervals whose term is
+    at least LONG_TERM_FLOOR.
 
-    Terms are capped at 1 for the pick order and ties prefer the shorter
-    interval: divergence evidence is many modest terms across scales, and
-    one window-spanning giant must not crowd out a whole gap family.
+    Terms are capped at PICK_CAP for the pick order and ties prefer the
+    shorter interval, then the earlier candidate: divergence evidence is many
+    modest terms across scales, and one window-spanning giant must not crowd
+    out a whole gap family. A candidate below the floor would be picked after
+    all the others and is dropped by _evidence_subfamily anyway, so leaving
+    it out changes no evidence.
     """
     import bisect
 
     if u.size == 0:
         return []
-    keep = (v > u) & ~((u < 0.0) & (v > 0.0))  # origin-straddlers carry no tail evidence
-    keep &= _qualifying(pts, u, v, a, mode)
-    u, v = u[keep], v[keep]
-    order = np.lexsort((v - u, -np.minimum(_terms_of(u, v), 1.0)))
+    terms = _terms_of(u, v)
+    # origin-straddlers carry no tail evidence
+    keep = (terms >= LONG_TERM_FLOOR) & (v > u) & ~((u < 0.0) & (v > 0.0))
+    keep[keep] = _qualifying(pts, u[keep], v[keep], a, mode)
+    u, v, terms = u[keep], v[keep], terms[keep]
+    order = np.lexsort((v - u, -np.minimum(terms, PICK_CAP)))
     starts: list[float] = []
     ends: list[float] = []
     for idx in order:
@@ -413,19 +444,6 @@ def _assemble_family(pts: np.ndarray, u: np.ndarray, v: np.ndarray,
         starts.insert(pos, uu)
         ends.insert(pos, vv)
     return list(zip(starts, ends))
-
-
-# Evidence rule for "this disjoint family is long" at truncation scale:
-# keep only members whose shortness-type term clears an absolute floor,
-# cap each term (a genuinely long family, like dyadic blocks at a density
-# deficit, carries terms of order 1 each; one near-origin giant must not
-# buy divergence on its own), and demand enough capped mass plus reach
-# comparable to the window itself. A truncation cannot certify divergence;
-# these are the declared thresholds.
-LONG_TERM_FLOOR = 0.2
-LONG_TERM_CAP = 2.0
-LONG_MIN_COUNT = 5
-LONG_REACH_FRACTION = 0.125
 
 
 def _evidence_subfamily(family, extent: float):

@@ -299,14 +299,14 @@ def test_gap_and_report_share_sweep_range(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy():
-    # only the fekete command needs scipy; it loads on first use
+    # gapkit needs no scipy, not even for the Jacobi zeros of the fekete command
     code = ("import sys, gapkit.cli\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n"
             "from gapkit.fekete import fekete_optimize\n"
             "from gapkit.seqcore import Interval\n"
             "res = fekete_optimize(4, Interval(-1.0, 1.0))\n"
             "assert res.converged and res.max_deviation <= 1e-6, res\n"
-            "assert 'scipy' in sys.modules\n")
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
     src = str(Path(gapkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -341,6 +341,23 @@ def test_malformed_law_spec_exits_2(tmp_path, capsys, spec, needle):
                  "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert needle in err and repr(spec) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["partition", "--partition", "greedy:d=abc"], "--partition must have the form greedy:d=<number>"),
+    (["partition", "--partition", "greedy:d=nan"], "--partition must have the form greedy:d=<number>"),
+    (["gap", "--sweep", "1:2"], "--sweep must have the form a0:a1:steps"),
+    (["gap", "--sweep", "1:2:2.5"], "--sweep must have the form a0:a1:steps"),
+    (["gap", "--sweep", "1:2:0"], "--sweep must have the form a0:a1:steps"),
+    (["clark", "--profile", "1:2"], "--profile must have the form x0:x1:steps"),
+    (["clark", "--profile", "0:abc:3"], "--profile must have the form x0:x1:steps"),
+])
+def test_malformed_option_value_exits_2(tmp_path, capsys, argv, needle):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--seq", "lattice:1", "--window=-10,10", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and repr(argv[-1]) in err
     assert not out.exists()
 
 

@@ -2,7 +2,9 @@
 against the per-point and per-interval loops they replaced, kept here as the
 reference: every reported value must agree bitwise, including the order of
 the terms. The ladder walk of the level search is checked the same way
-against the top-down bisection it replaced."""
+against the top-down bisection it replaced, and the long-family search,
+which assembles only candidates at or above the evidence floor, against the
+search over every candidate."""
 
 import json
 import math
@@ -12,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapkit.density import _ladder_max
+import gapkit.density as density
+from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _block_candidates,
+                            _evidence_subfamily, _ladder_max, _qualifying,
+                            _sparse_candidates, long_family_search)
 from gapkit.energy import (SUPPORTED_SLOPE_FACTOR, UNSUPPORTED_SLOPE_FACTOR,
                            EnergyRecord, EnergyReport, _least_squares_slope,
                            energy_condition_report, energy_verdict, interval_energy)
-from gapkit.partitions import (_grow_right, classify_terms, greedy_density_partition,
-                               shortness)
+from gapkit.partitions import (_grow_right, _terms_of, classify_terms,
+                               greedy_density_partition, shortness)
 from gapkit.seqcore import Partition, PointSequence, generate
 
 
@@ -365,3 +370,165 @@ def test_ladder_skips_only_failing_rungs():
     new, ref = assert_searches_agree(lambda k: True, kmax, 2000.0, False)
     top, rungs = _start_rung(kmax, 2000.0)
     assert new[-1] == kmax and len(new) == rungs.index(top) + 1
+
+
+# ---------------------------------------------------------------------------
+# The long-family search
+# ---------------------------------------------------------------------------
+
+def loop_sparse_candidates(pts, a):
+    """Every consecutive gap, then the best widening of every start."""
+    n = pts.size
+    u_list = [pts[:-1]]
+    v_list = [pts[1:]]
+    best_term = np.full(n - 1, -1.0)
+    best_v = pts[1:].copy()
+    for w in range(2, min(MAX_SPARSE_SPAN, n - 1) + 1):
+        u = pts[: n - w]
+        v = pts[w:]
+        ok = (w - 1) < a * (v - u)
+        t = np.where(ok, _terms_of(u, v), -np.inf)
+        upd = t[: n - w] > best_term[: n - w]
+        best_term[: n - w][upd] = t[upd]
+        best_v[: n - w][upd] = v[upd]
+    widened = best_term > 0
+    u_list.append(pts[:-1][widened])
+    v_list.append(best_v[widened])
+    return np.concatenate(u_list), np.concatenate(v_list)
+
+
+def loop_assemble_family(pts, u, v, a, mode):
+    """Greedy disjoint accumulation over every qualifying candidate."""
+    import bisect
+
+    if u.size == 0:
+        return []
+    keep = (v > u) & ~((u < 0.0) & (v > 0.0))
+    keep &= _qualifying(pts, u, v, a, mode)
+    u, v = u[keep], v[keep]
+    order = np.lexsort((v - u, -np.minimum(_terms_of(u, v), 1.0)))
+    starts, ends = [], []
+    for idx in order:
+        uu, vv = float(u[idx]), float(v[idx])
+        pos = bisect.bisect_right(starts, uu)
+        if pos > 0 and ends[pos - 1] > uu:
+            continue
+        if pos < len(starts) and starts[pos] < vv:
+            continue
+        starts.insert(pos, uu)
+        ends.insert(pos, vv)
+    return list(zip(starts, ends))
+
+
+def loop_long_family_search(seq, a, mode):
+    pts = seq.points
+    if pts.size < 2:
+        return False, [], 0.0, np.zeros(0)
+    bu, bv = _block_candidates(pts)
+    if mode == "below":
+        su, sv = loop_sparse_candidates(pts, a)
+        bu, bv = np.concatenate([bu, su]), np.concatenate([bv, sv])
+    family = loop_assemble_family(pts, bu, bv, a, mode)
+    lo, hi = seq.window
+    return _evidence_subfamily(family, max(abs(lo), abs(hi)))
+
+
+def assert_families_agree(seq, a, mode):
+    found, evidence, total, terms = long_family_search(seq, a, mode)
+    ref = loop_long_family_search(seq, a, mode)
+    assert found == ref[0]
+    assert evidence == ref[1]
+    assert all(type(x) is float for iv in evidence for x in iv)
+    assert float(total).hex() == float(ref[2]).hex()
+    assert terms.dtype == ref[3].dtype and terms.tobytes() == ref[3].tobytes()
+    if mode == "below" and seq.points.size >= 2:
+        # the candidates at or above the floor, in the same order
+        new = _sparse_candidates(seq.points, a)
+        old = loop_sparse_candidates(seq.points, a)
+        new_keep = _terms_of(*new) >= LONG_TERM_FLOOR
+        old_keep = _terms_of(*old) >= LONG_TERM_FLOOR
+        for x, y in zip(new, old):
+            assert x[new_keep].tobytes() == y[old_keep].tobytes()
+    return found, evidence
+
+
+FAMILY_SEQS = {
+    "lattice": generate("lattice:1", (-300, 300)),
+    "perturbed": generate("perturbed:1,0.2", (-300, 300), seed=3),
+    "poisson": generate("poisson:1", (-1500, 1500), seed=4),
+    "lacunary": generate("lacunary:2", (-1e6, 1e6)),
+}
+
+
+@pytest.mark.parametrize("mode", ["below", "above"])
+@pytest.mark.parametrize("name", list(FAMILY_SEQS))
+def test_long_family_matches_loop(name, mode):
+    seq = FAMILY_SEQS[name]
+    estimate = density.d4_complement_estimate if mode == "below" else density.bm_density
+    ans = estimate(seq).value
+    step = density.GRID_RESOLUTION
+    levels = {0.01, 0.5, 1.0, 2.0, 40.0, ans + step}
+    if ans > 0:
+        levels |= {ans - step, ans, np.nextafter(ans, np.inf), ans * (1 - 1e-3),
+                   ans * (1 + 1e-3)}
+    seen = set()
+    for a in sorted(levels):
+        found, evidence = assert_families_agree(seq, a, mode)
+        seen.add((found, bool(evidence)))
+    # the levels around a positive answer give long and short families
+    assert ({f for f, _ in seen} == {True, False}) if ans > 0 else (False, True) in seen
+
+
+def test_long_family_floor_equality():
+    # (2, 3) and (-3, -2) have term 1 / (1 + 2^2) == 0.2 == LONG_TERM_FLOOR
+    # exactly, and (0.5, 1) has term 0.25 / 1.25 == 0.2; each is the widest
+    # span of its start, so the start and the candidate sit on the floor
+    assert _terms_of(np.array([2.0, -3.0, 0.5]), np.array([3.0, -2.0, 1.0])).tolist() \
+        == [LONG_TERM_FLOOR] * 3
+    for pts in ([-3.0, -2.0, 0.0, 2.0, 3.0], [-3.0, 0.5, 1.0], [0.5, 1.0],
+                [-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0]):
+        seq = PointSequence(np.array(pts), (-3.0, 3.0))
+        for a in (0.5, 1.0, 3.0, 10.0):
+            for mode in ("below", "above"):
+                assert_families_agree(seq, a, mode)
+    seq = PointSequence(np.array([-3.0, -2.0, 0.0, 2.0, 3.0]), (-3.0, 3.0))
+    _, evidence, _, terms = long_family_search(seq, 1.0, "below")
+    assert (2.0, 3.0) in evidence and (-3.0, -2.0) in evidence
+    assert LONG_TERM_FLOOR in terms.tolist()
+
+
+def test_long_family_ties_follow_input_order():
+    # unit lattices: every widening far out has the same capped term and
+    # length, so only the candidates' order decides which are picked
+    for lo, hi in ((-300, 300), (-40, 400), (5, 500)):
+        pts = np.arange(lo, hi + 1, dtype=float)
+        seq = PointSequence(pts, (float(lo), float(hi)))
+        u, v = _sparse_candidates(pts, 1.0)
+        terms = _terms_of(u, v)
+        floor = terms >= LONG_TERM_FLOOR
+        key = np.stack([np.minimum(terms, 1.0), v - u])[:, floor]
+        assert floor.sum() - np.unique(key, axis=1).shape[1] >= 50
+        for a in (0.9, 1.0, 1.02, 1.5):
+            for mode in ("below", "above"):
+                assert_families_agree(seq, a, mode)
+
+
+def test_floor_is_below_the_pick_cap():
+    assert LONG_TERM_FLOOR <= density.PICK_CAP == 1.0
+
+
+_family_points = st.lists(
+    st.one_of(st.floats(-300.0, 300.0), st.integers(-300, 300).map(float),
+              st.integers(-8, 8).map(lambda k: k / 2.0)),
+    min_size=2, max_size=160, unique=True).map(lambda xs: np.unique(np.array(xs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_family_points,
+       a=st.one_of(st.floats(1e-3, 20.0), st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+       mode=st.sampled_from(["below", "above"]))
+def test_long_family_matches_loop_on_random_points(points, a, mode):
+    if points.size < 2:
+        return
+    seq = PointSequence(points, (float(points[0]), float(points[-1])))
+    assert_families_agree(seq, a, mode)
