@@ -18,7 +18,8 @@ sweep on the lacunary input. d3 on lacunary input is left out: trees from
 before the ladder walk crash there. One long-family search times each mode
 at a level near its estimate's answer: 'below' (d4) on the Poisson input
 over +-10000 at a = 0.962, 'above' (BM) on the perturbed lattice over
-+-15000 at a = 1.
++-15000 at a = 1. The Gram sweep of the certificate runs at its 40 grid
+points over 0.3-1.3 x 2*pi on the 256 and the 512 lattice points nearest 0.
 
 The file name keeps it out of the default test collection. Run it by path:
 
@@ -27,14 +28,17 @@ The file name keeps it out of the default test collection. Run it by path:
 """
 
 import functools
+import math
 
+import numpy as np
 import pytest
 
 from gapkit.density import (d4_complement_estimate, long_family_search,
                             verify_partition_witness)
 from gapkit.energy import energy_condition_report
 from gapkit.fekete import fekete_optimize
-from gapkit.gapnum import GapConfig, estimate_gap_characteristic
+from gapkit.gapnum import (GapConfig, _nearest_zero, estimate_gap_characteristic,
+                           sigma_min_sweep)
 from gapkit.partitions import greedy_density_partition, shortness
 from gapkit.seqcore import Interval, generate
 
@@ -128,3 +132,12 @@ def test_long_family_search(benchmark, name):
     seq = generate(spec, window, seed=SEED)
     found, evidence, _, terms = benchmark(long_family_search, seq, level, mode)
     assert len(evidence) == terms.size > 0
+
+
+@pytest.mark.parametrize("order", [256, 512])
+def test_sigma_min_sweep(benchmark, order):
+    seq, c = _input("lattice")
+    lam = _nearest_zero(seq.points, order)
+    grid = np.linspace(0.3, 1.3, 40) * (2.0 * math.pi * c)
+    sweep = benchmark(sigma_min_sweep, lam, grid)
+    assert 0.85 <= sweep.knee / (2.0 * math.pi) <= 1.05

@@ -40,32 +40,58 @@ LOG_FLOOR = 1e-18
 
 @dataclass(frozen=True)
 class GramProbe:
+    """One Gram solve. `kernel` is the real symmetric S of `gram_matrix`;
+    `gram` rebuilds the complex Gram matrix U S U* from it."""
+
     a: float
     lam: np.ndarray
-    gram: np.ndarray
+    kernel: np.ndarray
     sigma_min: float
     minimizing_weights: np.ndarray | None
     eigenvalues: np.ndarray
 
+    @property
+    def gram(self) -> np.ndarray:
+        u = _phases(self.lam, self.a)
+        return self.kernel * np.outer(u, u.conj())
+
+
+def _phases(lam: np.ndarray, a: float) -> np.ndarray:
+    """The diagonal of the unitary U = diag(e^(i*a*lam_j/2))."""
+    return np.exp(0.5j * a * lam)
+
 
 def _gram_entries(lam: np.ndarray, a: float) -> np.ndarray:
+    """S_jk = 2 sin(a(lam_j-lam_k)/2) / (lam_j-lam_k), a on the diagonal."""
     d = lam[:, None] - lam[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = (np.exp(1j * a * d) - 1.0) / (1j * d)
-    g[d == 0] = a
-    return g
+    np.fill_diagonal(d, 1.0)
+    s = 2.0 * np.sin(0.5 * a * d) / d
+    np.fill_diagonal(s, a)
+    return s
+
+
+def _finite(name: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"{name} must be finite")
+    return values
 
 
 def gram_matrix(lam, a: float, vectors: bool = True) -> GramProbe:
     """Gram matrix of exp(i*lam_j*t) on [0, a] with closed-form entries.
 
     Entry (j, k) = (e^(i*a*(lam_j-lam_k)) - 1) / (i*(lam_j-lam_k)), a on
-    the diagonal. Hermitian positive semidefinite by construction; the
-    minimizing unit-norm weight vector accompanies sigma_min. With
-    vectors=False LAPACK solves for the eigenvalues alone (about 2.5x
-    faster) and minimizing_weights is None.
+    the diagonal. Factoring e^(i*a*(lam_j-lam_k)/2) out of each entry gives
+    G = U S U* with U = diag(e^(i*a*lam_j/2)) unitary and S real symmetric,
+    S_jk = 2 sin(a(lam_j-lam_k)/2) / (lam_j-lam_k), S_jj = a. A unitary
+    similarity keeps every eigenvalue, so the solve runs on S in real
+    arithmetic, and S v = sigma v gives G (U v) = sigma (U v): the
+    minimizing unit-norm weight vector is U v. G is Hermitian positive
+    semidefinite by construction. With vectors=False LAPACK solves for the
+    eigenvalues alone and minimizing_weights is None.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _finite("frequencies", lam)
+    a = float(_finite("gap length a", a))
     if a <= 0:
         raise ParameterError("gap length a must be positive")
     if lam.size == 0:
@@ -74,18 +100,18 @@ def gram_matrix(lam, a: float, vectors: bool = True) -> GramProbe:
         raise ParameterError(f"N = {lam.size} exceeds the dense-solver cap {MAX_GRAM_SIZE}")
     if np.any(np.diff(np.sort(lam)) == 0):
         raise ParameterError("frequencies must be distinct")
-    g = _gram_entries(lam, a)
+    s = _gram_entries(lam, a)
     if not vectors:
-        w = np.linalg.eigvalsh(g)
-        return GramProbe(float(a), lam, g, max(float(w[0]), 0.0), None, np.maximum(w, 0.0))
-    w, v = np.linalg.eigh(g)
+        w = np.linalg.eigvalsh(s)
+        return GramProbe(a, lam, s, max(float(w[0]), 0.0), None, np.maximum(w, 0.0))
+    w, v = np.linalg.eigh(s)
     sigma = max(float(w[0]), 0.0)
-    vec = v[:, 0]
+    vec = _phases(lam, a) * v[:, 0]
     # deterministic phase: make the largest component real positive
     pivot = int(np.argmax(np.abs(vec)))
     phase = vec[pivot] / abs(vec[pivot])
     vec = vec / phase
-    return GramProbe(float(a), lam, g, sigma, vec, np.maximum(w, 0.0))
+    return GramProbe(a, lam, s, sigma, vec, np.maximum(w, 0.0))
 
 
 @dataclass(frozen=True)
@@ -104,22 +130,26 @@ class SweepResult:
         }
 
 
-def knee_location(a_values, sigma_values, floor: float | None = None) -> float:
+def knee_location(a_values, sigma_values, noise: float = LOG_FLOOR) -> float:
     """Knee of log sigma_min: the grid point maximizing the second
     difference, i.e. where the curve exits its exponentially small regime.
 
-    The default floor sits at 1e-10 of the sweep's top value, above the
-    dense eigensolver's noise, so the second difference spikes where the
-    curve genuinely emerges rather than inside the noise.
+    The curve is floored at the larger of `noise` (the eigensolver's
+    absolute rounding level) and 1e-10 of the sweep's top value, so the
+    second difference spikes where the curve genuinely emerges rather than
+    inside the noise. A curve that never rises above its floor has no
+    knee: NaN.
     """
     a = np.asarray(a_values, dtype=float)
     raw = np.asarray(sigma_values, dtype=float)
-    if floor is None:
-        top = float(np.max(raw)) if raw.size else 0.0
-        floor = max(LOG_FLOOR, 1e-10 * top)
-    s = np.log(np.maximum(raw, floor))
+    if a.size == 0:
+        return float("nan")
+    floor = max(noise, 1e-10 * float(np.max(raw)))
+    if not np.any(raw > floor):
+        return float("nan")
     if a.size < 3:
-        return float(a[-1]) if a.size else float("nan")
+        return float(a[-1])
+    s = np.log(np.maximum(raw, floor))
     d2 = s[2:] - 2.0 * s[1:-1] + s[:-2]
     return float(a[1 + int(np.argmax(d2))])
 
@@ -136,7 +166,10 @@ def sigma_min_sweep(lam, a_grid) -> SweepResult:
     Monotone non-decreasing in a (the Gram increment over [a1, a2] is
     itself a Gram matrix, hence PSD); asserted up to a 1e-10 numerical
     allowance. Each grid point solves for eigenvalues only: the sweep never
-    uses the minimizing vector.
+    uses the minimizing vector. The knee ignores values under the dense
+    solver's rounding level N * eps * lambda_max, with lambda_max the
+    largest eigenvalue on the grid; a sweep that stays under it has a NaN
+    knee. `gram_matrix` rejects each non-finite grid value.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
@@ -144,12 +177,14 @@ def sigma_min_sweep(lam, a_grid) -> SweepResult:
     if np.any(np.diff(a_grid) <= 0):
         raise ParameterError("grid must be increasing")
     lam = np.asarray(lam, dtype=float)
-    sigmas = np.array([gram_matrix(lam, a, vectors=False).sigma_min for a in a_grid])
+    probes = (gram_matrix(lam, a, vectors=False) for a in a_grid)
+    sigmas, tops = np.array([(p.sigma_min, p.eigenvalues[-1]) for p in probes]).T
     diffs = np.diff(sigmas)
     if diffs.size and float(np.min(diffs)) < -1e-10:
         raise AssertionError(
             f"sigma_min not monotone: worst step {float(np.min(diffs)):.3e}")
-    return SweepResult(a_grid, sigmas, knee_location(a_grid, sigmas))
+    noise = lam.size * np.finfo(float).eps * float(np.max(tops))
+    return SweepResult(a_grid, sigmas, knee_location(a_grid, sigmas, noise))
 
 
 @lru_cache(maxsize=8)
@@ -327,6 +362,9 @@ def estimate_gap_characteristic(seq: PointSequence,
         sweep = sigma_min_sweep(sub, grid)
         knee = sweep.knee
         diagnostics["knee_over_2pic"] = knee / center
+        if math.isnan(knee):
+            diagnostics["note"] = ("every sweep value is under the eigensolver's "
+                                   "rounding level: no knee")
     return GapCertificate(
         c_estimate=c,
         g_estimate=2.0 * math.pi * c,

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapkit.density import verify_partition_witness
-from gapkit.gapnum import (MAX_GRAM_SIZE, GapConfig, estimate_gap_characteristic,
-                           gram_matrix, knee_location, sigma_min_sweep,
-                           synthesize_gap_measure)
+from gapkit.gapnum import (MAX_GRAM_SIZE, GapConfig, _nearest_zero,
+                           estimate_gap_characteristic, gram_matrix, knee_location,
+                           sigma_min_sweep, synthesize_gap_measure)
 from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
 
 TWO_PI = 2.0 * math.pi
@@ -206,3 +208,134 @@ def test_certificate_serializes():
     d = cert.to_json_dict()
     assert d["g_estimate"] == pytest.approx(2 * math.pi * d["c_estimate"])
     assert isinstance(d["partition_breakpoints"], list)
+
+
+# --- the real symmetric form S of the Gram matrix, G = U S U* ---
+
+def closed_form_gram(lam, a):
+    """The complex closed form (e^(ia(lj-lk)) - 1) / (i(lj-lk)), a on the
+    diagonal, built entry by entry as before the real form."""
+    lam = np.asarray(lam, dtype=float)
+    d = lam[:, None] - lam[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (np.exp(1j * a * d) - 1.0) / (1j * d)
+    g[d == 0] = a
+    return g
+
+
+def _assert_spectrum_matches_closed_form(lam, a):
+    p = gram_matrix(lam, a, vectors=False)
+    ref = np.linalg.eigvalsh(closed_form_gram(lam, a))
+    assert np.max(np.abs(p.eigenvalues - np.maximum(ref, 0.0))) <= 1e-12 * ref[-1]
+    assert p.sigma_min == pytest.approx(max(ref[0], 0.0), abs=1e-12 * ref[-1])
+
+
+@given(gaps=st.lists(st.floats(0.05, 5.0), min_size=0, max_size=40),
+       start=st.floats(-50.0, 50.0), a=st.floats(0.1, 10.0))
+@settings(max_examples=60, deadline=None)
+def test_real_form_spectrum_matches_complex_random(gaps, start, a):
+    lam = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    _assert_spectrum_matches_closed_form(lam, a)
+
+
+@pytest.mark.parametrize("spec", ["lattice:1", "lattice:0.5", "perturbed:1,0.2",
+                                  "poisson:1"])
+def test_real_form_spectrum_matches_complex_supports(spec):
+    seq = generate(spec, (-1500, 1500), seed=1)
+    lam = _nearest_zero(seq.points, 128)
+    for a in (0.3, 2.0, TWO_PI, 8.0):
+        _assert_spectrum_matches_closed_form(lam, a)
+
+
+def test_gram_property_is_the_closed_form():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        n = int(rng.integers(1, 30))
+        lam = np.sort(rng.uniform(-20, 20, n)) + np.arange(n) * 1e-3
+        a = rng.uniform(0.2, 6.0)
+        p = gram_matrix(lam, a)
+        assert np.max(np.abs(p.gram - closed_form_gram(lam, a))) <= 1e-13
+    q = gram_matrix(np.arange(64.0), TWO_PI)
+    assert np.max(np.abs(q.gram - closed_form_gram(np.arange(64.0), TWO_PI))) <= 1e-13
+
+
+def test_kernel_is_real_symmetric():
+    lam = np.array([-3.0, 0.5, 1.0, 7.25])
+    for vectors in (True, False):
+        p = gram_matrix(lam, 2.5, vectors=vectors)
+        assert np.isrealobj(p.kernel)
+        assert np.array_equal(p.kernel, p.kernel.T)
+        assert np.all(np.diag(p.kernel) == 2.5)
+
+
+def test_weights_minimize_the_closed_form():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        n = int(rng.integers(2, 40))
+        lam = np.sort(rng.uniform(-15, 15, n)) + np.arange(n) * 1e-3
+        a = rng.uniform(0.2, 6.0)
+        p = gram_matrix(lam, a)
+        w = p.minimizing_weights
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        quad = w.conj() @ closed_form_gram(lam, a) @ w
+        assert abs(quad.imag) <= 1e-10
+        assert quad.real == pytest.approx(p.sigma_min, abs=1e-10)
+        pivot = int(np.argmax(np.abs(w)))
+        assert abs(w[pivot].imag) <= 1e-15 and w[pivot].real > 0.0
+
+
+def test_knee_of_an_all_zero_curve_is_nan():
+    assert math.isnan(knee_location([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]))
+
+
+def test_sub_noise_sweep_has_no_knee():
+    # 128 Poisson points nearest 0: every sigma_min on the grid is rounding
+    # noise, some of it above the log floor, where an argmax picked a knee
+    seq = generate("poisson:1", (-30000, 30000), seed=7)
+    lam = _nearest_zero(seq.points, 128)
+    grid = np.linspace(0.3, 1.3, 40) * TWO_PI * 0.937
+    sw = sigma_min_sweep(lam, grid)
+    top = gram_matrix(lam, grid[-1], vectors=False).eigenvalues[-1]
+    assert np.all(sw.sigma_values <= lam.size * np.finfo(float).eps * top)
+    assert np.max(sw.sigma_values) > 0.0
+    assert math.isnan(sw.knee)
+
+
+def test_certificate_without_knee_says_why():
+    seq = generate("perturbed:1,0.2", (-1500, 1500), seed=1)
+    cert = estimate_gap_characteristic(seq, GapConfig(sweep_n_max=64))
+    assert cert.c_estimate > 0 and cert.sweep is not None
+    assert math.isnan(cert.gram_knee)
+    assert "rounding" in cert.diagnostics["note"]
+
+
+def test_lattice_knee_sits_above_the_noise_floor():
+    lam = np.arange(256.0)
+    grid = np.linspace(0.3, 1.3, 40) * TWO_PI
+    sw = sigma_min_sweep(lam, grid)
+    assert sw.knee == knee_location(grid, sw.sigma_values)
+
+
+@pytest.mark.parametrize("lam,a", [
+    ([0.0, 1.0], math.nan),
+    ([0.0, 1.0], math.inf),
+    ([0.0, 1.0], -math.inf),
+    ([0.0, math.nan], 1.0),
+    ([0.0, math.inf], 1.0),
+])
+def test_gram_rejects_non_finite_input(lam, a):
+    with pytest.raises(ParameterError):
+        gram_matrix(lam, a)
+    with pytest.raises(ParameterError):
+        synthesize_gap_measure(lam, a)
+
+
+@pytest.mark.parametrize("grid", [[1.0, math.inf], [math.nan, 1.0], [-math.inf, 1.0]])
+def test_sweep_rejects_non_finite_grid(grid):
+    with pytest.raises(ParameterError):
+        sigma_min_sweep([0.0, 1.0, 2.5], grid)
+
+
+def test_sweep_rejects_non_finite_frequencies():
+    with pytest.raises(ParameterError):
+        sigma_min_sweep([0.0, math.nan, 2.5], [1.0, 2.0])
