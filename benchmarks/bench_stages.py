@@ -1,25 +1,27 @@
 """Per-stage micro-benchmarks of the gap certificate (pytest-benchmark).
 
-Times the two stages the certificate repeats at every bisection level on the
-four inputs of the `certify_bisect` workload in perfbench/workloads.py, each
-at one fixed level:
+Times the stages of the certificate's level search on the four inputs of
+the `certify_bisect` workload in perfbench/workloads.py, each at one fixed
+level:
 
 - `greedy_density_partition` (both greedy walks);
 - `shortness` of the greedy partition (its terms and verdict);
-- the energy gate: the verdict of the energy-condition series on the greedy
-  partition, over the points it covers, as gapnum._gates evaluates it.
+- the energy check: the verdict of the energy-condition series on the greedy
+  partition, over the points it covers, as the certificate judges its
+  witness.
 
 It also times the d1 witness re-check, `verify_partition_witness`, on the
 lattice's greedy partition at level 1; `fekete_optimize` at k = 8 on [0, 1]
-(the `refute_mix` job `fekete_8`) and at k = 12; and whole level searches: the d4 estimate on the
-lacunary input and on Poisson input over +-10000 (the `refute_mix` jobs
-`d4_lacunary` and `d4_poisson`), and the gap certificate without its Gram
-sweep on the lacunary input. d3 on lacunary input is left out: trees from
-before the ladder walk crash there. One long-family search times each mode
-at a level near its estimate's answer: 'below' (d4) on the Poisson input
-over +-10000 at a = 0.962, 'above' (BM) on the perturbed lattice over
-+-15000 at a = 1. The Gram sweep of the certificate runs at its 40 grid
-points over 0.3-1.3 x 2*pi on the 256 and the 512 lattice points nearest 0.
+(the `refute_mix` job `fekete_8`) and at k = 12; and whole level searches:
+the d4 estimate on the lacunary input and on Poisson input over +-10000 (the
+`refute_mix` jobs `d4_lacunary` and `d4_poisson`), and the gap certificate
+without its Gram sweep on the lacunary input and on the Poisson input over
++-30000. d3 on lacunary input is left out: trees from before the ladder walk
+crash there. One long-family search times each mode at a level near its
+estimate's answer: 'below' (d4) on the Poisson input over +-10000 at
+a = 0.962, 'above' (BM) on the perturbed lattice over +-15000 at a = 1. The
+Gram sweep of the certificate runs at its 40 grid points over 0.3-1.3 x 2*pi
+on the 256 and the 512 lattice points nearest 0.
 
 The file name keeps it out of the default test collection. Run it by path:
 
@@ -117,6 +119,12 @@ def test_gap_level_search_lacunary(benchmark):
     seq, _ = _input("lacunary")
     cert = benchmark(estimate_gap_characteristic, seq, GapConfig(sweep_enabled=False))
     assert cert.c_estimate == 0.0
+
+
+def test_gap_certificate_poisson(benchmark):
+    seq, _ = _input("poisson")
+    cert = benchmark(estimate_gap_characteristic, seq, GapConfig(sweep_enabled=False))
+    assert 0.9 < cert.c_estimate <= 1.0
 
 
 # name -> (spec, window, level, mode)

@@ -351,8 +351,8 @@ def _cmd_clark(args, cfg, emit):
 
 def _cmd_report(args, cfg, emit):
     seq = _load_sequence(args)
-    cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg))
     d1 = density.density_lower(seq, "d1", resolution=cfg["resolution"])
+    cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg), d1)
     bm = density.bm_density(seq, resolution=cfg["resolution"])
     result = {
         "n_points": len(seq),

@@ -3,7 +3,10 @@
 Covers the pairwise energy E over ordered distinct pairs, per-interval
 energies, the weighted energy-condition series with a three-valued
 convergence verdict, and closed-form log-kernel integrals for step
-densities together with their two-sided bound suite.
+densities together with their two-sided bound suite. The verdict applies
+the decay rule of shortness (`partitions.classify_terms`) to the positive
+parts of the summands, so both series of the paper's conditions are judged
+by one rule.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import (Interval, ParameterError, Partition, PointSequence, _dist0, _owned,
-                      _slope)
+from .partitions import classify_terms
+from .seqcore import Interval, ParameterError, Partition, PointSequence, _dist0, _owned
 
 __all__ = [
     "total_energy",
@@ -38,11 +41,6 @@ __all__ = [
 ]
 
 _BLOCK = 256
-
-# Thresholds for the three-valued convergence verdict; a truncation cannot
-# decide convergence, so the rules are explicit rather than hidden.
-SUPPORTED_SLOPE_FACTOR = 1e-3
-UNSUPPORTED_SLOPE_FACTOR = 0.5
 
 
 def _points_of(seq) -> np.ndarray:
@@ -103,26 +101,26 @@ class EnergyRecord:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Per-interval energy-condition data plus a tail-growth diagnostic.
+    """Per-interval energy-condition data plus its decay diagnostic.
 
     records are ordered by increasing dist(0, I_n); partial_sums accumulate
     the summands in that order. verdict is one of supported / unsupported /
-    inconclusive for "the series converges".
+    inconclusive for "the series converges": the decay rule of shortness on
+    the positive parts of the summands, with short read as supported and
+    long as unsupported. fitted_exponent is that rule's decay exponent.
     """
 
     records: tuple
     partial_sums: np.ndarray
     window: tuple[float, float]
-    tail_slope: float
-    head_mean: float
+    fitted_exponent: float
     verdict: str
 
     def to_json_dict(self) -> dict:
         return {
             "window": list(self.window),
             "verdict": self.verdict,
-            "tail_slope": self.tail_slope,
-            "head_mean": self.head_mean,
+            "fitted_exponent": self.fitted_exponent,
             "partial_sums": [float(v) for v in self.partial_sums],
             "records": [
                 {
@@ -146,11 +144,6 @@ class EnergyReport:
                             r.energy, r.summand, r.dist0, ps])
 
 
-def _least_squares_slope(y: np.ndarray) -> float:
-    """Least-squares slope of y against its index."""
-    return _slope(np.arange(y.size, dtype=float), y) if y.size >= 2 else 0.0
-
-
 def _summands(seq: PointSequence, part: Partition, include_endpoints: bool):
     """Per-interval terms of the energy-condition series, in series order.
 
@@ -171,29 +164,21 @@ def _summands(seq: PointSequence, part: Partition, include_endpoints: bool):
     counts = [i1 - i0 for i0, i1 in zip(first, last)]
     energies = [total_energy(pts[i0:i1]) if i1 - i0 >= 2 else 0.0
                 for i0, i1 in zip(first, last)]
-    # math.log and Python's ** (libm pow) per summand: numpy's log and
-    # square round differently from them in rare cases
-    summands = [(count * count * math.log(b - a) - e_n) / (1.0 + d ** 2)
+    # math.log per summand (numpy's log rounds differently in rare cases);
+    # dist(0, I) squared exactly, as in the shortness terms
+    summands = [(count * count * math.log(b - a) - e_n) / (1.0 + d * d)
                 for a, b, count, e_n, d in zip(u, v, counts, energies, dist)]
     return order.tolist(), u, v, counts, energies, summands
 
 
 def _series_verdict(summands: np.ndarray):
-    """(partial_sums, tail_slope, head_mean, verdict) of the summand series."""
-    partial = np.cumsum(summands) if summands.size else np.zeros(0)
-    m = summands.size
-    head = summands[: max(1, m // 3)]
-    tail = partial[-max(2, m // 3):] if m >= 2 else partial
-    head_mean = float(np.mean(head)) if head.size else 0.0
-    slope = _least_squares_slope(np.asarray(tail, dtype=float))
-    scale = max(head_mean, 1e-15)
-    if slope <= SUPPORTED_SLOPE_FACTOR * scale:
-        verdict = "supported"
-    elif slope >= UNSUPPORTED_SLOPE_FACTOR * scale:
-        verdict = "unsupported"
-    else:
-        verdict = "inconclusive"
-    return partial, slope, head_mean, verdict
+    """(verdict, fitted_exponent) of the summand series: the decay rule of
+    shortness on its positive parts; an all-zero series is supported."""
+    positive = np.maximum(summands, 0.0)
+    if not np.any(positive):
+        return "supported", 0.0
+    verdict, exponent = classify_terms(positive)
+    return {"short": "supported", "long": "unsupported"}.get(verdict, verdict), exponent
 
 
 def energy_condition_report(seq: PointSequence, part: Partition,
@@ -202,23 +187,25 @@ def energy_condition_report(seq: PointSequence, part: Partition,
 
     Summand for interval I_n with count D and energy E:
         s_n = (D^2 * log|I_n| - E) / (1 + dist(0, I_n)^2).
-    Partial sums run in order of increasing distance from the origin; the
-    verdict compares the fitted slope of the last third of partial sums with
-    the mean summand of the first third.
+    Partial sums run in order of increasing distance from the origin. The
+    verdict is the decay rule of shortness (`classify_terms`) on the
+    positive parts of the summands; an all-zero series is supported.
     """
     order, u, v, counts, energies, summands = _summands(seq, part, include_endpoints)
     z = part.zero_index
     recs = tuple(EnergyRecord(i - z, Interval(a, b), count, e_n, s_n)
                  for i, a, b, count, e_n, s_n in zip(order, u, v, counts, energies, summands))
-    partial, slope, head_mean, verdict = _series_verdict(np.array(summands))
-    return EnergyReport(recs, partial, seq.window, slope, head_mean, verdict)
+    summands = np.array(summands)
+    partial = np.cumsum(summands) if summands.size else np.zeros(0)
+    verdict, exponent = _series_verdict(summands)
+    return EnergyReport(recs, partial, seq.window, exponent, verdict)
 
 
 def energy_verdict(seq: PointSequence, part: Partition) -> str:
     """energy_condition_report(seq, part).verdict, without building the
     per-interval records."""
     summands = _summands(seq, part, include_endpoints=False)[-1]
-    return _series_verdict(np.array(summands))[3]
+    return _series_verdict(np.array(summands))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import _grid_max_feasible
+from .density import DensityEstimate, _grid_max_feasible, density_lower
 from .energy import energy_verdict
 from .partitions import _short_greedy
-from .seqcore import AtomicMeasure, ParameterError, PointSequence
+from .seqcore import AtomicMeasure, ParameterError, Partition, PointSequence
 
 __all__ = [
     "GramProbe",
@@ -250,9 +250,12 @@ class GapConfig:
 class GapCertificate:
     """Truncation-scale certificate for the metric gap characteristic.
 
-    g_estimate = 2*pi*c_estimate exactly; the partition witness, density
-    margin and energy verdict re-justify c_estimate, and the Gram-sweep
-    knee cross-validates the 2*pi*c transition.
+    g_estimate = 2*pi*c_estimate exactly. c_estimate and the partition come
+    from one d1 search (its witness re-verified), with the energy condition
+    checked once, on that witness; if it fails there, a search gated by both
+    conditions at every level takes over, named in diagnostics["fallback"].
+    The density margin and energy verdict re-justify c_estimate, and the
+    Gram-sweep knee cross-validates the 2*pi*c transition.
     """
 
     c_estimate: float
@@ -281,53 +284,34 @@ class GapCertificate:
         }
 
 
-def _thin(seq: PointSequence, delta: float) -> PointSequence:
-    """Maximal subsequence with consecutive spacing at least delta."""
-    pts = seq.points
-    if pts.size == 0:
-        return seq
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p - keep[-1] >= delta:
-            keep.append(p)
-    return PointSequence(np.array(keep), seq.window, seq.label)
+def _energy_supported(seq: PointSequence, part: Partition) -> bool:
+    """The energy condition on a partition, over the points it covers."""
+    return energy_verdict(seq.restrict(*part.cover()), part) == "supported"
 
 
-def _gates(seq: PointSequence, a: float):
-    """(ok, blocker, details) for the three feasibility gates at level a:
-    d1's short-partition test, then the energy condition."""
-    res, blocker = _short_greedy(seq, a)
-    if res is None:
-        return False, blocker, None
-    if energy_verdict(seq.restrict(*res.partition.cover()), res.partition) != "supported":
-        return False, "energy", None
-    margin = np.min(np.asarray(res.counts) - a * np.diff(res.partition.breakpoints))
-    return True, None, {"partition": res.partition, "margin": float(margin)}
+def _gated_search(seq: PointSequence, resolution: float):
+    """(c, greedy result of the last passing level or None): the level
+    search over d1's short-partition test and the energy condition."""
+    passed = {}
+
+    def feasible(a: float) -> bool:
+        res, _ = _short_greedy(seq, a)
+        if res is None or not _energy_supported(seq, res.partition):
+            return False
+        passed["res"] = res
+        return True
+
+    c = _grid_max_feasible(feasible, seq, resolution)
+    return c, passed.get("res")
 
 
-def _feasible_level(seq: PointSequence, a: float):
-    """(ok, details) for one bisection level of the metric characteristic.
-
-    The characteristic of a set takes a supremum over subsequences, and
-    deleting points never hurts the energy condition; so when the energy
-    gate alone fails (near-coincident points drag the pairwise energy
-    down), a collision-thinned subsequence gets one retry.
-    """
-    ok, blocker, details = _gates(seq, a)
-    if ok or blocker != "energy":
-        return ok, details
-    thinned = _thin(seq, 0.5 / a)
-    if len(thinned) == len(seq):
-        return False, None
-    ok, _, details = _gates(thinned, a)
-    return ok, details
-
-
-def estimate_gap_characteristic(seq: PointSequence,
-                                config: GapConfig | None = None) -> GapCertificate:
-    """Bisect the largest density level with a short partition satisfying
-    the density and energy conditions; report 2*pi times it, with an
-    independent Gram-sweep knee for cross-validation.
+def estimate_gap_characteristic(seq: PointSequence, config: GapConfig | None = None,
+                                d1: DensityEstimate | None = None) -> GapCertificate:
+    """2*pi times the largest density level with a short partition meeting
+    the density and energy conditions, with an independent Gram-sweep knee
+    for cross-validation (see GapCertificate for the search and its
+    fallback). `d1` reuses a density_lower(seq, "d1") run at
+    config.resolution.
     """
     config = config or GapConfig()
     if len(seq) == 0:
@@ -335,21 +319,23 @@ def estimate_gap_characteristic(seq: PointSequence,
     if len(seq) < 4:
         return GapCertificate(0.0, 0.0, seq.window,
                               diagnostics={"note": "too few points"})
-    # the details of the last feasible level, which the bisection reports
-    witness = {}
-
-    def feasible(a: float) -> bool:
-        ok, details = _feasible_level(seq, a)
-        if ok:
-            witness.update(details)
-        return ok
-
-    c = _grid_max_feasible(feasible, seq, config.resolution)
-    diagnostics = {}
+    if d1 is None:
+        d1 = density_lower(seq, "d1", config.resolution)
+    c, diagnostics = d1.value, {}
+    if c > 0:
+        part = Partition(np.array(d1.witness["breakpoints"]))
+        counts = d1.witness["counts"]
+        if not _energy_supported(seq, part):
+            diagnostics["fallback"] = (f"energy condition fails on the d1 witness at "
+                                       f"level {c:g}; gated level search")
+            c, res = _gated_search(seq, config.resolution)
+            if c > 0:
+                part, counts = res.partition, res.counts
     bks, margin, energy_v, short_v = (), float("nan"), "inconclusive", "inconclusive"
     if c > 0:
-        bks = tuple(float(b) for b in witness["partition"].breakpoints)
-        margin, energy_v, short_v = witness["margin"], "supported", "short"
+        bks = tuple(float(b) for b in part.breakpoints)
+        margin = float(np.min(np.asarray(counts) - c * np.diff(part.breakpoints)))
+        energy_v, short_v = "supported", "short"
     else:
         diagnostics["note"] = "no feasible density level on the grid"
     sweep = None

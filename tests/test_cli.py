@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gapkit
+from gapkit import density, gapnum
 from gapkit.cli import _build_parser, _invocation, load_config, main
 
 
@@ -160,6 +161,27 @@ def test_report_cli(tmp_path):
     res = payload["result"]
     assert res["density_d1"]["value"] == pytest.approx(1.0, abs=0.05)
     assert res["gap_certificate"]["c_estimate"] == pytest.approx(1.0, abs=0.1)
+
+
+def test_report_runs_one_d1_search(tmp_path, monkeypatch):
+    # the certificate reuses the report's d1 search instead of its own
+    calls = []
+    real = density.density_lower
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(density, "density_lower", counted)
+    monkeypatch.setattr(gapnum, "density_lower", counted)
+    code, payload = run_json(
+        ["report", "--seq", "perturbed:1,0.2", "--window=-300,300", "--seed", "1"],
+        tmp_path)
+    assert code == 0 and len(calls) == 1
+    res = payload["result"]
+    assert res["gap_certificate"]["c_estimate"] == res["density_d1"]["value"]
+    assert (res["gap_certificate"]["partition_breakpoints"]
+            == res["density_d1"]["witness"]["breakpoints"])
 
 
 def test_determinism_except_timestamp(tmp_path):

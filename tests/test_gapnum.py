@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapkit.density import verify_partition_witness
+import gapkit.gapnum as gapnum
+from gapkit.density import density_lower, verify_partition_witness
 from gapkit.gapnum import (MAX_GRAM_SIZE, GapConfig, _nearest_zero,
                            estimate_gap_characteristic, gram_matrix, knee_location,
                            sigma_min_sweep, synthesize_gap_measure)
@@ -165,13 +166,67 @@ def test_estimate_lattice():
     ("poisson:1", (-1500, 1500)),
 ])
 def test_certificate_partition_passes_d1_witness_check(spec, window):
-    # the certificate's gate and d1 share one short-partition test, so the
-    # certificate's partition must pass d1's own witness re-check at c
+    # the certificate's partition is d1's witness, so it must pass d1's own
+    # witness re-check at c
     seq = generate(spec, window, seed=1)
     cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
     assert cert.c_estimate > 0
+    bks = np.array(cert.partition_breakpoints)
+    assert verify_partition_witness(seq, cert.c_estimate, Partition(bks),
+                                    monotone_required=True)
+    # the margin recounted with the outward closure: (u, v] right of 0,
+    # [u, v) left of it
+    pts, sides = seq.points, np.where(bks[:-1] >= 0, "right", "left")
+    counts = np.array([pts.searchsorted(v, side) - pts.searchsorted(u, side)
+                       for u, v, side in zip(bks[:-1], bks[1:], sides)])
+    margin = np.min(counts - cert.c_estimate * np.diff(bks))
+    assert cert.density_margin == pytest.approx(margin, abs=1e-12)
+
+
+def _counted_energy_verdict(monkeypatch, fail_first):
+    """Replace the certificate's energy verdict by one that records each
+    partition it judges and, with fail_first, fails the first one."""
+    parts = []
+    real = gapnum.energy_verdict
+
+    def verdict(seq, part):
+        parts.append(part)
+        return "unsupported" if fail_first and len(parts) == 1 else real(seq, part)
+
+    monkeypatch.setattr(gapnum, "energy_verdict", verdict)
+    return parts
+
+
+def test_energy_checked_once_on_the_d1_witness(monkeypatch):
+    parts = _counted_energy_verdict(monkeypatch, fail_first=False)
+    seq = generate("perturbed:1,0.2", (-1500, 1500), seed=1)
+    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    d1 = density_lower(seq, "d1")
+    assert len(parts) == 1
+    assert parts[0].breakpoints.tolist() == d1.witness["breakpoints"]
+    assert cert.c_estimate == d1.value
+    assert "fallback" not in cert.diagnostics
+
+
+def test_failing_energy_on_the_d1_witness_falls_back(monkeypatch):
+    parts = _counted_energy_verdict(monkeypatch, fail_first=True)
+    seq = generate("lattice:1", (-300, 300))
+    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    # the gated search judged the energy condition level by level, and its
+    # answer (the real rule passes at every short level here) is d1's
+    assert len(parts) > 1
+    assert "gated level search" in cert.diagnostics["fallback"]
+    assert cert.c_estimate == 1.0 and cert.energy_verdict == "supported"
     part = Partition(np.array(cert.partition_breakpoints))
     assert verify_partition_witness(seq, cert.c_estimate, part, monotone_required=True)
+
+
+def test_fallback_without_a_passing_level_reports_zero(monkeypatch):
+    monkeypatch.setattr(gapnum, "energy_verdict", lambda seq, part: "unsupported")
+    seq = generate("lattice:1", (-300, 300))
+    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    assert cert.c_estimate == 0.0 and cert.partition_breakpoints == ()
+    assert "fallback" in cert.diagnostics and "no feasible" in cert.diagnostics["note"]
 
 
 def test_estimate_with_sweep_knee():
@@ -190,8 +245,7 @@ def test_estimate_lacunary_zero():
 
 
 def test_estimate_monotone_under_insertion():
-    # random extras can only help the counting gates; near-collisions are
-    # absorbed by the subsequence retry of the energy gate
+    # random extras can only help the counting gates
     rng = np.random.default_rng(4)
     seq = generate("lattice:2", (-2000, 2000))
     base = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False)).c_estimate
@@ -302,7 +356,12 @@ def test_sub_noise_sweep_has_no_knee():
 
 
 def test_certificate_without_knee_says_why():
-    seq = generate("perturbed:1,0.2", (-1500, 1500), seed=1)
+    # a unit lattice with 81 points 0.01 apart around 0: the 64 points
+    # nearest 0 all sit in the cluster, so on the grid around 2*pi*c every
+    # sigma_min is rounding noise
+    lattice = np.arange(-1500.0, 1501.0)
+    pts = np.union1d(lattice[np.abs(lattice) > 1], np.arange(-40, 41) * 0.01)
+    seq = PointSequence(pts, (-1500.0, 1500.0))
     cert = estimate_gap_characteristic(seq, GapConfig(sweep_n_max=64))
     assert cert.c_estimate > 0 and cert.sweep is not None
     assert math.isnan(cert.gram_knee)

@@ -4,7 +4,10 @@ reference: every reported value must agree bitwise, including the order of
 the terms. The ladder walk of the level search is checked the same way
 against the top-down bisection it replaced, and the long-family search,
 which assembles only candidates at or above the evidence floor, against the
-search over every candidate."""
+search over every candidate. The gap certificate, which takes its level from
+one d1 search and checks the energy condition once, on that witness, is
+checked against the level search that gates every level by both conditions,
+on inputs whose answer is known."""
 
 import json
 import math
@@ -18,10 +21,10 @@ import gapkit.density as density
 from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _block_candidates,
                             _evidence_subfamily, _ladder_max, _qualifying,
                             _sparse_candidates, long_family_search)
-from gapkit.energy import (SUPPORTED_SLOPE_FACTOR, UNSUPPORTED_SLOPE_FACTOR,
-                           EnergyRecord, EnergyReport, _least_squares_slope,
-                           energy_condition_report, energy_verdict, interval_energy)
-from gapkit.partitions import (_grow_right, _terms_of, classify_terms,
+from gapkit.energy import (EnergyRecord, EnergyReport, energy_condition_report,
+                           energy_verdict, interval_energy)
+from gapkit.gapnum import GapConfig, estimate_gap_characteristic
+from gapkit.partitions import (_grow_right, _short_greedy, _terms_of, classify_terms,
                                greedy_density_partition, shortness)
 from gapkit.seqcore import Partition, PointSequence, generate
 
@@ -74,24 +77,19 @@ def loop_energy_report(seq, part, include_endpoints=False):
     recs = []
     for n, iv in part.intervals():
         count, e_n = interval_energy(seq, iv, include_endpoints=include_endpoints)
-        s_n = (count * count * math.log(iv.length) - e_n) / (1.0 + iv.dist0 ** 2)
+        s_n = (count * count * math.log(iv.length) - e_n) / (1.0 + iv.dist0 * iv.dist0)
         recs.append(EnergyRecord(n, iv, count, e_n, s_n))
     recs.sort(key=lambda r: (r.dist0, r.n))
     summands = np.array([r.summand for r in recs])
     partial = np.cumsum(summands) if summands.size else np.zeros(0)
-    m = summands.size
-    head = summands[: max(1, m // 3)]
-    tail = partial[-max(2, m // 3):] if m >= 2 else partial
-    head_mean = float(np.mean(head)) if head.size else 0.0
-    slope = _least_squares_slope(np.asarray(tail, dtype=float))
-    scale = max(head_mean, 1e-15)
-    if slope <= SUPPORTED_SLOPE_FACTOR * scale:
-        verdict = "supported"
-    elif slope >= UNSUPPORTED_SLOPE_FACTOR * scale:
-        verdict = "unsupported"
+    # the decay rule of shortness on the positive parts; all zeros converge
+    positive = np.array([max(s_n, 0.0) for s_n in summands])
+    if not np.any(positive > 0):
+        verdict, exponent = "supported", 0.0
     else:
-        verdict = "inconclusive"
-    return EnergyReport(tuple(recs), partial, seq.window, slope, head_mean, verdict)
+        decay, exponent = classify_terms(positive)
+        verdict = {"short": "supported", "long": "unsupported"}.get(decay, "inconclusive")
+    return EnergyReport(tuple(recs), partial, seq.window, exponent, verdict)
 
 
 def _cases():
@@ -145,8 +143,7 @@ def test_energy_report_matches_loop(label, seq, part, include_endpoints):
     old = loop_energy_report(sub, part, include_endpoints)
     new = energy_condition_report(sub, part, include_endpoints=include_endpoints)
     assert new.partial_sums.tobytes() == old.partial_sums.tobytes()
-    assert new.tail_slope.hex() == old.tail_slope.hex()
-    assert new.head_mean.hex() == old.head_mean.hex()
+    assert float(new.fitted_exponent).hex() == float(old.fitted_exponent).hex()
     assert new.verdict == old.verdict
     assert new.records == old.records
     # repr round-trips floats, so equal JSON text is bitwise equality, with
@@ -532,3 +529,59 @@ def test_long_family_matches_loop_on_random_points(points, a, mode):
         return
     seq = PointSequence(points, (float(points[0]), float(points[-1])))
     assert_families_agree(seq, a, mode)
+
+
+# ---------------------------------------------------------------------------
+# The gap certificate's one search against the gated level search
+# ---------------------------------------------------------------------------
+
+def gated_search(seq, resolution=1e-3):
+    """(c, breakpoints): the level search whose predicate is d1's
+    short-partition test and the energy verdict on its partition, at every
+    level, with the partition of the last passing level."""
+    passed = {}
+
+    def feasible(a):
+        res, _ = _short_greedy(seq, a)
+        if res is None:
+            return False
+        part = res.partition
+        if energy_verdict(seq.restrict(*part.cover()), part) != "supported":
+            return False
+        passed["bks"] = tuple(float(b) for b in part.breakpoints)
+        return True
+
+    c = density._grid_max_feasible(feasible, seq, resolution)
+    return c, passed.get("bks", ())
+
+
+KADEC = (0.9, 1.0)
+
+# (spec, window, known answer): a value, a band, or "d1" where only the
+# lower density is known
+CERTIFICATE_ORACLES = [
+    ("lattice:1", (-1500, 1500), 1.0),
+    ("lattice:0.5", (-1500, 1500), 2.0),
+    ("perturbed:1,0.1", (-1500, 1500), KADEC),
+    ("perturbed:1,0.2", (-1500, 1500), KADEC),
+    ("perturbed:1,0.3", (-1500, 1500), KADEC),
+    ("perturbed:1,0.1", (-15000, 15000), KADEC),
+    ("lacunary:2", (-1e6, 1e6), 0.0),
+    ("poisson:1", (-1500, 1500), "d1"),
+]
+
+
+@pytest.mark.parametrize("spec,window,known", CERTIFICATE_ORACLES,
+                         ids=[f"{s}@{w[1]:g}" for s, w, _ in CERTIFICATE_ORACLES])
+def test_certificate_matches_gated_search_and_oracle(spec, window, known):
+    seq = generate(spec, window, seed=1)
+    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    assert (cert.c_estimate, cert.partition_breakpoints) == gated_search(seq)
+    assert "fallback" not in cert.diagnostics
+    c = cert.c_estimate
+    if known == "d1":
+        assert c == density.density_lower(seq, "d1").value > 0
+    elif isinstance(known, tuple):
+        assert known[0] <= c <= known[1]
+    else:
+        assert c == pytest.approx(known, abs=1e-12)
