@@ -351,14 +351,13 @@ def _cmd_clark(args, cfg, emit):
 
 def _cmd_report(args, cfg, emit):
     seq = _load_sequence(args)
-    d1 = density.density_lower(seq, "d1", resolution=cfg["resolution"])
-    cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg), d1)
+    cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg))
     bm = density.bm_density(seq, resolution=cfg["resolution"])
     result = {
         "n_points": len(seq),
         "window": list(seq.window),
         "total_energy": energy.total_energy(seq) if len(seq) <= 5000 else None,
-        "density_d1": d1.to_json_dict(),
+        "density_d1": cert.d1.to_json_dict(),
         "density_bm": bm.to_json_dict(),
         "gap_certificate": cert.to_json_dict(),
     }

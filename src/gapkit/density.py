@@ -2,11 +2,11 @@
 
 All estimators work at truncation scale, return witnesses, and re-check
 every witness before reporting. The gap certificate in gapnum takes its
-level from the d1 search here. Every level search (here and the
-certificate's fallback) is `_grid_max_feasible`: a walk on a ladder of grid
-levels (default resolution 1e-3) that starts near twice the mean density,
-then a bisection between two neighbouring rungs. It returns the exact answer
-for a predicate that is monotone in the level.
+level from the d1 search here. Every level search is `_grid_max_feasible`:
+a walk on a ladder of grid levels (default resolution 1e-3) that starts
+near twice the mean density, then a bisection between two neighbouring
+rungs. It returns the exact answer for a predicate that is monotone in the
+level.
 """
 
 from __future__ import annotations

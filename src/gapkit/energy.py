@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import classify_terms
+from .partitions import MIN_TERMS_FOR_VERDICT, classify_terms
 from .seqcore import Interval, ParameterError, Partition, PointSequence, _dist0, _owned
 
 __all__ = [
@@ -107,7 +107,9 @@ class EnergyReport:
     the summands in that order. verdict is one of supported / unsupported /
     inconclusive for "the series converges": the decay rule of shortness on
     the positive parts of the summands, with short read as supported and
-    long as unsupported. fitted_exponent is that rule's decay exponent.
+    long as unsupported, and a series with fewer positive terms than the
+    rule needs read as supported. fitted_exponent is the rule's decay
+    exponent (0 where it was not fitted).
     """
 
     records: tuple
@@ -173,9 +175,11 @@ def _summands(seq: PointSequence, part: Partition, include_endpoints: bool):
 
 def _series_verdict(summands: np.ndarray):
     """(verdict, fitted_exponent) of the summand series: the decay rule of
-    shortness on its positive parts; an all-zero series is supported."""
+    shortness on its positive parts. The rule reads a decay from at least
+    MIN_TERMS_FOR_VERDICT terms; fewer positive terms show no tail to decay,
+    so that series is supported, as the all-zero series is."""
     positive = np.maximum(summands, 0.0)
-    if not np.any(positive):
+    if np.count_nonzero(positive) < MIN_TERMS_FOR_VERDICT:
         return "supported", 0.0
     verdict, exponent = classify_terms(positive)
     return {"short": "supported", "long": "unsupported"}.get(verdict, verdict), exponent
@@ -189,7 +193,8 @@ def energy_condition_report(seq: PointSequence, part: Partition,
         s_n = (D^2 * log|I_n| - E) / (1 + dist(0, I_n)^2).
     Partial sums run in order of increasing distance from the origin. The
     verdict is the decay rule of shortness (`classify_terms`) on the
-    positive parts of the summands; an all-zero series is supported.
+    positive parts of the summands; a series with fewer positive terms than
+    the rule needs (none, say) is supported.
     """
     order, u, v, counts, energies, summands = _summands(seq, part, include_endpoints)
     z = part.zero_index

@@ -16,9 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import DensityEstimate, _grid_max_feasible, density_lower
+from .density import DensityEstimate, density_lower
 from .energy import energy_verdict
-from .partitions import _short_greedy
 from .seqcore import AtomicMeasure, ParameterError, Partition, PointSequence
 
 __all__ = [
@@ -251,11 +250,12 @@ class GapCertificate:
     """Truncation-scale certificate for the metric gap characteristic.
 
     g_estimate = 2*pi*c_estimate exactly. c_estimate and the partition come
-    from one d1 search (its witness re-verified), with the energy condition
-    checked once, on that witness; if it fails there, a search gated by both
-    conditions at every level takes over, named in diagnostics["fallback"].
-    The density margin and energy verdict re-justify c_estimate, and the
-    Gram-sweep knee cross-validates the 2*pi*c transition.
+    from one d1 search (its witness re-verified), kept in `d1`, which the
+    JSON leaves out. The energy condition is checked once, on that witness,
+    and energy_verdict is what that check found; where it is not
+    "supported", diagnostics["energy"] says that c_estimate meets the
+    density condition only. The density margin re-justifies c_estimate, and
+    the Gram-sweep knee cross-validates the 2*pi*c transition.
     """
 
     c_estimate: float
@@ -268,6 +268,7 @@ class GapCertificate:
     gram_knee: float = float("nan")
     sweep: SweepResult | None = None
     diagnostics: dict = field(default_factory=dict)
+    d1: DensityEstimate | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -284,58 +285,33 @@ class GapCertificate:
         }
 
 
-def _energy_supported(seq: PointSequence, part: Partition) -> bool:
-    """The energy condition on a partition, over the points it covers."""
-    return energy_verdict(seq.restrict(*part.cover()), part) == "supported"
-
-
-def _gated_search(seq: PointSequence, resolution: float):
-    """(c, greedy result of the last passing level or None): the level
-    search over d1's short-partition test and the energy condition."""
-    passed = {}
-
-    def feasible(a: float) -> bool:
-        res, _ = _short_greedy(seq, a)
-        if res is None or not _energy_supported(seq, res.partition):
-            return False
-        passed["res"] = res
-        return True
-
-    c = _grid_max_feasible(feasible, seq, resolution)
-    return c, passed.get("res")
-
-
-def estimate_gap_characteristic(seq: PointSequence, config: GapConfig | None = None,
-                                d1: DensityEstimate | None = None) -> GapCertificate:
+def estimate_gap_characteristic(seq: PointSequence,
+                                config: GapConfig | None = None) -> GapCertificate:
     """2*pi times the largest density level with a short partition meeting
-    the density and energy conditions, with an independent Gram-sweep knee
-    for cross-validation (see GapCertificate for the search and its
-    fallback). `d1` reuses a density_lower(seq, "d1") run at
-    config.resolution.
+    the density condition, the energy condition judged on that partition,
+    and an independent Gram-sweep knee for cross-validation (see
+    GapCertificate).
     """
     config = config or GapConfig()
     if len(seq) == 0:
         raise ParameterError("sequence is empty")
+    d1 = density_lower(seq, "d1", config.resolution)
     if len(seq) < 4:
-        return GapCertificate(0.0, 0.0, seq.window,
+        return GapCertificate(0.0, 0.0, seq.window, d1=d1,
                               diagnostics={"note": "too few points"})
-    if d1 is None:
-        d1 = density_lower(seq, "d1", config.resolution)
     c, diagnostics = d1.value, {}
-    if c > 0:
-        part = Partition(np.array(d1.witness["breakpoints"]))
-        counts = d1.witness["counts"]
-        if not _energy_supported(seq, part):
-            diagnostics["fallback"] = (f"energy condition fails on the d1 witness at "
-                                       f"level {c:g}; gated level search")
-            c, res = _gated_search(seq, config.resolution)
-            if c > 0:
-                part, counts = res.partition, res.counts
     bks, margin, energy_v, short_v = (), float("nan"), "inconclusive", "inconclusive"
     if c > 0:
+        part = Partition(np.array(d1.witness["breakpoints"]))
         bks = tuple(float(b) for b in part.breakpoints)
-        margin = float(np.min(np.asarray(counts) - c * np.diff(part.breakpoints)))
-        energy_v, short_v = "supported", "short"
+        counts = np.asarray(d1.witness["counts"])
+        margin = float(np.min(counts - c * np.diff(part.breakpoints)))
+        # the energy condition over the points the witness covers
+        energy_v = energy_verdict(seq.restrict(*part.cover()), part)
+        short_v = "short"
+        if energy_v != "supported":
+            diagnostics["energy"] = (f"energy condition {energy_v} on the d1 witness: "
+                                     f"c meets the density condition only")
     else:
         diagnostics["note"] = "no feasible density level on the grid"
     sweep = None
@@ -362,4 +338,5 @@ def estimate_gap_characteristic(seq: PointSequence, config: GapConfig | None = N
         gram_knee=knee,
         sweep=sweep,
         diagnostics=diagnostics,
+        d1=d1,
     )

@@ -164,7 +164,7 @@ def test_report_cli(tmp_path):
 
 
 def test_report_runs_one_d1_search(tmp_path, monkeypatch):
-    # the certificate reuses the report's d1 search instead of its own
+    # the report reads density_d1 from the certificate's own d1 search
     calls = []
     real = density.density_lower
 

@@ -260,7 +260,6 @@ def probe_count(monkeypatch):
         return search(probe, seq, resolution)
 
     monkeypatch.setattr(density, "_grid_max_feasible", counted)
-    monkeypatch.setattr(gapnum, "_grid_max_feasible", counted)
     return count
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import gapkit.gapnum as gapnum
 from gapkit.density import density_lower, verify_partition_witness
+from gapkit.energy import energy_verdict
 from gapkit.gapnum import (MAX_GRAM_SIZE, GapConfig, _nearest_zero,
                            estimate_gap_characteristic, gram_matrix, knee_location,
                            sigma_min_sweep, synthesize_gap_measure)
@@ -183,50 +184,54 @@ def test_certificate_partition_passes_d1_witness_check(spec, window):
     assert cert.density_margin == pytest.approx(margin, abs=1e-12)
 
 
-def _counted_energy_verdict(monkeypatch, fail_first):
+def _counted_energy_verdict(monkeypatch, verdict_of=None):
     """Replace the certificate's energy verdict by one that records each
-    partition it judges and, with fail_first, fails the first one."""
+    partition it judges and, given verdict_of, returns that verdict."""
     parts = []
     real = gapnum.energy_verdict
 
     def verdict(seq, part):
         parts.append(part)
-        return "unsupported" if fail_first and len(parts) == 1 else real(seq, part)
+        return verdict_of if verdict_of else real(seq, part)
 
     monkeypatch.setattr(gapnum, "energy_verdict", verdict)
     return parts
 
 
 def test_energy_checked_once_on_the_d1_witness(monkeypatch):
-    parts = _counted_energy_verdict(monkeypatch, fail_first=False)
+    parts = _counted_energy_verdict(monkeypatch)
     seq = generate("perturbed:1,0.2", (-1500, 1500), seed=1)
     cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
     d1 = density_lower(seq, "d1")
     assert len(parts) == 1
     assert parts[0].breakpoints.tolist() == d1.witness["breakpoints"]
-    assert cert.c_estimate == d1.value
-    assert "fallback" not in cert.diagnostics
+    assert cert.c_estimate == d1.value and cert.d1.value == d1.value
+    assert cert.energy_verdict == "supported" and "energy" not in cert.diagnostics
 
 
-def test_failing_energy_on_the_d1_witness_falls_back(monkeypatch):
-    parts = _counted_energy_verdict(monkeypatch, fail_first=True)
+def test_failing_energy_on_the_d1_witness_is_reported(monkeypatch):
+    parts = _counted_energy_verdict(monkeypatch, "unsupported")
     seq = generate("lattice:1", (-300, 300))
     cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
-    # the gated search judged the energy condition level by level, and its
-    # answer (the real rule passes at every short level here) is d1's
-    assert len(parts) > 1
-    assert "gated level search" in cert.diagnostics["fallback"]
-    assert cert.c_estimate == 1.0 and cert.energy_verdict == "supported"
+    # no second search: the level and partition stay d1's, and the verdict
+    # found on the witness is reported
+    assert len(parts) == 1
+    assert cert.c_estimate == 1.0 and cert.energy_verdict == "unsupported"
+    assert list(cert.partition_breakpoints) == cert.d1.witness["breakpoints"]
+    assert "unsupported" in cert.diagnostics["energy"]
+
+
+def test_energy_verdict_not_supported_keeps_the_d1_level():
+    # three isolated positive summands of order 1e-5 whose sizes rise and
+    # fall with rank: the decay rule reads no decay from them
+    base = generate("lattice:1", (-300, 300))
+    seq = PointSequence(np.union1d(base.points, [-248.61, -157.914, 180.765]), base.window)
+    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
     part = Partition(np.array(cert.partition_breakpoints))
-    assert verify_partition_witness(seq, cert.c_estimate, part, monotone_required=True)
-
-
-def test_fallback_without_a_passing_level_reports_zero(monkeypatch):
-    monkeypatch.setattr(gapnum, "energy_verdict", lambda seq, part: "unsupported")
-    seq = generate("lattice:1", (-300, 300))
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
-    assert cert.c_estimate == 0.0 and cert.partition_breakpoints == ()
-    assert "fallback" in cert.diagnostics and "no feasible" in cert.diagnostics["note"]
+    assert cert.c_estimate == cert.d1.value == 1.0
+    assert cert.energy_verdict == "inconclusive"
+    assert cert.energy_verdict == energy_verdict(seq.restrict(*part.cover()), part)
+    assert "inconclusive" in cert.diagnostics["energy"]
 
 
 def test_estimate_with_sweep_knee():

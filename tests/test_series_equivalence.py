@@ -82,9 +82,10 @@ def loop_energy_report(seq, part, include_endpoints=False):
     recs.sort(key=lambda r: (r.dist0, r.n))
     summands = np.array([r.summand for r in recs])
     partial = np.cumsum(summands) if summands.size else np.zeros(0)
-    # the decay rule of shortness on the positive parts; all zeros converge
+    # the decay rule of shortness on the positive parts; fewer than three
+    # positive terms (none, say) converge
     positive = np.array([max(s_n, 0.0) for s_n in summands])
-    if not np.any(positive > 0):
+    if sum(1 for p in positive if p > 0) < 3:
         verdict, exponent = "supported", 0.0
     else:
         decay, exponent = classify_terms(positive)
@@ -94,10 +95,12 @@ def loop_energy_report(seq, part, include_endpoints=False):
 
 def _cases():
     """(label, sequence, partition): greedy partitions of lattice, perturbed
-    and Poisson input, plus a symmetric partition whose intervals tie in
-    dist(0, I) in pairs and hold several points each."""
+    and Poisson input, a lattice with one extra point, whose energy series
+    has a single positive summand, and a symmetric partition whose intervals
+    tie in dist(0, I) in pairs and hold several points each."""
+    lattice = generate("lattice:1", (-300, 300))
     seqs = [
-        generate("lattice:1", (-300, 300)),
+        lattice,
         generate("perturbed:1,0.2", (-300, 300), seed=3),
         generate("poisson:1", (-1500, 1500), seed=4),
     ]
@@ -107,6 +110,9 @@ def _cases():
                 res = greedy_density_partition(seq, d, monotone=monotone)
                 if res.ok and len(res.partition.breakpoints) >= 4:
                     yield f"{seq.label} d={d} monotone={monotone}", seq, res.partition
+    # one energy summand is positive: the unit interval (10, 11] holds 2 points
+    seq = PointSequence(np.union1d(lattice.points, [10.5]), lattice.window)
+    yield "lattice plus a point", seq, greedy_density_partition(seq, 1.0).partition
     part = Partition(np.array([-40.0, -20.0, -8.0, -3.0, -1.0, 0.0,
                                1.0, 3.0, 8.0, 20.0, 40.0]))
     pts = np.unique(np.random.default_rng(6).uniform(-40.0, 40.0, 200))
@@ -577,11 +583,25 @@ def test_certificate_matches_gated_search_and_oracle(spec, window, known):
     seq = generate(spec, window, seed=1)
     cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
     assert (cert.c_estimate, cert.partition_breakpoints) == gated_search(seq)
-    assert "fallback" not in cert.diagnostics
+    assert "energy" not in cert.diagnostics
     c = cert.c_estimate
+    assert (cert.energy_verdict == "supported") == (c > 0)
     if known == "d1":
         assert c == density.density_lower(seq, "d1").value > 0
     elif isinstance(known, tuple):
         assert known[0] <= c <= known[1]
     else:
         assert c == pytest.approx(known, abs=1e-12)
+
+
+@pytest.mark.parametrize("extra", [[10.5], [10.5, -40.5]])
+def test_certificate_matches_gated_search_on_lattice_plus_points(extra):
+    # one or two extra points give d1's unit-interval witness as many
+    # positive summands, too few to read a decay from; the level stays 1,
+    # as in the gated search
+    base = generate("lattice:1", (-300, 300))
+    seq = PointSequence(np.union1d(base.points, extra), base.window)
+    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    assert (cert.c_estimate, cert.partition_breakpoints) == gated_search(seq)
+    assert cert.c_estimate == 1.0
+    assert cert.energy_verdict == "supported" and cert.diagnostics == {}
