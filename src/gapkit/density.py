@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -111,11 +112,19 @@ def _ladder_max(passes, kmax: int, start: float) -> int:
     return lo
 
 
+def _grid_level(k: int, resolution: float) -> float:
+    """The grid level k * resolution, rounded once from the decimal
+    `resolution` reads as: 1001 steps of 1e-3 are 1.001, where the float
+    product k * 1e-3 rounds twice and gives 1.0010000000000001.
+    """
+    return float(k * Fraction(repr(resolution)))
+
+
 def _grid_max_feasible(feasible, seq: PointSequence, resolution: float) -> float:
-    """Largest grid level k * resolution, 0 < k <= kmax, that passes; 0.0
-    when none does. kmax puts the top rung `_default_a_max(seq)` on the
-    grid, and the walk (`_ladder_max`) starts at twice the mean density
-    len(seq) / |window|.
+    """Largest grid level k * resolution (`_grid_level`), 0 < k <= kmax,
+    that passes; 0.0 when none does. kmax puts the top rung
+    `_default_a_max(seq)` on the grid, and the walk (`_ladder_max`) starts
+    at twice the mean density len(seq) / |window|.
 
     Feasibility gates need not be monotone in the level, so the walk keeps
     to the rungs a top-down bisection from kmax would probe rather than
@@ -133,7 +142,8 @@ def _grid_max_feasible(feasible, seq: PointSequence, resolution: float) -> float
                              f"level search on a grid of step {resolution:g}")
     kmax = max(1, int(round(top)))
     start = 2.0 * len(seq) / seq.span / resolution if seq.span > 0 else math.inf
-    return _ladder_max(lambda k: feasible(k * resolution), kmax, start) * resolution
+    return _grid_level(_ladder_max(lambda k: feasible(_grid_level(k, resolution)),
+                                   kmax, start), resolution)
 
 
 # ---------------------------------------------------------------------------

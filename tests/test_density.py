@@ -243,6 +243,20 @@ def test_level_search_rejects_bad_resolution(resolution):
         density_lower(seq, resolution=resolution)
 
 
+def test_grid_levels_are_the_nearest_double():
+    # 1001 * 1e-3 rounds twice, to 1.0010000000000001
+    assert all(density._grid_level(k, 1e-3) == k / 1000 for k in range(1, 3001))
+    seq = generate("lattice:1", (-50, 50))
+    assert density._grid_max_feasible(lambda a: a <= 1.001, seq, 1e-3) == 1.001
+
+
+@pytest.mark.parametrize("seed", [18, 24, 902])
+def test_bm_one_step_above_kadec_reads_the_grid_level(seed):
+    # on these seeds a long family holds 1.001 points per unit length
+    seq = generate("perturbed:1,0.2", (-1500.0, 1500.0), seed=seed)
+    assert bm_density(seq).value == 1.001 == 1.0 + 1e-3
+
+
 # ---------------------------------------------------------------------------
 # The level search on sparse input
 # ---------------------------------------------------------------------------
