@@ -14,9 +14,10 @@ It also times the d1 witness re-check, `verify_partition_witness`, on the
 lattice's greedy partition at level 1; `fekete_optimize` at k = 8 on [0, 1]
 (the `refute_mix` job `fekete_8`) and at k = 12; and whole level searches:
 the d4 estimate on the lacunary input and on Poisson input over +-10000 (the
-`refute_mix` jobs `d4_lacunary` and `d4_poisson`), and the gap certificate
-without its Gram sweep on the lacunary input and on the Poisson input over
-+-30000. d3 on lacunary input is left out: trees from before the ladder walk
+`refute_mix` jobs `d4_lacunary` and `d4_poisson`), the d3 estimate on the
+perturbed lattice over +-15000 (the `refute_mix` job `d3_perturbed`), and the
+gap certificate without its Gram sweep on the lacunary input and on the
+Poisson input over +-30000. d3 on lacunary input is left out: trees from before the ladder walk
 crash there. One long-family search times each mode at a level near its
 estimate's answer: 'below' (d4) on the Poisson input over +-10000 at
 a = 0.962, 'above' (BM) on the perturbed lattice over +-15000 at a = 1. The
@@ -35,8 +36,8 @@ import math
 import numpy as np
 import pytest
 
-from gapkit.density import (d4_complement_estimate, long_family_search,
-                            verify_partition_witness)
+from gapkit.density import (d4_complement_estimate, density_d3_estimate,
+                            long_family_search, verify_partition_witness)
 from gapkit.energy import energy_condition_report
 from gapkit.fekete import fekete_optimize
 from gapkit.gapnum import (GapConfig, _nearest_zero, estimate_gap_characteristic,
@@ -113,6 +114,12 @@ def test_d4_level_search(benchmark, name):
     seq = generate(INPUTS[name][0], D4_WINDOWS[name], seed=SEED)
     est = benchmark(d4_complement_estimate, seq)
     assert 0.0 < est.value < 1.5
+
+
+def test_d3_level_search(benchmark):
+    seq = generate("perturbed:1,0.2", (-15000.0, 15000.0), seed=SEED)
+    est = benchmark(density_d3_estimate, seq)
+    assert 0.9 < est.value < 1.1 and len(est.witness["residual_curve"]) == 4
 
 
 def test_gap_level_search_lacunary(benchmark):

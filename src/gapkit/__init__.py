@@ -6,7 +6,7 @@ Main entry points:
 - seqcore: PointSequence, Interval, Partition, AtomicMeasure, generate
 - energy: total_energy, energy_condition_report, log_kernel_integral
 - partitions: shortness, greedy_density_partition
-- density: density_lower, density_d3, density_upper_d4, bm_density
+- density: density_estimate, density_lower, density_upper_d4, bm_density
 - regularize: spread_points, regularize_gaps
 - fekete: fekete_optimize, jacobi_zeros, key_example_check
 - gapnum: gram_matrix, sigma_min_sweep, synthesize_gap_measure,
@@ -20,8 +20,7 @@ from .energy import (energy_condition_report, interval_energy,
                      log_kernel_integral, total_energy)
 from .partitions import (greedy_density_partition, is_valid_paper_partition,
                          shortness)
-from .density import (bm_density, density_d3, density_estimate, density_lower,
-                      density_upper_d4)
+from .density import bm_density, density_estimate, density_lower, density_upper_d4
 from .regularize import regularize_gaps, spread_points
 from .fekete import fekete_optimize, jacobi_zeros, key_example_check
 from .gapnum import (GapConfig, estimate_gap_characteristic, gram_matrix,
@@ -36,8 +35,7 @@ __all__ = [
     "energy_condition_report", "interval_energy", "log_kernel_integral",
     "total_energy",
     "greedy_density_partition", "is_valid_paper_partition", "shortness",
-    "bm_density", "density_d3", "density_estimate", "density_lower",
-    "density_upper_d4",
+    "bm_density", "density_estimate", "density_lower", "density_upper_d4",
     "regularize_gaps", "spread_points",
     "fekete_optimize", "jacobi_zeros", "key_example_check",
     "GapConfig", "estimate_gap_characteristic", "gram_matrix",

@@ -6,7 +6,8 @@ level from the d1 search here. Every level search is `_grid_max_feasible`:
 a walk on a ladder of grid levels (default resolution 1e-3) that starts
 near twice the mean density, then a bisection between two neighbouring
 rungs. It returns the exact answer for a predicate that is monotone in the
-level.
+level. Each estimator is one probe, probe(a) -> (passes, witness), and the
+search hands back the witnesses it found: none is recomputed after it.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from .partitions import _monotone, _short_greedy, _terms_of, shortness
-from .seqcore import ParameterError, Partition, PointSequence, _dist0, _owned, _slope
+from .seqcore import (ParameterError, Partition, PointSequence, _dist0, _owned,
+                      _series_order, _slope)
 
 __all__ = [
     "DensityEstimate",
     "density_lower",
-    "density_d3",
     "d3_residual_curve",
     "density_d3_estimate",
     "density_upper_d4",
@@ -120,11 +121,14 @@ def _grid_level(k: int, resolution: float) -> float:
     return float(k * Fraction(repr(resolution)))
 
 
-def _grid_max_feasible(feasible, seq: PointSequence, resolution: float) -> float:
-    """Largest grid level k * resolution (`_grid_level`), 0 < k <= kmax,
-    that passes; 0.0 when none does. kmax puts the top rung
-    `_default_a_max(seq)` on the grid, and the walk (`_ladder_max`) starts
-    at twice the mean density len(seq) / |window|.
+def _grid_max_feasible(probe, seq: PointSequence, resolution: float):
+    """(level, witness, refutation): the largest grid level k * resolution
+    (`_grid_level`), 0 < k <= kmax, whose probe passes (0.0 when none does),
+    and the witnesses probe(a) -> (passes, witness) gave at k and at k + 1.
+    The walk (`_ladder_max`) ends on its last passing probe at k and its last
+    failing one at k + 1, so witness is None at k = 0 and refutation is None
+    at k = kmax. kmax puts the top rung `_default_a_max(seq)` on the grid,
+    and the walk starts at twice the mean density len(seq) / |window|.
 
     Feasibility gates need not be monotone in the level, so the walk keeps
     to the rungs a top-down bisection from kmax would probe rather than
@@ -142,8 +146,15 @@ def _grid_max_feasible(feasible, seq: PointSequence, resolution: float) -> float
                              f"level search on a grid of step {resolution:g}")
     kmax = max(1, int(round(top)))
     start = 2.0 * len(seq) / seq.span / resolution if seq.span > 0 else math.inf
-    return _grid_level(_ladder_max(lambda k: feasible(_grid_level(k, resolution)),
-                                   kmax, start), resolution)
+    last = {}  # passes -> the witness of the last probe with that outcome
+
+    def passes(k: int) -> bool:
+        ok, witness = probe(_grid_level(k, resolution))
+        last[ok] = witness
+        return ok
+
+    k = _ladder_max(passes, kmax, start)
+    return _grid_level(k, resolution), last.get(True), last.get(False)
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +196,14 @@ def density_lower(seq: PointSequence, method: str = "d1",
     monotone = method == "d1"
     if len(seq) == 0:
         return DensityEstimate(0.0, method, seq.window)
-    witness = {}
-    passed = {}  # the greedy result of the last passing level: the search's answer
 
-    def feasible(a: float) -> bool:
+    def probe(a: float):
         res, _ = _short_greedy(seq, a, monotone)
-        if res is None:
-            return False
-        passed["res"] = res
-        return True
+        return res is not None, res
 
-    value = _grid_max_feasible(feasible, seq, resolution)
+    value, res, _ = _grid_max_feasible(probe, seq, resolution)
+    witness = {}
     if value > 0:
-        res = passed["res"]
         ok = verify_partition_witness(seq, value, res.partition, monotone)
         if not ok:   # witness must reproduce the claim
             value = 0.0
@@ -286,35 +292,20 @@ def counting_residual(matched: np.ndarray, a: float,
     return _mismatch_integrals(c, a, u, v)
 
 
-def density_d3(seq: PointSequence, a: float) -> float:
-    """Truncation residual of the d3 condition at slope a.
-
-    Small and flattening with window size indicates d3 >= a; growth of the
-    residual in the window size indicates a genuine slope mismatch.
-    """
-    if a <= 0:
-        raise ParameterError("slope a must be positive")
-    matched = match_to_ideal_grid(seq, a) if len(seq) else np.empty(0)
-    return counting_residual(matched, a, seq.window)
-
-
 def d3_residual_curve(seq: PointSequence, a: float,
                       fractions=(0.25, 0.5, 0.75, 1.0)):
-    """Residuals on nested sub-windows (one matching on the full window)."""
+    """Truncation residuals of the d3 condition at slope a on nested
+    sub-windows (one matching on the full window), as (fraction, residual).
+
+    Small and flattening with window size indicates d3 >= a; growth of the
+    residual in the window size indicates a genuine slope mismatch. The last
+    entry, at fraction 1, is the residual on the whole window.
+    """
+    if not a > 0:
+        raise ParameterError(f"slope a must be positive, got {a!r}")
     matched = match_to_ideal_grid(seq, a) if len(seq) else np.empty(0)
     lo, hi = seq.window
-    out = []
-    for f in fractions:
-        out.append((f, counting_residual(matched, a, (lo * f, hi * f))))
-    return out
-
-
-def _d3_flat(seq: PointSequence, a: float) -> bool:
-    curve = d3_residual_curve(seq, a)
-    sizes = np.array([max(abs(seq.window[0] * f), abs(seq.window[1] * f), 1.0)
-                      for f, _ in curve])
-    resid = np.array([r for _, r in curve])
-    return _slope(np.log(sizes), resid) <= D3_FLAT_SLOPE
+    return [(f, counting_residual(matched, a, (lo * f, hi * f))) for f in fractions]
 
 
 def density_d3_estimate(seq: PointSequence,
@@ -322,10 +313,18 @@ def density_d3_estimate(seq: PointSequence,
     """Largest slope whose residual curve stays flat in the window size."""
     if len(seq) == 0:
         return DensityEstimate(0.0, "d3", seq.window)
-    value = _grid_max_feasible(lambda a: _d3_flat(seq, a), seq, resolution)
+    lo, hi = seq.window
+
+    def probe(a: float):
+        curve = d3_residual_curve(seq, a)
+        sizes = np.array([max(abs(lo * f), abs(hi * f), 1.0) for f, _ in curve])
+        resid = np.array([r for _, r in curve])
+        return _slope(np.log(sizes), resid) <= D3_FLAT_SLOPE, curve
+
+    value, curve, _ = _grid_max_feasible(probe, seq, resolution)
     witness = {}
     if value > 0:
-        witness = {"residual_curve": [[f, r] for f, r in d3_residual_curve(seq, value)]}
+        witness = {"residual_curve": [[f, r] for f, r in curve]}
     return DensityEstimate(value, "d3", seq.window, witness)
 
 
@@ -473,7 +472,7 @@ def _evidence_subfamily(family, extent: float):
     long = (terms.size >= LONG_MIN_COUNT
             and capped >= REFUTE_SUM
             and float(np.max(dists)) >= LONG_REACH_FRACTION * extent)
-    order = np.argsort(dists)
+    order = _series_order(u, v)
     evidence = [(float(u[i]), float(v[i])) for i in order]
     return long, evidence, capped, terms[order]
 
@@ -530,17 +529,20 @@ def density_upper_d4(seq: PointSequence, a: float):
 
 def d4_complement_estimate(seq: PointSequence,
                            resolution: float = GRID_RESOLUTION) -> DensityEstimate:
-    """Infimum of refuted levels minus one grid step (the d4 density)."""
+    """Infimum of refuted levels minus one grid step (the d4 density).
+
+    A level passes when density_upper_d4 does not refute it; the witness is
+    the refutation the search found one grid step up, if any.
+    """
     if len(seq) == 0:
         return DensityEstimate(0.0, "d4", seq.window)
 
-    def not_refuted(a: float) -> bool:
-        refuted, _ = density_upper_d4(seq, a)
-        return not refuted
+    def probe(a: float):
+        refuted, witness = density_upper_d4(seq, a)
+        return not refuted, witness
 
-    value = _grid_max_feasible(not_refuted, seq, resolution)
-    refuted, witness = density_upper_d4(seq, value + resolution)
-    if not refuted:
+    value, _, witness = _grid_max_feasible(probe, seq, resolution)
+    if witness is None:
         witness = {"note": f"no refutation found below {_default_a_max(seq):.6g}"}
     return DensityEstimate(value, "d4", seq.window, witness)
 
@@ -552,24 +554,16 @@ def bm_density(seq: PointSequence,
     """
     if len(seq) == 0:
         return DensityEstimate(0.0, "bm", seq.window)
-    passed = {}  # the family of the last passing level: the search's answer
 
-    def feasible(d: float) -> bool:
+    def probe(d: float):
         found, family, total, _ = long_family_search(seq, d, "above")
-        if not (found and verify_family_witness(seq, d, family, "above")):
-            return False
-        passed["family"], passed["total"] = family, total
-        return True
+        return found and verify_family_witness(seq, d, family, "above"), (family, total)
 
-    value = _grid_max_feasible(feasible, seq, resolution)
+    value, passed, _ = _grid_max_feasible(probe, seq, resolution)
     witness = {}
     if value > 0:
-        family, total = passed["family"], passed["total"]
-        witness = {
-            "intervals": [[u, v] for u, v in family],
-            "sum": total,
-            "verified": verify_family_witness(seq, value, family, "above"),
-        }
+        family, total = passed
+        witness = {"intervals": [[u, v] for u, v in family], "sum": total, "verified": True}
     return DensityEstimate(value, "bm", seq.window, witness)
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import MIN_TERMS_FOR_VERDICT, classify_terms
-from .seqcore import Interval, ParameterError, Partition, PointSequence, _dist0, _owned
+from .seqcore import (Interval, ParameterError, Partition, PointSequence, _dist0, _owned,
+                      _series_order)
 
 __all__ = [
     "total_energy",
@@ -159,9 +160,9 @@ def _summands(seq: PointSequence, part: Partition, include_endpoints: bool):
     u, v = part.breakpoints[:-1], part.breakpoints[1:]
     # interval_energy's convention: (a, b], or [a, b] with include_endpoints
     first, last = _owned(pts, u, v, include_left=include_endpoints)
-    dist = _dist0(u, v)
-    order = np.lexsort((u, dist))
-    u, v, dist = u[order].tolist(), v[order].tolist(), dist[order].tolist()
+    order = _series_order(u, v)
+    dist = _dist0(u, v)[order].tolist()
+    u, v = u[order].tolist(), v[order].tolist()
     first, last = first[order].tolist(), last[order].tolist()
     counts = [i1 - i0 for i0, i1 in zip(first, last)]
     energies = [total_energy(pts[i0:i1]) if i1 - i0 >= 2 else 0.0

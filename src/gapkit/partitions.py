@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import ParameterError, Partition, PointSequence, _dist0, _slope
+from .seqcore import ParameterError, Partition, PointSequence, _dist0, _series_order, _slope
 
 __all__ = [
     "ShortnessReport",
@@ -92,7 +92,7 @@ def shortness(part: Partition) -> ShortnessReport:
     u, v = part.breakpoints[:-1], part.breakpoints[1:]
     if u.size < MIN_TERMS_FOR_VERDICT:
         raise ParameterError("shortness needs at least 3 intervals")
-    order = np.lexsort((u, _dist0(u, v)))
+    order = _series_order(u, v)
     terms = _terms_of(u[order], v[order])
     verdict, exponent = classify_terms(terms)
     return ShortnessReport(terms, np.cumsum(terms), verdict, exponent, part.cover())

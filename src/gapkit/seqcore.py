@@ -83,6 +83,12 @@ def _dist0(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.abs(np.where(u >= 0, u, np.where(v <= 0, -v, 0.0)))
 
 
+def _series_order(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Indices that put intervals (u, v] in series order: by dist(0, I),
+    then by left end."""
+    return np.lexsort((u, _dist0(u, v)))
+
+
 def _owned(points: np.ndarray, u, v, include_left: bool = False,
            include_right: bool = True):
     """(first, last) with points[first:last] the sorted points between u and

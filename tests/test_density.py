@@ -6,10 +6,9 @@ import pytest
 import gapkit.density as density
 import gapkit.gapnum as gapnum
 from gapkit.density import (_greedy_match_side, bm_density, counting_residual,
-                            d3_residual_curve, d4_complement_estimate, density_d3,
-                            density_estimate, density_lower, density_upper_d4,
-                            match_to_ideal_grid, verify_family_witness,
-                            verify_partition_witness)
+                            d3_residual_curve, d4_complement_estimate, density_estimate,
+                            density_lower, density_upper_d4, match_to_ideal_grid,
+                            verify_family_witness, verify_partition_witness)
 from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import ParameterError, PointSequence, generate
 
@@ -80,21 +79,25 @@ def test_family_witness_point_on_endpoint(end, mode, expected):
 # d3: counting residual
 # ---------------------------------------------------------------------------
 
+def d3_residual(seq, a):
+    """The residual on the whole window: the last entry of the curve."""
+    return d3_residual_curve(seq, a)[-1][1]
+
+
 def test_d3_lattice_flat_and_bounded():
     seq = generate("lattice:1", WINDOW)
-    resid = density_d3(seq, 1.0)
+    curve = d3_residual_curve(seq, 1.0)
     # fractional-part bound: the mismatch never exceeds 1, so the residual
     # is below the full Poisson mass
-    assert resid <= math.pi
-    curve = d3_residual_curve(seq, 1.0)
+    assert curve[-1][1] <= math.pi
     assert curve[-1][1] - curve[1][1] <= 0.1
 
 
 def test_d3_slope_mismatch_grows():
     seq = generate("lattice:1", WINDOW)
-    r_full = density_d3(seq, 1.2)
+    r_full = d3_residual(seq, 1.2)
     half = seq.restrict(-1000, 1000)
-    r_half = density_d3(half, 1.2)
+    r_half = d3_residual(half, 1.2)
     # |n - 1.2 x| ~ 0.2|x| makes the residual grow by ~0.4 per doubling
     assert r_full - r_half >= 0.1
 
@@ -102,14 +105,16 @@ def test_d3_slope_mismatch_grows():
 def test_d3_empty_sequence_closed_form():
     seq = PointSequence(np.empty(0), (-50.0, 80.0))
     a = 0.7
-    resid = density_d3(seq, a)
+    resid = d3_residual(seq, a)
     expected = a * 0.5 * (math.log(1 + 50.0 ** 2) + math.log(1 + 80.0 ** 2))
     assert resid == pytest.approx(expected, rel=1e-12)
 
 
 def test_d3_requires_positive_slope():
-    with pytest.raises(ParameterError):
-        density_d3(generate("lattice:1", (0, 10)), 0.0)
+    seq = generate("lattice:1", (0, 10))
+    for a in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="slope a must be positive"):
+            d3_residual_curve(seq, a)
 
 
 def test_matching_thins_to_target():
@@ -145,7 +150,7 @@ def test_matching_size_follows_points_not_slope():
     seq = generate("lacunary:2", (-1e6, 1e6))
     matched = match_to_ideal_grid(seq, 1e12)
     assert 0 < matched.size <= len(seq) and np.isin(matched, seq.points).all()
-    assert np.isfinite(density_d3(seq, 1e12))
+    assert np.isfinite(d3_residual(seq, 1e12))
 
 
 def test_counting_residual_exactness():
@@ -247,7 +252,7 @@ def test_grid_levels_are_the_nearest_double():
     # 1001 * 1e-3 rounds twice, to 1.0010000000000001
     assert all(density._grid_level(k, 1e-3) == k / 1000 for k in range(1, 3001))
     seq = generate("lattice:1", (-50, 50))
-    assert density._grid_max_feasible(lambda a: a <= 1.001, seq, 1e-3) == 1.001
+    assert density._grid_max_feasible(lambda a: (a <= 1.001, None), seq, 1e-3)[0] == 1.001
 
 
 @pytest.mark.parametrize("seed", [18, 24, 902])
@@ -261,20 +266,32 @@ def test_bm_one_step_above_kadec_reads_the_grid_level(seed):
 # The level search on sparse input
 # ---------------------------------------------------------------------------
 
+PROBED = ("density_upper_d4", "d3_residual_curve", "verify_family_witness")
+
+
 @pytest.fixture
 def probe_count(monkeypatch):
-    """Count the levels every level search probes."""
-    count = [0]
+    """Record the levels every level search probes (`levels`) and, for each
+    function in PROBED, the levels it is called at (`calls[name]`)."""
+    levels, calls = [], {name: [] for name in PROBED}
     search = density._grid_max_feasible
 
-    def counted(feasible, seq, resolution):
-        def probe(a):
-            count[0] += 1
-            return feasible(a)
-        return search(probe, seq, resolution)
+    def counted(probe, seq, resolution):
+        def recorded(a):
+            levels.append(a)
+            return probe(a)
+        return search(recorded, seq, resolution)
+
+    def calls_of(name, fn):
+        def recorded(seq, a, *args, **kwargs):
+            calls[name].append(a)
+            return fn(seq, a, *args, **kwargs)
+        return recorded
 
     monkeypatch.setattr(density, "_grid_max_feasible", counted)
-    return count
+    for name in PROBED:
+        monkeypatch.setattr(density, name, calls_of(name, getattr(density, name)))
+    return levels, calls
 
 
 LACUNARY = generate("lacunary:2", (-1e6, 1e6))
@@ -291,5 +308,54 @@ def test_lacunary_levels_probed(probe_count, method, limit):
         assert value == 0.0
     else:
         value = density_estimate(LACUNARY, method).value
-    assert 1 <= probe_count[0] <= limit
+    assert 1 <= len(probe_count[0]) <= limit
     assert 0.0 <= value < 0.1
+
+
+@pytest.mark.parametrize("method,callee", [
+    ("d3", "d3_residual_curve"), ("d4", "density_upper_d4"), ("bm", "verify_family_witness")])
+def test_no_probe_runs_after_the_search(probe_count, method, callee):
+    # the witness comes from the search: the probe's own calls, each at a
+    # distinct probed level, and none after the search returns
+    levels, calls = probe_count
+    est = density_estimate(generate("lattice:1", (-300.0, 300.0)), method)
+    assert est.value > 0 and est.witness
+    assert len(set(calls[callee])) == len(calls[callee]) > 0
+    assert set(calls[callee]) <= set(levels)
+    if method != "bm":  # bm verifies only the families the search finds
+        assert calls[callee] == levels
+
+
+def test_search_hands_back_the_witnesses_on_the_grid():
+    seq = generate("lattice:1", (-50.0, 50.0))
+    assert density._grid_max_feasible(lambda a: (a <= 0.008, a), seq, 1e-3) == (
+        0.008, 0.008, 0.009)
+    assert density._grid_max_feasible(lambda a: (False, a), seq, 1e-3) == (0.0, None, 0.001)
+    top, witness, refutation = density._grid_max_feasible(lambda a: (True, a), seq, 1e-3)
+    assert top == witness > 1.0 and refutation is None
+
+
+def test_d4_probes_only_grid_levels(probe_count):
+    # one grid step above 1.996 is 1.997; 1.996 + 1e-3 is 1.9969999999999999
+    _, calls = probe_count
+    est = d4_complement_estimate(generate("lattice:0.5", (-1500.0, 1500.0)))
+    assert est.value == 1.996
+    assert calls["density_upper_d4"] and all(
+        a == density._grid_level(round(a / 1e-3), 1e-3) for a in calls["density_upper_d4"])
+    assert est.witness["intervals"]
+
+
+def _in_series_order(intervals):
+    keys = [(0.0 if u < 0 < v else min(abs(u), abs(v)), u) for u, v in intervals]
+    return keys == sorted(keys)
+
+
+@pytest.mark.parametrize("spec,window", [("lattice:1", (-300.0, 300.0)),
+                                         ("lattice:0.5", (-1500.0, 1500.0))])
+def test_family_witnesses_come_in_series_order(spec, window):
+    # by dist(0, I), then left end: on a symmetric lattice a member left of 0
+    # comes just before its mirror image
+    seq = generate(spec, window)
+    for method in ("bm", "d4"):
+        intervals = density_estimate(seq, method).witness["intervals"]
+        assert len(intervals) >= 10 and _in_series_order(intervals)

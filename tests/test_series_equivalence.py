@@ -544,21 +544,18 @@ def test_long_family_matches_loop_on_random_points(points, a, mode):
 def gated_search(seq, resolution=1e-3):
     """(c, breakpoints): the level search whose predicate is d1's
     short-partition test and the energy verdict on its partition, at every
-    level, with the partition of the last passing level."""
-    passed = {}
+    level, with the partition the search hands back for its answer."""
 
-    def feasible(a):
+    def probe(a):
         res, _ = _short_greedy(seq, a)
         if res is None:
-            return False
+            return False, None
         part = res.partition
-        if energy_verdict(seq.restrict(*part.cover()), part) != "supported":
-            return False
-        passed["bks"] = tuple(float(b) for b in part.breakpoints)
-        return True
+        supported = energy_verdict(seq.restrict(*part.cover()), part) == "supported"
+        return supported, tuple(float(b) for b in part.breakpoints)
 
-    c = density._grid_max_feasible(feasible, seq, resolution)
-    return c, passed.get("bks", ())
+    c, bks, _ = density._grid_max_feasible(probe, seq, resolution)
+    return c, bks or ()
 
 
 KADEC = (0.9, 1.0)
