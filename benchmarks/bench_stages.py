@@ -6,8 +6,8 @@ level:
 
 - `greedy_density_partition` (both greedy walks);
 - `shortness` of the greedy partition (its terms and verdict);
-- the energy check: the verdict of the energy-condition series on the greedy
-  partition, over the points it covers, as the certificate judges its
+- the energy check: the energy-condition report on the greedy partition,
+  over the points it covers, whose verdict the certificate reads for its
   witness.
 
 It also times the d1 witness re-check, `verify_partition_witness`, on the
@@ -16,13 +16,15 @@ lattice's greedy partition at level 1; `fekete_optimize` at k = 8 on [0, 1]
 the d4 estimate on the lacunary input and on Poisson input over +-10000 (the
 `refute_mix` jobs `d4_lacunary` and `d4_poisson`), the d3 estimate on the
 perturbed lattice over +-15000 (the `refute_mix` job `d3_perturbed`), and the
-gap certificate without its Gram sweep on the lacunary input and on the
-Poisson input over +-30000. d3 on lacunary input is left out: trees from before the ladder walk
-crash there. One long-family search times each mode at a level near its
-estimate's answer: 'below' (d4) on the Poisson input over +-10000 at
-a = 0.962, 'above' (BM) on the perturbed lattice over +-15000 at a = 1. The
-Gram sweep of the certificate runs at its 40 grid points over 0.3-1.3 x 2*pi
-on the 256 and the 512 lattice points nearest 0.
+gap certificate (`estimate_gap_characteristic`, which runs no Gram sweep) on
+the lacunary input and on the Poisson input over +-30000. d3 on lacunary
+input is left out: trees from before the ladder walk crash there. One
+long-family search times each mode at a level near its estimate's answer:
+'below' (d4) on the Poisson input over +-10000 at a = 0.962, 'above' (BM) on
+the perturbed lattice over +-15000 at a = 1. The certificate's Gram sweep
+(`with_gram_sweep`) runs at its gapnum.SWEEP_POINTS = 40 grid points over
+gapnum.SWEEP_RANGE = 0.3-1.3 x 2*pi on the 256 and the 512 lattice points
+nearest 0.
 
 The file name keeps it out of the default test collection. Run it by path:
 
@@ -40,16 +42,10 @@ from gapkit.density import (d4_complement_estimate, density_d3_estimate,
                             long_family_search, verify_partition_witness)
 from gapkit.energy import energy_condition_report
 from gapkit.fekete import fekete_optimize
-from gapkit.gapnum import (GapConfig, _nearest_zero, estimate_gap_characteristic,
-                           sigma_min_sweep)
+from gapkit.gapnum import (SWEEP_POINTS, SWEEP_RANGE, _nearest_zero,
+                           estimate_gap_characteristic, sigma_min_sweep)
 from gapkit.partitions import greedy_density_partition, shortness
 from gapkit.seqcore import Interval, generate
-
-try:
-    from gapkit.energy import energy_verdict
-except ImportError:  # a tree from before energy_verdict: the gate read the report
-    def energy_verdict(seq, part):
-        return energy_condition_report(seq, part).verdict
 
 # name -> (spec, window, level). The levels sit where the certificate spends
 # its time: the lattice at its answer c = 1, the perturbed lattice and
@@ -90,8 +86,8 @@ def test_energy_gate(benchmark, name):
     seq, level = _input(name)
     part = greedy_density_partition(seq, level).partition
     sub = seq.restrict(*part.cover())
-    verdict = benchmark(energy_verdict, sub, part)
-    assert verdict == energy_condition_report(sub, part).verdict
+    rep = benchmark(energy_condition_report, sub, part)
+    assert len(rep.records) == part.breakpoints.size - 1
 
 
 def test_partition_witness(benchmark):
@@ -124,13 +120,13 @@ def test_d3_level_search(benchmark):
 
 def test_gap_level_search_lacunary(benchmark):
     seq, _ = _input("lacunary")
-    cert = benchmark(estimate_gap_characteristic, seq, GapConfig(sweep_enabled=False))
+    cert = benchmark(estimate_gap_characteristic, seq)
     assert cert.c_estimate == 0.0
 
 
 def test_gap_certificate_poisson(benchmark):
     seq, _ = _input("poisson")
-    cert = benchmark(estimate_gap_characteristic, seq, GapConfig(sweep_enabled=False))
+    cert = benchmark(estimate_gap_characteristic, seq)
     assert 0.9 < cert.c_estimate <= 1.0
 
 
@@ -153,6 +149,6 @@ def test_long_family_search(benchmark, name):
 def test_sigma_min_sweep(benchmark, order):
     seq, c = _input("lattice")
     lam = _nearest_zero(seq.points, order)
-    grid = np.linspace(0.3, 1.3, 40) * (2.0 * math.pi * c)
+    grid = np.linspace(*SWEEP_RANGE, SWEEP_POINTS) * (2.0 * math.pi * c)
     sweep = benchmark(sigma_min_sweep, lam, grid)
     assert 0.85 <= sweep.knee / (2.0 * math.pi) <= 1.05

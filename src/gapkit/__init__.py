@@ -10,7 +10,7 @@ Main entry points:
 - regularize: spread_points, regularize_gaps
 - fekete: fekete_optimize, jacobi_zeros, key_example_check
 - gapnum: gram_matrix, sigma_min_sweep, synthesize_gap_measure,
-  estimate_gap_characteristic
+  estimate_gap_characteristic, with_gram_sweep
 - clarknum: residue_weights, theta_derivative_profile
 """
 
@@ -23,8 +23,8 @@ from .partitions import (greedy_density_partition, is_valid_paper_partition,
 from .density import bm_density, density_estimate, density_lower, density_upper_d4
 from .regularize import regularize_gaps, spread_points
 from .fekete import fekete_optimize, jacobi_zeros, key_example_check
-from .gapnum import (GapConfig, estimate_gap_characteristic, gram_matrix,
-                     sigma_min_sweep, synthesize_gap_measure)
+from .gapnum import (estimate_gap_characteristic, gram_matrix, sigma_min_sweep,
+                     synthesize_gap_measure, with_gram_sweep)
 from .clarknum import residue_weights, theta_derivative_profile
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "bm_density", "density_estimate", "density_lower", "density_upper_d4",
     "regularize_gaps", "spread_points",
     "fekete_optimize", "jacobi_zeros", "key_example_check",
-    "GapConfig", "estimate_gap_characteristic", "gram_matrix",
-    "sigma_min_sweep", "synthesize_gap_measure",
+    "estimate_gap_characteristic", "gram_matrix", "sigma_min_sweep",
+    "synthesize_gap_measure", "with_gram_sweep",
     "residue_weights", "theta_derivative_profile",
 ]

@@ -87,14 +87,13 @@ def tail_estimate(a: np.ndarray, bn: float) -> float:
     return gl / (8.0 * d_left) + gr / (8.0 * d_right)
 
 
-def residue_weights(a, R: float | None = None, report_width: float | None = None,
-                    tail_mode: str = "none"):
+def residue_weights(a, report_width: float | None = None, tail_mode: str = "none"):
     """Residue weights beta_n = (delta_n / 2) * exp(-atom sum) per midpoint.
 
-    R is the data radius used in the per-midpoint tail bound (defaults to
-    the span of the provided breakpoints). report_width restricts which
-    midpoints are reported (|b_n| <= report_width); edge midpoints see a
-    lopsided atom set, so reports should stay well inside the data.
+    report_width restricts which midpoints are reported (|b_n| <=
+    report_width); edge midpoints see a lopsided atom set, so reports should
+    stay well inside the data. Each record's tail bound comes from the
+    outer gaps of the breakpoints and the distance of b_n to their ends.
     tail_mode 'persistent' adds the integral extrapolation of the missing
     tail to the atom sum; 'none' uses the truncated sum only (right for
     windows that genuinely end, like an isolated pair of breakpoints).
@@ -105,8 +104,6 @@ def residue_weights(a, R: float | None = None, report_width: float | None = None
     if tail_mode not in ("none", "persistent"):
         raise ParameterError("tail_mode must be 'none' or 'persistent'")
     a = _validate(a)
-    if R is not None and (a[0] < -R or a[-1] > R):
-        raise ParameterError("breakpoints fall outside the declared radius")
     b = 0.5 * (a[:-1] + a[1:])
     deltas = np.diff(a)
     if report_width is None:
@@ -140,8 +137,7 @@ class ThetaProfile:
         return list(zip(self.x.tolist(), self.estimate.tolist()))
 
 
-def theta_derivative_profile(a, x_grid, R: float | None = None,
-                             exclude_nearest: bool = False) -> ThetaProfile:
+def theta_derivative_profile(a, x_grid, exclude_nearest: bool = False) -> ThetaProfile:
     """Midpoint-branch profile sum of beta_n / (x - b_n)^2 on a grid.
 
     Grid points sitting exactly on a midpoint are nudged by 1e-9. With
@@ -150,7 +146,7 @@ def theta_derivative_profile(a, x_grid, R: float | None = None,
     for translation-invariant breakpoints).
     """
     a = _validate(a)
-    recs = residue_weights(a, R)
+    recs = residue_weights(a)
     b = np.array([r.b_n for r in recs])
     betas = np.array([r.beta_n for r in recs])
     x = np.atleast_1d(np.asarray(x_grid, dtype=float)).copy()

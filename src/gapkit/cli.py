@@ -28,13 +28,10 @@ import numpy as np
 from . import clarknum, density, energy, fekete, gapnum, partitions, regularize, seqcore
 from .seqcore import Interval, ParameterError, Partition, PointSequence
 
+# sweep_n_max: every sigma_min sweep runs on at most this many points nearest 0
 CONFIG_DEFAULTS = {
-    "resolution": 1e-3,
-    "sweep_points": 40.0,
+    "resolution": density.GRID_RESOLUTION,
     "sweep_n_max": 512.0,
-    "sweep_lo_factor": 0.3,
-    "sweep_hi_factor": 1.3,
-    "clark_radius": 1e4,
 }
 
 
@@ -170,15 +167,11 @@ def _emit(output, command: str, invocation: list, cfg: dict, result: dict) -> No
         print(text)
 
 
-def _gap_config(cfg: dict) -> gapnum.GapConfig:
-    """The gap certificate's settings from the effective configuration."""
-    return gapnum.GapConfig(
-        resolution=cfg["resolution"],
-        sweep_points=int(cfg["sweep_points"]),
-        sweep_n_max=int(cfg["sweep_n_max"]),
-        sweep_lo_factor=cfg["sweep_lo_factor"],
-        sweep_hi_factor=cfg["sweep_hi_factor"],
-    )
+def _certificate(seq: PointSequence, cfg: dict) -> gapnum.GapCertificate:
+    """The gap certificate with its Gram sweep, under the effective
+    configuration."""
+    cert = gapnum.estimate_gap_characteristic(seq, cfg["resolution"])
+    return gapnum.with_gram_sweep(cert, seq, int(cfg["sweep_n_max"]))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -311,7 +304,7 @@ def _cmd_gap(args, cfg, emit):
         if args.csv:
             _write_csv(args.csv, ["a", "sigma_min"], sweep.pairs())
     if args.synthesize is None and not args.sweep:
-        cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg))
+        cert = _certificate(seq, cfg)
         result["certificate"] = cert.to_json_dict()
         if args.csv and cert.sweep is not None:
             _write_csv(args.csv, ["a", "sigma_min"], cert.sweep.pairs())
@@ -323,9 +316,7 @@ def _cmd_gap(args, cfg, emit):
 
 def _cmd_clark(args, cfg, emit):
     seq = _load_sequence(args)
-    radius = args.R if args.R is not None else cfg["clark_radius"]
-    recs = clarknum.residue_weights(seq.points, R=radius,
-                                    report_width=args.width,
+    recs = clarknum.residue_weights(seq.points, report_width=args.width,
                                     tail_mode=args.tail_mode)
     if args.csv:
         _write_csv(args.csv,
@@ -351,7 +342,7 @@ def _cmd_clark(args, cfg, emit):
 
 def _cmd_report(args, cfg, emit):
     seq = _load_sequence(args)
-    cert = gapnum.estimate_gap_characteristic(seq, _gap_config(cfg))
+    cert = _certificate(seq, cfg)
     bm = density.bm_density(seq, resolution=cfg["resolution"])
     result = {
         "n_points": len(seq),
@@ -487,7 +478,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("clark", help="Krein-shift residue weights")
     common(sp)
-    sp.add_argument("--R", type=float, default=None)
     sp.add_argument("--width", type=float, default=None)
     sp.add_argument("--tail-mode", choices=["none", "persistent"], default="none")
     sp.add_argument("--profile", help="x0:x1:steps")

@@ -25,7 +25,6 @@ __all__ = [
     "total_energy",
     "interval_energy",
     "energy_condition_report",
-    "energy_verdict",
     "EnergyReport",
     "EnergyRecord",
     "StepDensity",
@@ -147,33 +146,6 @@ class EnergyReport:
                             r.energy, r.summand, r.dist0, ps])
 
 
-def _summands(seq: PointSequence, part: Partition, include_endpoints: bool):
-    """Per-interval terms of the energy-condition series, in series order.
-
-    Returns (order, u, v, counts, energies, summands): the intervals (u, v]
-    sorted by (dist(0, I), left end), with order their positions in the
-    partition, and the other entries as Python lists in that order.
-    """
-    if not part.covers_window(seq.window):
-        raise ParameterError("partition does not cover the sequence window")
-    pts = seq.points
-    u, v = part.breakpoints[:-1], part.breakpoints[1:]
-    # interval_energy's convention: (a, b], or [a, b] with include_endpoints
-    first, last = _owned(pts, u, v, include_left=include_endpoints)
-    order = _series_order(u, v)
-    dist = _dist0(u, v)[order].tolist()
-    u, v = u[order].tolist(), v[order].tolist()
-    first, last = first[order].tolist(), last[order].tolist()
-    counts = [i1 - i0 for i0, i1 in zip(first, last)]
-    energies = [total_energy(pts[i0:i1]) if i1 - i0 >= 2 else 0.0
-                for i0, i1 in zip(first, last)]
-    # math.log per summand (numpy's log rounds differently in rare cases);
-    # dist(0, I) squared exactly, as in the shortness terms
-    summands = [(count * count * math.log(b - a) - e_n) / (1.0 + d * d)
-                for a, b, count, e_n, d in zip(u, v, counts, energies, dist)]
-    return order.tolist(), u, v, counts, energies, summands
-
-
 def _series_verdict(summands: np.ndarray):
     """(verdict, fitted_exponent) of the summand series: the decay rule of
     shortness on its positive parts. The rule reads a decay from at least
@@ -197,21 +169,31 @@ def energy_condition_report(seq: PointSequence, part: Partition,
     positive parts of the summands; a series with fewer positive terms than
     the rule needs (none, say) is supported.
     """
-    order, u, v, counts, energies, summands = _summands(seq, part, include_endpoints)
+    if not part.covers_window(seq.window):
+        raise ParameterError("partition does not cover the sequence window")
+    pts = seq.points
+    u, v = part.breakpoints[:-1], part.breakpoints[1:]
+    # interval_energy's convention: (a, b], or [a, b] with include_endpoints
+    first, last = _owned(pts, u, v, include_left=include_endpoints)
+    order = _series_order(u, v)
+    dist = _dist0(u, v)[order].tolist()
+    u, v = u[order].tolist(), v[order].tolist()
+    first, last = first[order].tolist(), last[order].tolist()
+    counts = [i1 - i0 for i0, i1 in zip(first, last)]
+    energies = [total_energy(pts[i0:i1]) if i1 - i0 >= 2 else 0.0
+                for i0, i1 in zip(first, last)]
+    # math.log per summand (numpy's log rounds differently in rare cases);
+    # dist(0, I) squared exactly, as in the shortness terms
+    summands = [(count * count * math.log(b - a) - e_n) / (1.0 + d * d)
+                for a, b, count, e_n, d in zip(u, v, counts, energies, dist)]
     z = part.zero_index
     recs = tuple(EnergyRecord(i - z, Interval(a, b), count, e_n, s_n)
-                 for i, a, b, count, e_n, s_n in zip(order, u, v, counts, energies, summands))
+                 for i, a, b, count, e_n, s_n
+                 in zip(order.tolist(), u, v, counts, energies, summands))
     summands = np.array(summands)
     partial = np.cumsum(summands) if summands.size else np.zeros(0)
     verdict, exponent = _series_verdict(summands)
     return EnergyReport(recs, partial, seq.window, exponent, verdict)
-
-
-def energy_verdict(seq: PointSequence, part: Partition) -> str:
-    """energy_condition_report(seq, part).verdict, without building the
-    per-interval records."""
-    summands = _summands(seq, part, include_endpoints=False)[-1]
-    return _series_verdict(np.array(summands))[0]
 
 
 # ---------------------------------------------------------------------------

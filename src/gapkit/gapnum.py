@@ -11,13 +11,13 @@ can be driven to zero. The transition of sigma_min as a grows localizes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .density import DensityEstimate, density_lower
-from .energy import energy_verdict
+from .density import GRID_RESOLUTION, DensityEstimate, density_lower
+from .energy import energy_condition_report
 from .seqcore import AtomicMeasure, ParameterError, Partition, PointSequence
 
 __all__ = [
@@ -28,13 +28,17 @@ __all__ = [
     "knee_location",
     "synthesize_gap_measure",
     "SynthesisResult",
-    "GapConfig",
     "GapCertificate",
     "estimate_gap_characteristic",
+    "with_gram_sweep",
 ]
 
 MAX_GRAM_SIZE = 2048
 LOG_FLOOR = 1e-18
+# The certificate's Gram sweep: SWEEP_POINTS gap lengths evenly spaced over
+# SWEEP_RANGE times 2*pi*c.
+SWEEP_POINTS = 40
+SWEEP_RANGE = (0.3, 1.3)
 
 
 @dataclass(frozen=True)
@@ -236,16 +240,6 @@ def synthesize_gap_measure(lam, a: float, n_quad: int = 4096) -> SynthesisResult
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GapConfig:
-    resolution: float = 1e-3
-    sweep_enabled: bool = True
-    sweep_points: int = 40
-    sweep_n_max: int = 512
-    sweep_lo_factor: float = 0.3
-    sweep_hi_factor: float = 1.3
-
-
-@dataclass(frozen=True)
 class GapCertificate:
     """Truncation-scale certificate for the metric gap characteristic.
 
@@ -254,8 +248,9 @@ class GapCertificate:
     JSON leaves out. The energy condition is checked once, on that witness,
     and energy_verdict is what that check found; where it is not
     "supported", diagnostics["energy"] says that c_estimate meets the
-    density condition only. The density margin re-justifies c_estimate, and
-    the Gram-sweep knee cross-validates the 2*pi*c transition.
+    density condition only. The density margin re-justifies c_estimate.
+    `with_gram_sweep` adds the Gram sweep, whose knee cross-validates the
+    2*pi*c transition; without it `sweep` is None and `gram_knee` NaN.
     """
 
     c_estimate: float
@@ -286,16 +281,14 @@ class GapCertificate:
 
 
 def estimate_gap_characteristic(seq: PointSequence,
-                                config: GapConfig | None = None) -> GapCertificate:
+                                resolution: float = GRID_RESOLUTION) -> GapCertificate:
     """2*pi times the largest density level with a short partition meeting
-    the density condition, the energy condition judged on that partition,
-    and an independent Gram-sweep knee for cross-validation (see
-    GapCertificate).
+    the density condition, with the energy condition judged on that
+    partition (see GapCertificate). No Gram sweep: see `with_gram_sweep`.
     """
-    config = config or GapConfig()
     if len(seq) == 0:
         raise ParameterError("sequence is empty")
-    d1 = density_lower(seq, "d1", config.resolution)
+    d1 = density_lower(seq, "d1", resolution)
     if len(seq) < 4:
         return GapCertificate(0.0, 0.0, seq.window, d1=d1,
                               diagnostics={"note": "too few points"})
@@ -307,26 +300,13 @@ def estimate_gap_characteristic(seq: PointSequence,
         counts = np.asarray(d1.witness["counts"])
         margin = float(np.min(counts - c * np.diff(part.breakpoints)))
         # the energy condition over the points the witness covers
-        energy_v = energy_verdict(seq.restrict(*part.cover()), part)
+        energy_v = energy_condition_report(seq.restrict(*part.cover()), part).verdict
         short_v = "short"
         if energy_v != "supported":
             diagnostics["energy"] = (f"energy condition {energy_v} on the d1 witness: "
                                      f"c meets the density condition only")
     else:
         diagnostics["note"] = "no feasible density level on the grid"
-    sweep = None
-    knee = float("nan")
-    if config.sweep_enabled and c > 0:
-        sub = _nearest_zero(seq.points, config.sweep_n_max)
-        center = 2.0 * math.pi * c
-        grid = np.linspace(config.sweep_lo_factor * center,
-                           config.sweep_hi_factor * center, config.sweep_points)
-        sweep = sigma_min_sweep(sub, grid)
-        knee = sweep.knee
-        diagnostics["knee_over_2pic"] = knee / center
-        if math.isnan(knee):
-            diagnostics["note"] = ("every sweep value is under the eigensolver's "
-                                   "rounding level: no knee")
     return GapCertificate(
         c_estimate=c,
         g_estimate=2.0 * math.pi * c,
@@ -335,8 +315,26 @@ def estimate_gap_characteristic(seq: PointSequence,
         density_margin=margin,
         energy_verdict=energy_v,
         shortness_verdict=short_v,
-        gram_knee=knee,
-        sweep=sweep,
         diagnostics=diagnostics,
         d1=d1,
     )
+
+
+def with_gram_sweep(cert: GapCertificate, seq: PointSequence, n_max: int) -> GapCertificate:
+    """The certificate with its Gram sweep: sigma_min over SWEEP_POINTS gap
+    lengths spread over SWEEP_RANGE times 2*pi*c, on the n_max points of
+    `seq` nearest 0. Adds the knee, its ratio to 2*pi*c and, when every
+    value is rounding noise, a note that there is no knee. A certificate
+    with c = 0 has no transition to cross-check and comes back unchanged.
+    """
+    if cert.c_estimate == 0.0:
+        return cert
+    center = cert.g_estimate
+    lo, hi = SWEEP_RANGE
+    grid = np.linspace(lo * center, hi * center, SWEEP_POINTS)
+    sweep = sigma_min_sweep(_nearest_zero(seq.points, n_max), grid)
+    diagnostics = dict(cert.diagnostics, knee_over_2pic=sweep.knee / center)
+    if math.isnan(sweep.knee):
+        diagnostics["note"] = ("every sweep value is under the eigensolver's "
+                               "rounding level: no knee")
+    return replace(cert, gram_knee=sweep.knee, sweep=sweep, diagnostics=diagnostics)

@@ -27,7 +27,7 @@ def test_lattice_atom_sum_wallis():
     # off-interval contributions at offset m telescope to
     # (1/2) log(m^2 / (m^2 - 1/4)); the full sum is log(pi/2)
     a = lattice(2000)
-    recs = residue_weights(a, R=2000, report_width=3.5, tail_mode="persistent")
+    recs = residue_weights(a, report_width=3.5, tail_mode="persistent")
     for r in recs:
         assert r.atom_sum == pytest.approx(LOG_PI_HALF, abs=1e-6)
         assert abs(r.atom_sum - LOG_PI_HALF) <= r.tail_bound

@@ -154,6 +154,18 @@ def test_clark_cli(tmp_path):
     assert not any(str(csv_path) in tok for tok in payload["invocation"])
 
 
+def test_clark_takes_breakpoints_of_any_extent(tmp_path):
+    # the data reach past +-10000; only --width picks the midpoints reported
+    code, payload = run_json(
+        ["clark", "--seq", "poisson:1", "--window=-12000,12000", "--width", "5",
+         "--seed", "1"], tmp_path)
+    assert code == 0
+    pts = gapkit.generate("poisson:1", (-12000, 12000), seed=1).points
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    assert [r["b_n"] for r in payload["result"]["records"]] == mids[np.abs(mids) <= 5].tolist()
+    assert payload["result"]["n_reported"] == 5
+
+
 def test_report_cli(tmp_path):
     code, payload = run_json(
         ["report", "--seq", "lattice:1", "--window=-1000,1000"], tmp_path)
@@ -282,10 +294,10 @@ def test_parameter_error_exit_2(tmp_path):
 
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfg = tmp_path / "gapkit.conf"
-    cfg.write_text("resolution = 0.01\n# comment\nsweep_points=11\n")
+    cfg.write_text("resolution = 0.01\n# comment\nsweep_n_max=11\n")
     loaded = load_config(str(cfg))
     assert loaded["resolution"] == 0.01
-    assert loaded["sweep_points"] == 11
+    assert loaded["sweep_n_max"] == 11
     monkeypatch.setenv("GAPKIT_CONFIG", str(cfg))
     assert load_config()["resolution"] == 0.01
     _, payload = run_json(["density", "--method", "d1", "--seq", "lattice:1",
@@ -308,16 +320,16 @@ def test_missing_config_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_gap_and_report_share_sweep_range(tmp_path):
-    cfg = tmp_path / "sweep.conf"
-    cfg.write_text("sweep_lo_factor = 0.9\nsweep_hi_factor = 1.2\nsweep_points = 5\n")
     argv = ["--seq", "lattice:1", "--window=-60,60"]
-    _, gap = run_json(["--config", str(cfg), "gap"] + argv, tmp_path, "gap.json")
-    _, report = run_json(["--config", str(cfg), "report"] + argv, tmp_path, "report.json")
+    _, gap = run_json(["gap"] + argv, tmp_path, "gap.json")
+    _, report = run_json(["report"] + argv, tmp_path, "report.json")
     points = gap["result"]["certificate"]["sweep"]["points"]
     assert report["result"]["gap_certificate"]["sweep"]["points"] == points
     c = gap["result"]["certificate"]["c_estimate"]
-    assert points[0][0] == pytest.approx(0.9 * 2 * math.pi * c)
-    assert points[-1][0] == pytest.approx(1.2 * 2 * math.pi * c)
+    lo, hi = gapnum.SWEEP_RANGE
+    assert len(points) == gapnum.SWEEP_POINTS
+    assert points[0][0] == pytest.approx(lo * 2 * math.pi * c)
+    assert points[-1][0] == pytest.approx(hi * 2 * math.pi * c)
 
 
 def test_cli_import_leaves_out_scipy():
@@ -338,9 +350,12 @@ def test_cli_import_leaves_out_scipy():
 
 @pytest.mark.parametrize("text,needle", [
     ("sweep_n_maxx = 64\n", "unknown config key 'sweep_n_maxx'"),
+    ("sweep_points = 11\n", "unknown config key 'sweep_points'"),
+    ("sweep_lo_factor = 0.9\n", "unknown config key 'sweep_lo_factor'"),
+    ("clark_radius = 1e4\n", "unknown config key 'clark_radius'"),
     ("sweep_n_max = abc\n", "must be a number"),
     ("resolution = nan\n", "must be finite"),
-    ("clark_radius = inf\n", "must be finite"),
+    ("sweep_n_max = inf\n", "must be finite"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, text, needle):
     cfg = tmp_path / "bad.conf"

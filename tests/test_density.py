@@ -303,8 +303,7 @@ def test_lacunary_levels_probed(probe_count, method, limit):
     # the top rung is 2.8e269 here; a top-down bisection probed ~906 levels
     assert density._default_a_max(LACUNARY) > 1e269
     if method == "gap":
-        value = gapnum.estimate_gap_characteristic(
-            LACUNARY, gapnum.GapConfig(sweep_enabled=False)).c_estimate
+        value = gapnum.estimate_gap_characteristic(LACUNARY).c_estimate
         assert value == 0.0
     else:
         value = density_estimate(LACUNARY, method).value

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 import gapkit.gapnum as gapnum
 from gapkit.density import density_lower, verify_partition_witness
-from gapkit.energy import energy_verdict
-from gapkit.gapnum import (MAX_GRAM_SIZE, GapConfig, _nearest_zero,
-                           estimate_gap_characteristic, gram_matrix, knee_location,
-                           sigma_min_sweep, synthesize_gap_measure)
+from gapkit.energy import energy_condition_report
+from gapkit.gapnum import (MAX_GRAM_SIZE, _nearest_zero, estimate_gap_characteristic,
+                           gram_matrix, knee_location, sigma_min_sweep,
+                           synthesize_gap_measure, with_gram_sweep)
 from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
 
 TWO_PI = 2.0 * math.pi
@@ -154,7 +155,7 @@ def test_synthesize_quadrature_consistency_random():
 
 def test_estimate_lattice():
     seq = generate("lattice:1", (-1500, 1500))
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    cert = estimate_gap_characteristic(seq)
     assert 0.9 <= cert.c_estimate <= 1.0
     assert cert.g_estimate == 2.0 * math.pi * cert.c_estimate
     assert cert.energy_verdict == "supported"
@@ -170,7 +171,7 @@ def test_certificate_partition_passes_d1_witness_check(spec, window):
     # the certificate's partition is d1's witness, so it must pass d1's own
     # witness re-check at c
     seq = generate(spec, window, seed=1)
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    cert = estimate_gap_characteristic(seq)
     assert cert.c_estimate > 0
     bks = np.array(cert.partition_breakpoints)
     assert verify_partition_witness(seq, cert.c_estimate, Partition(bks),
@@ -185,23 +186,24 @@ def test_certificate_partition_passes_d1_witness_check(spec, window):
 
 
 def _counted_energy_verdict(monkeypatch, verdict_of=None):
-    """Replace the certificate's energy verdict by one that records each
-    partition it judges and, given verdict_of, returns that verdict."""
+    """Replace the certificate's energy report by one that records each
+    partition it judges and, given verdict_of, reports that verdict."""
     parts = []
-    real = gapnum.energy_verdict
+    real = gapnum.energy_condition_report
 
-    def verdict(seq, part):
+    def report(seq, part):
         parts.append(part)
-        return verdict_of if verdict_of else real(seq, part)
+        rep = real(seq, part)
+        return replace(rep, verdict=verdict_of) if verdict_of else rep
 
-    monkeypatch.setattr(gapnum, "energy_verdict", verdict)
+    monkeypatch.setattr(gapnum, "energy_condition_report", report)
     return parts
 
 
 def test_energy_checked_once_on_the_d1_witness(monkeypatch):
     parts = _counted_energy_verdict(monkeypatch)
     seq = generate("perturbed:1,0.2", (-1500, 1500), seed=1)
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    cert = estimate_gap_characteristic(seq)
     d1 = density_lower(seq, "d1")
     assert len(parts) == 1
     assert parts[0].breakpoints.tolist() == d1.witness["breakpoints"]
@@ -212,7 +214,7 @@ def test_energy_checked_once_on_the_d1_witness(monkeypatch):
 def test_failing_energy_on_the_d1_witness_is_reported(monkeypatch):
     parts = _counted_energy_verdict(monkeypatch, "unsupported")
     seq = generate("lattice:1", (-300, 300))
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    cert = estimate_gap_characteristic(seq)
     # no second search: the level and partition stay d1's, and the verdict
     # found on the witness is reported
     assert len(parts) == 1
@@ -226,44 +228,62 @@ def test_energy_verdict_not_supported_keeps_the_d1_level():
     # fall with rank: the decay rule reads no decay from them
     base = generate("lattice:1", (-300, 300))
     seq = PointSequence(np.union1d(base.points, [-248.61, -157.914, 180.765]), base.window)
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    cert = estimate_gap_characteristic(seq)
     part = Partition(np.array(cert.partition_breakpoints))
     assert cert.c_estimate == cert.d1.value == 1.0
     assert cert.energy_verdict == "inconclusive"
-    assert cert.energy_verdict == energy_verdict(seq.restrict(*part.cover()), part)
+    sub = seq.restrict(*part.cover())
+    assert cert.energy_verdict == energy_condition_report(sub, part).verdict
     assert "inconclusive" in cert.diagnostics["energy"]
 
 
 def test_estimate_with_sweep_knee():
     seq = generate("lattice:1", (-1500, 1500))
-    cert = estimate_gap_characteristic(
-        seq, GapConfig(sweep_points=30, sweep_n_max=64))
-    assert cert.sweep is not None
+    base = estimate_gap_characteristic(seq)
+    cert = with_gram_sweep(base, seq, 64)
+    # the sweep adds its fields and leaves the rest of the certificate
+    assert replace(cert, sweep=None, gram_knee=base.gram_knee,
+                   diagnostics=base.diagnostics) == base
+    assert cert.sweep.a_values.size == gapnum.SWEEP_POINTS
+    assert cert.diagnostics["knee_over_2pic"] == cert.gram_knee / (2.0 * math.pi)
     center = 2.0 * math.pi * cert.c_estimate
+    lo, hi = gapnum.SWEEP_RANGE
+    assert cert.sweep.a_values[[0, -1]].tolist() == [lo * center, hi * center]
     assert 0.7 * center <= cert.gram_knee <= 1.1 * center
 
 
 def test_estimate_lacunary_zero():
     seq = generate("lacunary:2", (1, 2 ** 16))
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    cert = estimate_gap_characteristic(seq)
     assert cert.c_estimate <= 0.01
+
+
+def test_sweep_skipped_without_a_density_level(monkeypatch):
+    # c = 0 has no transition to cross-check: no Gram solve, same certificate
+    solves = []
+    monkeypatch.setattr(gapnum, "gram_matrix", lambda *a, **k: solves.append(a))
+    seq = generate("lacunary:2", (-1e6, 1e6))
+    cert = estimate_gap_characteristic(seq)
+    assert cert.c_estimate == 0.0
+    assert with_gram_sweep(cert, seq, 512) is cert
+    assert solves == [] and cert.sweep is None and math.isnan(cert.gram_knee)
 
 
 def test_estimate_monotone_under_insertion():
     # random extras can only help the counting gates
     rng = np.random.default_rng(4)
     seq = generate("lattice:2", (-2000, 2000))
-    base = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False)).c_estimate
+    base = estimate_gap_characteristic(seq).c_estimate
     extra = rng.uniform(-2000, 2000, 80)
     pts = np.unique(np.concatenate([seq.points, extra]))
     denser = PointSequence(pts, seq.window)
-    again = estimate_gap_characteristic(denser, GapConfig(sweep_enabled=False)).c_estimate
+    again = estimate_gap_characteristic(denser).c_estimate
     assert again >= base - 1e-3 - 1e-12
 
 
 def test_certificate_serializes():
     seq = generate("lattice:1", (-300, 300))
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    cert = estimate_gap_characteristic(seq)
     d = cert.to_json_dict()
     assert d["g_estimate"] == pytest.approx(2 * math.pi * d["c_estimate"])
     assert isinstance(d["partition_breakpoints"], list)
@@ -367,7 +387,7 @@ def test_certificate_without_knee_says_why():
     lattice = np.arange(-1500.0, 1501.0)
     pts = np.union1d(lattice[np.abs(lattice) > 1], np.arange(-40, 41) * 0.01)
     seq = PointSequence(pts, (-1500.0, 1500.0))
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_n_max=64))
+    cert = with_gram_sweep(estimate_gap_characteristic(seq), seq, 64)
     assert cert.c_estimate > 0 and cert.sweep is not None
     assert math.isnan(cert.gram_knee)
     assert "rounding" in cert.diagnostics["note"]

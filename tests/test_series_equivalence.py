@@ -21,9 +21,8 @@ import gapkit.density as density
 from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _block_candidates,
                             _evidence_subfamily, _ladder_max, _qualifying,
                             _sparse_candidates, long_family_search)
-from gapkit.energy import (EnergyRecord, EnergyReport, energy_condition_report,
-                           energy_verdict, interval_energy)
-from gapkit.gapnum import GapConfig, estimate_gap_characteristic
+from gapkit.energy import EnergyRecord, EnergyReport, energy_condition_report, interval_energy
+from gapkit.gapnum import estimate_gap_characteristic
 from gapkit.partitions import (_grow_right, _short_greedy, _terms_of, classify_terms,
                                greedy_density_partition, shortness)
 from gapkit.seqcore import Partition, PointSequence, generate
@@ -156,12 +155,6 @@ def test_energy_report_matches_loop(label, seq, part, include_endpoints):
     # the same Python types (a numpy integer would not serialize at all)
     assert (json.dumps(new.to_json_dict(), sort_keys=True)
             == json.dumps(old.to_json_dict(), sort_keys=True))
-
-
-def test_energy_verdict_matches_report():
-    for label, seq, part in CASES:
-        sub = seq.restrict(*part.cover())
-        assert energy_verdict(sub, part) == energy_condition_report(sub, part).verdict, label
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +544,8 @@ def gated_search(seq, resolution=1e-3):
         if res is None:
             return False, None
         part = res.partition
-        supported = energy_verdict(seq.restrict(*part.cover()), part) == "supported"
-        return supported, tuple(float(b) for b in part.breakpoints)
+        rep = energy_condition_report(seq.restrict(*part.cover()), part)
+        return rep.verdict == "supported", tuple(float(b) for b in part.breakpoints)
 
     c, bks, _ = density._grid_max_feasible(probe, seq, resolution)
     return c, bks or ()
@@ -578,7 +571,7 @@ CERTIFICATE_ORACLES = [
                          ids=[f"{s}@{w[1]:g}" for s, w, _ in CERTIFICATE_ORACLES])
 def test_certificate_matches_gated_search_and_oracle(spec, window, known):
     seq = generate(spec, window, seed=1)
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    cert = estimate_gap_characteristic(seq)
     assert (cert.c_estimate, cert.partition_breakpoints) == gated_search(seq)
     assert "energy" not in cert.diagnostics
     c = cert.c_estimate
@@ -598,7 +591,7 @@ def test_certificate_matches_gated_search_on_lattice_plus_points(extra):
     # as in the gated search
     base = generate("lattice:1", (-300, 300))
     seq = PointSequence(np.union1d(base.points, extra), base.window)
-    cert = estimate_gap_characteristic(seq, GapConfig(sweep_enabled=False))
+    cert = estimate_gap_characteristic(seq)
     assert (cert.c_estimate, cert.partition_breakpoints) == gated_search(seq)
     assert cert.c_estimate == 1.0
     assert cert.energy_verdict == "supported" and cert.diagnostics == {}
