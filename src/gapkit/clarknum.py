@@ -103,6 +103,8 @@ def residue_weights(a, report_width: float | None = None, tail_mode: str = "none
     """
     if tail_mode not in ("none", "persistent"):
         raise ParameterError("tail_mode must be 'none' or 'persistent'")
+    if report_width is not None and not report_width >= 0:
+        raise ParameterError(f"report width must be at least 0, got {report_width!r}")
     a = _validate(a)
     b = 0.5 * (a[:-1] + a[1:])
     deltas = np.diff(a)
@@ -137,13 +139,10 @@ class ThetaProfile:
         return list(zip(self.x.tolist(), self.estimate.tolist()))
 
 
-def theta_derivative_profile(a, x_grid, exclude_nearest: bool = False) -> ThetaProfile:
+def theta_derivative_profile(a, x_grid) -> ThetaProfile:
     """Midpoint-branch profile sum of beta_n / (x - b_n)^2 on a grid.
 
-    Grid points sitting exactly on a midpoint are nudged by 1e-9. With
-    exclude_nearest the single closest midpoint term is dropped, exposing
-    the regular part of the sum (the quantity that is flat across midpoints
-    for translation-invariant breakpoints).
+    Grid points sitting exactly on a midpoint are nudged by 1e-9.
     """
     a = _validate(a)
     recs = residue_weights(a)
@@ -158,10 +157,7 @@ def theta_derivative_profile(a, x_grid, exclude_nearest: bool = False) -> ThetaP
             xi = xi + 1e-9
             x[i] = xi
             d = xi - b
-        terms = betas / (d * d)
-        if exclude_nearest and terms.size > 1:
-            terms = np.delete(terms, int(np.argmin(np.abs(d))))
-        est[i] = float(np.sum(terms))
+        est[i] = float(np.sum(betas / (d * d)))
     # beyond the data the same integral comparison bounds the missing mass:
     # beta <= delta/2 and atoms arrive at rate 1/delta
     gl, gr = _outer_gap_scale(a)

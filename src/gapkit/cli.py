@@ -28,11 +28,9 @@ import numpy as np
 from . import clarknum, density, energy, fekete, gapnum, partitions, regularize, seqcore
 from .seqcore import Interval, ParameterError, Partition, PointSequence
 
-# sweep_n_max: every sigma_min sweep runs on at most this many points nearest 0
-CONFIG_DEFAULTS = {
-    "resolution": density.GRID_RESOLUTION,
-    "sweep_n_max": 512.0,
-}
+# sweep_n_max: every sigma_min sweep and every synthesis runs on at most this
+# many points nearest 0
+CONFIG_DEFAULTS = {"sweep_n_max": 512.0}
 
 
 def load_config(path=None) -> dict:
@@ -125,10 +123,16 @@ def _load_partition(text: str, seq: PointSequence):
         if not res.ok:
             return None, res
         return res.partition, res
-    with open(text, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    bks = data["breakpoints"] if isinstance(data, dict) else data
-    return Partition(np.array(bks, dtype=float)), None
+    try:
+        with open(text, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        bks = np.array(data["breakpoints"] if isinstance(data, dict) else data, dtype=float)
+    except OSError as exc:
+        raise ParameterError(f"cannot read partition {text!r}: {exc.strerror}") from exc
+    except (KeyError, TypeError, ValueError):
+        raise ParameterError(f"partition {text!r} is neither a JSON list of numbers nor "
+                             f"an object with one under 'breakpoints'") from None
+    return Partition(bks), None
 
 
 def _jsonable(obj):
@@ -170,8 +174,8 @@ def _emit(output, command: str, invocation: list, cfg: dict, result: dict) -> No
 def _certificate(seq: PointSequence, cfg: dict) -> gapnum.GapCertificate:
     """The gap certificate with its Gram sweep, under the effective
     configuration."""
-    cert = gapnum.estimate_gap_characteristic(seq, cfg["resolution"])
-    return gapnum.with_gram_sweep(cert, seq, int(cfg["sweep_n_max"]))
+    cert = gapnum.estimate_gap_characteristic(seq)
+    return gapnum.with_gram_sweep(cert, seq, cfg["sweep_n_max"])
 
 
 def _write_csv(path, header, rows) -> None:
@@ -242,7 +246,7 @@ def _cmd_partition(args, cfg, emit):
 
 def _cmd_density(args, cfg, emit):
     seq = _load_sequence(args)
-    est = density.density_estimate(seq, args.method, resolution=cfg["resolution"])
+    est = density.density_estimate(seq, args.method)
     emit(est.to_json_dict())
     return 0
 
@@ -293,12 +297,12 @@ def _cmd_gap(args, cfg, emit):
     result = {}
     code = 0
     if args.synthesize is not None:
-        lam = seq.points[: gapnum.MAX_GRAM_SIZE]
+        lam = gapnum._nearest_zero(seq.points, cfg["sweep_n_max"])
         syn = gapnum.synthesize_gap_measure(lam, args.synthesize)
         result["synthesis"] = syn.to_json_dict()
     if args.sweep:
         a0, a1, steps = _option_values("--sweep", args.sweep, "a0:a1:steps", "ffn")
-        lam = gapnum._nearest_zero(seq.points, int(cfg["sweep_n_max"]))
+        lam = gapnum._nearest_zero(seq.points, cfg["sweep_n_max"])
         sweep = gapnum.sigma_min_sweep(lam, np.linspace(a0, a1, steps))
         result["sweep"] = sweep.to_json_dict()
         if args.csv:
@@ -343,7 +347,7 @@ def _cmd_clark(args, cfg, emit):
 def _cmd_report(args, cfg, emit):
     seq = _load_sequence(args)
     cert = _certificate(seq, cfg)
-    bm = density.bm_density(seq, resolution=cfg["resolution"])
+    bm = density.bm_density(seq)
     result = {
         "n_points": len(seq),
         "window": list(seq.window),

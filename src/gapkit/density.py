@@ -3,18 +3,17 @@
 All estimators work at truncation scale, return witnesses, and re-check
 every witness before reporting. The gap certificate in gapnum takes its
 level from the d1 search here. Every level search is `_grid_max_feasible`:
-a walk on a ladder of grid levels (default resolution 1e-3) that starts
-near twice the mean density, then a bisection between two neighbouring
-rungs. It returns the exact answer for a predicate that is monotone in the
-level. Each estimator is one probe, probe(a) -> (passes, witness), and the
-search hands back the witnesses it found: none is recomputed after it.
+a walk on a ladder of grid levels k / 1000 that starts near twice the mean
+density, then a bisection between two neighbouring rungs. It returns the
+exact answer for a predicate that is monotone in the level. Each estimator
+is one probe, probe(a) -> (passes, witness), and the search hands back the
+witnesses it found: none is recomputed after it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,6 +43,8 @@ REFUTE_SUM = 10.0
 # Flatness threshold for the d3 residual curve: fitted slope of the
 # residual against log window size.
 D3_FLAT_SLOPE = 0.03
+# The nested sub-windows of the d3 residual curve, as fractions of the window.
+D3_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -113,16 +114,16 @@ def _ladder_max(passes, kmax: int, start: float) -> int:
     return lo
 
 
-def _grid_level(k: int, resolution: float) -> float:
-    """The grid level k * resolution, rounded once from the decimal
-    `resolution` reads as: 1001 steps of 1e-3 are 1.001, where the float
-    product k * 1e-3 rounds twice and gives 1.0010000000000001.
-    """
-    return float(k * Fraction(repr(resolution)))
+def _grid_level(k: int) -> float:
+    """The grid level k / 1000, rounded once: 1001 steps are 1.001, where the
+    float product k * GRID_RESOLUTION rounds twice and gives
+    1.0010000000000001. Division is correctly rounded, so this is the double
+    nearest the decimal k / 1000."""
+    return k / 1000
 
 
-def _grid_max_feasible(probe, seq: PointSequence, resolution: float):
-    """(level, witness, refutation): the largest grid level k * resolution
+def _grid_max_feasible(probe, seq: PointSequence):
+    """(level, witness, refutation): the largest grid level k / 1000
     (`_grid_level`), 0 < k <= kmax, whose probe passes (0.0 when none does),
     and the witnesses probe(a) -> (passes, witness) gave at k and at k + 1.
     The walk (`_ladder_max`) ends on its last passing probe at k and its last
@@ -134,27 +135,25 @@ def _grid_max_feasible(probe, seq: PointSequence, resolution: float):
     to the rungs a top-down bisection from kmax would probe rather than
     doubling from the mean density: it skips only rungs above the start,
     and returns that bisection's answer whenever those rungs fail. A top
-    rung that overflows to inf (spacings near the smallest float) and a
-    resolution that is not finite and positive are ParameterErrors.
+    rung that overflows to inf (spacings near the smallest float) is a
+    ParameterError.
     """
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ParameterError(f"resolution must be finite and positive, got {resolution!r}")
-    top = _default_a_max(seq) / resolution
+    top = _default_a_max(seq) / GRID_RESOLUTION
     if top == math.inf:
         spacing = np.diff(seq.points).min(initial=math.inf)
         raise ParameterError(f"point spacings down to {spacing:.3g} are too small for a "
-                             f"level search on a grid of step {resolution:g}")
+                             f"level search on a grid of step {GRID_RESOLUTION:g}")
     kmax = max(1, int(round(top)))
-    start = 2.0 * len(seq) / seq.span / resolution if seq.span > 0 else math.inf
+    start = 2.0 * len(seq) / seq.span / GRID_RESOLUTION if seq.span > 0 else math.inf
     last = {}  # passes -> the witness of the last probe with that outcome
 
     def passes(k: int) -> bool:
-        ok, witness = probe(_grid_level(k, resolution))
+        ok, witness = probe(_grid_level(k))
         last[ok] = witness
         return ok
 
     k = _ladder_max(passes, kmax, start)
-    return _grid_level(k, resolution), last.get(True), last.get(False)
+    return _grid_level(k), last.get(True), last.get(False)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +182,7 @@ def verify_partition_witness(seq: PointSequence, a: float, part: Partition,
     return shortness(part).verdict == "short"
 
 
-def density_lower(seq: PointSequence, method: str = "d1",
-                  resolution: float = GRID_RESOLUTION) -> DensityEstimate:
+def density_lower(seq: PointSequence, method: str = "d1") -> DensityEstimate:
     """Lower (interior) density via greedy short partitions.
 
     d1 demands a monotone partition, d2 drops the monotonicity constraint.
@@ -201,7 +199,7 @@ def density_lower(seq: PointSequence, method: str = "d1",
         res, _ = _short_greedy(seq, a, monotone)
         return res is not None, res
 
-    value, res, _ = _grid_max_feasible(probe, seq, resolution)
+    value, res, _ = _grid_max_feasible(probe, seq)
     witness = {}
     if value > 0:
         ok = verify_partition_witness(seq, value, res.partition, monotone)
@@ -292,8 +290,7 @@ def counting_residual(matched: np.ndarray, a: float,
     return _mismatch_integrals(c, a, u, v)
 
 
-def d3_residual_curve(seq: PointSequence, a: float,
-                      fractions=(0.25, 0.5, 0.75, 1.0)):
+def d3_residual_curve(seq: PointSequence, a: float):
     """Truncation residuals of the d3 condition at slope a on nested
     sub-windows (one matching on the full window), as (fraction, residual).
 
@@ -305,11 +302,10 @@ def d3_residual_curve(seq: PointSequence, a: float,
         raise ParameterError(f"slope a must be positive, got {a!r}")
     matched = match_to_ideal_grid(seq, a) if len(seq) else np.empty(0)
     lo, hi = seq.window
-    return [(f, counting_residual(matched, a, (lo * f, hi * f))) for f in fractions]
+    return [(f, counting_residual(matched, a, (lo * f, hi * f))) for f in D3_FRACTIONS]
 
 
-def density_d3_estimate(seq: PointSequence,
-                        resolution: float = GRID_RESOLUTION) -> DensityEstimate:
+def density_d3_estimate(seq: PointSequence) -> DensityEstimate:
     """Largest slope whose residual curve stays flat in the window size."""
     if len(seq) == 0:
         return DensityEstimate(0.0, "d3", seq.window)
@@ -321,7 +317,7 @@ def density_d3_estimate(seq: PointSequence,
         resid = np.array([r for _, r in curve])
         return _slope(np.log(sizes), resid) <= D3_FLAT_SLOPE, curve
 
-    value, curve, _ = _grid_max_feasible(probe, seq, resolution)
+    value, curve, _ = _grid_max_feasible(probe, seq)
     witness = {}
     if value > 0:
         witness = {"residual_curve": [[f, r] for f, r in curve]}
@@ -527,8 +523,7 @@ def density_upper_d4(seq: PointSequence, a: float):
     return found, witness
 
 
-def d4_complement_estimate(seq: PointSequence,
-                           resolution: float = GRID_RESOLUTION) -> DensityEstimate:
+def d4_complement_estimate(seq: PointSequence) -> DensityEstimate:
     """Infimum of refuted levels minus one grid step (the d4 density).
 
     A level passes when density_upper_d4 does not refute it; the witness is
@@ -541,14 +536,13 @@ def d4_complement_estimate(seq: PointSequence,
         refuted, witness = density_upper_d4(seq, a)
         return not refuted, witness
 
-    value, _, witness = _grid_max_feasible(probe, seq, resolution)
+    value, _, witness = _grid_max_feasible(probe, seq)
     if witness is None:
         witness = {"note": f"no refutation found below {_default_a_max(seq):.6g}"}
     return DensityEstimate(value, "d4", seq.window, witness)
 
 
-def bm_density(seq: PointSequence,
-               resolution: float = GRID_RESOLUTION) -> DensityEstimate:
+def bm_density(seq: PointSequence) -> DensityEstimate:
     """Beurling-Malliavin density: largest d with a long family carrying
     at least d points per unit length in every member interval.
     """
@@ -559,7 +553,7 @@ def bm_density(seq: PointSequence,
         found, family, total, _ = long_family_search(seq, d, "above")
         return found and verify_family_witness(seq, d, family, "above"), (family, total)
 
-    value, passed, _ = _grid_max_feasible(probe, seq, resolution)
+    value, passed, _ = _grid_max_feasible(probe, seq)
     witness = {}
     if value > 0:
         family, total = passed
@@ -567,15 +561,14 @@ def bm_density(seq: PointSequence,
     return DensityEstimate(value, "bm", seq.window, witness)
 
 
-def density_estimate(seq: PointSequence, method: str,
-                     resolution: float = GRID_RESOLUTION) -> DensityEstimate:
+def density_estimate(seq: PointSequence, method: str) -> DensityEstimate:
     """Dispatch on method in {d1, d2, d3, d4, bm}."""
     if method in ("d1", "d2"):
-        return density_lower(seq, method, resolution)
+        return density_lower(seq, method)
     if method == "d3":
-        return density_d3_estimate(seq, resolution)
+        return density_d3_estimate(seq)
     if method == "d4":
-        return d4_complement_estimate(seq, resolution)
+        return d4_complement_estimate(seq)
     if method == "bm":
-        return bm_density(seq, resolution)
+        return bm_density(seq)
     raise ParameterError(f"unknown density method '{method}'")

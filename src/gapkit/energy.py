@@ -71,15 +71,10 @@ def total_energy(seq) -> float:
     return 2.0 * total
 
 
-def interval_energy(seq, iv: Interval, include_endpoints: bool = False):
-    """(count, energy) of the points falling in the interval.
-
-    Default convention is half-open (a, b]; include_endpoints switches to
-    the closed interval [a, b], the variant that folds breakpoints into the
-    energy on both sides.
-    """
+def interval_energy(seq, iv: Interval):
+    """(count, energy) of the points falling in the half-open interval (a, b]."""
     x = _points_of(seq)
-    first, last = _owned(x, iv.a, iv.b, include_left=include_endpoints)
+    first, last = _owned(x, iv.a, iv.b)
     count = int(last - first)
     if count < 2:
         return count, 0.0
@@ -158,8 +153,7 @@ def _series_verdict(summands: np.ndarray):
     return {"short": "supported", "long": "unsupported"}.get(verdict, verdict), exponent
 
 
-def energy_condition_report(seq: PointSequence, part: Partition,
-                            include_endpoints: bool = False) -> EnergyReport:
+def energy_condition_report(seq: PointSequence, part: Partition) -> EnergyReport:
     """Evaluate the energy-condition series of a sequence on a partition.
 
     Summand for interval I_n with count D and energy E:
@@ -173,8 +167,8 @@ def energy_condition_report(seq: PointSequence, part: Partition,
         raise ParameterError("partition does not cover the sequence window")
     pts = seq.points
     u, v = part.breakpoints[:-1], part.breakpoints[1:]
-    # interval_energy's convention: (a, b], or [a, b] with include_endpoints
-    first, last = _owned(pts, u, v, include_left=include_endpoints)
+    # interval_energy's convention: (a, b]
+    first, last = _owned(pts, u, v)
     order = _series_order(u, v)
     dist = _dist0(u, v)[order].tolist()
     u, v = u[order].tolist(), v[order].tolist()

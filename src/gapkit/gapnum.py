@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
-from .density import GRID_RESOLUTION, DensityEstimate, density_lower
+from .density import DensityEstimate, density_lower
 from .energy import energy_condition_report
 from .seqcore import AtomicMeasure, ParameterError, Partition, PointSequence
 
@@ -39,6 +39,8 @@ LOG_FLOOR = 1e-18
 # SWEEP_RANGE times 2*pi*c.
 SWEEP_POINTS = 40
 SWEEP_RANGE = (0.3, 1.3)
+# Gauss-Legendre nodes of the synthesis's quadrature cross-check.
+N_QUAD = 4096
 
 
 @dataclass(frozen=True)
@@ -157,10 +159,13 @@ def knee_location(a_values, sigma_values, noise: float = LOG_FLOOR) -> float:
     return float(a[1 + int(np.argmax(d2))])
 
 
-def _nearest_zero(points: np.ndarray, n: int) -> np.ndarray:
+def _nearest_zero(points: np.ndarray, n) -> np.ndarray:
     """The n points nearest 0 (all of them if fewer), sorted: the support
-    of every Gram sweep."""
-    return np.sort(points[np.argsort(np.abs(points))[:n]])
+    of every Gram sweep and synthesis. An n that is not a positive integer
+    (a config value may be -5 or 2.7) is a ParameterError."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise ParameterError(f"sweep_n_max must be a positive integer, got {n!r}")
+    return np.sort(points[np.argsort(np.abs(points))[:int(n)]])
 
 
 def sigma_min_sweep(lam, a_grid) -> SweepResult:
@@ -190,10 +195,11 @@ def sigma_min_sweep(lam, a_grid) -> SweepResult:
     return SweepResult(a_grid, sigmas, knee_location(a_grid, sigmas, noise))
 
 
-@lru_cache(maxsize=8)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+@cache
+def _gauss_legendre():
+    """The N_QUAD Gauss-Legendre nodes and weights, once per process: numpy
+    finds them by a dense eigensolve of order N_QUAD, about 4 s."""
+    return np.polynomial.legendre.leggauss(N_QUAD)
 
 
 @dataclass(frozen=True)
@@ -214,16 +220,16 @@ class SynthesisResult:
         }
 
 
-def synthesize_gap_measure(lam, a: float, n_quad: int = 4096) -> SynthesisResult:
+def synthesize_gap_measure(lam, a: float) -> SynthesisResult:
     """Best near-gap measure on the given support at truncation scale.
 
     Weights are the minimizing unit eigenvector; the squared L2 norm of
     the transform over [0, a] equals sigma_min and is cross-checked by
-    Gauss-Legendre quadrature to 1e-8.
+    N_QUAD-node Gauss-Legendre quadrature to 1e-8.
     """
     probe = gram_matrix(lam, a)
     mu = AtomicMeasure(probe.lam, probe.minimizing_weights)
-    x, w = _leggauss(n_quad)
+    x, w = _gauss_legendre()
     t = 0.5 * a * (x + 1.0)
     vals = mu.fourier(t)
     quad = 0.5 * a * float(np.sum(w * np.abs(vals) ** 2))
@@ -280,15 +286,14 @@ class GapCertificate:
         }
 
 
-def estimate_gap_characteristic(seq: PointSequence,
-                                resolution: float = GRID_RESOLUTION) -> GapCertificate:
+def estimate_gap_characteristic(seq: PointSequence) -> GapCertificate:
     """2*pi times the largest density level with a short partition meeting
     the density condition, with the energy condition judged on that
     partition (see GapCertificate). No Gram sweep: see `with_gram_sweep`.
     """
     if len(seq) == 0:
         raise ParameterError("sequence is empty")
-    d1 = density_lower(seq, "d1", resolution)
+    d1 = density_lower(seq, "d1")
     if len(seq) < 4:
         return GapCertificate(0.0, 0.0, seq.window, d1=d1,
                               diagnostics={"note": "too few points"})

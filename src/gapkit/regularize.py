@@ -37,8 +37,8 @@ def spread_points(seq: PointSequence, J: Interval, C: float) -> PointSequence:
         E(out) >= E(in) - (log C / C) * |J| * N
     is asserted on every invocation.
     """
-    if C <= 1:
-        raise ParameterError("spreading constant C must exceed 1")
+    if not C > 1:
+        raise ParameterError(f"spreading constant C must exceed 1, got {C!r}")
     pts = seq.points
     first, last = _owned(pts, J.a, J.b, include_left=True)
     m = int(last - first)
@@ -102,8 +102,8 @@ def regularize_gaps(seq: PointSequence, C: float) -> RegularizeResult:
     no points. Asserted post-conditions: max output gap <= 2C and inserted
     points pairwise >= C apart.
     """
-    if C <= 1:
-        raise ParameterError("gap constant C must exceed 1")
+    if not C > 1:
+        raise ParameterError(f"gap constant C must exceed 1, got {C!r}")
     pts = seq.points
     if pts.size < 2:
         return RegularizeResult(seq, PointSequence(np.empty(0), seq.window, "added"),

@@ -8,8 +8,8 @@ exactly. Which points a counting interval from u to v owns is decided by
 - (u, v]: the default. PointSequence.count_in and slice_in, the energy
   series and `interval_energy`, the intervals right of 0 in
   `density.verify_partition_witness`, and the BM ('above') family test.
-- [u, v]: closed windows. PointSequence.restrict, `generate` on a file,
-  `interval_energy(include_endpoints=True)` and `regularize.spread_points`.
+- [u, v]: closed windows. PointSequence.restrict, `generate` on a file and
+  `regularize.spread_points`.
 - [u, v): the intervals left of 0 in `density.verify_partition_witness`,
   which own the endpoint facing away from 0, as the greedy walk does.
 - (u, v): the d4 ('below') family test, whose sparse intervals end on points.
@@ -205,6 +205,8 @@ class Partition:
         object.__setattr__(self, "breakpoints", arr)
         if arr.size < 2:
             raise ParameterError("partition needs at least two breakpoints")
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError("breakpoints must be finite")
         if np.any(np.diff(arr) <= 0):
             raise ParameterError("breakpoints must be strictly increasing")
         if not np.any(arr == 0.0):
@@ -382,11 +384,8 @@ def _load_file(path, window, label: str) -> PointSequence:
     return PointSequence(pts[first:last], window, label)
 
 
-def save_points(path, points, header: str = "") -> None:
+def save_points(path, points) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
         for x in np.asarray(points, dtype=float):
             fh.write(f"{float(x)!r}\n")
 

@@ -104,24 +104,21 @@ def test_profile_single_gap_exact():
 
 
 def test_profile_constancy_at_midpoints():
-    # with the singular term removed, the lattice profile at midpoints is
-    # sum over k != 0 of (1/pi) / k^2 = pi / 3, the same at every midpoint
+    # at the lattice's breakpoints the profile is the sum over k of
+    # (1/pi) / (k + 1/2)^2 = pi, the same at every breakpoint
     a = lattice(800)
-    mids = np.arange(-3, 4) + 0.5
-    prof = theta_derivative_profile(a, mids, exclude_nearest=True)
-    target = math.pi / 3.0
-    assert np.max(prof.estimate) - np.min(prof.estimate) <= 1e-6
-    assert np.all(prof.estimate >= 0.5 * target)
-    assert np.all(prof.estimate <= 2.0 * target)
+    prof = theta_derivative_profile(a, np.arange(-3.0, 4.0))
+    assert np.max(prof.estimate) - np.min(prof.estimate) <= 1e-8
+    assert np.all(np.abs(prof.estimate - math.pi) <= 1e-3)
 
 
 def test_profile_scaling():
     a = lattice(400)
-    mids = np.arange(-2, 3) + 0.5
-    base = theta_derivative_profile(a, mids, exclude_nearest=True)
+    xs = np.arange(-2.0, 3.0)
+    base = theta_derivative_profile(a, xs)
     s = 3.0
-    scaled = theta_derivative_profile(a * s, mids * s, exclude_nearest=True)
-    assert np.allclose(scaled.estimate, base.estimate / s, rtol=1e-9)
+    scaled = theta_derivative_profile(a * s, xs * s)
+    assert np.allclose(scaled.estimate, base.estimate / s, rtol=1e-12)
 
 
 def test_profile_nudges_exact_midpoint():

@@ -294,15 +294,13 @@ def test_parameter_error_exit_2(tmp_path):
 
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfg = tmp_path / "gapkit.conf"
-    cfg.write_text("resolution = 0.01\n# comment\nsweep_n_max=11\n")
-    loaded = load_config(str(cfg))
-    assert loaded["resolution"] == 0.01
-    assert loaded["sweep_n_max"] == 11
+    cfg.write_text("# comment\nsweep_n_max=11\n")
+    assert load_config(str(cfg)) == {"sweep_n_max": 11}
     monkeypatch.setenv("GAPKIT_CONFIG", str(cfg))
-    assert load_config()["resolution"] == 0.01
+    assert load_config()["sweep_n_max"] == 11
     _, payload = run_json(["density", "--method", "d1", "--seq", "lattice:1",
                            "--window=-200,200"], tmp_path)
-    assert payload["config"]["resolution"] == 0.01
+    assert payload["config"] == {"sweep_n_max": 11}
     argv = ["--config", str(cfg), "density", "--method", "d1", "--seq", "lattice:1",
             "--window=-200,200"]
     _, payload = run_json(argv, tmp_path, "global.json")
@@ -353,8 +351,9 @@ def test_cli_import_leaves_out_scipy():
     ("sweep_points = 11\n", "unknown config key 'sweep_points'"),
     ("sweep_lo_factor = 0.9\n", "unknown config key 'sweep_lo_factor'"),
     ("clark_radius = 1e4\n", "unknown config key 'clark_radius'"),
+    ("resolution = 0.01\n", "unknown config key 'resolution'"),
     ("sweep_n_max = abc\n", "must be a number"),
-    ("resolution = nan\n", "must be finite"),
+    ("sweep_n_max = nan\n", "must be finite"),
     ("sweep_n_max = inf\n", "must be finite"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, text, needle):
@@ -398,15 +397,64 @@ def test_malformed_option_value_exits_2(tmp_path, capsys, argv, needle):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("resolution", ["0", "-0.001"])
-def test_non_positive_resolution_exits_2(tmp_path, capsys, resolution):
-    cfg = tmp_path / "res.conf"
-    cfg.write_text(f"resolution = {resolution}\n")
-    for command in (["density", "--method", "d1"], ["gap"]):
-        argv = ["--config", str(cfg)] + command + ["--seq", "lattice:1", "--window=0,10",
-                                                   "-o", str(tmp_path / "out.json")]
-        assert main(argv) == 2
-        assert "resolution must be finite and positive" in capsys.readouterr().err
+@pytest.mark.parametrize("value", ["-5", "2.7", "0"])
+@pytest.mark.parametrize("command", [[], ["--sweep", "1:2:3"], ["--synthesize", "3"]])
+def test_sweep_n_max_must_be_a_positive_integer(tmp_path, capsys, value, command):
+    cfg = tmp_path / "n.conf"
+    cfg.write_text(f"sweep_n_max = {value}\n")
+    out = tmp_path / "out.json"
+    argv = ["--config", str(cfg), "gap", "--seq", "lattice:1", "--window=-10,10"]
+    assert main(argv + command + ["-o", str(out)]) == 2
+    assert f"sweep_n_max must be a positive integer, got {float(value)!r}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synthesis_runs_on_the_sweep_support(tmp_path):
+    # 3001 points; the 512 nearest 0 are the support of both
+    argv = ["gap", "--seq", "lattice:1", "--window=-1500,1500"]
+    _, syn = run_json(argv + ["--synthesize", "3.0"], tmp_path, "syn.json")
+    _, sweep = run_json(argv + ["--sweep", "3.0:4.0:2"], tmp_path, "sweep.json")
+    syn = syn["result"]["synthesis"]
+    points = gapkit.generate("lattice:1", (-1500, 1500)).points
+    assert syn["positions"] == gapnum._nearest_zero(points, 512).tolist()
+    assert len(syn["positions"]) == 512 and max(map(abs, syn["positions"])) == 256
+    sigma = sweep["result"]["sweep"]["points"][0]
+    assert sigma[0] == 3.0
+    assert abs(syn["l2_gap_norm"] ** 2 - sigma[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("content,needle", [
+    (None, "cannot read partition"),
+    ("[-1, 0, 1", "is neither a JSON list of numbers"),
+    ('{"points": [-1, 0, 1]}', "is neither a JSON list of numbers"),
+    ('{"breakpoints": [-1, "a", 1]}', "is neither a JSON list of numbers"),
+    ("[-Infinity, 0, 5, 20]", "breakpoints must be finite"),
+    ("[-20, 0, NaN]", "breakpoints must be finite"),
+])
+@pytest.mark.parametrize("command", ["energy", "partition"])
+def test_bad_partition_file_exits_2(tmp_path, capsys, content, needle, command):
+    path = tmp_path / "part.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out.json"
+    assert main([command, "--seq", "lattice:1", "--window=-10,10",
+                 "--partition", str(path), "-o", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["regularize", "--C", "nan"], "gap constant C must exceed 1"),
+    (["spread", "--J", "0,5", "--C", "nan"], "spreading constant C must exceed 1"),
+    (["clark", "--width", "nan"], "report width must be at least 0"),
+    (["clark", "--width", "-1"], "report width must be at least 0"),
+])
+def test_nan_scalar_options_exit_2(tmp_path, capsys, argv, needle):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--seq", "lattice:1", "--window=-10,10", "-o", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_option_is_gone():

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gapkit.density as density
 import gapkit.gapnum as gapnum
@@ -241,18 +244,11 @@ def test_density_estimate_dispatch():
         density_estimate(seq, "d9")
 
 
-@pytest.mark.parametrize("resolution", [0.0, -1e-3, math.nan, math.inf])
-def test_level_search_rejects_bad_resolution(resolution):
-    seq = generate("lattice:1", (-50, 50))
-    with pytest.raises(ParameterError, match="resolution must be finite and positive"):
-        density_lower(seq, resolution=resolution)
-
-
-def test_grid_levels_are_the_nearest_double():
-    # 1001 * 1e-3 rounds twice, to 1.0010000000000001
-    assert all(density._grid_level(k, 1e-3) == k / 1000 for k in range(1, 3001))
-    seq = generate("lattice:1", (-50, 50))
-    assert density._grid_max_feasible(lambda a: (a <= 1.001, None), seq, 1e-3)[0] == 1.001
+@settings(max_examples=2000, deadline=None)
+@example(1001)  # 1001 * 1e-3 rounds twice, to 1.0010000000000001
+@given(st.integers(min_value=1, max_value=2**53))
+def test_grid_levels_are_the_nearest_double(k):
+    assert density._grid_level(k) == float(Fraction(k, 1000))
 
 
 @pytest.mark.parametrize("seed", [18, 24, 902])
@@ -276,11 +272,11 @@ def probe_count(monkeypatch):
     levels, calls = [], {name: [] for name in PROBED}
     search = density._grid_max_feasible
 
-    def counted(probe, seq, resolution):
+    def counted(probe, seq):
         def recorded(a):
             levels.append(a)
             return probe(a)
-        return search(recorded, seq, resolution)
+        return search(recorded, seq)
 
     def calls_of(name, fn):
         def recorded(seq, a, *args, **kwargs):
@@ -327,10 +323,11 @@ def test_no_probe_runs_after_the_search(probe_count, method, callee):
 
 def test_search_hands_back_the_witnesses_on_the_grid():
     seq = generate("lattice:1", (-50.0, 50.0))
-    assert density._grid_max_feasible(lambda a: (a <= 0.008, a), seq, 1e-3) == (
+    assert density._grid_max_feasible(lambda a: (a <= 0.008, a), seq) == (
         0.008, 0.008, 0.009)
-    assert density._grid_max_feasible(lambda a: (False, a), seq, 1e-3) == (0.0, None, 0.001)
-    top, witness, refutation = density._grid_max_feasible(lambda a: (True, a), seq, 1e-3)
+    assert density._grid_max_feasible(lambda a: (False, a), seq) == (0.0, None, 0.001)
+    assert density._grid_max_feasible(lambda a: (a <= 1.001, a), seq)[0] == 1.001
+    top, witness, refutation = density._grid_max_feasible(lambda a: (True, a), seq)
     assert top == witness > 1.0 and refutation is None
 
 
@@ -340,7 +337,7 @@ def test_d4_probes_only_grid_levels(probe_count):
     est = d4_complement_estimate(generate("lattice:0.5", (-1500.0, 1500.0)))
     assert est.value == 1.996
     assert calls["density_upper_d4"] and all(
-        a == density._grid_level(round(a / 1e-3), 1e-3) for a in calls["density_upper_d4"])
+        a == density._grid_level(round(a * 1000)) for a in calls["density_upper_d4"])
     assert est.witness["intervals"]
 
 

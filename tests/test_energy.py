@@ -65,8 +65,6 @@ def test_interval_energy_conventions():
     assert interval_energy(seq, Interval(0, 2)) == (2, 0.0)
     count, e = interval_energy(seq, Interval(0, 3))
     assert count == 3 and e == pytest.approx(2 * math.log(2), rel=1e-14)
-    count, e = interval_energy(seq, Interval(0, 2), include_endpoints=True)
-    assert count == 3 and e == pytest.approx(2 * math.log(2), rel=1e-14)
 
 
 def test_interval_energy_matches_total():

@@ -142,7 +142,7 @@ def test_interval_and_partition():
 def test_sequence_file_roundtrip(tmp_path):
     path = tmp_path / "seq.txt"
     pts = np.array([-1.5, 0.25, 3.0])
-    save_points(path, pts, header="demo")
+    save_points(path, pts)
     loaded = load_points(path)
     assert np.array_equal(loaded, pts)
     bad = tmp_path / "bad.txt"

@@ -72,10 +72,10 @@ def loop_shortness(part):
     return terms, verdict, exponent
 
 
-def loop_energy_report(seq, part, include_endpoints=False):
+def loop_energy_report(seq, part):
     recs = []
     for n, iv in part.intervals():
-        count, e_n = interval_energy(seq, iv, include_endpoints=include_endpoints)
+        count, e_n = interval_energy(seq, iv)
         s_n = (count * count * math.log(iv.length) - e_n) / (1.0 + iv.dist0 * iv.dist0)
         recs.append(EnergyRecord(n, iv, count, e_n, s_n))
     recs.sort(key=lambda r: (r.dist0, r.n))
@@ -141,12 +141,11 @@ def test_shortness_matches_loop(label, seq, part):
     assert rep.verdict == verdict
 
 
-@pytest.mark.parametrize("include_endpoints", [False, True])
 @pytest.mark.parametrize("label,seq,part", CASES, ids=[c[0] for c in CASES])
-def test_energy_report_matches_loop(label, seq, part, include_endpoints):
+def test_energy_report_matches_loop(label, seq, part):
     sub = seq.restrict(*part.cover())
-    old = loop_energy_report(sub, part, include_endpoints)
-    new = energy_condition_report(sub, part, include_endpoints=include_endpoints)
+    old = loop_energy_report(sub, part)
+    new = energy_condition_report(sub, part)
     assert new.partial_sums.tobytes() == old.partial_sums.tobytes()
     assert float(new.fitted_exponent).hex() == float(old.fitted_exponent).hex()
     assert new.verdict == old.verdict
@@ -534,7 +533,7 @@ def test_long_family_matches_loop_on_random_points(points, a, mode):
 # The gap certificate's one search against the gated level search
 # ---------------------------------------------------------------------------
 
-def gated_search(seq, resolution=1e-3):
+def gated_search(seq):
     """(c, breakpoints): the level search whose predicate is d1's
     short-partition test and the energy verdict on its partition, at every
     level, with the partition the search hands back for its answer."""
@@ -547,7 +546,7 @@ def gated_search(seq, resolution=1e-3):
         rep = energy_condition_report(seq.restrict(*part.cover()), part)
         return rep.verdict == "supported", tuple(float(b) for b in part.breakpoints)
 
-    c, bks, _ = density._grid_max_feasible(probe, seq, resolution)
+    c, bks, _ = density._grid_max_feasible(probe, seq)
     return c, bks or ()
 
 
