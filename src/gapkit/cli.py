@@ -7,7 +7,8 @@ is argv as given, in its order, with the subcommand once, less the options
 that only say where output is written (`-o/--output`, `--csv`,
 `--out-prefix`, `--profile-csv`, in any spelling argparse accepts), so two
 runs with the same inputs give the same report bytes apart from
-`timestamp`. CSV output is plot-ready (header row, no units). Exit codes:
+`timestamp`. `--csv` exists on `energy`, `gap` and `clark`, the commands
+that write a table, and writes it plot-ready (header row, no units). Exit codes:
 0 success, 2 parameter error, 3 infeasible or inconclusive (diagnostics
 still written).
 """
@@ -37,8 +38,9 @@ def load_config(path=None) -> dict:
     """key=value text config; CLI flags override these values.
 
     A named file (`path`, else GAPKIT_CONFIG) that cannot be read, a key
-    outside CONFIG_DEFAULTS and a value that is not a finite number are
-    ParameterErrors, not a silent fall-back to the defaults.
+    outside CONFIG_DEFAULTS and a value that is not a finite number, or a
+    sweep_n_max that is not a positive integer, are ParameterErrors, not a
+    silent fall-back to the defaults.
     """
     cfg = dict(CONFIG_DEFAULTS)
     path = path or os.environ.get("GAPKIT_CONFIG")
@@ -60,6 +62,7 @@ def load_config(path=None) -> dict:
             raise ParameterError(f"unknown config key {key!r} in {path!r}; "
                                  f"known keys: {', '.join(sorted(CONFIG_DEFAULTS))}")
         cfg[key] = _finite(val, f"config key {key!r}")
+    gapnum._check_sweep_n_max(cfg["sweep_n_max"])
     return cfg
 
 
@@ -103,17 +106,16 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _load_sequence(args) -> PointSequence:
-    """The --seq sequence. A file (an existing path wins over a law spec;
-    `file:` is optional) lies on --window, or without one on the hull of its
-    points; a law spec needs --window."""
+    """The --seq sequence (see `seqcore.parse_sequence_spec`). A file lies on
+    --window, or without one on the hull of its points; a law needs
+    --window."""
     window = _parse_window(args.window) if args.window else None
-    kind, params = ("explicit", args.seq) if os.path.exists(args.seq) \
-        else seqcore.parse_sequence_spec(args.seq)
+    kind, path = seqcore.parse_sequence_spec(args.seq)
     if kind == "explicit":
-        return seqcore._load_file(params, window, args.seq)
+        return seqcore._load_file(path, window)
     if window is None:
         raise ParameterError("--window is required for generated sequences")
-    return seqcore.generate((kind, params), window, seed=args.seed, label=args.seq)
+    return seqcore.generate(args.seq, window, seed=args.seed)
 
 
 def _load_partition(text: str, seq: PointSequence):
@@ -214,7 +216,10 @@ def _cmd_energy(args, cfg, emit):
             rep = energy.energy_condition_report(sub, part)
             result["energy_condition"] = rep.to_json_dict()
             if args.csv:
-                rep.to_csv(args.csv)
+                _write_csv(args.csv,
+                           ["n", "a", "b", "count", "energy", "summand", "dist0", "partial_sum"],
+                           [[r.n, r.interval.a, r.interval.b, r.count, r.energy, r.summand,
+                             r.dist0, ps] for r, ps in zip(rep.records, rep.partial_sums)])
             if rep.verdict == "inconclusive":
                 code = 3
     emit(result)
@@ -253,15 +258,12 @@ def _cmd_density(args, cfg, emit):
 
 def _cmd_spread(args, cfg, emit):
     seq = _load_sequence(args)
-    a, b = _parse_window(args.J)
-    iv = Interval(a, b)
+    J = Interval(*_parse_window(args.J))
     try:
-        out = regularize.spread_points(seq, iv, args.C)
+        out, e_in, e_out, floor = regularize.spread_points(seq, J, args.C)
     except regularize.InfeasibleError as exc:
         emit({"ok": False, "error": str(exc)})
         return 3
-    e_in, e_out = energy.total_energy(seq), energy.total_energy(out)
-    floor = e_in - (math.log(args.C) / args.C) * iv.length * len(seq)
     if args.out_prefix:
         seqcore.save_points(args.out_prefix + ".spread.txt", out.points)
     emit({
@@ -433,77 +435,68 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="key=value config file (env GAPKIT_CONFIG)")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, seq=True):
-        if seq:
-            sp.add_argument("--seq", required=True, help="sequence file or law spec")
-            sp.add_argument("--window", help="lo,hi")
-            sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("-o", "--output", help="JSON output path (default stdout)")
-        sp.add_argument("--csv", help="CSV output path")
+    def command(name, handler, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("gen", help="materialize a sequence law")
+    def common(sp):
+        sp.add_argument("--seq", required=True, help="sequence file or law spec")
+        sp.add_argument("--window", help="lo,hi")
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("-o", "--output", help="JSON output path (default stdout)")
+
+    sp = command("gen", _cmd_gen, "materialize a sequence law")
     sp.add_argument("--spec", required=True)
     sp.add_argument("--window", required=True)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("-o", "--output")
 
-    sp = sub.add_parser("energy", help="total energy and energy-condition report")
+    sp = command("energy", _cmd_energy, "total energy and energy-condition report")
     common(sp)
+    sp.add_argument("--csv", help="CSV output path")
     sp.add_argument("--partition", help="file.json or greedy:d=<x>")
 
-    sp = sub.add_parser("partition", help="build/validate a partition")
+    sp = command("partition", _cmd_partition, "build/validate a partition")
     common(sp)
     sp.add_argument("--partition", required=True, help="file.json or greedy:d=<x>")
 
-    sp = sub.add_parser("density", help="density estimators")
+    sp = command("density", _cmd_density, "density estimators")
     common(sp)
     sp.add_argument("--method", required=True, choices=["d1", "d2", "d3", "d4", "bm"])
 
-    sp = sub.add_parser("spread", help="respace points inside an interval")
+    sp = command("spread", _cmd_spread, "respace points inside an interval")
     common(sp)
     sp.add_argument("--J", required=True, help="a,b")
     sp.add_argument("--C", required=True, type=float)
     sp.add_argument("--out-prefix")
 
-    sp = sub.add_parser("regularize", help="fill oversized gaps")
+    sp = command("regularize", _cmd_regularize, "fill oversized gaps")
     common(sp)
     sp.add_argument("--C", required=True, type=float)
     sp.add_argument("--out-prefix")
 
-    sp = sub.add_parser("fekete", help="energy maximizer on an interval")
+    sp = command("fekete", _cmd_fekete, "energy maximizer on an interval")
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--interval", required=True, help="a,b")
     sp.add_argument("-o", "--output")
 
-    sp = sub.add_parser("gap", help="gap certificate / sigma_min sweep")
+    sp = command("gap", _cmd_gap, "gap certificate / sigma_min sweep")
     common(sp)
+    sp.add_argument("--csv", help="CSV output path")
     sp.add_argument("--sweep", help="a0:a1:steps")
     sp.add_argument("--synthesize", type=float, default=None)
 
-    sp = sub.add_parser("clark", help="Krein-shift residue weights")
+    sp = command("clark", _cmd_clark, "Krein-shift residue weights")
     common(sp)
+    sp.add_argument("--csv", help="CSV output path")
     sp.add_argument("--width", type=float, default=None)
     sp.add_argument("--tail-mode", choices=["none", "persistent"], default="none")
     sp.add_argument("--profile", help="x0:x1:steps")
     sp.add_argument("--profile-csv")
 
-    sp = sub.add_parser("report", help="aggregate density + gap report")
-    common(sp)
+    common(command("report", _cmd_report, "aggregate density + gap report"))
     return p
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "energy": _cmd_energy,
-    "partition": _cmd_partition,
-    "density": _cmd_density,
-    "spread": _cmd_spread,
-    "regularize": _cmd_regularize,
-    "fekete": _cmd_fekete,
-    "gap": _cmd_gap,
-    "clark": _cmd_clark,
-    "report": _cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -520,7 +513,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         emit = functools.partial(_emit, args.output, args.command,
                                  _invocation(parser, argv), cfg)
-        return _HANDLERS[args.command](args, cfg, emit)
+        return args.handler(args, cfg, emit)
     except ParameterError as exc:
         print(f"gapkit: parameter error: {exc}", file=sys.stderr)
         return 2

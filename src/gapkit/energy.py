@@ -11,7 +11,6 @@ by one rule.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -131,14 +130,6 @@ class EnergyReport:
                 for r in self.records
             ],
         }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "a", "b", "count", "energy", "summand", "dist0", "partial_sum"])
-            for r, ps in zip(self.records, self.partial_sums):
-                w.writerow([r.n, r.interval.a, r.interval.b, r.count,
-                            r.energy, r.summand, r.dist0, ps])
 
 
 def _series_verdict(summands: np.ndarray):

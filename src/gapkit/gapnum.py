@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache
 
 import numpy as np
 
 from .density import DensityEstimate, density_lower
 from .energy import energy_condition_report
-from .seqcore import AtomicMeasure, ParameterError, Partition, PointSequence
+from .seqcore import AtomicMeasure, ParameterError, Partition, PointSequence, fourier_eval
 
 __all__ = [
     "GramProbe",
@@ -39,8 +38,13 @@ LOG_FLOOR = 1e-18
 # SWEEP_RANGE times 2*pi*c.
 SWEEP_POINTS = 40
 SWEEP_RANGE = (0.3, 1.3)
-# Gauss-Legendre nodes of the synthesis's quadrature cross-check.
-N_QUAD = 4096
+# The synthesis's quadrature cross-check: QUAD_NODES Gauss-Legendre nodes per
+# panel of at most QUAD_TURNS turns of the transform's fastest oscillation, at
+# most MAX_QUAD_NODES nodes, evaluated QUAD_CHUNK (node, atom) pairs at a time.
+QUAD_NODES = 32
+QUAD_TURNS = 2
+QUAD_CHUNK = 4096 * 512
+MAX_QUAD_NODES = 2**20
 
 
 @dataclass(frozen=True)
@@ -159,12 +163,17 @@ def knee_location(a_values, sigma_values, noise: float = LOG_FLOOR) -> float:
     return float(a[1 + int(np.argmax(d2))])
 
 
-def _nearest_zero(points: np.ndarray, n) -> np.ndarray:
-    """The n points nearest 0 (all of them if fewer), sorted: the support
-    of every Gram sweep and synthesis. An n that is not a positive integer
-    (a config value may be -5 or 2.7) is a ParameterError."""
+def _check_sweep_n_max(n) -> None:
+    """A ParameterError unless n, the sweep_n_max setting, is a positive
+    integer (a config value may read -5 or 2.7)."""
     if not (n >= 1 and float(n).is_integer()):
         raise ParameterError(f"sweep_n_max must be a positive integer, got {n!r}")
+
+
+def _nearest_zero(points: np.ndarray, n) -> np.ndarray:
+    """The n points nearest 0 (all of them if fewer), sorted: the support
+    of every Gram sweep and synthesis; n passes `_check_sweep_n_max`."""
+    _check_sweep_n_max(n)
     return np.sort(points[np.argsort(np.abs(points))[:int(n)]])
 
 
@@ -195,13 +204,6 @@ def sigma_min_sweep(lam, a_grid) -> SweepResult:
     return SweepResult(a_grid, sigmas, knee_location(a_grid, sigmas, noise))
 
 
-@cache
-def _gauss_legendre():
-    """The N_QUAD Gauss-Legendre nodes and weights, once per process: numpy
-    finds them by a dense eigensolve of order N_QUAD, about 4 s."""
-    return np.polynomial.legendre.leggauss(N_QUAD)
-
-
 @dataclass(frozen=True)
 class SynthesisResult:
     measure: AtomicMeasure
@@ -224,20 +226,33 @@ def synthesize_gap_measure(lam, a: float) -> SynthesisResult:
     """Best near-gap measure on the given support at truncation scale.
 
     Weights are the minimizing unit eigenvector; the squared L2 norm of
-    the transform over [0, a] equals sigma_min and is cross-checked by
-    N_QUAD-node Gauss-Legendre quadrature to 1e-8.
+    the transform over [0, a] equals sigma_min and is cross-checked to 1e-8
+    by composite Gauss-Legendre quadrature. |mu^|^2 oscillates at most at
+    max(span, max|lam|) radians per unit t, so [0, a] is cut into panels of
+    at most QUAD_TURNS turns of that rate, each with a QUAD_NODES-node rule.
+    sup_gap_norm is the largest |mu^| over the quadrature nodes.
     """
     probe = gram_matrix(lam, a)
     mu = AtomicMeasure(probe.lam, probe.minimizing_weights)
-    x, w = _gauss_legendre()
-    t = 0.5 * a * (x + 1.0)
-    vals = mu.fourier(t)
-    quad = 0.5 * a * float(np.sum(w * np.abs(vals) ** 2))
+    rate = max(float(np.ptp(probe.lam)), float(np.max(np.abs(probe.lam))))
+    panels = max(1, math.ceil(a * rate / (2.0 * math.pi * QUAD_TURNS)))
+    if panels * QUAD_NODES > MAX_QUAD_NODES:
+        raise ParameterError(f"a * max(span, max|lam|) = {a * rate:.3g} needs "
+                             f"{panels * QUAD_NODES} quadrature nodes, more than "
+                             f"the limit of {MAX_QUAD_NODES}")
+    x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
+    h = a / panels
+    per = max(1, QUAD_CHUNK // (QUAD_NODES * probe.lam.size))
+    quad, sup = 0.0, 0.0
+    for p0 in range(0, panels, per):
+        t = h * np.arange(p0, min(p0 + per, panels))[:, None] + 0.5 * h * (x + 1.0)
+        vals = np.abs(fourier_eval(mu, t.ravel())).reshape(t.shape)
+        quad += 0.5 * h * float(np.sum(vals ** 2 @ w))
+        sup = max(sup, float(np.max(vals)))
     l2 = math.sqrt(probe.sigma_min)
     if abs(quad - probe.sigma_min) > 1e-8:
         raise AssertionError(
             f"quadrature {quad:.3e} disagrees with sigma_min {probe.sigma_min:.3e}")
-    sup = float(np.max(np.abs(vals)))
     return SynthesisResult(mu, l2, sup, quad)
 
 

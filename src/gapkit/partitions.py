@@ -7,7 +7,6 @@ so verdicts are three-valued with documented fitted-decay thresholds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,11 +156,6 @@ class GreedyResult:
     counts: tuple
     failed_direction: str | None = None
     blocked_at: float | None = None
-    covered: tuple[float, float] | None = None
-    trimmed: bool = False
-
-    def __bool__(self):
-        return self.ok
 
 
 # First chunk sizes of the two galloping searches in _grow_right; each chunk
@@ -303,11 +297,9 @@ def greedy_density_partition(seq: PointSequence, d: float,
     if len(seq) == 0:
         raise ParameterError("sequence is empty")
     lo, hi = seq.window
-    right_bks, right_counts, right_block, right_trim = _grow_right(
-        seq.points, d, hi, monotone)
+    right_bks, right_counts, right_block, _ = _grow_right(seq.points, d, hi, monotone)
     # the left side walks the points reflected about 0
-    left_bks, left_counts, left_block, left_trim = _grow_right(
-        -seq.points[::-1], d, -lo, monotone)
+    left_bks, left_counts, left_block, _ = _grow_right(-seq.points[::-1], d, -lo, monotone)
     if right_block is not None:
         return GreedyResult(False, None, (), "right", right_block)
     if left_block is not None:
@@ -316,10 +308,7 @@ def greedy_density_partition(seq: PointSequence, d: float,
     counts = tuple(np.concatenate((left_counts[::-1], right_counts)))
     if bks.size < 2:
         return GreedyResult(False, None, (), "both", 0.0)
-    part = Partition(bks)
-    covered = part.cover()
-    return GreedyResult(True, part, counts, covered=covered,
-                        trimmed=right_trim or left_trim)
+    return GreedyResult(True, Partition(bks), counts)
 
 
 def _short_greedy(seq: PointSequence, d: float, monotone: bool = True):

@@ -29,13 +29,15 @@ class InfeasibleError(ParameterError):
     """The requested spreading cannot fit the points at the demanded gap."""
 
 
-def spread_points(seq: PointSequence, J: Interval, C: float) -> PointSequence:
+def spread_points(seq: PointSequence, J: Interval, C: float):
     """Equally respace the points inside J (closed hull) at gaps >= C.
 
     Requires #(seq in J) <= |J|/C - 1. Points outside J are unchanged and
-    the cardinality is preserved. The energy floor
-        E(out) >= E(in) - (log C / C) * |J| * N
-    is asserted on every invocation.
+    the cardinality is preserved. Returns (out, E(in), E(out), floor) with
+    the energy floor
+        floor = E(in) - (log C / C) * |J| * N,
+    and E(out) >= floor asserted on every invocation. When J holds no
+    point, out is seq and E(out) = E(in).
     """
     if not C > 1:
         raise ParameterError(f"spreading constant C must exceed 1, got {C!r}")
@@ -45,24 +47,20 @@ def spread_points(seq: PointSequence, J: Interval, C: float) -> PointSequence:
     if m > J.length / C - 1:
         raise InfeasibleError(
             f"{m} points in J with |J|/C - 1 = {J.length / C - 1:.6g}: cannot spread")
-    if m == 0:
-        return seq
-    if m == 1:
-        moved = np.array([0.5 * (J.a + J.b)])
-    else:
-        moved = np.linspace(J.a, J.b, m)
-    new_pts = np.concatenate([pts[:first], moved, pts[last:]])
-    if np.any(np.diff(new_pts) <= 0):
-        raise InfeasibleError("spreading collided with points outside J")
-    lo, hi = seq.window
-    out = PointSequence(new_pts, (min(lo, J.a), max(hi, J.b)), seq.label)
-    if len(seq) >= 2:
-        floor = total_energy(seq) - (math.log(C) / C) * J.length * len(seq)
-        e_out = total_energy(out)
-        if not e_out >= floor - 1e-9:
-            raise AssertionError(
-                f"energy floor violated: {e_out:.6g} < {floor:.6g}")
-    return out
+    out = seq
+    if m:
+        moved = np.array([0.5 * (J.a + J.b)]) if m == 1 else np.linspace(J.a, J.b, m)
+        new_pts = np.concatenate([pts[:first], moved, pts[last:]])
+        if np.any(np.diff(new_pts) <= 0):
+            raise InfeasibleError("spreading collided with points outside J")
+        lo, hi = seq.window
+        out = PointSequence(new_pts, (min(lo, J.a), max(hi, J.b)))
+    e_in = total_energy(seq)
+    e_out = total_energy(out) if m else e_in
+    floor = e_in - (math.log(C) / C) * J.length * len(seq)
+    if not e_out >= floor - 1e-9:
+        raise AssertionError(f"energy floor violated: {e_out:.6g} < {floor:.6g}")
+    return out, e_in, e_out, floor
 
 
 @dataclass(frozen=True)
@@ -70,10 +68,6 @@ class GapFill:
     gap: tuple[float, float]
     inserted: int
     spacing: float
-
-    @property
-    def length(self) -> float:
-        return self.gap[1] - self.gap[0]
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,7 @@ def regularize_gaps(seq: PointSequence, C: float) -> RegularizeResult:
         raise ParameterError(f"gap constant C must exceed 1, got {C!r}")
     pts = seq.points
     if pts.size < 2:
-        return RegularizeResult(seq, PointSequence(np.empty(0), seq.window, "added"),
+        return RegularizeResult(seq, PointSequence(np.empty(0), seq.window),
                                 (), 0.0)
     fills = []
     new_points = []
@@ -123,8 +117,8 @@ def regularize_gaps(seq: PointSequence, C: float) -> RegularizeResult:
         fills.append(GapFill((float(pts[i]), float(pts[i + 1])), n_add, float(spacing)))
     added = np.concatenate(new_points) if new_points else np.empty(0)
     gamma_pts = np.sort(np.concatenate([pts, added]))
-    gamma = PointSequence(gamma_pts, seq.window, seq.label)
-    added_seq = PointSequence(added, seq.window, f"{seq.label}+fill")
+    gamma = PointSequence(gamma_pts, seq.window)
+    added_seq = PointSequence(added, seq.window)
     max_gap = float(np.max(np.diff(gamma_pts))) if gamma_pts.size > 1 else 0.0
     if max_gap > 2 * C + 1e-9:
         raise AssertionError(f"max gap {max_gap:.6g} exceeds 2C = {2 * C:.6g}")

@@ -8,16 +8,21 @@ exactly. Which points a counting interval from u to v owns is decided by
 - (u, v]: the default. PointSequence.count_in and slice_in, the energy
   series and `interval_energy`, the intervals right of 0 in
   `density.verify_partition_witness`, and the BM ('above') family test.
-- [u, v]: closed windows. PointSequence.restrict, `generate` on a file and
-  `regularize.spread_points`.
+- [u, v]: closed windows. PointSequence.restrict, a sequence file on a
+  window and `regularize.spread_points`.
 - [u, v): the intervals left of 0 in `density.verify_partition_witness`,
   which own the endpoint facing away from 0, as the greedy walk does.
 - (u, v): the d4 ('below') family test, whose sparse intervals end on points.
+
+A sequence spec is a file or a law, as `parse_sequence_spec` alone decides:
+an existing path wins over a law of the same name. The laws are the one
+table `_LAWS`: name -> (parameter count, generator).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -70,12 +75,6 @@ class Interval:
         if self.a <= 0.0 <= self.b:
             return 0.0
         return min(abs(self.a), abs(self.b))
-
-    def contains(self, x: float) -> bool:
-        return self.a < x <= self.b
-
-    def __str__(self):
-        return f"({self.a:g}, {self.b:g}]"
 
 
 def _dist0(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -131,7 +130,6 @@ class PointSequence:
 
     points: np.ndarray
     window: tuple[float, float]
-    label: str = ""
 
     def __post_init__(self):
         arr = _as_sorted_array(self.points)
@@ -169,24 +167,24 @@ class PointSequence:
         """Sub-sequence on the intersection of the window with [lo, hi]."""
         wlo, whi = self.window
         lo, hi = max(lo, wlo), min(hi, whi)
-        return PointSequence(self.slice_in(lo, hi, include_left=True), (lo, hi), self.label)
+        return PointSequence(self.slice_in(lo, hi, include_left=True), (lo, hi))
 
     def translate(self, c: float) -> "PointSequence":
         lo, hi = self.window
-        return PointSequence(self.points + c, (lo + c, hi + c), self.label)
+        return PointSequence(self.points + c, (lo + c, hi + c))
 
     def scale(self, t: float) -> "PointSequence":
         if t <= 0:
             raise ParameterError("scale factor must be positive")
         lo, hi = self.window
-        return PointSequence(self.points * t, (lo * t, hi * t), self.label)
+        return PointSequence(self.points * t, (lo * t, hi * t))
 
     @classmethod
-    def from_points(cls, points, label: str = "") -> "PointSequence":
+    def from_points(cls, points) -> "PointSequence":
         arr = _as_sorted_array(points)
         if arr.size == 0:
-            return cls(arr, (0.0, 0.0), label)
-        return cls(arr, (float(arr[0]), float(arr[-1])), label)
+            return cls(arr, (0.0, 0.0))
+        return cls(arr, (float(arr[0]), float(arr[-1])))
 
 
 @dataclass(frozen=True)
@@ -258,13 +256,6 @@ class AtomicMeasure:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(self.weights)))
-
-    def fourier(self, t_grid) -> np.ndarray:
-        return fourier_eval(self, t_grid)
-
 
 def fourier_eval(mu: AtomicMeasure, t_grid) -> np.ndarray:
     """Fourier transform of an atomic measure: sum of w_n * exp(-i*t*x_n).
@@ -292,7 +283,7 @@ def _check_count(count: float, what: str) -> None:
                              f"the limit of {MAX_POINTS:.0e}")
 
 
-def _gen_lattice(h: float, lo: float, hi: float) -> np.ndarray:
+def _gen_lattice(h: float, lo: float, hi: float, rng) -> np.ndarray:
     if h <= 0:
         raise ParameterError(f"lattice step must be positive, got {h}")
     kmin, kmax = np.ceil(lo / h - 1e-12), np.floor(hi / h + 1e-12)
@@ -308,13 +299,13 @@ def _gen_perturbed(h: float, jitter: float, lo: float, hi: float, rng) -> np.nda
         raise ParameterError(f"lattice step must be positive, got {h}")
     if not 0 <= jitter < h / 2:
         raise ParameterError(f"jitter must lie in [0, h/2), got {jitter}")
-    base = _gen_lattice(h, lo + jitter, hi - jitter)
+    base = _gen_lattice(h, lo + jitter, hi - jitter, rng)
     if base.size == 0:
         return base
     return base + rng.uniform(-jitter, jitter, size=base.size)
 
 
-def _gen_lacunary(q: float, lo: float, hi: float) -> np.ndarray:
+def _gen_lacunary(q: float, lo: float, hi: float, rng) -> np.ndarray:
     if q <= 1:
         raise ParameterError(f"lacunary ratio must exceed 1, got {q}")
     if hi <= 0:
@@ -349,6 +340,15 @@ def _gen_poisson(rate: float, lo: float, hi: float, rng) -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
+# Each generator takes the law's parameters, the window ends and a numpy Generator.
+_LAWS = {
+    "lattice": (1, _gen_lattice),
+    "perturbed": (2, _gen_perturbed),
+    "lacunary": (1, _gen_lacunary),
+    "poisson": (1, _gen_poisson),
+}
+
+
 def load_points(path) -> np.ndarray:
     """Read the standard sequence file: one real per line, '#' comments."""
     try:
@@ -373,15 +373,15 @@ def load_points(path) -> np.ndarray:
     return arr
 
 
-def _load_file(path, window, label: str) -> PointSequence:
+def _load_file(path, window) -> PointSequence:
     """The points of a sequence file on the closed window [lo, hi], or on
     the hull of its points when window is None. The one file loader: the
     explicit branch of `generate` and the CLI's --seq both use it."""
     pts = load_points(path)
     if window is None:
-        return PointSequence.from_points(pts, label)
+        return PointSequence.from_points(pts)
     first, last = _owned(pts, *window, include_left=True)
-    return PointSequence(pts[first:last], window, label)
+    return PointSequence(pts[first:last], window)
 
 
 def save_points(path, points) -> None:
@@ -390,76 +390,48 @@ def save_points(path, points) -> None:
             fh.write(f"{float(x)!r}\n")
 
 
-_SPEC_RE = re.compile(r"^([a-z-]+)(?::(.*))?$")
-# number of parameters each generated law takes
-_LAW_ARITY = {"lattice": 1, "perturbed": 2, "lacunary": 1, "poisson": 1}
-
-
-def _law_params(spec, kind: str, params) -> tuple:
-    """params as a tuple of floats; a ParameterError naming the spec and the
-    law's parameter count when they are not that many numbers."""
-    want = _LAW_ARITY[kind]
-    try:
-        params = tuple(float(p) for p in params)
-    except (TypeError, ValueError):
-        params = None
-    if params is None or len(params) != want:
-        raise ParameterError(f"spec {spec!r}: law '{kind}' takes {want} numeric "
-                             f"parameter{'s' if want > 1 else ''}")
-    return params
+_SPEC_RE = re.compile(r"^([a-z]+)(?::(.*))?$")
 
 
 def parse_sequence_spec(text: str):
-    """Parse a sequence-law descriptor like 'lattice:1' or 'perturbed:1,0.3'.
+    """Parse a sequence spec: a file or a law like 'lattice:1'.
 
-    Returns (kind, params) where params is a tuple of floats, or
-    ('explicit', path) for file-backed sequences.
+    Returns ('explicit', path) for a file, else (kind, params) with params
+    a tuple of floats. A spec that names an existing path is that file,
+    even where it also reads as a law; `file:` marks a path explicitly.
     """
+    if os.path.exists(text):
+        return "explicit", text
     m = _SPEC_RE.match(text.strip())
-    if m and m.group(1) in ("lattice", "perturbed", "perturbed-lattice", "lacunary", "poisson"):
-        kind = "perturbed" if m.group(1).startswith("perturbed") else m.group(1)
-        raw = m.group(2)
+    if m and m.group(1) in _LAWS:
+        kind, raw = m.groups()
         if raw is None or raw == "":
             raise ParameterError(f"spec '{text}' is missing parameters")
-        return kind, _law_params(text, kind, raw.split(","))
+        want = _LAWS[kind][0]
+        try:
+            params = tuple(float(p) for p in raw.split(","))
+        except ValueError:
+            params = ()
+        if len(params) != want:
+            raise ParameterError(f"spec {text!r}: law '{kind}' takes {want} numeric "
+                                 f"parameter{'s' if want > 1 else ''}")
+        return kind, params
     if text.startswith("file:"):
         return "explicit", text[5:]
-    # bare path fallback
     return "explicit", text
 
 
-def generate(spec, window: tuple[float, float], seed=None, label=None) -> PointSequence:
-    """Materialize a sequence law on a window.
-
-    spec is either a descriptor string (see parse_sequence_spec) or a
-    (kind, params) pair. Deterministic given (spec, window, seed).
+def generate(spec: str, window: tuple[float, float], seed=None) -> PointSequence:
+    """Materialize a sequence spec (see parse_sequence_spec) on a window:
+    a file's points on the closed window, or a law drawn with
+    np.random.default_rng(seed). Deterministic given (spec, window, seed).
     Laws that would need more than MAX_POINTS points are a ParameterError.
     """
-    if isinstance(spec, str):
-        kind, params = parse_sequence_spec(spec)
-    else:
-        kind, params = spec
+    kind, params = parse_sequence_spec(spec)
     lo, hi = _finite_window(window)
     if not lo < hi:
         raise ParameterError(f"window [{lo}, {hi}] is empty")
-    if label is None:
-        label = spec if isinstance(spec, str) else f"{kind}{params}"
     if kind == "explicit":
-        return _load_file(params, (lo, hi), label)
-    if kind not in _LAW_ARITY:
-        raise ParameterError(f"unknown sequence law '{kind}'")
-    params = _law_params(spec, kind, params)
-    rng = np.random.default_rng(seed)
-    if kind == "lattice":
-        (h,) = params
-        pts = _gen_lattice(h, lo, hi)
-    elif kind == "perturbed":
-        h, jitter = params
-        pts = _gen_perturbed(h, jitter, lo, hi, rng)
-    elif kind == "lacunary":
-        (q,) = params
-        pts = _gen_lacunary(q, lo, hi)
-    elif kind == "poisson":
-        (rate,) = params
-        pts = _gen_poisson(rate, lo, hi, rng)
-    return PointSequence(pts, (lo, hi), label=label)
+        return _load_file(params, (lo, hi))
+    gen = _LAWS[kind][1]
+    return PointSequence(gen(*params, lo, hi, np.random.default_rng(seed)), (lo, hi))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import gapkit
-from gapkit import density, gapnum
+from gapkit import density, energy, gapnum, regularize
 from gapkit.cli import _build_parser, _invocation, load_config, main
+from gapkit.energy import total_energy
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -76,6 +77,16 @@ def test_gap_synthesize_cli(tmp_path):
     assert syn["l2_gap_norm"] <= 1e-3
 
 
+def test_gap_synthesize_resolves_a_long_gap(tmp_path):
+    # a * (max - min frequency) is about 2e4 radians here
+    code, payload = run_json(
+        ["gap", "--seq", "lattice:1", "--window=-1500,1500", "--synthesize", "40"],
+        tmp_path)
+    assert code == 0
+    syn = payload["result"]["synthesis"]
+    assert abs(syn["quadrature_l2"] - syn["l2_gap_norm"] ** 2) <= 1e-8
+
+
 def test_spread_cli(tmp_path):
     seq_file = tmp_path / "pts.txt"
     seq_file.write_text("0.0\n0.1\n10.0\n")
@@ -84,6 +95,24 @@ def test_spread_cli(tmp_path):
     assert code == 0
     assert payload["result"]["points"] == [0.0, 5.0, 10.0]
     assert payload["result"]["energy_after"] >= payload["result"]["energy_floor"]
+
+
+def test_spread_cli_computes_each_energy_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(seq):
+        calls.append(len(seq))
+        return total_energy(seq)
+
+    monkeypatch.setattr(energy, "total_energy", counted)
+    monkeypatch.setattr(regularize, "total_energy", counted)
+    code, payload = run_json(
+        ["spread", "--seq", "lattice:3", "--window=-9000,9000", "--J", "0,60", "--C", "2"],
+        tmp_path)
+    assert code == 0
+    assert calls == [6001, 6001]
+    res = payload["result"]
+    assert res["margin"] == res["energy_after"] - res["energy_floor"] > 0
 
 
 def test_spread_infeasible_exit_3(tmp_path):
@@ -137,7 +166,9 @@ def test_energy_cli_with_partition_csv(tmp_path):
     assert code == 0
     assert payload["result"]["total_energy"] > 0
     assert payload["result"]["energy_condition"]["verdict"] == "supported"
-    assert csv_path.read_text().startswith("n,a,b,count")
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0].startswith("n,a,b,count")
+    assert len(lines) == 1 + len(payload["result"]["energy_condition"]["records"])
     assert not any(str(csv_path) in tok for tok in payload["invocation"])
 
 
@@ -232,10 +263,9 @@ def test_invocation_omits_output_path(tmp_path, spelling):
 
 @pytest.mark.parametrize("argv", [
     ["density", "--seq", "s", "--method", "bm", "-o", "-5"],
-    ["--conf", "c", "density", "--c", "x.csv", "--method", "bm", "--seq", "s"],
+    ["--conf", "c", "gap", "--c", "x.csv", "--sweep", "1:2:3", "--seq", "s"],
     ["--config=density", "density", "--seq", "s", "--method=bm", "-o=x"],
-    ["spread", "--seq", "s", "--J", "0,1", "--C", "2", "--out-p", "pre", "--csv=z",
-     "--seed", "-3"],
+    ["spread", "--seq", "s", "--J", "0,1", "--C", "2", "--out-p", "pre", "--seed", "-3"],
     ["regularize", "--out-prefix=pre", "--seq", "s", "--C", "2", "--output", "o"],
     ["clark", "--seq", "s", "--profile=0:1:3", "--profile-c", "p.csv",
      "--profile-csv=q.csv", "-oo.json"],
@@ -397,14 +427,23 @@ def test_malformed_option_value_exits_2(tmp_path, capsys, argv, needle):
     assert not out.exists()
 
 
+GAP_LATTICE = ["gap", "--seq", "lattice:1", "--window=-10,10"]
+
+
 @pytest.mark.parametrize("value", ["-5", "2.7", "0"])
-@pytest.mark.parametrize("command", [[], ["--sweep", "1:2:3"], ["--synthesize", "3"]])
+@pytest.mark.parametrize("command", [
+    GAP_LATTICE,
+    GAP_LATTICE + ["--sweep", "1:2:3"],
+    GAP_LATTICE + ["--synthesize", "3"],
+    # c = 0 here, so no Gram support is ever chosen: the config itself is checked
+    ["gap", "--seq", "lacunary:2", "--window=-1e3,1e3"],
+    ["density", "--method", "d1", "--seq", "lattice:1", "--window=-10,10"],
+])
 def test_sweep_n_max_must_be_a_positive_integer(tmp_path, capsys, value, command):
     cfg = tmp_path / "n.conf"
     cfg.write_text(f"sweep_n_max = {value}\n")
     out = tmp_path / "out.json"
-    argv = ["--config", str(cfg), "gap", "--seq", "lattice:1", "--window=-10,10"]
-    assert main(argv + command + ["-o", str(out)]) == 2
+    assert main(["--config", str(cfg)] + command + ["-o", str(out)]) == 2
     assert f"sweep_n_max must be a positive integer, got {float(value)!r}" in \
         capsys.readouterr().err
     assert not out.exists()
@@ -489,6 +528,31 @@ def test_file_spellings_load_alike(tmp_path, window):
         reports.append(json.dumps(payload, sort_keys=True))
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["result"]["window"] == [-20.0, 20.0]
+
+
+def test_gen_and_seq_read_a_file_named_like_a_law(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lattice:1").write_text("0.5\n2.5\n")
+    assert main(["gen", "--spec", "lattice:1", "--window=0,10", "-o", "gen.txt"]) == 0
+    assert (tmp_path / "gen.txt").read_text() == "0.5\n2.5\n"
+    code, payload = run_json(["energy", "--seq", "lattice:1", "--window=0,10"], tmp_path)
+    assert code == 0
+    assert payload["result"]["n_points"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--method", "d1"],
+    ["partition", "--partition", "greedy:d=1.0"],
+    ["spread", "--J", "0,5", "--C", "2"],
+    ["regularize", "--C", "2"],
+    ["report"],
+])
+def test_csv_only_where_a_table_is_written(tmp_path, argv):
+    csv_path = tmp_path / "t.csv"
+    out = tmp_path / "out.json"
+    assert main(argv + ["--seq", "lattice:1", "--window=-20,20", "--csv", str(csv_path),
+                        "-o", str(out)]) == 2
+    assert not csv_path.exists() and not out.exists()
 
 
 def test_missing_sequence_file_exits_2(tmp_path, capsys):

@@ -202,7 +202,7 @@ def test_bm_lattice():
 
 def test_bm_one_sided():
     right = generate("lattice:1", (0, 2000))
-    seq = PointSequence(right.points, (-2000, 2000), "union")
+    seq = PointSequence(right.points, (-2000, 2000))
     assert bm_density(seq).value == pytest.approx(1.0, abs=0.05)
 
 

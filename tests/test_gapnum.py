@@ -12,7 +12,7 @@ from gapkit.energy import energy_condition_report
 from gapkit.gapnum import (MAX_GRAM_SIZE, _nearest_zero, estimate_gap_characteristic,
                            gram_matrix, knee_location, sigma_min_sweep,
                            synthesize_gap_measure, with_gram_sweep)
-from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
+from gapkit.seqcore import ParameterError, Partition, PointSequence, fourier_eval, generate
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,7 +139,7 @@ def test_synthesize_lattice_gap_quality():
     syn = synthesize_gap_measure(np.arange(64.0), math.pi)
     assert syn.l2_gap_norm <= 1e-3
     t = np.linspace(0.0, 0.9 * math.pi, 1500)
-    vals = np.abs(syn.measure.fourier(t))
+    vals = np.abs(fourier_eval(syn.measure, t))
     assert np.max(vals) <= 1e-2
 
 
@@ -151,6 +151,12 @@ def test_synthesize_quadrature_consistency_random():
         a = rng.uniform(0.1, 5.0)
         syn = synthesize_gap_measure(lam, a)  # 1e-8 agreement asserted inside
         assert syn.l2_gap_norm ** 2 == pytest.approx(syn.quadrature_l2, abs=1e-8)
+
+
+def test_synthesize_rejects_a_quadrature_past_its_node_cap():
+    # a * span = 1e8 radians would need about 2.5e8 nodes
+    with pytest.raises(ParameterError, match="quadrature nodes"):
+        synthesize_gap_measure([0.0, 1e4], 1e4)
 
 
 def test_estimate_lattice():

@@ -158,6 +158,6 @@ def test_greedy_edge_trim_on_perturbed():
     seq = generate("perturbed:1,0.3", (-2000, 2000), seed=11)
     res = greedy_density_partition(seq, 0.9)
     assert res.ok
-    lo, hi = res.covered
+    lo, hi = res.partition.cover()
     assert hi <= 2000 and lo >= -2000
     assert (2000 - hi) <= 0.05 * 2000 and (lo + 2000) <= 0.05 * 2000

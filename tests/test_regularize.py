@@ -11,25 +11,26 @@ from gapkit.seqcore import Interval, ParameterError, PointSequence, generate
 
 def test_spread_hand_example():
     seq = PointSequence(np.array([0.0, 0.1, 10.0]), (0, 10))
-    out = spread_points(seq, Interval(0, 10), 2.0)
+    out, e_in, e_out, floor = spread_points(seq, Interval(0, 10), 2.0)
     assert out.points.tolist() == [0.0, 5.0, 10.0]
-    e_out = total_energy(out)
+    assert e_in == total_energy(seq) and e_out == total_energy(out)
     assert e_out == pytest.approx(2 * (math.log(5) + math.log(10) + math.log(5)), rel=1e-12)
-    floor = total_energy(seq) - (math.log(2) / 2) * 10 * 3
+    assert floor == total_energy(seq) - (math.log(2) / 2) * 10 * 3
     assert e_out >= floor
 
 
 def test_spread_empty_intersection():
     seq = PointSequence(np.array([1.0, 2.0, 3.0]), (0, 20))
-    out = spread_points(seq, Interval(10, 15), 3.0)
-    assert np.array_equal(out.points, seq.points)
+    out, e_in, e_out, _ = spread_points(seq, Interval(10, 15), 3.0)
+    assert out is seq
+    assert e_out == e_in == total_energy(seq)
 
 
 def test_spread_pushes_apart():
     seq = PointSequence(np.array([1.0, 1.01]), (0, 10))
-    out = spread_points(seq, Interval(0, 10), 3.0)
+    out, e_in, e_out, _ = spread_points(seq, Interval(0, 10), 3.0)
     assert np.min(np.diff(out.points)) >= 3.0
-    assert total_energy(out) > total_energy(seq)
+    assert e_out == total_energy(out) > total_energy(seq) == e_in
 
 
 def test_spread_infeasible():

@@ -99,16 +99,16 @@ def _cases():
     tie in dist(0, I) in pairs and hold several points each."""
     lattice = generate("lattice:1", (-300, 300))
     seqs = [
-        lattice,
-        generate("perturbed:1,0.2", (-300, 300), seed=3),
-        generate("poisson:1", (-1500, 1500), seed=4),
+        ("lattice:1", lattice),
+        ("perturbed:1,0.2", generate("perturbed:1,0.2", (-300, 300), seed=3)),
+        ("poisson:1", generate("poisson:1", (-1500, 1500), seed=4)),
     ]
-    for seq in seqs:
+    for spec, seq in seqs:
         for d in (0.3, 0.6, 0.9):
             for monotone in (True, False):
                 res = greedy_density_partition(seq, d, monotone=monotone)
                 if res.ok and len(res.partition.breakpoints) >= 4:
-                    yield f"{seq.label} d={d} monotone={monotone}", seq, res.partition
+                    yield f"{spec} d={d} monotone={monotone}", seq, res.partition
     # one energy summand is positive: the unit interval (10, 11] holds 2 points
     seq = PointSequence(np.union1d(lattice.points, [10.5]), lattice.window)
     yield "lattice plus a point", seq, greedy_density_partition(seq, 1.0).partition
