@@ -24,7 +24,10 @@ long-family search times each mode at a level near its estimate's answer:
 the perturbed lattice over +-15000 at a = 1. The certificate's Gram sweep
 (`with_gram_sweep`) runs at its gapnum.SWEEP_POINTS = 40 grid points over
 gapnum.SWEEP_RANGE = 0.3-1.3 x 2*pi on the 256 and the 512 lattice points
-nearest 0.
+nearest 0. The two array walks of `refute_mix` are timed on their own: the
+Clark residue weights of every midpoint of the lattice over +-1500 (the job
+`clark_lattice`), and one d3 matching of the perturbed lattice over +-15000
+at slope a = 1 (`d3_perturbed` runs 24 of them).
 
 The file name keeps it out of the default test collection. Run it by path:
 
@@ -38,8 +41,10 @@ import math
 import numpy as np
 import pytest
 
+from gapkit.clarknum import residue_weights
 from gapkit.density import (d4_complement_estimate, density_d3_estimate,
-                            long_family_search, verify_partition_witness)
+                            long_family_search, match_to_ideal_grid,
+                            verify_partition_witness)
 from gapkit.energy import energy_condition_report
 from gapkit.fekete import fekete_optimize
 from gapkit.gapnum import (SWEEP_POINTS, SWEEP_RANGE, _nearest_zero,
@@ -152,3 +157,15 @@ def test_sigma_min_sweep(benchmark, order):
     grid = np.linspace(*SWEEP_RANGE, SWEEP_POINTS) * (2.0 * math.pi * c)
     sweep = benchmark(sigma_min_sweep, lam, grid)
     assert 0.85 <= sweep.knee / (2.0 * math.pi) <= 1.05
+
+
+def test_residue_weights(benchmark):
+    points = generate("lattice:1", (-1500.0, 1500.0)).points
+    recs = benchmark(residue_weights, points)
+    assert len(recs) == points.size - 1
+
+
+def test_match_to_ideal_grid(benchmark):
+    seq = generate("perturbed:1,0.2", (-15000.0, 15000.0), seed=SEED)
+    matched = benchmark(match_to_ideal_grid, seq, 1.0)
+    assert 0.99 * len(seq) < matched.size <= len(seq)

@@ -1,44 +1,43 @@
 """gapkit: numerical toolkit for spectral-gap characteristics of discrete
 real point sequences.
 
-Main entry points:
-
-- seqcore: PointSequence, Interval, Partition, AtomicMeasure, generate
-- energy: total_energy, energy_condition_report, log_kernel_integral
-- partitions: shortness, greedy_density_partition
-- density: density_estimate, density_lower, density_upper_d4, bm_density
-- regularize: spread_points, regularize_gaps
-- fekete: fekete_optimize, jacobi_zeros, key_example_check
-- gapnum: gram_matrix, sigma_min_sweep, synthesize_gap_measure,
-  estimate_gap_characteristic, with_gram_sweep
-- clarknum: residue_weights, theta_derivative_profile
+The main entry points are the names in `__all__`, listed with their modules
+in `_EXPORTS`. Importing the package loads none of the modules: each name is
+imported from its module on first use (PEP 562), so `gapkit gen` loads
+seqcore alone.
 """
 
-from .seqcore import (AtomicMeasure, Interval, ParameterError, Partition,
-                      PointSequence, fourier_eval, generate)
-from .energy import (energy_condition_report, interval_energy,
-                     log_kernel_integral, total_energy)
-from .partitions import (greedy_density_partition, is_valid_paper_partition,
-                         shortness)
-from .density import bm_density, density_estimate, density_lower, density_upper_d4
-from .regularize import regularize_gaps, spread_points
-from .fekete import fekete_optimize, jacobi_zeros, key_example_check
-from .gapnum import (estimate_gap_characteristic, gram_matrix, sigma_min_sweep,
-                     synthesize_gap_measure, with_gram_sweep)
-from .clarknum import residue_weights, theta_derivative_profile
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomicMeasure", "Interval", "ParameterError", "Partition",
-    "PointSequence", "fourier_eval", "generate",
-    "energy_condition_report", "interval_energy", "log_kernel_integral",
-    "total_energy",
-    "greedy_density_partition", "is_valid_paper_partition", "shortness",
-    "bm_density", "density_estimate", "density_lower", "density_upper_d4",
-    "regularize_gaps", "spread_points",
-    "fekete_optimize", "jacobi_zeros", "key_example_check",
-    "estimate_gap_characteristic", "gram_matrix", "sigma_min_sweep",
-    "synthesize_gap_measure", "with_gram_sweep",
-    "residue_weights", "theta_derivative_profile",
-]
+# name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(["AtomicMeasure", "Interval", "ParameterError", "Partition",
+                     "PointSequence", "fourier_eval", "generate"], "seqcore"),
+    **dict.fromkeys(["energy_condition_report", "interval_energy", "log_kernel_integral",
+                     "total_energy"], "energy"),
+    **dict.fromkeys(["greedy_density_partition", "is_valid_paper_partition",
+                     "shortness"], "partitions"),
+    **dict.fromkeys(["bm_density", "density_estimate", "density_lower",
+                     "density_upper_d4"], "density"),
+    **dict.fromkeys(["regularize_gaps", "spread_points"], "regularize"),
+    **dict.fromkeys(["fekete_optimize", "jacobi_zeros", "key_example_check"], "fekete"),
+    **dict.fromkeys(["estimate_gap_characteristic", "gram_matrix", "sigma_min_sweep",
+                     "synthesize_gap_measure", "with_gram_sweep"], "gapnum"),
+    **dict.fromkeys(["residue_weights", "theta_derivative_profile"], "clarknum"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -23,10 +23,13 @@ import numpy as np
 
 from .seqcore import ParameterError
 
+# Midpoints per block of atom sums: each block holds a few arrays of
+# _ROWS x (number of gaps) floats, so larger blocks raise the peak memory.
+_ROWS = 16
+
 __all__ = [
     "ResidueRecord",
     "residue_weights",
-    "atom_sum_at",
     "tail_estimate",
     "ThetaProfile",
     "theta_derivative_profile",
@@ -54,21 +57,6 @@ def _validate(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def atom_sum_at(a: np.ndarray, n: int) -> float:
-    """Sum over j != n of the closed-form gap contributions at b_n."""
-    b = 0.5 * (a[:-1] + a[1:])
-    bn = b[n]
-    d = b - bn
-    e1 = a[:-1] - bn
-    e2 = a[1:] - bn
-    mask = np.ones(b.size, dtype=bool)
-    mask[n] = False
-    terms = (np.log(np.abs(d[mask]))
-             - 0.5 * np.log(np.abs(e1[mask]))
-             - 0.5 * np.log(np.abs(e2[mask])))
-    return float(np.sum(terms))
-
-
 def _outer_gap_scale(a: np.ndarray):
     """Mean gap over the outer tenth on each side (at least one gap)."""
     gaps = np.diff(a)
@@ -76,15 +64,46 @@ def _outer_gap_scale(a: np.ndarray):
     return float(np.mean(gaps[:k])), float(np.mean(gaps[-k:]))
 
 
-def tail_estimate(a: np.ndarray, bn: float) -> float:
-    """Integral extrapolation of the atom sum beyond the data, assuming the
-    boundary gap pattern persists: each far gap contributes about
-    delta^2 / (8 d^2) and the gaps arrive at rate 1/delta.
+def tail_estimate(a: np.ndarray, bn, scales) -> np.ndarray:
+    """Integral extrapolation of the atom sum beyond the data at the
+    midpoints bn, assuming the boundary gap pattern persists: each far gap
+    contributes about delta^2 / (8 d^2) and the gaps arrive at rate
+    1/delta. scales is `_outer_gap_scale(a)`.
     """
-    gl, gr = _outer_gap_scale(a)
-    d_left = max(bn - a[0], gl)
-    d_right = max(a[-1] - bn, gr)
+    gl, gr = scales
+    d_left = np.maximum(bn - a[0], gl)
+    d_right = np.maximum(a[-1] - bn, gr)
     return gl / (8.0 * d_left) + gr / (8.0 * d_right)
+
+
+def _atom_sums(a: np.ndarray, b: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Sum over j != n of the closed-form gap contributions at each b_n,
+    n in idx, _ROWS midpoints at a time.
+
+    Row n holds the terms log|b_j - b_n| - log|a_j - b_n| / 2 -
+    log|a_(j+1) - b_n| / 2 in order of j; the j = n column (log 0) is
+    dropped before the row is summed on its own, so each sum is the one a
+    single midpoint's term array gives. One row of log|a_k - b_n| serves
+    both end terms. Two buffers of _ROWS rows are reused for every block.
+    """
+    sums = np.empty(idx.size)
+    cols = np.arange(b.size)
+    ends = np.empty((min(_ROWS, idx.size), a.size))
+    terms = np.empty((ends.shape[0], b.size))
+    for r0 in range(0, idx.size, _ROWS):
+        rows = idx[r0:r0 + _ROWS]
+        bn = b[rows, None]
+        e, t = ends[:rows.size], terms[:rows.size]
+        np.log(np.abs(np.subtract(a, bn, out=e), out=e), out=e)
+        e *= 0.5
+        np.abs(np.subtract(b, bn, out=t), out=t)
+        with np.errstate(divide="ignore"):
+            np.log(t, out=t)
+        t -= e[:, :-1]
+        t -= e[:, 1:]
+        kept = t[cols != rows[:, None]].reshape(rows.size, b.size - 1)
+        sums[r0:r0 + rows.size] = np.sum(kept, axis=1)
+    return sums
 
 
 def residue_weights(a, report_width: float | None = None, tail_mode: str = "none"):
@@ -113,10 +132,10 @@ def residue_weights(a, report_width: float | None = None, tail_mode: str = "none
     else:
         idx = np.nonzero(np.abs(b) <= report_width)[0]
     gl, gr = _outer_gap_scale(a)
+    sums = _atom_sums(a, b, idx)
+    ests = tail_estimate(a, b[idx], (gl, gr)) if b.size > 1 else np.zeros(idx.size)
     out = []
-    for n in idx:
-        s = atom_sum_at(a, int(n))
-        est = tail_estimate(a, float(b[n])) if b.size > 1 else 0.0
+    for n, s, est in zip(idx.tolist(), sums.tolist(), ests.tolist()):
         if tail_mode == "persistent":
             s += est
             d_edge = max(min(b[n] - a[0], a[-1] - b[n]), max(gl, gr))
@@ -124,7 +143,7 @@ def residue_weights(a, report_width: float | None = None, tail_mode: str = "none
         else:
             bound = 2.0 * est
         amp = math.exp(-s)
-        out.append(ResidueRecord(int(n), float(a[n]), float(b[n]), float(deltas[n]),
+        out.append(ResidueRecord(n, float(a[n]), float(b[n]), float(deltas[n]),
                                  s, amp, float(0.5 * deltas[n] * amp), bound))
     return out
 

@@ -7,10 +7,13 @@ is argv as given, in its order, with the subcommand once, less the options
 that only say where output is written (`-o/--output`, `--csv`,
 `--out-prefix`, `--profile-csv`, in any spelling argparse accepts), so two
 runs with the same inputs give the same report bytes apart from
-`timestamp`. `--csv` exists on `energy`, `gap` and `clark`, the commands
-that write a table, and writes it plot-ready (header row, no units). Exit codes:
-0 success, 2 parameter error, 3 infeasible or inconclusive (diagnostics
-still written).
+`timestamp`. The one exception is `gap --synthesize`, whose weights depend
+on the BLAS thread count (see `gapnum.synthesize_gap_measure`). `--csv`
+exists on `energy`, `gap` and `clark`, the commands that write a table, and
+writes it plot-ready (header row, no units). Exit codes: 0 success, 2
+parameter error, 3 infeasible or inconclusive (diagnostics still written).
+Each handler imports the gapkit modules it uses, so a command loads only
+those: `gen` loads seqcore alone.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import clarknum, density, energy, fekete, gapnum, partitions, regularize, seqcore
+from . import seqcore
 from .seqcore import Interval, ParameterError, Partition, PointSequence
 
 # sweep_n_max: every sigma_min sweep and every synthesis runs on at most this
@@ -62,7 +65,7 @@ def load_config(path=None) -> dict:
             raise ParameterError(f"unknown config key {key!r} in {path!r}; "
                                  f"known keys: {', '.join(sorted(CONFIG_DEFAULTS))}")
         cfg[key] = _finite(val, f"config key {key!r}")
-    gapnum._check_sweep_n_max(cfg["sweep_n_max"])
+    seqcore._check_sweep_n_max(cfg["sweep_n_max"])
     return cfg
 
 
@@ -119,6 +122,7 @@ def _load_sequence(args) -> PointSequence:
 
 
 def _load_partition(text: str, seq: PointSequence):
+    from . import partitions
     if text.startswith("greedy:"):
         (d,) = _option_values("--partition", text, "greedy:d=<number>", "f", "greedy:d=")
         res = partitions.greedy_density_partition(seq, d)
@@ -176,6 +180,7 @@ def _emit(output, command: str, invocation: list, cfg: dict, result: dict) -> No
 def _certificate(seq: PointSequence, cfg: dict) -> gapnum.GapCertificate:
     """The gap certificate with its Gram sweep, under the effective
     configuration."""
+    from . import gapnum
     cert = gapnum.estimate_gap_characteristic(seq)
     return gapnum.with_gram_sweep(cert, seq, cfg["sweep_n_max"])
 
@@ -202,6 +207,7 @@ def _cmd_gen(args, cfg, emit):
 
 
 def _cmd_energy(args, cfg, emit):
+    from . import energy
     seq = _load_sequence(args)
     result = {"n_points": len(seq), "total_energy": energy.total_energy(seq)}
     code = 0
@@ -227,6 +233,7 @@ def _cmd_energy(args, cfg, emit):
 
 
 def _cmd_partition(args, cfg, emit):
+    from . import partitions
     seq = _load_sequence(args)
     part, greedy = _load_partition(args.partition, seq)
     if part is None:
@@ -250,6 +257,7 @@ def _cmd_partition(args, cfg, emit):
 
 
 def _cmd_density(args, cfg, emit):
+    from . import density
     seq = _load_sequence(args)
     est = density.density_estimate(seq, args.method)
     emit(est.to_json_dict())
@@ -257,6 +265,7 @@ def _cmd_density(args, cfg, emit):
 
 
 def _cmd_spread(args, cfg, emit):
+    from . import regularize
     seq = _load_sequence(args)
     J = Interval(*_parse_window(args.J))
     try:
@@ -278,6 +287,7 @@ def _cmd_spread(args, cfg, emit):
 
 
 def _cmd_regularize(args, cfg, emit):
+    from . import regularize
     seq = _load_sequence(args)
     res = regularize.regularize_gaps(seq, args.C)
     if args.out_prefix:
@@ -288,6 +298,7 @@ def _cmd_regularize(args, cfg, emit):
 
 
 def _cmd_fekete(args, cfg, emit):
+    from . import fekete
     lo, hi = _parse_window(args.interval)
     res = fekete.fekete_optimize(args.k, Interval(lo, hi))
     emit(res.to_json_dict())
@@ -295,6 +306,7 @@ def _cmd_fekete(args, cfg, emit):
 
 
 def _cmd_gap(args, cfg, emit):
+    from . import gapnum
     seq = _load_sequence(args)
     result = {}
     code = 0
@@ -321,6 +333,7 @@ def _cmd_gap(args, cfg, emit):
 
 
 def _cmd_clark(args, cfg, emit):
+    from . import clarknum
     seq = _load_sequence(args)
     recs = clarknum.residue_weights(seq.points, report_width=args.width,
                                     tail_mode=args.tail_mode)
@@ -347,6 +360,7 @@ def _cmd_clark(args, cfg, emit):
 
 
 def _cmd_report(args, cfg, emit):
+    from . import density, energy
     seq = _load_sequence(args)
     cert = _certificate(seq, cfg)
     bm = density.bm_density(seq)
@@ -485,7 +499,10 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--csv", help="CSV output path")
     sp.add_argument("--sweep", help="a0:a1:steps")
-    sp.add_argument("--synthesize", type=float, default=None)
+    sp.add_argument("--synthesize", type=float, default=None, metavar="A",
+                    help="near-gap measure for gap length A; its weights depend on "
+                         "the BLAS thread count, so this output alone is not "
+                         "byte-deterministic")
 
     sp = command("clark", _cmd_clark, "Krein-shift residue weights")
     common(sp)

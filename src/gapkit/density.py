@@ -240,20 +240,36 @@ def _mismatch_integrals(c: np.ndarray, a: float,
 def _greedy_match_side(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Match each target to the nearest not-yet-used point, in order.
 
-    Both arrays ascending; points may be skipped (subsequence selection)
-    but are used at most once. Returns the matched points.
+    Points strictly increasing, targets ascending and positive; points may
+    be skipped (subsequence selection) but are used at most once. Returns
+    the matched points.
+
+    This is a whole-array form of a walk that, for each target, starts one
+    past the last match and steps right while the next point is at least as
+    close (`|p[i+1] - t| <= |p[i] - t|`), stopping at the first point whose
+    distance grows. It stops where that walk does. Rounding keeps p - t
+    monotone in p, so the computed distances do not grow while p < t; above
+    a positive target p - t <= p, so distinct points keep distinct rounded
+    differences and the distances grow strictly. A walk from the start
+    therefore stops at the nearest point j*, the right one of a tie (as
+    `<=` moves right), found by `searchsorted` and one comparison made with
+    the walk's own arithmetic. A walk that starts past j* stops at once.
+    So the k-th stop is max(start, j*_k), with start one past the previous
+    stop, which unrolls to k + max(0, running max of j*_k - k). Targets
+    whose stop passes the last point were never reached (the walk ran out
+    of points) and are dropped.
     """
-    matched = []
-    i = 0
     n = points.size
-    for t in targets:
-        if i >= n:
-            break
-        while i + 1 < n and abs(points[i + 1] - t) <= abs(points[i] - t):
-            i += 1
-        matched.append(points[i])
-        i += 1
-    return np.array(matched)
+    if n == 0:
+        return np.empty(0)
+    above = np.searchsorted(points, targets)
+    right = np.minimum(above, n - 1)
+    left = np.maximum(above - 1, 0)
+    nearest = np.where(np.abs(points[right] - targets) <= np.abs(points[left] - targets),
+                       right, left)
+    k = np.arange(targets.size)
+    stop = k + np.maximum(np.maximum.accumulate(nearest - k), 0)
+    return points[stop[stop < n]]
 
 
 def match_to_ideal_grid(seq: PointSequence, a: float) -> np.ndarray:

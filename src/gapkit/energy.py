@@ -52,21 +52,25 @@ def total_energy(seq) -> float:
     """E = sum over ordered pairs k != l of log|x_k - x_l|.
 
     Blocked O(N^2) evaluation; this is the defining sum, not an
-    approximation. Raises on duplicate points (log 0).
+    approximation. Each block of rows takes the strict lower triangle of its
+    differences in row order, in one buffer reused for every block. Raises
+    on duplicate points (log 0).
     """
     x = _points_of(seq)
     n = x.size
     if n < 2:
         return 0.0
     total = 0.0
+    buf = np.empty((min(_BLOCK, n - 1), n))
     for i0 in range(1, n, _BLOCK):
         i1 = min(i0 + _BLOCK, n)
-        diffs = x[i0:i1, None] - x[None, :i1]
+        diffs = np.subtract(x[i0:i1, None], x[None, :i1], out=buf[:i1 - i0, :i1])
         mask = np.arange(i0, i1)[:, None] > np.arange(i1)[None, :]
-        vals = np.abs(diffs[mask])
+        vals = diffs[mask]
+        np.abs(vals, out=vals)
         if np.any(vals == 0.0):
             raise ParameterError("duplicate points give log 0 in the energy")
-        total += float(np.sum(np.log(vals)))
+        total += float(np.sum(np.log(vals, out=vals)))
     return 2.0 * total
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .density import DensityEstimate, density_lower
 from .energy import energy_condition_report
-from .seqcore import AtomicMeasure, ParameterError, Partition, PointSequence, fourier_eval
+from .seqcore import (AtomicMeasure, ParameterError, Partition, PointSequence,
+                      _check_sweep_n_max, fourier_eval)
 
 __all__ = [
     "GramProbe",
@@ -163,13 +164,6 @@ def knee_location(a_values, sigma_values, noise: float = LOG_FLOOR) -> float:
     return float(a[1 + int(np.argmax(d2))])
 
 
-def _check_sweep_n_max(n) -> None:
-    """A ParameterError unless n, the sweep_n_max setting, is a positive
-    integer (a config value may read -5 or 2.7)."""
-    if not (n >= 1 and float(n).is_integer()):
-        raise ParameterError(f"sweep_n_max must be a positive integer, got {n!r}")
-
-
 def _nearest_zero(points: np.ndarray, n) -> np.ndarray:
     """The n points nearest 0 (all of them if fewer), sorted: the support
     of every Gram sweep and synthesis; n passes `_check_sweep_n_max`."""
@@ -231,6 +225,12 @@ def synthesize_gap_measure(lam, a: float) -> SynthesisResult:
     max(span, max|lam|) radians per unit t, so [0, a] is cut into panels of
     at most QUAD_TURNS turns of that rate, each with a QUAD_NODES-node rule.
     sup_gap_norm is the largest |mu^| over the quadrature nodes.
+
+    The one gapkit result that is not reproducible bit for bit: where
+    sigma_min sits at rounding level its eigenvector is not determined, and
+    the weights (and the norms they give) change with the BLAS thread count.
+    On lattice:1 over +-300 at a = 6, sup_gap_norm reads 3.71e-8 on one
+    OpenBLAS thread and 2.36e-8 on two.
     """
     probe = gram_matrix(lam, a)
     mu = AtomicMeasure(probe.lam, probe.minimizing_weights)

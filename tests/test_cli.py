@@ -376,6 +376,33 @@ def test_cli_import_leaves_out_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv,loaded", [
+    (["density", "--method", "d3", "--seq", "lattice:1", "--window=-100,100"],
+     {"seqcore", "partitions", "density"}),
+    (["clark", "--seq", "lattice:1", "--window=-20,20"], {"seqcore", "clarknum"}),
+    (["gen", "--spec", "lattice:1", "--window=-10,10"], {"seqcore"}),
+])
+def test_each_command_imports_only_what_it_uses(tmp_path, argv, loaded):
+    code = ("import sys\n"
+            "from gapkit.cli import main\n"
+            f"assert main({argv!r} + ['-o', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('gapkit.')))\n")
+    src = str(Path(gapkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert {m.removeprefix("gapkit.") for m in proc.stdout.split()} == loaded | {"cli"}
+
+
+def test_every_exported_name_resolves():
+    for name in gapkit.__all__:
+        obj = getattr(gapkit, name)
+        assert obj.__name__ == name and obj.__module__.startswith("gapkit.")
+    assert set(gapkit.__all__) <= set(dir(gapkit))
+    with pytest.raises(AttributeError):
+        gapkit.no_such_name
+
+
 @pytest.mark.parametrize("text,needle", [
     ("sweep_n_maxx = 64\n", "unknown config key 'sweep_n_maxx'"),
     ("sweep_points = 11\n", "unknown config key 'sweep_points'"),
@@ -438,6 +465,8 @@ GAP_LATTICE = ["gap", "--seq", "lattice:1", "--window=-10,10"]
     # c = 0 here, so no Gram support is ever chosen: the config itself is checked
     ["gap", "--seq", "lacunary:2", "--window=-1e3,1e3"],
     ["density", "--method", "d1", "--seq", "lattice:1", "--window=-10,10"],
+    # gen never reads the setting, nor imports gapnum, yet the config is checked
+    ["gen", "--spec", "lattice:1", "--window=-10,10"],
 ])
 def test_sweep_n_max_must_be_a_positive_integer(tmp_path, capsys, value, command):
     cfg = tmp_path / "n.conf"

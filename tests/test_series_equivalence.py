@@ -1,5 +1,6 @@
-"""The array forms of the greedy walk, shortness and energy_condition_report
-against the per-point and per-interval loops they replaced, kept here as the
+"""The array forms of the greedy walk, shortness, energy_condition_report,
+the d3 matching and the Clark atom sums against the per-point, per-interval,
+per-target and per-midpoint loops they replaced, kept here as the
 reference: every reported value must agree bitwise, including the order of
 the terms. The ladder walk of the level search is checked the same way
 against the top-down bisection it replaced, and the long-family search,
@@ -18,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapkit.density as density
+from gapkit.clarknum import _outer_gap_scale, residue_weights
 from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _block_candidates,
-                            _evidence_subfamily, _ladder_max, _qualifying,
-                            _sparse_candidates, long_family_search)
+                            _evidence_subfamily, _greedy_match_side, _ladder_max,
+                            _qualifying, _sparse_candidates, long_family_search)
 from gapkit.energy import EnergyRecord, EnergyReport, energy_condition_report, interval_energy
 from gapkit.gapnum import estimate_gap_characteristic
 from gapkit.partitions import (_grow_right, _short_greedy, _terms_of, classify_terms,
@@ -594,3 +596,145 @@ def test_certificate_matches_gated_search_on_lattice_plus_points(extra):
     assert (cert.c_estimate, cert.partition_breakpoints) == gated_search(seq)
     assert cert.c_estimate == 1.0
     assert cert.energy_verdict == "supported" and cert.diagnostics == {}
+
+
+# ---------------------------------------------------------------------------
+# The d3 matching and the Clark atom sums
+# ---------------------------------------------------------------------------
+
+def loop_greedy_match_side(points, targets):
+    matched = []
+    i = 0
+    n = points.size
+    for t in targets:
+        if i >= n:
+            break
+        while i + 1 < n and abs(points[i + 1] - t) <= abs(points[i] - t):
+            i += 1
+        matched.append(points[i])
+        i += 1
+    return np.array(matched)
+
+
+def loop_atom_sum_at(a, n):
+    """Sum over j != n of the closed-form gap contributions at b_n."""
+    b = 0.5 * (a[:-1] + a[1:])
+    bn = b[n]
+    d = b - bn
+    e1 = a[:-1] - bn
+    e2 = a[1:] - bn
+    mask = np.ones(b.size, dtype=bool)
+    mask[n] = False
+    terms = (np.log(np.abs(d[mask]))
+             - 0.5 * np.log(np.abs(e1[mask]))
+             - 0.5 * np.log(np.abs(e2[mask])))
+    return float(np.sum(terms))
+
+
+def loop_records(a, width, tail_mode):
+    """(n, atom_sum, tail_bound) per reported midpoint, one midpoint at a
+    time, with the outer gap scales recomputed for each tail estimate."""
+    b = 0.5 * (a[:-1] + a[1:])
+    idx = range(b.size) if width is None else np.nonzero(np.abs(b) <= width)[0]
+    out = []
+    for n in idx:
+        s = loop_atom_sum_at(a, int(n))
+        gl, gr = _outer_gap_scale(a)
+        est = (gl / (8.0 * max(b[n] - a[0], gl)) + gr / (8.0 * max(a[-1] - b[n], gr))
+               if b.size > 1 else 0.0)
+        if tail_mode == "persistent":
+            s += est
+            d_edge = max(min(b[n] - a[0], a[-1] - b[n]), max(gl, gr))
+            bound = est * (0.1 + 4.0 * max(gl, gr) / d_edge)
+        else:
+            bound = 2.0 * est
+        out.append((int(n), float(s).hex(), float(bound).hex()))
+    return out
+
+
+def assert_matches_agree(points, targets):
+    new = _greedy_match_side(points, targets)
+    assert new.dtype == np.float64
+    assert new.tobytes() == loop_greedy_match_side(points, targets).tobytes()
+
+
+def test_match_exact_ties_move_right():
+    # half-integer targets sit midway between integer points: the loop's
+    # `<=` takes the right one, and skips ahead when it is used up
+    pts = np.arange(1.0, 40.0)
+    for step in (0.5, 1.0, 1.5, 2.5):
+        targets = np.arange(1, 60) * step + 0.5
+        assert_matches_agree(pts, targets)
+    assert_matches_agree(pts, np.full(10, 5.5))
+    assert _greedy_match_side(pts, np.array([5.5]))[0] == 6.0
+
+
+def test_match_dyadic_cluster_near_zero():
+    # p - t rounds to -t for every point of the cluster, so the distances
+    # tie all the way through it, as on lacunary input
+    cluster = 2.0 ** -np.arange(1074, 0, -1)
+    for a in (0.25, 1.0, 1.5, 3.0):
+        targets = np.arange(1, 40) / a
+        assert_matches_agree(cluster, targets)
+        assert_matches_agree(np.concatenate((cluster, np.arange(1.0, 20.0))), targets)
+
+
+def test_match_targets_past_the_last_point():
+    pts = np.array([0.5, 1.0, 1.25, 4.0])
+    for targets in (np.arange(1, 30) / 3.0, np.array([10.0, 20.0]), np.array([1e300])):
+        assert_matches_agree(pts, targets)
+    assert _greedy_match_side(pts, np.array([10.0, 20.0])).tolist() == [4.0]
+
+
+def test_match_empty_and_one_point():
+    for pts in (np.zeros(0), np.array([2.0])):
+        for targets in (np.zeros(0), np.array([1.0]), np.array([1.0, 2.0, 3.0])):
+            assert_matches_agree(pts, targets)
+
+
+_match_points = st.lists(
+    st.one_of(st.floats(1e-300, 60.0), st.integers(1, 40).map(float),
+              st.integers(-1074, 5).map(lambda e: 2.0 ** e)),
+    max_size=80, unique=True).map(lambda xs: np.unique(np.array(xs, dtype=float)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(points=_match_points,
+       a=st.one_of(st.floats(1e-2, 50.0), st.sampled_from([0.5, 1.0, 2.0, 4.0 / 3.0])),
+       count=st.integers(0, 120), shift=st.sampled_from([0.0, 0.5]))
+def test_match_matches_loop_on_random_points(points, a, count, shift):
+    assert_matches_agree(points, (np.arange(1, count + 1) + shift) / a)
+
+
+ATOM_SEQS = {
+    "lattice": generate("lattice:1", (-400, 400)).points,
+    "perturbed": generate("perturbed:1,0.2", (-400, 400), seed=3).points,
+    "poisson": generate("poisson:1", (-400, 400), seed=4).points,
+    "lacunary": generate("lacunary:2", (-1e6, 1e6)).points,
+}
+
+
+@pytest.mark.parametrize("tail_mode", ["none", "persistent"])
+@pytest.mark.parametrize("name", list(ATOM_SEQS))
+def test_atom_sums_match_loop(name, tail_mode):
+    a = ATOM_SEQS[name]
+    # the whole slice, a window inside it, and a short slice whose blocks
+    # of midpoints do not fill the last one
+    for pts, width in ((a, None), (a, 40.0), (a[:37], None), (a[:2], None)):
+        recs = residue_weights(pts, report_width=width, tail_mode=tail_mode)
+        assert recs
+        assert ([(r.n, r.atom_sum.hex(), r.tail_bound.hex()) for r in recs]
+                == loop_records(pts, width, tail_mode))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(list(ATOM_SEQS)), start=st.integers(0, 700),
+       size=st.integers(2, 60), width=st.one_of(st.none(), st.floats(0.0, 50.0)),
+       tail_mode=st.sampled_from(["none", "persistent"]))
+def test_atom_sums_match_loop_on_random_slices(name, start, size, width, tail_mode):
+    pts = ATOM_SEQS[name][start:start + size]
+    if pts.size < 2:
+        return
+    recs = residue_weights(pts, report_width=width, tail_mode=tail_mode)
+    assert ([(r.n, r.atom_sum.hex(), r.tail_bound.hex()) for r in recs]
+            == loop_records(pts, width, tail_mode))
