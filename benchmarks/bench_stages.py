@@ -33,6 +33,12 @@ The file name keeps it out of the default test collection. Run it by path:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_stages.py \
         --benchmark-json=benchmarks/BENCH_<date>.json
+
+A run of the whole file is a smoke check, not a measurement: a stage's time
+depends on the state of the one pytest process that runs every stage, and
+stages whose code did not change have moved by a third between two such
+runs. To quote a stage figure, run that stage alone in a fresh process
+(`-k <stage>`), at least 3 times per side, alternating parent and change.
 """
 
 import functools

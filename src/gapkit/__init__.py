@@ -15,14 +15,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(["AtomicMeasure", "Interval", "ParameterError", "Partition",
                      "PointSequence", "fourier_eval", "generate"], "seqcore"),
-    **dict.fromkeys(["energy_condition_report", "interval_energy", "log_kernel_integral",
-                     "total_energy"], "energy"),
+    **dict.fromkeys(["energy_condition_report", "total_energy"], "energy"),
     **dict.fromkeys(["greedy_density_partition", "is_valid_paper_partition",
                      "shortness"], "partitions"),
     **dict.fromkeys(["bm_density", "density_estimate", "density_lower",
                      "density_upper_d4"], "density"),
     **dict.fromkeys(["regularize_gaps", "spread_points"], "regularize"),
-    **dict.fromkeys(["fekete_optimize", "jacobi_zeros", "key_example_check"], "fekete"),
+    **dict.fromkeys(["fekete_optimize", "jacobi_zeros"], "fekete"),
     **dict.fromkeys(["estimate_gap_characteristic", "gram_matrix", "sigma_min_sweep",
                      "synthesize_gap_measure", "with_gram_sweep"], "gapnum"),
     **dict.fromkeys(["residue_weights", "theta_derivative_profile"], "clarknum"),

@@ -161,7 +161,10 @@ class ThetaProfile:
 def theta_derivative_profile(a, x_grid) -> ThetaProfile:
     """Midpoint-branch profile sum of beta_n / (x - b_n)^2 on a grid.
 
-    Grid points sitting exactly on a midpoint are nudged by 1e-9.
+    Grid points sitting exactly on a midpoint are nudged right by 1e-9, or
+    to the next float where that is farther. The two differ only where
+    x + 1e-9 rounds back to x, from |x| of about 2^24 on, where the estimate
+    would otherwise be infinite.
     """
     a = _validate(a)
     recs = residue_weights(a)
@@ -173,7 +176,7 @@ def theta_derivative_profile(a, x_grid) -> ThetaProfile:
         d = xi - b
         hit = np.abs(d) < 1e-12
         if np.any(hit):
-            xi = xi + 1e-9
+            xi = max(xi + 1e-9, np.nextafter(xi, np.inf))
             x[i] = xi
             d = xi - b
         est[i] = float(np.sum(betas / (d * d)))

@@ -35,6 +35,10 @@ from .seqcore import Interval, ParameterError, Partition, PointSequence
 # sweep_n_max: every sigma_min sweep and every synthesis runs on at most this
 # many points nearest 0
 CONFIG_DEFAULTS = {"sweep_n_max": 512.0}
+# Most steps a count field of an option value (`gap --sweep`, `clark
+# --profile`) may ask for: 250 times the certificate's 40 sweep points. Each
+# sweep step is a Gram eigensolve, so 10^6 steps would run for hours.
+MAX_OPTION_STEPS = 10_000
 
 
 def load_config(path=None) -> dict:
@@ -83,8 +87,9 @@ def _finite(text: str, what: str) -> float:
 def _option_values(option: str, text: str, form: str, kinds: str,
                    prefix: str = "") -> tuple:
     """The ':'-separated fields of an option value after `prefix`, each a
-    finite float (kind 'f') or a positive count (kind 'n'); a ParameterError
-    naming the option and its expected form otherwise."""
+    finite float (kind 'f') or a count from 1 to MAX_OPTION_STEPS (kind 'n');
+    a ParameterError naming the option and its expected form, or the cap,
+    otherwise."""
     bad = ParameterError(f"{option} must have the form {form}, got {text!r}")
     fields = text[len(prefix):].split(":")
     if not text.startswith(prefix) or len(fields) != len(kinds):
@@ -97,6 +102,9 @@ def _option_values(option: str, text: str, form: str, kinds: str,
             raise bad from None
         if not (x >= 1 if kind == "n" else math.isfinite(x)):
             raise bad
+        if kind == "n" and x > MAX_OPTION_STEPS:
+            raise ParameterError(f"{option} takes at most {MAX_OPTION_STEPS} steps, "
+                                 f"got {text!r}")
         values.append(x)
     return tuple(values)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .energy import total_energy
 from .seqcore import Interval, ParameterError
 
-__all__ = ["jacobi_zeros", "fekete_optimize", "FeketeResult", "key_example_check"]
+__all__ = ["jacobi_zeros", "fekete_optimize", "FeketeResult"]
 
 # From equispaced points k <= 200 takes at most 15 Newton steps. After a
 # step of STEP_TOL on [-1, 1] the error (of order step^2) is below rounding.
@@ -142,21 +142,3 @@ def fekete_optimize(k: int, interval: Interval) -> FeketeResult:
     scale = float(2.0 * np.finfo(float).eps * np.max(np.sum(inv, axis=1), initial=0.0))
     dev = float(np.max(np.abs(pts - pred)))
     return FeketeResult(pts, total_energy(pts), res, res <= scale, pred, dev, it)
-
-
-def key_example_check(k: int, L: float):
-    """(energy, normalized defect) for k equally spaced points spanning L.
-
-    Points are 0, L/(k-1), ..., L; the defect (k^2 log L - E) / k^2
-    stabilizes near 1.5 as k grows at unit spacing (L = k).
-    """
-    if k < 2:
-        raise ParameterError("need at least two points")
-    if L <= 1:
-        raise ParameterError("length must exceed 1")
-    h = L / (k - 1)
-    d = np.arange(1, k, dtype=float)
-    # exact pair sum: 2 * sum over separations d of (k - d) log(d * h)
-    energy = 2.0 * float(np.sum((k - d) * np.log(d * h)))
-    defect = (k * k * math.log(L) - energy) / (k * k)
-    return energy, defect

@@ -6,8 +6,8 @@ exactly. Which points a counting interval from u to v owns is decided by
 `_owned` alone, in one of four closures:
 
 - (u, v]: the default. PointSequence.count_in and slice_in, the energy
-  series and `interval_energy`, the intervals right of 0 in
-  `density.verify_partition_witness`, and the BM ('above') family test.
+  series, the intervals right of 0 in `density.verify_partition_witness`,
+  and the BM ('above') family test.
 - [u, v]: closed windows. PointSequence.restrict, a sequence file on a
   window and `regularize.spread_points`.
 - [u, v): the intervals left of 0 in `density.verify_partition_witness`,
@@ -22,6 +22,7 @@ table `_LAWS`: name -> (parameter count, generator).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass, field
@@ -69,16 +70,10 @@ class Interval:
     def length(self) -> float:
         return self.b - self.a
 
-    @property
-    def dist0(self) -> float:
-        """Distance from 0 to the closure of the interval."""
-        if self.a <= 0.0 <= self.b:
-            return 0.0
-        return min(abs(self.a), abs(self.b))
-
 
 def _dist0(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Interval.dist0 of (u, v] elementwise, for arrays of endpoints."""
+    """dist(0, I) elementwise for intervals from u to v, arrays of endpoints:
+    the distance from 0 to the closure, +0.0 where it holds 0."""
     return np.abs(np.where(u >= 0, u, np.where(v <= 0, -v, 0.0)))
 
 
@@ -433,7 +428,8 @@ def generate(spec: str, window: tuple[float, float], seed=None) -> PointSequence
     """Materialize a sequence spec (see parse_sequence_spec) on a window:
     a file's points on the closed window, or a law drawn with
     np.random.default_rng(seed). Deterministic given (spec, window, seed).
-    Laws that would need more than MAX_POINTS points are a ParameterError.
+    Laws that would need more than MAX_POINTS points, and a seed that is
+    neither None nor a non-negative integer, are a ParameterError.
     """
     kind, params = parse_sequence_spec(spec)
     lo, hi = _finite_window(window)
@@ -441,5 +437,7 @@ def generate(spec: str, window: tuple[float, float], seed=None) -> PointSequence
         raise ParameterError(f"window [{lo}, {hi}] is empty")
     if kind == "explicit":
         return _load_file(params, (lo, hi))
+    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     gen = _LAWS[kind][1]
     return PointSequence(gen(*params, lo, hi, np.random.default_rng(seed)), (lo, hi))

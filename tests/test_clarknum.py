@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,22 @@ def test_profile_nudges_exact_midpoint():
     prof = theta_derivative_profile(a, [0.5])
     assert np.isfinite(prof.estimate[0])
     assert prof.estimate[0] > 1e15  # dominated by the nudged singular term
+
+
+def test_profile_nudge_stays_finite_at_large_x():
+    # 1e8 + 10.5 + 1e-9 rounds back to 1e8 + 10.5: there the nudge is one ulp,
+    # and at 10.5 it is still the 1e-9 step
+    for shift, x in ((0.0, 10.5 + 1e-9), (1e8, np.nextafter(1e8 + 10.5, np.inf))):
+        a = shift + np.arange(50.0)
+        recs = residue_weights(a)
+        b = np.array([r.b_n for r in recs])
+        betas = np.array([r.beta_n for r in recs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = theta_derivative_profile(a, [shift + 10.5])
+        assert prof.x[0] == x
+        assert prof.estimate[0] == float(np.sum(betas / ((x - b) * (x - b))))
+        assert 0.0 < prof.estimate[0] < np.inf
 
 
 def test_band_narrow_for_perturbed_lattices():

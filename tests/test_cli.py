@@ -302,6 +302,18 @@ def test_gen_over_point_cap_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,out_name", [
+    (["gen", "--spec", "poisson:1"], "seq.txt"),
+    (["density", "--method", "d1", "--seq", "poisson:1"], "out.json"),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv, out_name):
+    out = tmp_path / out_name
+    assert main(argv + ["--window=-10,10", "--seed", "-1", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be a non-negative integer, got -1" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_fekete_over_point_cap_exits_2(tmp_path, capsys):
     out = tmp_path / "f.json"
     assert main(["fekete", "-k", "100000", "--interval", "0,1", "-o", str(out)]) == 2
@@ -445,6 +457,8 @@ def test_malformed_law_spec_exits_2(tmp_path, capsys, spec, needle):
     (["gap", "--sweep", "1:2:0"], "--sweep must have the form a0:a1:steps"),
     (["clark", "--profile", "1:2"], "--profile must have the form x0:x1:steps"),
     (["clark", "--profile", "0:abc:3"], "--profile must have the form x0:x1:steps"),
+    (["gap", "--sweep", "1:2:10001"], "--sweep takes at most 10000 steps"),
+    (["clark", "--profile", "1:2:10001"], "--profile takes at most 10000 steps"),
 ])
 def test_malformed_option_value_exits_2(tmp_path, capsys, argv, needle):
     out = tmp_path / "out.json"

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gapkit.energy import (StepDensity, energy_condition_report,
-                           interval_energy, log_kernel_integral, total_energy)
-from gapkit.seqcore import Interval, ParameterError, Partition, PointSequence, generate
-from lemma_gen import bound_suite_checks
+from gapkit.energy import energy_condition_report, total_energy
+from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
+from paper_lemmas import StepDensity, bound_suite_checks, log_kernel_integral
 
 
 def brute_force_energy(pts):
@@ -61,17 +60,22 @@ def test_scaling_law():
 
 
 def test_interval_energy_conventions():
+    # (a, b]: the point 0 is owned by no interval, 2 by (0, 2] alone
     seq = PointSequence(np.array([0.0, 1.0, 2.0, 3.0]), (0, 3))
-    assert interval_energy(seq, Interval(0, 2)) == (2, 0.0)
-    count, e = interval_energy(seq, Interval(0, 3))
-    assert count == 3 and e == pytest.approx(2 * math.log(2), rel=1e-14)
+    rep = energy_condition_report(seq, Partition([0, 2, 3]))
+    recs = {(r.interval.a, r.interval.b): r for r in rep.records}
+    assert (recs[0, 2].count, recs[0, 2].energy) == (2, 0.0)
+    assert (recs[2, 3].count, recs[2, 3].energy) == (1, 0.0)
+    rep = energy_condition_report(seq, Partition([0, 3]))
+    (r,) = rep.records
+    assert r.count == 3 and r.energy == pytest.approx(2 * math.log(2), rel=1e-14)
 
 
 def test_interval_energy_matches_total():
     seq = generate("lattice:1", (0, 100))
-    count, e = interval_energy(seq, Interval(0, 100))
-    assert count == 100
-    assert e == pytest.approx(brute_force_energy(np.arange(1.0, 101.0)), rel=1e-11)
+    (r,) = energy_condition_report(seq, Partition([0, 100])).records
+    assert r.count == 100
+    assert r.energy == pytest.approx(brute_force_energy(np.arange(1.0, 101.0)), rel=1e-11)
 
 
 DYADIC_GROWTH = np.array([-150.0, -70.0, -30.0, -10.0, 0.0, 10.0, 30.0, 70.0, 150.0])
@@ -91,7 +95,7 @@ def test_energy_condition_single_point_per_interval():
     rep = energy_condition_report(seq, Partition(DYADIC_GROWTH))
     for r in rep.records:
         assert r.count == 1
-        expected = math.log(r.interval.length) / (1.0 + r.interval.dist0 ** 2)
+        expected = math.log(r.interval.length) / (1.0 + r.dist0 ** 2)
         assert r.summand == pytest.approx(expected, rel=1e-12)
 
 
@@ -100,7 +104,7 @@ def test_energy_condition_normalized_summand_band():
     seq = generate("lattice:1", (-150, 150))
     rep = energy_condition_report(seq, Partition(DYADIC_GROWTH))
     for r in rep.records:
-        ratio = r.summand * (1.0 + r.interval.dist0 ** 2) / r.interval.length ** 2
+        ratio = r.summand * (1.0 + r.dist0 ** 2) / r.interval.length ** 2
         assert 0.5 <= ratio <= 2.5
 
 
@@ -118,7 +122,7 @@ def test_deletion_never_increases_summand():
         count = kept.size
         e = total_energy(kept)
         s_new = (count * count * math.log(r.interval.length) - e) \
-            / (1.0 + r.interval.dist0 ** 2)
+            / (1.0 + r.dist0 ** 2)
         assert s_new <= r.summand + 1e-12
 
 
@@ -170,7 +174,7 @@ def test_log_kernel_quadrature_oracle():
 def test_log_kernel_random_vs_quadrature():
     # midpoint rule per step pair, so grid cells never straddle a jump
     rng = np.random.default_rng(8)
-    from lemma_gen import random_density
+    from paper_lemmas import random_density
     n = 400
     for _ in range(5):
         alpha = random_density(rng)

@@ -5,9 +5,9 @@ import pytest
 from scipy.special import roots_jacobi
 
 import gapkit.fekete as fekete
-from gapkit.fekete import (MAX_FEKETE_POINTS, fekete_optimize, jacobi_zeros,
-                           key_example_check)
+from gapkit.fekete import MAX_FEKETE_POINTS, fekete_optimize, jacobi_zeros
 from gapkit.seqcore import Interval, ParameterError
+from paper_lemmas import key_example_check
 
 
 def test_jacobi_degree_one():

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from gapkit.seqcore import (AtomicMeasure, Interval, ParameterError, Partition,
-                            PointSequence, _owned, fourier_eval, generate, load_points,
-                            save_points)
+                            PointSequence, _dist0, _owned, fourier_eval, generate,
+                            load_points, save_points)
 
 
 def test_lattice_example():
@@ -123,9 +125,7 @@ def test_restrict_scale_translate():
 
 
 def test_interval_and_partition():
-    iv = Interval(1.0, 3.0)
-    assert iv.length == 2.0 and iv.dist0 == 1.0
-    assert Interval(-2.0, 5.0).dist0 == 0.0
+    assert Interval(1.0, 3.0).length == 2.0
     with pytest.raises(ParameterError):
         Interval(2.0, 2.0)
     with pytest.raises(ParameterError):
@@ -135,6 +135,22 @@ def test_interval_and_partition():
     assert idx == [-2, -1, 0, 1]
     refl = part.reflect()
     assert refl.breakpoints.tolist() == [-6.0, -2.0, 0.0, 1.0, 4.0]
+
+
+@pytest.mark.parametrize("u,v,expected", [
+    (1.0, 3.0, 1.0),
+    (-3.0, -1.0, 1.0),
+    (-2.0, 5.0, 0.0),  # straddles 0, nearer the left end
+    (-5.0, 2.0, 0.0),  # straddles 0, nearer the right end
+    (0.0, 3.0, 0.0),
+    (-0.0, 3.0, 0.0),
+    (-3.0, 0.0, 0.0),
+    (-3.0, -0.0, 0.0),
+])
+def test_dist0(u, v, expected):
+    d = _dist0(np.array([u]), np.array([v]))
+    # +0.0, never -0.0, where the closure holds 0: the JSON and CSV print it
+    assert d.tolist() == [expected] and math.copysign(1.0, d[0]) == 1.0
 
 
 def test_sequence_file_roundtrip(tmp_path):

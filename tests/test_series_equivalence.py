@@ -23,7 +23,8 @@ from gapkit.clarknum import _outer_gap_scale, residue_weights
 from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _block_candidates,
                             _evidence_subfamily, _greedy_match_side, _ladder_max,
                             _qualifying, _sparse_candidates, long_family_search)
-from gapkit.energy import EnergyRecord, EnergyReport, energy_condition_report, interval_energy
+from gapkit.energy import (EnergyRecord, EnergyReport, energy_condition_report,
+                           total_energy)
 from gapkit.gapnum import estimate_gap_characteristic
 from gapkit.partitions import (_grow_right, _short_greedy, _terms_of, classify_terms,
                                greedy_density_partition, shortness)
@@ -67,9 +68,17 @@ def loop_grow_right(points, d, hi, monotone):
     return bks[1:], counts, None, False
 
 
+def loop_dist0(iv):
+    """Distance from 0 to the closure of the interval."""
+    if iv.a <= 0.0 <= iv.b:
+        return 0.0
+    return min(abs(iv.a), abs(iv.b))
+
+
 def loop_shortness(part):
-    ivs = sorted((iv for _, iv in part.intervals()), key=lambda iv: (iv.dist0, iv.a))
-    terms = np.array([iv.length * iv.length / (1.0 + iv.dist0 * iv.dist0) for iv in ivs])
+    ivs = sorted((iv for _, iv in part.intervals()), key=lambda iv: (loop_dist0(iv), iv.a))
+    dists = [loop_dist0(iv) for iv in ivs]
+    terms = np.array([iv.length * iv.length / (1.0 + d * d) for iv, d in zip(ivs, dists)])
     verdict, exponent = classify_terms(terms)
     return terms, verdict, exponent
 
@@ -77,9 +86,11 @@ def loop_shortness(part):
 def loop_energy_report(seq, part):
     recs = []
     for n, iv in part.intervals():
-        count, e_n = interval_energy(seq, iv)
-        s_n = (count * count * math.log(iv.length) - e_n) / (1.0 + iv.dist0 * iv.dist0)
-        recs.append(EnergyRecord(n, iv, count, e_n, s_n))
+        inside = seq.slice_in(iv.a, iv.b)
+        count, e_n = inside.size, total_energy(inside)
+        d = loop_dist0(iv)
+        s_n = (count * count * math.log(iv.length) - e_n) / (1.0 + d * d)
+        recs.append(EnergyRecord(n, iv, count, e_n, s_n, d))
     recs.sort(key=lambda r: (r.dist0, r.n))
     summands = np.array([r.summand for r in recs])
     partial = np.cumsum(summands) if summands.size else np.zeros(0)
