@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import ParameterError
+from .seqcore import ParameterError, _points
 
 # Midpoints per block of atom sums: each block holds a few arrays of
 # _ROWS x (number of gaps) floats, so larger blocks raise the peak memory.
@@ -46,15 +46,6 @@ class ResidueRecord:
     amplitude: float       # A_n = exp(-atom_sum), in (0, 1]
     beta_n: float
     tail_bound: float
-
-
-def _validate(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.size < 2:
-        raise ParameterError("need at least two breakpoints")
-    if np.any(np.diff(a) <= 0):
-        raise ParameterError("breakpoints must be strictly increasing")
-    return a
 
 
 def _outer_gap_scale(a: np.ndarray):
@@ -124,7 +115,9 @@ def residue_weights(a, report_width: float | None = None, tail_mode: str = "none
         raise ParameterError("tail_mode must be 'none' or 'persistent'")
     if report_width is not None and not report_width >= 0:
         raise ParameterError(f"report width must be at least 0, got {report_width!r}")
-    a = _validate(a)
+    a = _points(a, "breakpoints")
+    if a.size < 2:
+        raise ParameterError("need at least two breakpoints")
     b = 0.5 * (a[:-1] + a[1:])
     deltas = np.diff(a)
     if report_width is None:
@@ -166,7 +159,7 @@ def theta_derivative_profile(a, x_grid) -> ThetaProfile:
     x + 1e-9 rounds back to x, from |x| of about 2^24 on, where the estimate
     would otherwise be infinite.
     """
-    a = _validate(a)
+    a = _points(a, "breakpoints")
     recs = residue_weights(a)
     b = np.array([r.b_n for r in recs])
     betas = np.array([r.beta_n for r in recs])

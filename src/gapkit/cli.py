@@ -209,8 +209,7 @@ def _cmd_gen(args, cfg, emit):
     if args.output:
         seqcore.save_points(args.output, seq.points)
     else:
-        for x in seq.points:
-            print(repr(float(x)))
+        seqcore._write_points(sys.stdout, seq.points)
     return 0
 
 

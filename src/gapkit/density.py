@@ -19,7 +19,7 @@ import numpy as np
 
 from .partitions import _monotone, _short_greedy, _terms_of, shortness
 from .seqcore import (ParameterError, Partition, PointSequence, _dist0, _owned,
-                      _series_order, _slope)
+                      _positive, _series_order, _slope)
 
 __all__ = [
     "DensityEstimate",
@@ -169,6 +169,7 @@ def verify_partition_witness(seq: PointSequence, a: float, part: Partition,
     each owns the endpoint facing away from 0 (see the closures listed in
     the seqcore module docstring).
     """
+    _positive(a, "level a")
     bks = part.breakpoints
     if len(bks) < 4:
         return False
@@ -314,8 +315,7 @@ def d3_residual_curve(seq: PointSequence, a: float):
     residual in the window size indicates a genuine slope mismatch. The last
     entry, at fraction 1, is the residual on the whole window.
     """
-    if not a > 0:
-        raise ParameterError(f"slope a must be positive, got {a!r}")
+    _positive(a, "slope a")
     matched = match_to_ideal_grid(seq, a) if len(seq) else np.empty(0)
     lo, hi = seq.window
     return [(f, counting_residual(matched, a, (lo * f, hi * f))) for f in D3_FRACTIONS]
@@ -489,6 +489,12 @@ def _evidence_subfamily(family, extent: float):
     return long, evidence, capped, terms[order]
 
 
+def _check_family_args(a: float, mode: str) -> None:
+    _positive(a, "level a")
+    if mode not in ("below", "above"):
+        raise ParameterError(f"mode must be 'below' or 'above', got {mode!r}")
+
+
 def long_family_search(seq: PointSequence, a: float, mode: str):
     """Search for a long disjoint family; mode 'below' wants count < a|I|
     (d4-style refutation), mode 'above' wants count >= a|I| (BM-style).
@@ -496,6 +502,7 @@ def long_family_search(seq: PointSequence, a: float, mode: str):
     Returns (found, evidence family, total, terms). The family is
     re-checkable by verify_family_witness.
     """
+    _check_family_args(a, mode)
     pts = seq.points
     if pts.size < 2:
         return False, [], 0.0, np.zeros(0)
@@ -511,6 +518,7 @@ def long_family_search(seq: PointSequence, a: float, mode: str):
 
 def verify_family_witness(seq: PointSequence, a: float, family, mode: str) -> bool:
     """Disjointness, the per-interval count condition, and longness."""
+    _check_family_args(a, mode)
     fam = sorted(family)
     u, v = np.array(fam, dtype=float).reshape(-1, 2).T
     if np.any(v[:-1] > u[1:]) or not np.all(_qualifying(seq.points, u, v, a, mode)):
@@ -526,8 +534,7 @@ def density_upper_d4(seq: PointSequence, a: float):
     Returns (refuted, witness dict). refuted=True certifies (at truncation
     scale) that the sequence fails the d4 density at level a.
     """
-    if a <= 0:
-        raise ParameterError("level a must be positive")
+    _positive(a, "level a")
     found, family, total, terms = long_family_search(seq, a, "below")
     if found and not verify_family_witness(seq, a, family, "below"):
         found = False

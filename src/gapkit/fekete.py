@@ -41,7 +41,7 @@ def jacobi_zeros(n: int, alpha: float, beta: float) -> np.ndarray:
     """
     if n < 1:
         raise ParameterError("degree must be at least 1")
-    if alpha <= -1 or beta <= -1:
+    if not (alpha > -1 and beta > -1):
         raise ParameterError("Jacobi parameters must exceed -1")
     ab = alpha + beta
     diag = np.empty(n)

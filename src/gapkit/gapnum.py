@@ -18,7 +18,7 @@ import numpy as np
 from .density import DensityEstimate, density_lower
 from .energy import energy_condition_report
 from .seqcore import (AtomicMeasure, ParameterError, Partition, PointSequence,
-                      _check_sweep_n_max, fourier_eval)
+                      _check_sweep_n_max, _positive, fourier_eval)
 
 __all__ = [
     "GramProbe",
@@ -80,13 +80,6 @@ def _gram_entries(lam: np.ndarray, a: float) -> np.ndarray:
     return s
 
 
-def _finite(name: str, values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ParameterError(f"{name} must be finite")
-    return values
-
-
 def gram_matrix(lam, a: float, vectors: bool = True) -> GramProbe:
     """Gram matrix of exp(i*lam_j*t) on [0, a] with closed-form entries.
 
@@ -100,10 +93,10 @@ def gram_matrix(lam, a: float, vectors: bool = True) -> GramProbe:
     semidefinite by construction. With vectors=False LAPACK solves for the
     eigenvalues alone and minimizing_weights is None.
     """
-    lam = _finite("frequencies", lam)
-    a = float(_finite("gap length a", a))
-    if a <= 0:
-        raise ParameterError("gap length a must be positive")
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ParameterError("frequencies must be finite")
+    a = _positive(a, "gap length a")
     if lam.size == 0:
         raise ParameterError("need at least one frequency")
     if lam.size > MAX_GRAM_SIZE:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import ParameterError, Partition, PointSequence, _dist0, _series_order, _slope
+from .seqcore import (ParameterError, Partition, PointSequence, _dist0, _positive,
+                      _series_order, _slope)
 
 __all__ = [
     "ShortnessReport",
@@ -292,8 +293,7 @@ def greedy_density_partition(seq: PointSequence, d: float,
     before its count condition can be met; a leftover sliver at the window
     edge too short for the monotone constraint is trimmed instead.
     """
-    if d <= 0:
-        raise ParameterError("target density must be positive")
+    _positive(d, "target density")
     if len(seq) == 0:
         raise ParameterError("sequence is empty")
     lo, hi = seq.window

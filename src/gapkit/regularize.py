@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import total_energy
-from .seqcore import Interval, ParameterError, PointSequence, _owned
+from .seqcore import Interval, ParameterError, PointSequence, _check_count, _owned
 
 __all__ = [
     "InfeasibleError",
@@ -93,8 +93,10 @@ def regularize_gaps(seq: PointSequence, C: float) -> RegularizeResult:
 
     Each oversized gap g gets floor(g/C) - 1 equally spaced interior points
     (spacing g / floor(g/C), which lands in [C, 2C]); gaps in (C, 2C] need
-    no points. Asserted post-conditions: max output gap <= 2C and inserted
-    points pairwise >= C apart.
+    no points. More than MAX_POINTS inserted points in all is a
+    ParameterError, raised before anything is allocated. Asserted
+    post-conditions: max output gap <= 2C and inserted points pairwise >= C
+    apart.
     """
     if not C > 1:
         raise ParameterError(f"gap constant C must exceed 1, got {C!r}")
@@ -102,20 +104,18 @@ def regularize_gaps(seq: PointSequence, C: float) -> RegularizeResult:
     if pts.size < 2:
         return RegularizeResult(seq, PointSequence(np.empty(0), seq.window),
                                 (), 0.0)
-    fills = []
-    new_points = []
     gaps = np.diff(pts)
-    for i, g in enumerate(gaps):
-        if g <= C:
-            continue
-        k = int(math.floor(g / C))
-        n_add = k - 1
-        spacing = g / k if k else g
-        if n_add > 0:
-            inserted = pts[i] + spacing * np.arange(1, k)
-            new_points.append(inserted)
-        fills.append(GapFill((float(pts[i]), float(pts[i + 1])), n_add, float(spacing)))
-    added = np.concatenate(new_points) if new_points else np.empty(0)
+    ks = np.floor(gaps / C)
+    over = np.flatnonzero(gaps > C)
+    _check_count(float(np.sum(ks[over] - 1)), "gap-filling points")
+    fills = []
+    new_points = [np.empty(0)]
+    for i in over.tolist():
+        k = int(ks[i])  # at least 1, as g > C
+        spacing = gaps[i] / k
+        new_points.append(pts[i] + spacing * np.arange(1, k))
+        fills.append(GapFill((float(pts[i]), float(pts[i + 1])), k - 1, float(spacing)))
+    added = np.concatenate(new_points)
     gamma_pts = np.sort(np.concatenate([pts, added]))
     gamma = PointSequence(gamma_pts, seq.window)
     added_seq = PointSequence(added, seq.window)

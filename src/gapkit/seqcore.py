@@ -14,6 +14,15 @@ exactly. Which points a counting interval from u to v owns is decided by
   which own the endpoint facing away from 0, as the greedy walk does.
 - (u, v): the d4 ('below') family test, whose sparse intervals end on points.
 
+Two input rules are each written once; breaking one is a ParameterError:
+
+- `_points`: a point array is one-dimensional, finite and strictly
+  increasing, kept as a read-only copy. Used by PointSequence, Partition,
+  AtomicMeasure, `load_points` and `clarknum`'s two entries.
+- `_positive`: a level is finite and > 0. Used by PointSequence.scale,
+  `gapnum.gram_matrix`, `partitions.greedy_density_partition` and five
+  `density` entries: d3, d4 and the three witness checks and searches.
+
 A sequence spec is a file or a law, as `parse_sequence_spec` alone decides:
 an existing path wins over a law of the same name. The laws are the one
 table `_LAWS`: name -> (parameter count, generator).
@@ -108,11 +117,25 @@ def _finite_window(window) -> tuple[float, float]:
     return lo, hi
 
 
-def _as_sorted_array(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+def _points(values, what: str) -> np.ndarray:
+    """values as a read-only float copy; a ParameterError unless it is
+    one-dimensional, finite and strictly increasing. what names the input."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
-        raise ParameterError("points must be one-dimensional")
+        raise ParameterError(f"{what} must be one-dimensional")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{what} must be finite")
+    if np.any(np.diff(arr) <= 0):
+        raise ParameterError(f"{what} must be strictly increasing")
+    arr.setflags(write=False)
     return arr
+
+
+def _positive(x, what: str) -> float:
+    """x as a float; a ParameterError unless finite and > 0 (NaN fails)."""
+    if not (x > 0 and math.isfinite(x)):
+        raise ParameterError(f"{what} must be positive and finite, got {x!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -127,20 +150,14 @@ class PointSequence:
     window: tuple[float, float]
 
     def __post_init__(self):
-        arr = _as_sorted_array(self.points)
-        arr.setflags(write=False)
+        arr = _points(self.points, "points")
         object.__setattr__(self, "points", arr)
         lo, hi = _finite_window(self.window)
         if not lo <= hi:
             raise ParameterError(f"window [{lo}, {hi}] is empty")
         object.__setattr__(self, "window", (lo, hi))
-        if arr.size:
-            if not np.all(np.isfinite(arr)):
-                raise ParameterError("points must be finite")
-            if np.any(np.diff(arr) <= 0):
-                raise ParameterError("points must be strictly increasing")
-            if arr[0] < lo or arr[-1] > hi:
-                raise ParameterError("all points must lie inside the window")
+        if arr.size and (arr[0] < lo or arr[-1] > hi):
+            raise ParameterError("all points must lie inside the window")
 
     def __len__(self):
         return int(self.points.size)
@@ -169,17 +186,14 @@ class PointSequence:
         return PointSequence(self.points + c, (lo + c, hi + c))
 
     def scale(self, t: float) -> "PointSequence":
-        if t <= 0:
-            raise ParameterError("scale factor must be positive")
+        _positive(t, "scale factor")
         lo, hi = self.window
         return PointSequence(self.points * t, (lo * t, hi * t))
 
     @classmethod
     def from_points(cls, points) -> "PointSequence":
-        arr = _as_sorted_array(points)
-        if arr.size == 0:
-            return cls(arr, (0.0, 0.0))
-        return cls(arr, (float(arr[0]), float(arr[-1])))
+        arr = _points(points, "points")
+        return cls(arr, (float(arr[0]), float(arr[-1])) if arr.size else (0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -193,15 +207,10 @@ class Partition:
     breakpoints: np.ndarray
 
     def __post_init__(self):
-        arr = _as_sorted_array(self.breakpoints)
-        arr.setflags(write=False)
+        arr = _points(self.breakpoints, "breakpoints")
         object.__setattr__(self, "breakpoints", arr)
         if arr.size < 2:
             raise ParameterError("partition needs at least two breakpoints")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("breakpoints must be finite")
-        if np.any(np.diff(arr) <= 0):
-            raise ParameterError("breakpoints must be strictly increasing")
         if not np.any(arr == 0.0):
             raise ParameterError("0 must be a breakpoint")
 
@@ -237,8 +246,7 @@ class AtomicMeasure:
     weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        pos = _as_sorted_array(self.positions)
-        pos.setflags(write=False)
+        pos = _points(self.positions, "atom positions")
         object.__setattr__(self, "positions", pos)
         if self.weights is None:
             w = np.ones(pos.size, dtype=complex)
@@ -246,8 +254,6 @@ class AtomicMeasure:
             w = np.asarray(self.weights, dtype=complex).copy()
         if w.shape != pos.shape:
             raise ParameterError("weights must match positions")
-        if pos.size and np.any(np.diff(pos) <= 0):
-            raise ParameterError("atom positions must be strictly increasing")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -353,7 +359,8 @@ _LAWS = {
 
 
 def load_points(path) -> np.ndarray:
-    """Read the standard sequence file: one real per line, '#' comments."""
+    """Read the standard sequence file: one real per line, '#' comments,
+    into a read-only array of finite, strictly increasing points."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -368,12 +375,7 @@ def load_points(path) -> np.ndarray:
                 vals.append(float(line))
             except ValueError:
                 raise ParameterError(f"{path}:{lineno}: not a number: {line!r}") from None
-    arr = np.array(vals, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{path}: points must be finite")
-    if arr.size and np.any(np.diff(arr) <= 0):
-        raise ParameterError(f"{path}: points must be strictly increasing")
-    return arr
+    return _points(vals, f"{path}: points")
 
 
 def _load_file(path, window) -> PointSequence:
@@ -387,10 +389,15 @@ def _load_file(path, window) -> PointSequence:
     return PointSequence(pts[first:last], window)
 
 
+def _write_points(fh, points) -> None:
+    """Write the sequence-file format to an open text file: one repr(float)
+    per line. The one writer: `save_points` and `gapkit gen` use it."""
+    fh.writelines(f"{float(x)!r}\n" for x in np.asarray(points, dtype=float))
+
+
 def save_points(path, points) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for x in np.asarray(points, dtype=float):
-            fh.write(f"{float(x)!r}\n")
+        _write_points(fh, points)
 
 
 _SPEC_RE = re.compile(r"^([a-z]+)(?::(.*))?$")

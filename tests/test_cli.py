@@ -20,12 +20,16 @@ def run_json(argv, tmp_path, name="out.json"):
     return code, json.loads(out.read_text())
 
 
-def test_gen_writes_201_lines(tmp_path):
+def test_gen_writes_201_lines(tmp_path, capsys):
     out = tmp_path / "seq.txt"
     code = main(["gen", "--spec", "lattice:1", "--window=-100,100", "-o", str(out)])
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if l.strip()]
     assert len(lines) == 201
+    # stdout carries the same bytes as the file
+    capsys.readouterr()
+    assert main(["gen", "--spec", "lattice:1", "--window=-100,100"]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_density_cli(tmp_path):
@@ -298,6 +302,16 @@ def test_report_bytes_ignore_destinations(tmp_path):
 def test_gen_over_point_cap_exits_2(tmp_path, capsys):
     out = tmp_path / "seq.txt"
     assert main(["gen", "--spec", "lattice:1e-12", "--window=0,1", "-o", str(out)]) == 2
+    assert "limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_regularize_over_point_cap_exits_2(tmp_path, capsys):
+    # one gap of 1e12 at C = 2 would need 5e11 inserted points (3.64 TiB)
+    seq_file = tmp_path / "pts.txt"
+    seq_file.write_text("0.0\n1e12\n")
+    out = tmp_path / "out.json"
+    assert main(["regularize", "--seq", str(seq_file), "--C", "2", "-o", str(out)]) == 2
     assert "limit" in capsys.readouterr().err
     assert not out.exists()
 

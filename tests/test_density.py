@@ -10,8 +10,9 @@ import gapkit.density as density
 import gapkit.gapnum as gapnum
 from gapkit.density import (_greedy_match_side, bm_density, counting_residual,
                             d3_residual_curve, d4_complement_estimate, density_estimate,
-                            density_lower, density_upper_d4, match_to_ideal_grid,
-                            verify_family_witness, verify_partition_witness)
+                            density_lower, density_upper_d4, long_family_search,
+                            match_to_ideal_grid, verify_family_witness,
+                            verify_partition_witness)
 from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import ParameterError, PointSequence, generate
 
@@ -76,6 +77,15 @@ def test_family_witness_point_on_endpoint(end, mode, expected):
     pts = np.array([iv[end] for iv in ENDPOINT_FAMILY])
     seq = PointSequence(pts, (0.0, 2 * 3.0 ** 11))
     assert verify_family_witness(seq, ENDPOINT_LEVEL, ENDPOINT_FAMILY, mode) is expected
+
+
+@pytest.mark.parametrize("mode", ["sideways", "Below", None])
+def test_family_mode_must_be_known(mode):
+    seq = generate("lattice:1", (-300, 300))
+    with pytest.raises(ParameterError, match="mode"):
+        long_family_search(seq, 0.5, mode)
+    with pytest.raises(ParameterError, match="mode"):
+        verify_family_witness(seq, 0.5, ENDPOINT_FAMILY, mode)
 
 
 # ---------------------------------------------------------------------------

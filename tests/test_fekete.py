@@ -43,6 +43,9 @@ def test_jacobi_parameter_domain():
         jacobi_zeros(3, -1.0, 0.0)
     with pytest.raises(ParameterError):
         jacobi_zeros(0, 1.0, 1.0)
+    for alpha, beta in ((1.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ParameterError):
+            jacobi_zeros(3, alpha, beta)
 
 
 def test_fekete_two_points():

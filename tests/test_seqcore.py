@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from gapkit.clarknum import residue_weights, theta_derivative_profile
+from gapkit.density import (d3_residual_curve, density_lower, density_upper_d4,
+                            long_family_search, verify_family_witness,
+                            verify_partition_witness)
+from gapkit.gapnum import gram_matrix
+from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import (AtomicMeasure, Interval, ParameterError, Partition,
                             PointSequence, _dist0, _owned, fourier_eval, generate,
                             load_points, save_points)
@@ -246,3 +252,81 @@ def test_generate_file_keeps_points_on_window_ends(tmp_path):
     path = tmp_path / "pts.txt"
     save_points(path, np.arange(5.0))
     assert generate(f"file:{path}", (1.0, 3.0)).points.tolist() == CLOSURES[True, True]
+
+
+# ---------------------------------------------------------------------------
+# Input contract: every public entry that takes a point array or a level
+# rejects bad values with a ParameterError (seqcore._points, _positive)
+# ---------------------------------------------------------------------------
+
+LATTICE = generate("lattice:1", (-300.0, 300.0))
+
+
+def _load_written(values, tmp_path):
+    """load_points on a file of values, one row per line: a 2-D array gives
+    lines of two numbers, which a sequence file cannot hold."""
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(" ".join(map(str, np.atleast_1d(row))) + "\n" for row in values))
+    return load_points(path)
+
+
+def _d1_witness():
+    return Partition(density_lower(LATTICE, "d1").witness["breakpoints"])
+
+
+POINT_ENTRIES = {
+    "PointSequence": lambda v, tmp: PointSequence(v, (-10.0, 10.0)),
+    "Partition": lambda v, tmp: Partition(v),
+    "AtomicMeasure": lambda v, tmp: AtomicMeasure(v),
+    "load_points": _load_written,
+    "residue_weights": lambda v, tmp: residue_weights(v),
+    "theta_derivative_profile": lambda v, tmp: theta_derivative_profile(v, [0.25]),
+}
+BAD_POINTS = {
+    "nan": [0.0, math.nan, 2.0],
+    "inf": [0.0, 1.0, math.inf],
+    "-inf": [-math.inf, 0.0, 1.0],
+    "decreasing": [0.0, 2.0, 1.0],
+    "repeated": [0.0, 1.0, 1.0],
+    "2-D": [[0.0, 1.0], [2.0, 3.0]],
+}
+LEVEL_ENTRIES = {
+    "PointSequence.scale": lambda a, tmp: LATTICE.scale(a),
+    "gram_matrix": lambda a, tmp: gram_matrix(np.arange(3.0), a),
+    "greedy_density_partition": lambda a, tmp: greedy_density_partition(LATTICE, a),
+    "density_upper_d4": lambda a, tmp: density_upper_d4(LATTICE, a),
+    "d3_residual_curve": lambda a, tmp: d3_residual_curve(LATTICE, a),
+    "verify_partition_witness":
+        lambda a, tmp: verify_partition_witness(LATTICE, a, _d1_witness(), True),
+    "long_family_search": lambda a, tmp: long_family_search(LATTICE, a, "below"),
+    "verify_family_witness":
+        lambda a, tmp: verify_family_witness(LATTICE, a, [(0.5, 1.5)], "below"),
+}
+BAD_LEVELS = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf,
+              "-inf": -math.inf}
+CONTRACT = [pytest.param(POINT_ENTRIES[e], np.array(v), id=f"{e}-{b}")
+            for e in POINT_ENTRIES for b, v in BAD_POINTS.items()] + \
+           [pytest.param(LEVEL_ENTRIES[e], v, id=f"{e}-{b}")
+            for e in LEVEL_ENTRIES for b, v in BAD_LEVELS.items()]
+
+
+@pytest.mark.parametrize("call,bad", CONTRACT)
+def test_input_contract(call, bad, tmp_path):
+    with pytest.raises(ParameterError):
+        call(bad, tmp_path)
+
+
+@pytest.mark.parametrize("make,read", [
+    (lambda a: PointSequence(a, (0.0, 3.0)), lambda obj: obj.points),
+    (Partition, lambda obj: obj.breakpoints),
+    (AtomicMeasure, lambda obj: obj.positions),
+])
+def test_constructors_own_their_arrays(make, read):
+    pts = np.arange(3.0)
+    make(pts)
+    pts[0] = -1.0  # the caller's array stays writable
+    base = np.arange(4.0)
+    obj = make(base[:3])
+    base[1] = 5.0  # and a validated object does not see later writes
+    assert read(obj).tolist() == [0.0, 1.0, 2.0]
+    assert not read(obj).flags.writeable
