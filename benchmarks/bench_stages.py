@@ -6,9 +6,9 @@ level:
 
 - `greedy_density_partition` (both greedy walks);
 - `shortness` of the greedy partition (its terms and verdict);
-- the energy check: the energy-condition report on the greedy partition,
-  over the points it covers, whose verdict the certificate reads for its
-  witness.
+- the energy check: the energy-condition report on the greedy partition
+  (it counts the points the partition covers), whose verdict the
+  certificate reads for its witness.
 
 It also times the d1 witness re-check, `verify_partition_witness`, on the
 lattice's greedy partition at level 1; `fekete_optimize` at k = 8 on [0, 1]
@@ -96,8 +96,7 @@ def test_shortness(benchmark, name):
 def test_energy_gate(benchmark, name):
     seq, level = _input(name)
     part = greedy_density_partition(seq, level).partition
-    sub = seq.restrict(*part.cover())
-    rep = benchmark(energy_condition_report, sub, part)
+    rep = benchmark(energy_condition_report, seq, part)
     assert len(rep.records) == part.breakpoints.size - 1
 
 
@@ -120,7 +119,7 @@ D4_WINDOWS = {"lacunary": (-1e6, 1e6), "poisson": (-10000.0, 10000.0)}
 def test_d4_level_search(benchmark, name):
     seq = generate(INPUTS[name][0], D4_WINDOWS[name], seed=SEED)
     est = benchmark(d4_complement_estimate, seq)
-    assert 0.0 < est.value < 1.5
+    assert est.value == 0.0 if name == "lacunary" else 0.0 < est.value < 1.5
 
 
 def test_d3_level_search(benchmark):

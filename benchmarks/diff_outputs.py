@@ -1,0 +1,130 @@
+"""Compare the outputs of two gapkit trees on a fixed list of CLI commands.
+
+    python3 benchmarks/diff_outputs.py OLD_TREE NEW_TREE
+
+Each tree is a checkout holding `src/gapkit`. Every command of `commands()`
+runs once per tree, as `python -m gapkit.cli`, in a fresh directory of its
+own with OPENBLAS_NUM_THREADS=1. The list covers every subcommand on
+`lattice:1` +-5000, `perturbed:1,0.2` +-1500, `poisson:1` +-5000 and
+`lacunary:2` +-1e6 (seed 1), plus `fekete` and a regularize of the two points
+{0, 1e6}. `gap --synthesize` is left out: its weights depend on the BLAS
+thread count (see `gapnum.synthesize_gap_measure`).
+
+Two runs of a command agree when they have the same exit code, stdout and
+stderr, and write the same files with the same bytes, except that JSON files
+are compared less their `timestamp`. The script prints each command whose
+runs differ, with what differs, and exits 1 if any does, else 0. Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+INPUTS = {
+    "lattice": ("lattice:1", "-5000,5000"),
+    "perturbed": ("perturbed:1,0.2", "-1500,1500"),
+    "poisson": ("poisson:1", "-5000,5000"),
+    "lacunary": ("lacunary:2", "-1e6,1e6"),
+}
+# A sequence file the `regularize_gap` command reads: one gap of 1e6.
+GAP_FILE = ("gap.txt", "0.0\n1000000.0\n")
+
+
+def commands() -> dict:
+    """name -> gapkit argv. Outputs go to files in the command's directory:
+    out.json, out.csv, prof.csv, seq.txt and side files under `side`."""
+    cmds = {}
+    for name, (spec, window) in INPUTS.items():
+        seq = ["--seq", spec, f"--window={window}", "--seed", "1"]
+        out = ["-o", "out.json"]
+        cmds.update({
+            f"{name}/gap": ["gap", *seq, "--csv", "out.csv", *out],
+            f"{name}/gap_sweep": ["gap", *seq, "--sweep", "0.5:7:12", "--csv", "out.csv", *out],
+            f"{name}/report": ["report", *seq, *out],
+            f"{name}/energy_0.9": ["energy", *seq, "--partition", "greedy:d=0.9",
+                                   "--csv", "out.csv", *out],
+            f"{name}/energy_0.5": ["energy", *seq, "--partition", "greedy:d=0.5",
+                                   "--csv", "out.csv", *out],
+            f"{name}/partition": ["partition", *seq, "--partition", "greedy:d=0.9", *out],
+            **{f"{name}/density_{m}": ["density", *seq, "--method", m, *out]
+               for m in ("d1", "d2", "d3", "d4", "bm")},
+            f"{name}/clark": ["clark", *seq, "--csv", "out.csv", *out],
+            f"{name}/clark_profile": ["clark", *seq, "--profile", "-3:3:25",
+                                      "--profile-csv", "prof.csv", *out],
+            f"{name}/spread_narrow": ["spread", *seq, "--J", "0,10", "--C", "2", *out],
+            f"{name}/spread_wide": ["spread", *seq, "--J", "1e5,9e5", "--C", "2",
+                                    "--out-prefix", "side", *out],
+            f"{name}/regularize": ["regularize", *seq, "--C", "4", "--out-prefix", "side",
+                                   *out],
+            f"{name}/gen_file": ["gen", "--spec", spec, f"--window={window}", "--seed", "1",
+                                 "-o", "seq.txt"],
+            f"{name}/gen_stdout": ["gen", "--spec", spec, f"--window={window}", "--seed", "1"],
+        })
+    cmds["fekete"] = ["fekete", "-k", "8", "--interval", "0,1", "-o", "out.json"]
+    cmds["regularize_gap"] = ["regularize", "--seq", GAP_FILE[0], "--C", "4", "-o", "out.json"]
+    return cmds
+
+
+def run(tree: Path, where: Path, argv: list) -> dict:
+    """Run one command of `tree` in the empty directory `where`; return what
+    it left: exit code, stdout, stderr and every file it wrote."""
+    where.mkdir(parents=True)
+    (where / GAP_FILE[0]).write_text(GAP_FILE[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+    env.pop("GAPKIT_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-m", "gapkit.cli", *argv], cwd=where, env=env,
+                          capture_output=True, text=True, timeout=1800)
+    seen = {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    for path in sorted(where.rglob("*")):
+        if not path.is_file():
+            continue
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            report = json.loads(data)
+            report.pop("timestamp", None)
+            data = json.dumps(report, sort_keys=True)
+        seen[f"file {path.relative_to(where)}"] = data
+    return seen
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    trees = [Path(t).resolve() for t in argv]
+    for tree in trees:
+        if not (tree / "src" / "gapkit" / "cli.py").is_file():
+            print(f"{tree}: no src/gapkit/cli.py", file=sys.stderr)
+            return 2
+    cmds = commands()
+    work = Path(tempfile.mkdtemp(prefix="gapkit-diff-"))
+    try:
+        jobs = [(name, side) for name in cmds for side in (0, 1)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(
+                lambda job: run(trees[job[1]], work / str(job[1]) / job[0], cmds[job[0]]),
+                jobs))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    differ = 0
+    for i, name in enumerate(cmds):
+        old, new = results[2 * i], results[2 * i + 1]
+        parts = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+        if parts:
+            differ += 1
+            print(f"DIFFERS {name}: {', '.join(parts)}")
+            print(f"  gapkit {' '.join(cmds[name])}")
+    print(f"{differ} of {len(cmds)} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -225,8 +225,7 @@ def _cmd_energy(args, cfg, emit):
                                         "blocked_at": greedy.blocked_at}
             code = 3
         else:
-            sub = seq.restrict(*part.cover())
-            rep = energy.energy_condition_report(sub, part)
+            rep = energy.energy_condition_report(seq, part)
             result["energy_condition"] = rep.to_json_dict()
             if args.csv:
                 _write_csv(args.csv,
@@ -315,28 +314,26 @@ def _cmd_fekete(args, cfg, emit):
 def _cmd_gap(args, cfg, emit):
     from . import gapnum
     seq = _load_sequence(args)
+    if args.synthesize is None and not args.sweep:
+        cert = _certificate(seq, cfg)
+        if args.csv and cert.sweep is not None:
+            _write_csv(args.csv, ["a", "sigma_min"], cert.sweep.pairs())
+        emit({"certificate": cert.to_json_dict()})
+        return 3 if cert.c_estimate == 0.0 else 0
+    # the one Gram support of --synthesize and --sweep
+    lam = gapnum._nearest_zero(seq.points, cfg["sweep_n_max"])
     result = {}
-    code = 0
     if args.synthesize is not None:
-        lam = gapnum._nearest_zero(seq.points, cfg["sweep_n_max"])
         syn = gapnum.synthesize_gap_measure(lam, args.synthesize)
         result["synthesis"] = syn.to_json_dict()
     if args.sweep:
         a0, a1, steps = _option_values("--sweep", args.sweep, "a0:a1:steps", "ffn")
-        lam = gapnum._nearest_zero(seq.points, cfg["sweep_n_max"])
         sweep = gapnum.sigma_min_sweep(lam, np.linspace(a0, a1, steps))
         result["sweep"] = sweep.to_json_dict()
         if args.csv:
             _write_csv(args.csv, ["a", "sigma_min"], sweep.pairs())
-    if args.synthesize is None and not args.sweep:
-        cert = _certificate(seq, cfg)
-        result["certificate"] = cert.to_json_dict()
-        if args.csv and cert.sweep is not None:
-            _write_csv(args.csv, ["a", "sigma_min"], cert.sweep.pairs())
-        if cert.c_estimate == 0.0:
-            code = 3
     emit(result)
-    return code
+    return 0
 
 
 def _cmd_clark(args, cfg, emit):

@@ -40,8 +40,9 @@ GRID_RESOLUTION = 1e-3
 # Divergence threshold for "this family is long": accumulated sum of
 # |I|^2/(1+dist^2) terms with non-decaying behaviour.
 REFUTE_SUM = 10.0
-# Flatness threshold for the d3 residual curve: fitted slope of the
-# residual against log window size.
+# Flatness threshold for the d3 residual curve at slope a: the fitted slope
+# of the residual against log window size is at most D3_FLAT_SLOPE * a. It
+# scales with a: on lacunary input (d3 = 0) that slope is exactly 2a.
 D3_FLAT_SLOPE = 0.03
 # The nested sub-windows of the d3 residual curve, as fractions of the window.
 D3_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
@@ -331,7 +332,7 @@ def density_d3_estimate(seq: PointSequence) -> DensityEstimate:
         curve = d3_residual_curve(seq, a)
         sizes = np.array([max(abs(lo * f), abs(hi * f), 1.0) for f, _ in curve])
         resid = np.array([r for _, r in curve])
-        return _slope(np.log(sizes), resid) <= D3_FLAT_SLOPE, curve
+        return _slope(np.log(sizes), resid) <= D3_FLAT_SLOPE * a, curve
 
     value, curve, _ = _grid_max_feasible(probe, seq)
     witness = {}
@@ -369,8 +370,10 @@ LONG_TERM_CAP = 2.0
 LONG_MIN_COUNT = 5
 LONG_REACH_FRACTION = 0.125
 # Cap on a term in _assemble_family's pick order. Its floor filter is exact
-# only while the floor does not exceed the cap.
-PICK_CAP = 1.0
+# only while the floor does not exceed the cap. At 1/2, the lacunary gaps
+# (2^k, 2^(k+1)), k >= 0, of term 4^k / (1 + 4^k) tie at the cap with a
+# giant that covers them, and go first as the shorter.
+PICK_CAP = 0.5
 assert LONG_TERM_FLOOR <= PICK_CAP
 
 
@@ -534,7 +537,6 @@ def density_upper_d4(seq: PointSequence, a: float):
     Returns (refuted, witness dict). refuted=True certifies (at truncation
     scale) that the sequence fails the d4 density at level a.
     """
-    _positive(a, "level a")
     found, family, total, terms = long_family_search(seq, a, "below")
     if found and not verify_family_witness(seq, a, family, "below"):
         found = False

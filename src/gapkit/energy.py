@@ -23,21 +23,17 @@ __all__ = ["total_energy", "energy_condition_report", "EnergyReport", "EnergyRec
 _BLOCK = 256
 
 
-def _points_of(seq) -> np.ndarray:
-    if isinstance(seq, PointSequence):
-        return seq.points
-    return np.asarray(seq, dtype=float)
-
-
 def total_energy(seq) -> float:
     """E = sum over ordered pairs k != l of log|x_k - x_l|.
 
     Blocked O(N^2) evaluation; this is the defining sum, not an
     approximation. Each block of rows takes the strict lower triangle of its
     differences in row order, in one buffer reused for every block. Raises
-    on duplicate points (log 0).
+    on non-finite and on duplicate points (log 0).
     """
-    x = _points_of(seq)
+    x = seq.points if isinstance(seq, PointSequence) else np.asarray(seq, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("points must be finite")
     n = x.size
     if n < 2:
         return 0.0
@@ -121,6 +117,8 @@ def _series_verdict(summands: np.ndarray):
 def energy_condition_report(seq: PointSequence, part: Partition) -> EnergyReport:
     """Evaluate the energy-condition series of a sequence on a partition.
 
+    The series counts the points the partition covers: the report runs on
+    seq.restrict(*part.cover()), and its window is that intersection.
     Summand for interval I_n with count D and energy E:
         s_n = (D^2 * log|I_n| - E) / (1 + dist(0, I_n)^2).
     Partial sums run in order of increasing distance from the origin. The
@@ -128,8 +126,7 @@ def energy_condition_report(seq: PointSequence, part: Partition) -> EnergyReport
     positive parts of the summands; a series with fewer positive terms than
     the rule needs (none, say) is supported.
     """
-    if not part.covers_window(seq.window):
-        raise ParameterError("partition does not cover the sequence window")
+    seq = seq.restrict(*part.cover())
     pts = seq.points
     u, v = part.breakpoints[:-1], part.breakpoints[1:]
     # the default closure: (a, b]

@@ -312,8 +312,7 @@ def estimate_gap_characteristic(seq: PointSequence) -> GapCertificate:
         bks = tuple(float(b) for b in part.breakpoints)
         counts = np.asarray(d1.witness["counts"])
         margin = float(np.min(counts - c * np.diff(part.breakpoints)))
-        # the energy condition over the points the witness covers
-        energy_v = energy_condition_report(seq.restrict(*part.cover()), part).verdict
+        energy_v = energy_condition_report(seq, part).verdict
         short_v = "short"
         if energy_v != "supported":
             diagnostics["energy"] = (f"energy condition {energy_v} on the d1 witness: "

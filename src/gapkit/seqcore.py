@@ -19,9 +19,11 @@ Two input rules are each written once; breaking one is a ParameterError:
 - `_points`: a point array is one-dimensional, finite and strictly
   increasing, kept as a read-only copy. Used by PointSequence, Partition,
   AtomicMeasure, `load_points` and `clarknum`'s two entries.
-- `_positive`: a level is finite and > 0. Used by PointSequence.scale,
-  `gapnum.gram_matrix`, `partitions.greedy_density_partition` and five
-  `density` entries: d3, d4 and the three witness checks and searches.
+- `_positive`: a level is finite and > 0. Used by PointSequence.scale, the
+  law parameters, `gapnum.gram_matrix`, `partitions.greedy_density_partition`
+  and four `density` entries: d3 and the three witness checks and searches.
+- `_requested_window`: a window asked for has finite ends and lo < hi. Used
+  by `generate` and `_load_file`, so by every --window of the CLI.
 
 A sequence spec is a file or a law, as `parse_sequence_spec` alone decides:
 an existing path wins over a law of the same name. The laws are the one
@@ -114,6 +116,14 @@ def _finite_window(window) -> tuple[float, float]:
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"window [{lo}, {hi}] must have finite ends")
+    return lo, hi
+
+
+def _requested_window(window) -> tuple[float, float]:
+    """(lo, hi) of a window asked for; a ParameterError unless finite, lo < hi."""
+    lo, hi = _finite_window(window)
+    if not lo < hi:
+        raise ParameterError(f"window [{lo}, {hi}] is empty")
     return lo, hi
 
 
@@ -230,10 +240,6 @@ class Partition:
     def cover(self) -> tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
-    def covers_window(self, window: tuple[float, float]) -> bool:
-        lo, hi = self.cover()
-        return lo <= window[0] and window[1] <= hi
-
     def reflect(self) -> "Partition":
         return Partition(-self.breakpoints[::-1])
 
@@ -262,9 +268,11 @@ def fourier_eval(mu: AtomicMeasure, t_grid) -> np.ndarray:
     """Fourier transform of an atomic measure: sum of w_n * exp(-i*t*x_n).
 
     Rejects evaluations where |t * x| exceeds the double-precision phase
-    budget (1e9 radians).
+    budget (1e9 radians) and non-finite t.
     """
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise ParameterError("t must be finite")
     if mu.positions.size == 0:
         return np.zeros(t.shape, dtype=complex)
     max_phase = np.max(np.abs(t)) * max(1.0, np.max(np.abs(mu.positions)))
@@ -293,8 +301,7 @@ def _check_count(count: float, what: str) -> None:
 
 
 def _gen_lattice(h: float, lo: float, hi: float, rng) -> np.ndarray:
-    if h <= 0:
-        raise ParameterError(f"lattice step must be positive, got {h}")
+    _positive(h, "lattice step")
     kmin, kmax = np.ceil(lo / h - 1e-12), np.floor(hi / h + 1e-12)
     _check_count(kmax - kmin + 1, "lattice points")
     kmin, kmax = int(kmin), int(kmax)
@@ -304,8 +311,7 @@ def _gen_lattice(h: float, lo: float, hi: float, rng) -> np.ndarray:
 
 
 def _gen_perturbed(h: float, jitter: float, lo: float, hi: float, rng) -> np.ndarray:
-    if h <= 0:
-        raise ParameterError(f"lattice step must be positive, got {h}")
+    _positive(h, "lattice step")
     if not 0 <= jitter < h / 2:
         raise ParameterError(f"jitter must lie in [0, h/2), got {jitter}")
     base = _gen_lattice(h, lo + jitter, hi - jitter, rng)
@@ -315,8 +321,8 @@ def _gen_perturbed(h: float, jitter: float, lo: float, hi: float, rng) -> np.nda
 
 
 def _gen_lacunary(q: float, lo: float, hi: float, rng) -> np.ndarray:
-    if q <= 1:
-        raise ParameterError(f"lacunary ratio must exceed 1, got {q}")
+    if not (q > 1 and math.isfinite(q)):
+        raise ParameterError(f"lacunary ratio must be finite and exceed 1, got {q!r}")
     if hi <= 0:
         return np.empty(0)
     _check_count((max(0.0, -math.log(max(lo, 1e-300))) + max(0.0, math.log(hi)))
@@ -338,8 +344,7 @@ def _gen_lacunary(q: float, lo: float, hi: float, rng) -> np.ndarray:
 
 
 def _gen_poisson(rate: float, lo: float, hi: float, rng) -> np.ndarray:
-    if rate <= 0:
-        raise ParameterError(f"poisson rate must be positive, got {rate}")
+    _positive(rate, "poisson rate")
     _check_count(rate * (hi - lo), "Poisson points")
     pts = []
     x = lo + rng.exponential(1.0 / rate)
@@ -382,9 +387,10 @@ def _load_file(path, window) -> PointSequence:
     """The points of a sequence file on the closed window [lo, hi], or on
     the hull of its points when window is None. The one file loader: the
     explicit branch of `generate` and the CLI's --seq both use it."""
-    pts = load_points(path)
     if window is None:
-        return PointSequence.from_points(pts)
+        return PointSequence.from_points(load_points(path))
+    window = _requested_window(window)
+    pts = load_points(path)
     first, last = _owned(pts, *window, include_left=True)
     return PointSequence(pts[first:last], window)
 
@@ -439,11 +445,9 @@ def generate(spec: str, window: tuple[float, float], seed=None) -> PointSequence
     neither None nor a non-negative integer, are a ParameterError.
     """
     kind, params = parse_sequence_spec(spec)
-    lo, hi = _finite_window(window)
-    if not lo < hi:
-        raise ParameterError(f"window [{lo}, {hi}] is empty")
     if kind == "explicit":
-        return _load_file(params, (lo, hi))
+        return _load_file(params, window)
+    lo, hi = _requested_window(window)
     if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     gen = _LAWS[kind][1]

@@ -565,6 +565,26 @@ def test_non_finite_window_exits_2(capsys, window):
     assert main(["gen", "--spec", "lattice:1", f"--window={window}"]) == 2
 
 
+@pytest.mark.parametrize("command", [["density", "--method", "d1"], ["gap"], ["energy"]])
+def test_empty_window_on_a_file_exits_2(tmp_path, capsys, command):
+    # a file's window obeys the rule a law's does, as `gen` reads it
+    path = tmp_path / "pts.txt"
+    path.write_text("0.0\n5.0\n10.0\n")
+    assert main(["gen", "--spec", str(path), "--window=5,5"]) == 2
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert main(command + ["--seq", str(path), "--window=5,5", "-o", str(out)]) == 2
+    assert "window [5.0, 5.0] is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_lacunary_ratio_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["gap", "--seq", "lacunary:inf", "--window=-10,10", "-o", str(out)]) == 2
+    assert "lacunary ratio" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_file_points_exit_2(tmp_path, capsys):
     path = tmp_path / "pts.txt"
     path.write_text("0.0\nnan\n2.0\n")

@@ -261,7 +261,7 @@ def test_grid_levels_are_the_nearest_double(k):
     assert density._grid_level(k) == float(Fraction(k, 1000))
 
 
-@pytest.mark.parametrize("seed", [18, 24, 902])
+@pytest.mark.parametrize("seed", [18, 902])
 def test_bm_one_step_above_kadec_reads_the_grid_level(seed):
     # on these seeds a long family holds 1.001 points per unit length
     seq = generate("perturbed:1,0.2", (-1500.0, 1500.0), seed=seed)
@@ -315,6 +315,14 @@ def test_lacunary_levels_probed(probe_count, method, limit):
         value = density_estimate(LACUNARY, method).value
     assert 1 <= len(probe_count[0]) <= limit
     assert 0.0 <= value < 0.1
+
+
+@pytest.mark.parametrize("method", ["d3", "d4"])
+def test_lacunary_d3_and_d4_read_zero(method):
+    # d3: the residual slope is exactly 2a at every level a, which the
+    # flatness rule D3_FLAT_SLOPE * a rejects; d4: the gap family is not
+    # crowded out by the candidate that starts at the first point near 0
+    assert density_estimate(LACUNARY, method).value == 0.0
 
 
 @pytest.mark.parametrize("method,callee", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gapkit.energy import energy_condition_report, total_energy
+from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
 from paper_lemmas import StepDensity, bound_suite_checks, log_kernel_integral
 
@@ -137,6 +138,22 @@ def test_report_verdicts():
     dyadic = Partition(np.concatenate([-powers[::-1], [0.0], powers]))
     rep2 = energy_condition_report(seq2.restrict(-256, 256), dyadic)
     assert rep2.verdict == "unsupported"
+
+
+@pytest.mark.parametrize("spec,d", [("lattice:1", 1.0), ("perturbed:1,0.2", 0.9),
+                                     ("poisson:1", 0.5)])
+def test_report_counts_the_points_the_partition_covers(spec, d):
+    # greedy partitions stop short of the window, so the report restricts
+    seq = generate(spec, (-300.5, 300.5), seed=2)
+    part = greedy_density_partition(seq, d).partition
+    lo, hi = part.cover()
+    assert seq.window[0] < lo and hi < seq.window[1]
+    rep = energy_condition_report(seq, part)
+    ref = energy_condition_report(seq.restrict(lo, hi), part)
+    assert rep.records == ref.records
+    assert rep.partial_sums.tobytes() == ref.partial_sums.tobytes()
+    assert rep.window == ref.window == (lo, hi)
+    assert (rep.verdict, rep.fitted_exponent) == (ref.verdict, ref.fitted_exponent)
 
 
 def test_report_serialization():

@@ -7,6 +7,7 @@ from gapkit.clarknum import residue_weights, theta_derivative_profile
 from gapkit.density import (d3_residual_curve, density_lower, density_upper_d4,
                             long_family_search, verify_family_witness,
                             verify_partition_witness)
+from gapkit.energy import total_energy
 from gapkit.gapnum import gram_matrix
 from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import (AtomicMeasure, Interval, ParameterError, Partition,
@@ -314,6 +315,28 @@ CONTRACT = [pytest.param(POINT_ENTRIES[e], np.array(v), id=f"{e}-{b}")
 def test_input_contract(call, bad, tmp_path):
     with pytest.raises(ParameterError):
         call(bad, tmp_path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [total_energy,
+                                  lambda v: fourier_eval(AtomicMeasure([0.0, 1.0]), v)],
+                         ids=["total_energy", "fourier_eval"])
+def test_non_finite_values_are_rejected(call, bad):
+    with pytest.raises(ParameterError, match="finite"):
+        call(np.array(BAD_POINTS[bad]))
+
+
+@pytest.mark.parametrize("spec,needle", [
+    ("lattice:inf", "lattice step"), ("lattice:nan", "lattice step"),
+    ("perturbed:inf,0.1", "lattice step"), ("perturbed:nan,0.1", "lattice step"),
+    ("lacunary:inf", "lacunary ratio"), ("lacunary:nan", "lacunary ratio"),
+    ("poisson:inf", "poisson rate"), ("poisson:nan", "poisson rate"),
+])
+def test_non_finite_law_parameters_are_named(spec, needle):
+    # the error names the parameter, not a later symptom such as
+    # non-finite points or the point cap
+    with pytest.raises(ParameterError, match=needle):
+        generate(spec, (-10.0, 10.0), seed=1)
 
 
 @pytest.mark.parametrize("make,read", [
