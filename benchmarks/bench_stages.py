@@ -21,10 +21,11 @@ the lacunary input and on the Poisson input over +-30000. d3 on lacunary
 input is left out: trees from before the ladder walk crash there. One
 long-family search times each mode at a level near its estimate's answer:
 'below' (d4) on the Poisson input over +-10000 at a = 0.962, 'above' (BM) on
-the perturbed lattice over +-15000 at a = 1. The certificate's Gram sweep
-(`with_gram_sweep`) runs at its gapnum.SWEEP_POINTS = 40 grid points over
-gapnum.SWEEP_RANGE = 0.3-1.3 x 2*pi on the 256 and the 512 lattice points
-nearest 0. The two array walks of `refute_mix` are timed on their own: the
+the perturbed lattice over +-15000 at a = 1. The certificate's Gram crossing
+(`sigma_min_crossing`, the Cholesky bisection `with_gram_crossing` runs) and
+a plain sigma_min sweep of 40 grid points over 0.3-1.3 x 2*pi, as the
+certificate ran before the crossing, are each timed on the 256 and the 512
+lattice points nearest 0. The two array walks of `refute_mix` are timed on their own: the
 Clark residue weights of every midpoint of the lattice over +-1500 (the job
 `clark_lattice`), and one d3 matching of the perturbed lattice over +-15000
 at slope a = 1 (`d3_perturbed` runs 24 of them).
@@ -53,8 +54,8 @@ from gapkit.density import (d4_complement_estimate, density_d3_estimate,
                             verify_partition_witness)
 from gapkit.energy import energy_condition_report
 from gapkit.fekete import fekete_optimize
-from gapkit.gapnum import (SWEEP_POINTS, SWEEP_RANGE, _nearest_zero,
-                           estimate_gap_characteristic, sigma_min_sweep)
+from gapkit.gapnum import (_nearest_zero, estimate_gap_characteristic,
+                           sigma_min_crossing, sigma_min_sweep)
 from gapkit.partitions import greedy_density_partition, shortness
 from gapkit.seqcore import Interval, generate
 
@@ -159,9 +160,17 @@ def test_long_family_search(benchmark, name):
 def test_sigma_min_sweep(benchmark, order):
     seq, c = _input("lattice")
     lam = _nearest_zero(seq.points, order)
-    grid = np.linspace(*SWEEP_RANGE, SWEEP_POINTS) * (2.0 * math.pi * c)
+    grid = np.linspace(0.3, 1.3, 40) * (2.0 * math.pi * c)
     sweep = benchmark(sigma_min_sweep, lam, grid)
     assert 0.85 <= sweep.knee / (2.0 * math.pi) <= 1.05
+
+
+@pytest.mark.parametrize("order", [256, 512])
+def test_gram_crossing(benchmark, order):
+    seq, _ = _input("lattice")
+    lam = _nearest_zero(seq.points, order)
+    found = benchmark(sigma_min_crossing, lam)
+    assert 0.85 <= found.crossing / (2.0 * math.pi) <= 1.05
 
 
 def test_residue_weights(benchmark):

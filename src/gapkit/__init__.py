@@ -23,7 +23,7 @@ _EXPORTS = {
     **dict.fromkeys(["regularize_gaps", "spread_points"], "regularize"),
     **dict.fromkeys(["fekete_optimize", "jacobi_zeros"], "fekete"),
     **dict.fromkeys(["estimate_gap_characteristic", "gram_matrix", "sigma_min_sweep",
-                     "synthesize_gap_measure", "with_gram_sweep"], "gapnum"),
+                     "synthesize_gap_measure", "with_gram_crossing"], "gapnum"),
     **dict.fromkeys(["residue_weights", "theta_derivative_profile"], "clarknum"),
 }
 

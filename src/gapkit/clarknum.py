@@ -111,6 +111,14 @@ def residue_weights(a, report_width: float | None = None, tail_mode: str = "none
     Returns a list of ResidueRecord. The undetermined global constant of
     the residue formula is fixed to 1, so only ratios are meaningful.
     """
+    return _records(a, report_width, tail_mode, None)
+
+
+def _records(a, report_width, tail_mode, every):
+    """`residue_weights(a, report_width, tail_mode)`. With `every`, the
+    records of every midpoint of `a` in tail mode 'none', each atom sum is
+    read from there instead of computed again: `_atom_sums` sums each
+    midpoint on its own, so it is the same number."""
     if tail_mode not in ("none", "persistent"):
         raise ParameterError("tail_mode must be 'none' or 'persistent'")
     if report_width is not None and not report_width >= 0:
@@ -125,7 +133,10 @@ def residue_weights(a, report_width: float | None = None, tail_mode: str = "none
     else:
         idx = np.nonzero(np.abs(b) <= report_width)[0]
     gl, gr = _outer_gap_scale(a)
-    sums = _atom_sums(a, b, idx)
+    if every is None:
+        sums = _atom_sums(a, b, idx)
+    else:
+        sums = np.array([every[n].atom_sum for n in idx.tolist()])
     ests = tail_estimate(a, b[idx], (gl, gr)) if b.size > 1 else np.zeros(idx.size)
     out = []
     for n, s, est in zip(idx.tolist(), sums.tolist(), ests.tolist()):
@@ -160,7 +171,12 @@ def theta_derivative_profile(a, x_grid) -> ThetaProfile:
     would otherwise be infinite.
     """
     a = _points(a, "breakpoints")
-    recs = residue_weights(a)
+    return _profile(a, residue_weights(a), x_grid)
+
+
+def _profile(a, recs, x_grid) -> ThetaProfile:
+    """`theta_derivative_profile(a, x_grid)` on the records `recs` of
+    `residue_weights(a)`."""
     b = np.array([r.b_n for r in recs])
     betas = np.array([r.beta_n for r in recs])
     x = np.atleast_1d(np.asarray(x_grid, dtype=float)).copy()

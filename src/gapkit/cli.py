@@ -32,12 +32,13 @@ import numpy as np
 from . import seqcore
 from .seqcore import Interval, ParameterError, Partition, PointSequence
 
-# sweep_n_max: every sigma_min sweep and every synthesis runs on at most this
-# many points nearest 0
+# sweep_n_max: every Gram crossing, sigma_min sweep and synthesis runs on at
+# most this many points nearest 0
 CONFIG_DEFAULTS = {"sweep_n_max": 512.0}
 # Most steps a count field of an option value (`gap --sweep`, `clark
-# --profile`) may ask for: 250 times the certificate's 40 sweep points. Each
-# sweep step is a Gram eigensolve, so 10^6 steps would run for hours.
+# --profile`) may ask for. Each sweep step is a dense Gram eigensolve, about
+# 20 ms at the default order of 512 on one BLAS thread, so 10^4 steps take
+# minutes and 10^6 would run for hours.
 MAX_OPTION_STEPS = 10_000
 
 
@@ -186,11 +187,11 @@ def _emit(output, command: str, invocation: list, cfg: dict, result: dict) -> No
 
 
 def _certificate(seq: PointSequence, cfg: dict) -> gapnum.GapCertificate:
-    """The gap certificate with its Gram sweep, under the effective
+    """The gap certificate with its Gram crossing, under the effective
     configuration."""
     from . import gapnum
     cert = gapnum.estimate_gap_characteristic(seq)
-    return gapnum.with_gram_sweep(cert, seq, cfg["sweep_n_max"])
+    return gapnum.with_gram_crossing(cert, seq, cfg["sweep_n_max"])
 
 
 def _write_csv(path, header, rows) -> None:
@@ -316,8 +317,8 @@ def _cmd_gap(args, cfg, emit):
     seq = _load_sequence(args)
     if args.synthesize is None and not args.sweep:
         cert = _certificate(seq, cfg)
-        if args.csv and cert.sweep is not None:
-            _write_csv(args.csv, ["a", "sigma_min"], cert.sweep.pairs())
+        if args.csv and cert.crossing is not None:
+            _write_csv(args.csv, ["a", "passed"], cert.crossing.probes)
         emit({"certificate": cert.to_json_dict()})
         return 3 if cert.c_estimate == 0.0 else 0
     # the one Gram support of --synthesize and --sweep
@@ -339,8 +340,15 @@ def _cmd_gap(args, cfg, emit):
 def _cmd_clark(args, cfg, emit):
     from . import clarknum
     seq = _load_sequence(args)
-    recs = clarknum.residue_weights(seq.points, report_width=args.width,
-                                    tail_mode=args.tail_mode)
+    if args.profile:
+        x0, x1, steps = _option_values("--profile", args.profile, "x0:x1:steps", "ffn")
+        # the profile needs the atom sum of every midpoint; the records read
+        # theirs from the same pass
+        every = clarknum.residue_weights(seq.points)
+        recs = clarknum._records(seq.points, args.width, args.tail_mode, every)
+    else:
+        recs = clarknum.residue_weights(seq.points, report_width=args.width,
+                                        tail_mode=args.tail_mode)
     if args.csv:
         _write_csv(args.csv,
                    ["n", "a_n", "delta_n", "beta_n", "tail_bound"],
@@ -354,8 +362,7 @@ def _cmd_clark(args, cfg, emit):
         ],
     }
     if args.profile:
-        x0, x1, steps = _option_values("--profile", args.profile, "x0:x1:steps", "ffn")
-        prof = clarknum.theta_derivative_profile(seq.points, np.linspace(x0, x1, steps))
+        prof = clarknum._profile(seq.points, every, np.linspace(x0, x1, steps))
         result["profile_tail_bound"] = prof.tail_bound
         if args.profile_csv:
             _write_csv(args.profile_csv, ["x", "estimate"], prof.pairs())
@@ -499,7 +506,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--interval", required=True, help="a,b")
     sp.add_argument("-o", "--output")
 
-    sp = command("gap", _cmd_gap, "gap certificate / sigma_min sweep")
+    sp = command("gap", _cmd_gap, "gap certificate with its Gram crossing / "
+                 "sigma_min sweep")
     common(sp)
     sp.add_argument("--csv", help="CSV output path")
     sp.add_argument("--sweep", help="a0:a1:steps")

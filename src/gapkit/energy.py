@@ -118,7 +118,8 @@ def energy_condition_report(seq: PointSequence, part: Partition) -> EnergyReport
     """Evaluate the energy-condition series of a sequence on a partition.
 
     The series counts the points the partition covers: the report runs on
-    seq.restrict(*part.cover()), and its window is that intersection.
+    seq.restrict(*part.cover()), and its window is that intersection; a
+    cover that does not meet the window is a ParameterError naming both.
     Summand for interval I_n with count D and energy E:
         s_n = (D^2 * log|I_n| - E) / (1 + dist(0, I_n)^2).
     Partial sums run in order of increasing distance from the origin. The
@@ -126,7 +127,11 @@ def energy_condition_report(seq: PointSequence, part: Partition) -> EnergyReport
     positive parts of the summands; a series with fewer positive terms than
     the rule needs (none, say) is supported.
     """
-    seq = seq.restrict(*part.cover())
+    (lo, hi), (wlo, whi) = part.cover(), seq.window
+    if max(lo, wlo) > min(hi, whi):
+        raise ParameterError(f"the partition covers [{lo}, {hi}], which does not meet "
+                             f"the sequence window [{wlo}, {whi}]")
+    seq = seq.restrict(lo, hi)
     pts = seq.points
     u, v = part.breakpoints[:-1], part.breakpoints[1:]
     # the default closure: (a, b]

@@ -5,7 +5,18 @@ smallest eigenvalue equal to the squared L2 norm of the best unit-weight
 atomic measure's Fourier transform on [0, a]; a measure with a spectral
 gap of length a exists in the truncation limit exactly when these minima
 can be driven to zero. The transition of sigma_min as a grows localizes
-2*pi times the metric gap characteristic.
+2*pi times the metric gap characteristic (Landau, Acta Math. 117, 1967).
+
+sigma_min never decreases in a: the Gram matrix on [0, a2] minus the one
+on [0, a1] is the Gram matrix on [a1, a2], which is positive semidefinite.
+So for a fixed level tau the test sigma_min(a) > tau fails on [0, a*] and
+holds above a*, and bisection finds the crossing a* exactly.
+`sigma_min_crossing` does that, one Cholesky factor of S(a) - tau*I per
+step, over [0, 8*pi / median spacing], with tau CROSSING_SAFETY times the
+eigensolver's rounding level at the top of that range; it stops when the
+bracket is at most 2*pi times the density grid step. The gap certificate
+reports that crossing (`with_gram_crossing`). `sigma_min_sweep` is the
+plain sweep over a grid of lengths, with the knee of its log curve.
 """
 
 from __future__ import annotations
@@ -15,10 +26,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .density import DensityEstimate, density_lower
+from .density import GRID_RESOLUTION, DensityEstimate, density_lower
 from .energy import energy_condition_report
 from .seqcore import (AtomicMeasure, ParameterError, Partition, PointSequence,
-                      _check_sweep_n_max, _positive, fourier_eval)
+                      _check_sweep_n_max, _points, _positive, fourier_eval)
 
 __all__ = [
     "GramProbe",
@@ -26,19 +37,21 @@ __all__ = [
     "sigma_min_sweep",
     "SweepResult",
     "knee_location",
+    "sigma_min_crossing",
+    "CrossingResult",
     "synthesize_gap_measure",
     "SynthesisResult",
     "GapCertificate",
     "estimate_gap_characteristic",
-    "with_gram_sweep",
+    "with_gram_crossing",
 ]
 
 MAX_GRAM_SIZE = 2048
 LOG_FLOOR = 1e-18
-# The certificate's Gram sweep: SWEEP_POINTS gap lengths evenly spaced over
-# SWEEP_RANGE times 2*pi*c.
-SWEEP_POINTS = 40
-SWEEP_RANGE = (0.3, 1.3)
+# The crossing level tau is this many times the dense eigensolver's rounding
+# level N * eps * lambda_max, so that a Cholesky factor, whose rounding is of
+# that order, cannot pass on a sigma_min that is rounding noise.
+CROSSING_SAFETY = 100.0
 # The synthesis's quadrature cross-check: QUAD_NODES Gauss-Legendre nodes per
 # panel of at most QUAD_TURNS turns of the transform's fastest oscillation, at
 # most MAX_QUAD_NODES nodes, evaluated QUAD_CHUNK (node, atom) pairs at a time.
@@ -159,7 +172,8 @@ def knee_location(a_values, sigma_values, noise: float = LOG_FLOOR) -> float:
 
 def _nearest_zero(points: np.ndarray, n) -> np.ndarray:
     """The n points nearest 0 (all of them if fewer), sorted: the support
-    of every Gram sweep and synthesis; n passes `_check_sweep_n_max`."""
+    of every Gram crossing, sweep and synthesis; n passes
+    `_check_sweep_n_max`."""
     _check_sweep_n_max(n)
     return np.sort(points[np.argsort(np.abs(points))[:int(n)]])
 
@@ -189,6 +203,65 @@ def sigma_min_sweep(lam, a_grid) -> SweepResult:
             f"sigma_min not monotone: worst step {float(np.min(diffs)):.3e}")
     noise = lam.size * np.finfo(float).eps * float(np.max(tops))
     return SweepResult(a_grid, sigmas, knee_location(a_grid, sigmas, noise))
+
+
+@dataclass(frozen=True)
+class CrossingResult:
+    """A bisection for the smallest gap length a in [0, a_max] with
+    sigma_min > tau on `support` points. probes are (a, passed) in probe
+    order, the top of the range first. lo and crossing bracket the answer:
+    lo is the largest failing length (0 if none failed), crossing the
+    smallest passing one, NaN when even a_max fails."""
+
+    a_max: float
+    tau: float
+    support: int
+    probes: tuple
+    lo: float
+    crossing: float
+
+    def to_json_dict(self) -> dict:
+        return {
+            "range": [0.0, self.a_max],
+            "tau": self.tau,
+            "support": self.support,
+            "probes": [[a, passed] for a, passed in self.probes],
+        }
+
+
+def sigma_min_crossing(lam) -> CrossingResult:
+    """Bisection for the gap length at which sigma_min leaves its noise
+    (see the module docstring), over [0, A], A = 8*pi / median spacing.
+
+    One eigenvalue solve at A gives lambda_max, hence tau =
+    CROSSING_SAFETY * N * eps * lambda_max, and checks that sigma_min(A) >
+    tau; if not, the crossing is NaN. lambda_max is largest at A, so tau
+    exceeds the rounding of every smaller length. Each step passes when
+    S(a) - tau*I has a Cholesky factor. About 12 steps on a unit lattice.
+    """
+    lam = _points(np.sort(lam), "frequencies")
+    if lam.size < 2:
+        raise ParameterError("the Gram crossing needs at least two frequencies")
+    a_max = 8.0 * math.pi / float(np.median(np.diff(lam)))
+    # only the extreme eigenvalues are kept: the top matrix is freed before
+    # the factors are made
+    sigma_top, lam_max = gram_matrix(lam, a_max, vectors=False).eigenvalues[[0, -1]]
+    tau = CROSSING_SAFETY * lam.size * float(np.finfo(float).eps * lam_max)
+    passed = bool(sigma_top > tau)
+    probes = [(a_max, passed)]
+    lo, hi = 0.0, (a_max if passed else float("nan"))
+    while hi - lo > 2.0 * math.pi * GRID_RESOLUTION:
+        mid = 0.5 * (lo + hi)
+        s = _gram_entries(lam, mid)
+        s.flat[::lam.size + 1] -= tau
+        try:
+            np.linalg.cholesky(s)
+            passed = True
+        except np.linalg.LinAlgError:
+            passed = False
+        probes.append((mid, passed))
+        lo, hi = (lo, mid) if passed else (mid, hi)
+    return CrossingResult(a_max, tau, lam.size, tuple(probes), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -263,8 +336,17 @@ class GapCertificate:
     and energy_verdict is what that check found; where it is not
     "supported", diagnostics["energy"] says that c_estimate meets the
     density condition only. The density margin re-justifies c_estimate.
-    `with_gram_sweep` adds the Gram sweep, whose knee cross-validates the
-    2*pi*c transition; without it `sweep` is None and `gram_knee` NaN.
+    `with_gram_crossing` adds the Gram crossing, which cross-checks the
+    2*pi*c transition: gram_crossing is the smallest gap length at which
+    sigma_min exceeds tau = CROSSING_SAFETY * N * eps * lambda_max (the
+    eigensolver's rounding level at the top of the range, times a safety
+    factor). It is found by Cholesky bisection over [0, 8*pi / median
+    spacing of the support], a range that does not depend on c, and is
+    exact because sigma_min never decreases in a (the Gram increment is
+    positive semidefinite); the search stops at a bracket of
+    2*pi*GRID_RESOLUTION. Its record (range, tau, support size, probes) is
+    `crossing`, and diagnostics["crossing_over_2pic"] is gram_crossing /
+    (2*pi*c). Without it `crossing` is None and `gram_crossing` NaN.
     """
 
     c_estimate: float
@@ -274,10 +356,13 @@ class GapCertificate:
     density_margin: float = float("nan")
     energy_verdict: str = "inconclusive"
     shortness_verdict: str = "inconclusive"
-    gram_knee: float = float("nan")
-    sweep: SweepResult | None = None
+    crossing: CrossingResult | None = None
     diagnostics: dict = field(default_factory=dict)
     d1: DensityEstimate | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def gram_crossing(self) -> float:
+        return self.crossing.crossing if self.crossing else float("nan")
 
     def to_json_dict(self) -> dict:
         return {
@@ -288,8 +373,8 @@ class GapCertificate:
             "density_margin": self.density_margin,
             "energy_verdict": self.energy_verdict,
             "shortness_verdict": self.shortness_verdict,
-            "gram_knee": self.gram_knee,
-            "sweep": self.sweep.to_json_dict() if self.sweep else None,
+            "gram_crossing": self.gram_crossing,
+            "crossing": self.crossing.to_json_dict() if self.crossing else None,
             "diagnostics": self.diagnostics,
         }
 
@@ -297,7 +382,7 @@ class GapCertificate:
 def estimate_gap_characteristic(seq: PointSequence) -> GapCertificate:
     """2*pi times the largest density level with a short partition meeting
     the density condition, with the energy condition judged on that
-    partition (see GapCertificate). No Gram sweep: see `with_gram_sweep`.
+    partition (see GapCertificate). No Gram solve: see `with_gram_crossing`.
     """
     if len(seq) == 0:
         raise ParameterError("sequence is empty")
@@ -332,21 +417,24 @@ def estimate_gap_characteristic(seq: PointSequence) -> GapCertificate:
     )
 
 
-def with_gram_sweep(cert: GapCertificate, seq: PointSequence, n_max: int) -> GapCertificate:
-    """The certificate with its Gram sweep: sigma_min over SWEEP_POINTS gap
-    lengths spread over SWEEP_RANGE times 2*pi*c, on the n_max points of
-    `seq` nearest 0. Adds the knee, its ratio to 2*pi*c and, when every
-    value is rounding noise, a note that there is no knee. A certificate
-    with c = 0 has no transition to cross-check and comes back unchanged.
+def with_gram_crossing(cert: GapCertificate, seq: PointSequence,
+                       n_max: int) -> GapCertificate:
+    """The certificate with its Gram crossing (`sigma_min_crossing`) on the
+    n_max points of `seq` nearest 0. The range is [0, 8*pi / median spacing
+    of those points], whatever c is; tau is CROSSING_SAFETY times the
+    eigensolver's rounding level at its top; the bisection is exact because
+    sigma_min never decreases in a (the Gram increment is PSD), and it
+    stops at a bracket of 2*pi*GRID_RESOLUTION. Adds the crossing, its ratio
+    to 2*pi*c and, when sigma_min stays under tau on the whole range, a note
+    that there is no crossing. A certificate with c = 0 has no transition to
+    cross-check and comes back unchanged.
     """
     if cert.c_estimate == 0.0:
         return cert
-    center = cert.g_estimate
-    lo, hi = SWEEP_RANGE
-    grid = np.linspace(lo * center, hi * center, SWEEP_POINTS)
-    sweep = sigma_min_sweep(_nearest_zero(seq.points, n_max), grid)
-    diagnostics = dict(cert.diagnostics, knee_over_2pic=sweep.knee / center)
-    if math.isnan(sweep.knee):
-        diagnostics["note"] = ("every sweep value is under the eigensolver's "
-                               "rounding level: no knee")
-    return replace(cert, gram_knee=sweep.knee, sweep=sweep, diagnostics=diagnostics)
+    found = sigma_min_crossing(_nearest_zero(seq.points, n_max))
+    diagnostics = dict(cert.diagnostics,
+                       crossing_over_2pic=found.crossing / cert.g_estimate)
+    if math.isnan(found.crossing):
+        diagnostics["note"] = (f"sigma_min stays under tau = {found.tau:.3g} up to "
+                               f"a = {found.a_max:.6g}: no crossing")
+    return replace(cert, crossing=found, diagnostics=diagnostics)

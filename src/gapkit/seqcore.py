@@ -288,8 +288,8 @@ def fourier_eval(mu: AtomicMeasure, t_grid) -> np.ndarray:
 
 def _check_sweep_n_max(n) -> None:
     """A ParameterError unless n, the sweep_n_max setting (the most points
-    nearest 0 a Gram sweep or synthesis runs on), is a positive integer (a
-    config value may read -5 or 2.7)."""
+    nearest 0 a Gram crossing, sweep or synthesis runs on), is a positive
+    integer (a config value may read -5 or 2.7)."""
     if not (n >= 1 and float(n).is_integer()):
         raise ParameterError(f"sweep_n_max must be a positive integer, got {n!r}")
 

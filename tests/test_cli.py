@@ -189,6 +189,38 @@ def test_clark_cli(tmp_path):
     assert not any(str(csv_path) in tok for tok in payload["invocation"])
 
 
+@pytest.mark.parametrize("extra", [[], ["--width", "5"], ["--width", "5", "--tail-mode",
+                                                           "persistent"]])
+def test_clark_profile_computes_the_atom_sums_once(tmp_path, monkeypatch, extra):
+    from gapkit import clarknum
+    calls = {"residue_weights": 0, "_atom_sums": 0}
+    for name in calls:
+        real = getattr(clarknum, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(clarknum, name, counted)
+    argv = ["clark", "--seq", "lattice:1", "--window=-60,60", *extra,
+            "--profile=-3:3:13", "--csv", str(tmp_path / "recs.csv"),
+            "--profile-csv", str(tmp_path / "prof.csv")]
+    code, payload = run_json(argv, tmp_path)
+    assert code == 0 and calls == {"residue_weights": 1, "_atom_sums": 1}
+    monkeypatch.undo()
+    # the records and the profile are those of the two separate calls
+    points = gapkit.generate("lattice:1", (-60, 60)).points
+    width = float(extra[1]) if extra else None
+    tail_mode = extra[3] if len(extra) > 2 else "none"
+    recs = clarknum.residue_weights(points, report_width=width, tail_mode=tail_mode)
+    prof = clarknum.theta_derivative_profile(points, np.linspace(-3.0, 3.0, 13))
+    result = payload["result"]
+    assert [(r["n"], r["atom_sum"], r["beta_n"], r["tail_bound"]) for r in result["records"]] \
+        == [(r.n, r.atom_sum, r.beta_n, r.tail_bound) for r in recs]
+    assert result["profile_tail_bound"] == prof.tail_bound
+    rows = (tmp_path / "prof.csv").read_text().splitlines()[1:]
+    assert rows == [f"{x!r},{e!r}" for x, e in prof.pairs()]
+
+
 def test_clark_takes_breakpoints_of_any_extent(tmp_path):
     # the data reach past +-10000; only --width picks the midpoints reported
     code, payload = run_json(
@@ -373,17 +405,34 @@ def test_missing_config_exits_2(tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
 
 
-def test_gap_and_report_share_sweep_range(tmp_path):
+def test_gap_and_report_share_the_crossing(tmp_path):
     argv = ["--seq", "lattice:1", "--window=-60,60"]
     _, gap = run_json(["gap"] + argv, tmp_path, "gap.json")
     _, report = run_json(["report"] + argv, tmp_path, "report.json")
-    points = gap["result"]["certificate"]["sweep"]["points"]
-    assert report["result"]["gap_certificate"]["sweep"]["points"] == points
-    c = gap["result"]["certificate"]["c_estimate"]
-    lo, hi = gapnum.SWEEP_RANGE
-    assert len(points) == gapnum.SWEEP_POINTS
-    assert points[0][0] == pytest.approx(lo * 2 * math.pi * c)
-    assert points[-1][0] == pytest.approx(hi * 2 * math.pi * c)
+    cert = gap["result"]["certificate"]
+    assert report["result"]["gap_certificate"]["crossing"] == cert["crossing"]
+    assert "sweep" not in cert and "gram_knee" not in cert
+    crossing = cert["crossing"]
+    # 121 points of unit spacing: the range is [0, 8*pi], whatever c is
+    assert crossing["range"] == [0.0, 8.0 * math.pi] and crossing["support"] == 121
+    assert crossing["probes"][0] == [8.0 * math.pi, True]
+    passed = [a for a, ok in crossing["probes"] if ok]
+    failed = [a for a, ok in crossing["probes"] if not ok]
+    assert cert["gram_crossing"] == min(passed)
+    assert 0.0 < min(passed) - max(failed) <= 2.0 * math.pi * density.GRID_RESOLUTION
+    ratio = cert["diagnostics"]["crossing_over_2pic"]
+    assert ratio == cert["gram_crossing"] / (2.0 * math.pi * cert["c_estimate"])
+
+
+def test_gap_csv_writes_the_crossing_probes(tmp_path):
+    csv_path = tmp_path / "probes.csv"
+    code, payload = run_json(["gap", "--seq", "lattice:1", "--window=-60,60",
+                              "--csv", str(csv_path)], tmp_path)
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "a,passed"
+    probes = payload["result"]["certificate"]["crossing"]["probes"]
+    assert lines[1:] == [f"{a!r},{ok}" for a, ok in probes]
 
 
 def test_cli_import_leaves_out_scipy():
@@ -575,6 +624,17 @@ def test_empty_window_on_a_file_exits_2(tmp_path, capsys, command):
     out = tmp_path / "out.json"
     assert main(command + ["--seq", str(path), "--window=5,5", "-o", str(out)]) == 2
     assert "window [5.0, 5.0] is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_partition_outside_the_window_names_both(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text("[-1, 0, 0.5]")
+    out = tmp_path / "out.json"
+    assert main(["energy", "--seq", "lacunary:2", "--window=1,100", "--partition",
+                 str(path), "-o", str(out)]) == 2
+    assert ("the partition covers [-1.0, 0.5], which does not meet the sequence "
+            "window [1.0, 100.0]") in capsys.readouterr().err
     assert not out.exists()
 
 

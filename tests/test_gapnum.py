@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapkit.gapnum as gapnum
-from gapkit.density import density_lower, verify_partition_witness
+from gapkit.density import GRID_RESOLUTION, density_lower, verify_partition_witness
 from gapkit.energy import energy_condition_report
 from gapkit.gapnum import (MAX_GRAM_SIZE, _nearest_zero, estimate_gap_characteristic,
-                           gram_matrix, knee_location, sigma_min_sweep,
-                           synthesize_gap_measure, with_gram_sweep)
+                           gram_matrix, knee_location, sigma_min_crossing,
+                           sigma_min_sweep, synthesize_gap_measure, with_gram_crossing)
 from gapkit.seqcore import ParameterError, Partition, PointSequence, fourier_eval, generate
 
 TWO_PI = 2.0 * math.pi
+# the crossing search stops at a bracket this wide
+CROSSING_STEP = TWO_PI * GRID_RESOLUTION
 
 
 def test_gram_single_atom():
@@ -243,19 +245,21 @@ def test_energy_verdict_not_supported_keeps_the_d1_level():
     assert "inconclusive" in cert.diagnostics["energy"]
 
 
-def test_estimate_with_sweep_knee():
+def test_estimate_with_gram_crossing():
     seq = generate("lattice:1", (-1500, 1500))
     base = estimate_gap_characteristic(seq)
-    cert = with_gram_sweep(base, seq, 64)
-    # the sweep adds its fields and leaves the rest of the certificate
-    assert replace(cert, sweep=None, gram_knee=base.gram_knee,
-                   diagnostics=base.diagnostics) == base
-    assert cert.sweep.a_values.size == gapnum.SWEEP_POINTS
-    assert cert.diagnostics["knee_over_2pic"] == cert.gram_knee / (2.0 * math.pi)
+    cert = with_gram_crossing(base, seq, 64)
+    # the crossing adds its fields and leaves the rest of the certificate
+    assert replace(cert, crossing=None, diagnostics=base.diagnostics) == base
+    found = cert.crossing
+    # the range follows the support's unit spacing, not c
+    assert found.a_max == 8.0 * math.pi and found.support == 64
+    assert found.probes[0] == (found.a_max, True)
+    assert cert.gram_crossing == found.crossing
+    assert 0.0 < found.crossing - found.lo <= CROSSING_STEP
+    assert cert.diagnostics["crossing_over_2pic"] == cert.gram_crossing / (2.0 * math.pi)
     center = 2.0 * math.pi * cert.c_estimate
-    lo, hi = gapnum.SWEEP_RANGE
-    assert cert.sweep.a_values[[0, -1]].tolist() == [lo * center, hi * center]
-    assert 0.7 * center <= cert.gram_knee <= 1.1 * center
+    assert 0.7 * center <= cert.gram_crossing <= 1.1 * center
 
 
 def test_estimate_lacunary_zero():
@@ -268,11 +272,12 @@ def test_sweep_skipped_without_a_density_level(monkeypatch):
     # c = 0 has no transition to cross-check: no Gram solve, same certificate
     solves = []
     monkeypatch.setattr(gapnum, "gram_matrix", lambda *a, **k: solves.append(a))
+    monkeypatch.setattr(gapnum, "_gram_entries", lambda *a, **k: solves.append(a))
     seq = generate("lacunary:2", (-1e6, 1e6))
     cert = estimate_gap_characteristic(seq)
     assert cert.c_estimate == 0.0
-    assert with_gram_sweep(cert, seq, 512) is cert
-    assert solves == [] and cert.sweep is None and math.isnan(cert.gram_knee)
+    assert with_gram_crossing(cert, seq, 512) is cert
+    assert solves == [] and cert.crossing is None and math.isnan(cert.gram_crossing)
 
 
 def test_estimate_monotone_under_insertion():
@@ -386,17 +391,68 @@ def test_sub_noise_sweep_has_no_knee():
     assert math.isnan(sw.knee)
 
 
-def test_certificate_without_knee_says_why():
+def test_clustered_support_crossing_reads_the_cluster():
     # a unit lattice with 81 points 0.01 apart around 0: the 64 points
-    # nearest 0 all sit in the cluster, so on the grid around 2*pi*c every
-    # sigma_min is rounding noise
+    # nearest 0 all sit in the cluster, so the crossing reads the cluster's
+    # density, about 86 times that of the lattice c is read from
     lattice = np.arange(-1500.0, 1501.0)
     pts = np.union1d(lattice[np.abs(lattice) > 1], np.arange(-40, 41) * 0.01)
     seq = PointSequence(pts, (-1500.0, 1500.0))
-    cert = with_gram_sweep(estimate_gap_characteristic(seq), seq, 64)
-    assert cert.c_estimate > 0 and cert.sweep is not None
-    assert math.isnan(cert.gram_knee)
-    assert "rounding" in cert.diagnostics["note"]
+    cert = with_gram_crossing(estimate_gap_characteristic(seq), seq, 64)
+    assert cert.c_estimate == 1.0 and cert.crossing.support == 64
+    assert cert.crossing.a_max == pytest.approx(800.0 * math.pi)
+    assert cert.diagnostics["crossing_over_2pic"] == pytest.approx(85.6, abs=0.05)
+    assert "note" not in cert.diagnostics
+
+
+def test_crossing_without_a_passing_top_says_why():
+    # two points 1e-7 apart: sigma_min stays under tau on the whole range,
+    # which the unit median spacing sets
+    base = generate("lattice:1", (-60, 60))
+    seq = PointSequence(np.union1d(base.points, [10.0 + 1e-7]), base.window)
+    cert = with_gram_crossing(estimate_gap_characteristic(seq), seq, 512)
+    assert cert.c_estimate == 1.0
+    assert math.isnan(cert.gram_crossing)
+    assert cert.crossing.probes == ((8.0 * math.pi, False),)
+    assert gram_matrix(seq.points, 8.0 * math.pi).sigma_min <= cert.crossing.tau
+    assert "no crossing" in cert.diagnostics["note"]
+
+
+@given(gaps=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=23),
+       start=st.floats(-50.0, 50.0))
+@settings(max_examples=60, deadline=None)
+def test_crossing_brackets_the_eigenvalue_crossing(gaps, start):
+    # the dense eigensolver agrees with the Cholesky bisection on the
+    # returned bracket, up to its own rounding level N * eps * lambda_max
+    lam = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    res = sigma_min_crossing(lam)
+    margin = res.tau / gapnum.CROSSING_SAFETY
+    if math.isnan(res.crossing):
+        assert gram_matrix(lam, res.a_max, vectors=False).sigma_min <= res.tau + margin
+        return
+    assert res.crossing - res.lo <= CROSSING_STEP
+    assert gram_matrix(lam, res.crossing, vectors=False).sigma_min > res.tau - margin
+    if res.lo > 0.0:
+        assert gram_matrix(lam, res.lo, vectors=False).sigma_min <= res.tau + margin
+
+
+@pytest.mark.parametrize("spec", ["lattice:1", "perturbed:1,0.2", "poisson:1"])
+@pytest.mark.parametrize("t", [0.5, 2.0, 3.0])
+def test_crossing_scales_with_the_support(spec, t):
+    # S(t*lam, a) = S(lam, t*a) / t and tau scales the same way, so the
+    # crossing of t*lam is that of lam over t. Each search stops at a bracket
+    # of CROSSING_STEP, and lam's bracket over t is CROSSING_STEP / t wide:
+    # the two agree within the wider of the two
+    lam = _nearest_zero(generate(spec, (-1500, 1500), seed=1).points, 96)
+    base, scaled = sigma_min_crossing(lam), sigma_min_crossing(t * lam)
+    assert scaled.crossing == pytest.approx(base.crossing / t,
+                                            abs=CROSSING_STEP * max(1.0, 1.0 / t))
+
+
+def test_crossing_input_validation():
+    for bad in ([0.0], [0.0, 1.0, 1.0], [0.0, math.nan], np.arange(MAX_GRAM_SIZE + 1.0)):
+        with pytest.raises(ParameterError):
+            sigma_min_crossing(bad)
 
 
 def test_lattice_knee_sits_above_the_noise_floor():
