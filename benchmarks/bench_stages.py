@@ -161,8 +161,10 @@ def test_sigma_min_sweep(benchmark, order):
     seq, c = _input("lattice")
     lam = _nearest_zero(seq.points, order)
     grid = np.linspace(0.3, 1.3, 40) * (2.0 * math.pi * c)
-    sweep = benchmark(sigma_min_sweep, lam, grid)
-    assert 0.85 <= sweep.knee / (2.0 * math.pi) <= 1.05
+    sigmas = benchmark(sigma_min_sweep, lam, grid)
+    # the transition sits between 0.85 and 1.05 times 2*pi
+    ratio = grid / (2.0 * math.pi)
+    assert np.all(sigmas[ratio <= 0.85] < 1e-6) and np.all(sigmas[ratio >= 1.05] > 1.0)
 
 
 @pytest.mark.parametrize("order", [256, 512])

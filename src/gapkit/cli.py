@@ -329,10 +329,11 @@ def _cmd_gap(args, cfg, emit):
         result["synthesis"] = syn.to_json_dict()
     if args.sweep:
         a0, a1, steps = _option_values("--sweep", args.sweep, "a0:a1:steps", "ffn")
-        sweep = gapnum.sigma_min_sweep(lam, np.linspace(a0, a1, steps))
-        result["sweep"] = sweep.to_json_dict()
+        grid = np.linspace(a0, a1, steps)
+        points = list(zip(grid.tolist(), gapnum.sigma_min_sweep(lam, grid).tolist()))
+        result["sweep"] = {"points": points}
         if args.csv:
-            _write_csv(args.csv, ["a", "sigma_min"], sweep.pairs())
+            _write_csv(args.csv, ["a", "sigma_min"], points)
     emit(result)
     return 0
 

@@ -16,7 +16,7 @@ step, over [0, 8*pi / median spacing], with tau CROSSING_SAFETY times the
 eigensolver's rounding level at the top of that range; it stops when the
 bracket is at most 2*pi times the density grid step. The gap certificate
 reports that crossing (`with_gram_crossing`). `sigma_min_sweep` is the
-plain sweep over a grid of lengths, with the knee of its log curve.
+plain sweep over a grid of lengths.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "GramProbe",
     "gram_matrix",
     "sigma_min_sweep",
-    "SweepResult",
-    "knee_location",
     "sigma_min_crossing",
     "CrossingResult",
     "synthesize_gap_measure",
@@ -47,7 +45,6 @@ __all__ = [
 ]
 
 MAX_GRAM_SIZE = 2048
-LOG_FLOOR = 1e-18
 # The crossing level tau is this many times the dense eigensolver's rounding
 # level N * eps * lambda_max, so that a Cholesky factor, whose rounding is of
 # that order, cannot pass on a sigma_min that is rounding noise.
@@ -63,25 +60,13 @@ MAX_QUAD_NODES = 2**20
 
 @dataclass(frozen=True)
 class GramProbe:
-    """One Gram solve. `kernel` is the real symmetric S of `gram_matrix`;
-    `gram` rebuilds the complex Gram matrix U S U* from it."""
+    """One Gram solve: its frequencies, sigma_min, the minimizing weights
+    (None for an eigenvalue-only solve) and the clipped spectrum."""
 
-    a: float
     lam: np.ndarray
-    kernel: np.ndarray
     sigma_min: float
     minimizing_weights: np.ndarray | None
     eigenvalues: np.ndarray
-
-    @property
-    def gram(self) -> np.ndarray:
-        u = _phases(self.lam, self.a)
-        return self.kernel * np.outer(u, u.conj())
-
-
-def _phases(lam: np.ndarray, a: float) -> np.ndarray:
-    """The diagonal of the unitary U = diag(e^(i*a*lam_j/2))."""
-    return np.exp(0.5j * a * lam)
 
 
 def _gram_entries(lam: np.ndarray, a: float) -> np.ndarray:
@@ -104,7 +89,8 @@ def gram_matrix(lam, a: float, vectors: bool = True) -> GramProbe:
     arithmetic, and S v = sigma v gives G (U v) = sigma (U v): the
     minimizing unit-norm weight vector is U v. G is Hermitian positive
     semidefinite by construction. With vectors=False LAPACK solves for the
-    eigenvalues alone and minimizing_weights is None.
+    eigenvalues alone and minimizing_weights is None. a * (max lam - min lam)
+    must be finite: past float64 the entries would be sin(inf) = NaN.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam)):
@@ -114,60 +100,23 @@ def gram_matrix(lam, a: float, vectors: bool = True) -> GramProbe:
         raise ParameterError("need at least one frequency")
     if lam.size > MAX_GRAM_SIZE:
         raise ParameterError(f"N = {lam.size} exceeds the dense-solver cap {MAX_GRAM_SIZE}")
-    if np.any(np.diff(np.sort(lam)) == 0):
+    srt = np.sort(lam)
+    if np.any(srt[1:] == srt[:-1]):
         raise ParameterError("frequencies must be distinct")
+    if not math.isfinite(a * (float(srt[-1]) - float(srt[0]))):
+        raise ParameterError(f"a * (max - min frequency) overflows float64 at a = {a!r}")
     s = _gram_entries(lam, a)
     if not vectors:
         w = np.linalg.eigvalsh(s)
-        return GramProbe(a, lam, s, max(float(w[0]), 0.0), None, np.maximum(w, 0.0))
+        return GramProbe(lam, max(float(w[0]), 0.0), None, np.maximum(w, 0.0))
     w, v = np.linalg.eigh(s)
     sigma = max(float(w[0]), 0.0)
-    vec = _phases(lam, a) * v[:, 0]
+    vec = np.exp(0.5j * a * lam) * v[:, 0]
     # deterministic phase: make the largest component real positive
     pivot = int(np.argmax(np.abs(vec)))
     phase = vec[pivot] / abs(vec[pivot])
     vec = vec / phase
-    return GramProbe(a, lam, s, sigma, vec, np.maximum(w, 0.0))
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    a_values: np.ndarray
-    sigma_values: np.ndarray
-    knee: float
-
-    def pairs(self):
-        return list(zip(self.a_values.tolist(), self.sigma_values.tolist()))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "knee": self.knee,
-            "points": [[float(a), float(s)] for a, s in zip(self.a_values, self.sigma_values)],
-        }
-
-
-def knee_location(a_values, sigma_values, noise: float = LOG_FLOOR) -> float:
-    """Knee of log sigma_min: the grid point maximizing the second
-    difference, i.e. where the curve exits its exponentially small regime.
-
-    The curve is floored at the larger of `noise` (the eigensolver's
-    absolute rounding level) and 1e-10 of the sweep's top value, so the
-    second difference spikes where the curve genuinely emerges rather than
-    inside the noise. A curve that never rises above its floor has no
-    knee: NaN.
-    """
-    a = np.asarray(a_values, dtype=float)
-    raw = np.asarray(sigma_values, dtype=float)
-    if a.size == 0:
-        return float("nan")
-    floor = max(noise, 1e-10 * float(np.max(raw)))
-    if not np.any(raw > floor):
-        return float("nan")
-    if a.size < 3:
-        return float(a[-1])
-    s = np.log(np.maximum(raw, floor))
-    d2 = s[2:] - 2.0 * s[1:-1] + s[:-2]
-    return float(a[1 + int(np.argmax(d2))])
+    return GramProbe(lam, sigma, vec, np.maximum(w, 0.0))
 
 
 def _nearest_zero(points: np.ndarray, n) -> np.ndarray:
@@ -178,16 +127,14 @@ def _nearest_zero(points: np.ndarray, n) -> np.ndarray:
     return np.sort(points[np.argsort(np.abs(points))[:int(n)]])
 
 
-def sigma_min_sweep(lam, a_grid) -> SweepResult:
-    """sigma_min across an increasing grid of gap lengths.
+def sigma_min_sweep(lam, a_grid) -> np.ndarray:
+    """sigma_min at each gap length of an increasing grid.
 
     Monotone non-decreasing in a (the Gram increment over [a1, a2] is
     itself a Gram matrix, hence PSD); asserted up to a 1e-10 numerical
     allowance. Each grid point solves for eigenvalues only: the sweep never
-    uses the minimizing vector. The knee ignores values under the dense
-    solver's rounding level N * eps * lambda_max, with lambda_max the
-    largest eigenvalue on the grid; a sweep that stays under it has a NaN
-    knee. `gram_matrix` rejects each non-finite grid value.
+    uses the minimizing vector. `gram_matrix` rejects each non-finite grid
+    value.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
@@ -195,14 +142,12 @@ def sigma_min_sweep(lam, a_grid) -> SweepResult:
     if np.any(np.diff(a_grid) <= 0):
         raise ParameterError("grid must be increasing")
     lam = np.asarray(lam, dtype=float)
-    probes = (gram_matrix(lam, a, vectors=False) for a in a_grid)
-    sigmas, tops = np.array([(p.sigma_min, p.eigenvalues[-1]) for p in probes]).T
+    sigmas = np.array([gram_matrix(lam, a, vectors=False).sigma_min for a in a_grid])
     diffs = np.diff(sigmas)
     if diffs.size and float(np.min(diffs)) < -1e-10:
         raise AssertionError(
             f"sigma_min not monotone: worst step {float(np.min(diffs)):.3e}")
-    noise = lam.size * np.finfo(float).eps * float(np.max(tops))
-    return SweepResult(a_grid, sigmas, knee_location(a_grid, sigmas, noise))
+    return sigmas
 
 
 @dataclass(frozen=True)
@@ -243,11 +188,9 @@ def sigma_min_crossing(lam) -> CrossingResult:
     if lam.size < 2:
         raise ParameterError("the Gram crossing needs at least two frequencies")
     a_max = 8.0 * math.pi / float(np.median(np.diff(lam)))
-    # only the extreme eigenvalues are kept: the top matrix is freed before
-    # the factors are made
-    sigma_top, lam_max = gram_matrix(lam, a_max, vectors=False).eigenvalues[[0, -1]]
-    tau = CROSSING_SAFETY * lam.size * float(np.finfo(float).eps * lam_max)
-    passed = bool(sigma_top > tau)
+    top = gram_matrix(lam, a_max, vectors=False)
+    tau = CROSSING_SAFETY * lam.size * float(np.finfo(float).eps * top.eigenvalues[-1])
+    passed = bool(top.sigma_min > tau)
     probes = [(a_max, passed)]
     lo, hi = 0.0, (a_max if passed else float("nan"))
     while hi - lo > 2.0 * math.pi * GRID_RESOLUTION:

@@ -96,7 +96,8 @@ def regularize_gaps(seq: PointSequence, C: float) -> RegularizeResult:
     no points. More than MAX_POINTS inserted points in all is a
     ParameterError, raised before anything is allocated. Asserted
     post-conditions: max output gap <= 2C and inserted points pairwise >= C
-    apart.
+    apart, each up to the larger of 1e-9 and four ulps of the largest |point|,
+    the rounding of a position.
     """
     if not C > 1:
         raise ParameterError(f"gap constant C must exceed 1, got {C!r}")
@@ -120,8 +121,9 @@ def regularize_gaps(seq: PointSequence, C: float) -> RegularizeResult:
     gamma = PointSequence(gamma_pts, seq.window)
     added_seq = PointSequence(added, seq.window)
     max_gap = float(np.max(np.diff(gamma_pts))) if gamma_pts.size > 1 else 0.0
-    if max_gap > 2 * C + 1e-9:
+    slack = max(1e-9, 4.0 * float(np.spacing(np.max(np.abs(gamma_pts)))))
+    if max_gap > 2 * C + slack:
         raise AssertionError(f"max gap {max_gap:.6g} exceeds 2C = {2 * C:.6g}")
-    if added.size > 1 and float(np.min(np.diff(added))) < C - 1e-9:
+    if added.size > 1 and float(np.min(np.diff(added))) < C - slack:
         raise AssertionError("inserted points closer than C")
     return RegularizeResult(gamma, added_seq, tuple(fills), max_gap)

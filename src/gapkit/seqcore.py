@@ -14,16 +14,20 @@ exactly. Which points a counting interval from u to v owns is decided by
   which own the endpoint facing away from 0, as the greedy walk does.
 - (u, v): the d4 ('below') family test, whose sparse intervals end on points.
 
-Two input rules are each written once; breaking one is a ParameterError:
+Four input rules are each written once; breaking one is a ParameterError:
 
 - `_points`: a point array is one-dimensional, finite and strictly
-  increasing, kept as a read-only copy. Used by PointSequence, Partition,
-  AtomicMeasure, `load_points` and `clarknum`'s two entries.
+  increasing, with a span last - first finite in float64 (past it, lengths
+  and energies are inf), kept as a read-only copy. Used by PointSequence,
+  Partition, AtomicMeasure, `load_points` and `clarknum`'s two entries.
 - `_positive`: a level is finite and > 0. Used by PointSequence.scale, the
   law parameters, `gapnum.gram_matrix`, `partitions.greedy_density_partition`
   and four `density` entries: d3 and the three witness checks and searches.
-- `_requested_window`: a window asked for has finite ends and lo < hi. Used
-  by `generate` and `_load_file`, so by every --window of the CLI.
+- `_finite_window`: a window has finite ends and a width hi - lo finite in
+  float64, as for a span. Used by PointSequence and `_requested_window`.
+- `_requested_window`: a window asked for passes `_finite_window` and has
+  lo < hi. Used by `generate` and `_load_file`, so by every --window of the
+  CLI.
 
 A sequence spec is a file or a law, as `parse_sequence_spec` alone decides:
 an existing path wins over a law of the same name. The laws are the one
@@ -116,6 +120,8 @@ def _finite_window(window) -> tuple[float, float]:
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"window [{lo}, {hi}] must have finite ends")
+    if not math.isfinite(hi - lo):
+        raise ParameterError(f"window [{lo}, {hi}] is wider than float64 holds")
     return lo, hi
 
 
@@ -129,14 +135,18 @@ def _requested_window(window) -> tuple[float, float]:
 
 def _points(values, what: str) -> np.ndarray:
     """values as a read-only float copy; a ParameterError unless it is
-    one-dimensional, finite and strictly increasing. what names the input."""
+    one-dimensional, finite and strictly increasing with a span last - first
+    finite in float64. what names the input."""
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ParameterError(f"{what} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{what} must be finite")
-    if np.any(np.diff(arr) <= 0):
+    if np.any(arr[1:] <= arr[:-1]):
         raise ParameterError(f"{what} must be strictly increasing")
+    if arr.size and not math.isfinite(float(arr[-1]) - float(arr[0])):
+        raise ParameterError(f"{what} span [{float(arr[0])!r}, {float(arr[-1])!r}] is wider "
+                             "than float64 holds")
     arr.setflags(write=False)
     return arr
 

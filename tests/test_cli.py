@@ -68,7 +68,9 @@ def test_gap_sweep_csv(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "a,sigma_min"
     assert len(lines) == 13
-    sigmas = [float(l.split(",")[1]) for l in lines[1:]]
+    rows = [[float(v) for v in l.split(",")] for l in lines[1:]]
+    assert payload["result"]["sweep"] == {"points": rows}
+    sigmas = [s for _, s in rows]
     assert all(b >= a - 1e-10 for a, b in zip(sigmas, sigmas[1:]))
 
 
@@ -138,6 +140,19 @@ def test_regularize_cli(tmp_path):
     gamma = (tmp_path / "reg.gamma.txt").read_text().strip().splitlines()
     added = (tmp_path / "reg.added.txt").read_text().strip().splitlines()
     assert len(gamma) == 11 + len(added)
+
+
+def test_regularize_near_1e8_allows_position_rounding(tmp_path):
+    # positions near 1e8 round by up to an ulp, 1.5e-8: the smallest inserted
+    # gap reads 1.09999999404 here, under C - 1e-9
+    prefix = tmp_path / "reg"
+    code, payload = run_json(
+        ["regularize", "--seq", "lattice:7.7", "--window=1e8,1.00077e8", "--C", "1.1",
+         "--out-prefix", str(prefix)], tmp_path)
+    assert code == 0
+    gamma = np.loadtxt(tmp_path / "reg.gamma.txt")
+    assert float(np.max(np.diff(gamma))) <= 2.2
+    assert payload["result"]["max_gap"] <= 2.2
 
 
 def test_partition_cli_greedy_and_file(tmp_path):
@@ -612,6 +627,37 @@ def test_non_finite_window_exits_2(capsys, window):
                  f"--window={window}"]) == 2
     assert "parameter error" in capsys.readouterr().err
     assert main(["gen", "--spec", "lattice:1", f"--window={window}"]) == 2
+
+
+@pytest.mark.parametrize("option", [["--sweep", "1:1e308:3"], ["--synthesize", "1e308"]])
+def test_gram_phase_overflow_exits_2(tmp_path, capsys, option):
+    out = tmp_path / "out.json"
+    assert main(GAP_LATTICE + option + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "gapkit: parameter error: a * (max - min frequency) overflows float64" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["energy"],
+    ["density", "--method", "d3"],
+    ["density", "--method", "d4"],
+    ["density", "--method", "bm"],
+    ["gap", "--synthesize", "1e-308"],
+])
+def test_span_past_float64_exits_2(tmp_path, capsys, command):
+    # finite ends 3.4e308 apart: every length built from them is inf
+    out = tmp_path / "out.json"
+    seq = ["--seq", "lattice:1e307", "--window=-1.7e308,1.7e308"]
+    assert main(command + seq + ["-o", str(out)]) == 2
+    assert "gapkit: parameter error: window [-1.7e+308, 1.7e+308] is wider than float64" \
+        in capsys.readouterr().err
+    path = tmp_path / "pts.txt"
+    path.write_text("-1.7e308\n0.0\n1.7e308\n")
+    assert main(command + ["--seq", str(path), "-o", str(out)]) == 2
+    assert "points span [-1.7e+308, 1.7e+308] is wider than float64" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["density", "--method", "d1"], ["gap"], ["energy"]])

@@ -10,7 +10,7 @@ import gapkit.gapnum as gapnum
 from gapkit.density import GRID_RESOLUTION, density_lower, verify_partition_witness
 from gapkit.energy import energy_condition_report
 from gapkit.gapnum import (MAX_GRAM_SIZE, _nearest_zero, estimate_gap_characteristic,
-                           gram_matrix, knee_location, sigma_min_crossing,
+                           gram_matrix, sigma_min_crossing,
                            sigma_min_sweep, synthesize_gap_measure, with_gram_crossing)
 from gapkit.seqcore import ParameterError, Partition, PointSequence, fourier_eval, generate
 
@@ -21,26 +21,27 @@ CROSSING_STEP = TWO_PI * GRID_RESOLUTION
 
 def test_gram_single_atom():
     p = gram_matrix([4.2], 3.0)
-    assert p.gram.shape == (1, 1)
-    assert p.gram[0, 0] == pytest.approx(3.0)
+    assert p.eigenvalues.shape == (1,)
     assert p.sigma_min == pytest.approx(3.0)
+    assert p.minimizing_weights == pytest.approx([1.0])
 
 
 def test_gram_full_period_orthogonality():
-    p = gram_matrix([0.0, 1.0], TWO_PI)
-    assert abs(p.gram[0, 1]) <= 1e-12
-    assert p.sigma_min == pytest.approx(TWO_PI, abs=1e-12)
-    q = gram_matrix(np.arange(64.0), TWO_PI)
-    off = q.gram - TWO_PI * np.eye(64)
+    # |G_jk| = |S_jk|: the real form vanishes off the diagonal too
+    assert abs(gapnum._gram_entries(np.array([0.0, 1.0]), TWO_PI)[0, 1]) <= 1e-12
+    assert gram_matrix([0.0, 1.0], TWO_PI).sigma_min == pytest.approx(TWO_PI, abs=1e-12)
+    off = gapnum._gram_entries(np.arange(64.0), TWO_PI) - TWO_PI * np.eye(64)
     assert np.max(np.abs(off)) <= 1e-12
+    q = gram_matrix(np.arange(64.0), TWO_PI)
+    assert q.eigenvalues == pytest.approx(np.full(64, TWO_PI), abs=1e-12)
 
 
 def test_gram_two_by_two_closed_form():
     p = gram_matrix([0.0, 1.0], math.pi)
-    assert p.gram[0, 1] == pytest.approx(-2j, abs=1e-12)
+    # G_01 = -2j is e^(-i*pi/2) times the real form's S_01 = 2
+    assert gapnum._gram_entries(np.array([0.0, 1.0]), math.pi)[0, 1] == pytest.approx(2.0)
     assert p.sigma_min == pytest.approx(math.pi - 2.0, abs=1e-12)
-    w = np.linalg.eigvalsh(p.gram)
-    assert w == pytest.approx([math.pi - 2, math.pi + 2], abs=1e-12)
+    assert p.eigenvalues == pytest.approx([math.pi - 2, math.pi + 2], abs=1e-12)
 
 
 def test_gram_psd_and_quadratic_form():
@@ -50,9 +51,10 @@ def test_gram_psd_and_quadratic_form():
         lam = np.sort(rng.uniform(-10, 10, n)) + np.arange(n) * 1e-7
         a = rng.uniform(0.2, 6.0)
         p = gram_matrix(lam, a)
-        assert np.max(np.abs(p.gram - p.gram.conj().T)) <= 1e-13
+        g = closed_form_gram(lam, a)
+        assert np.max(np.abs(g - g.conj().T)) <= 1e-13
         assert p.sigma_min >= 0.0
-        quad = float(np.real(p.minimizing_weights.conj() @ p.gram @ p.minimizing_weights))
+        quad = float(np.real(p.minimizing_weights.conj() @ g @ p.minimizing_weights))
         assert quad == pytest.approx(p.sigma_min, abs=1e-10)
 
 
@@ -88,12 +90,12 @@ def test_step_ten_lattice():
     assert p.sigma_min >= TWO_PI / 10 - 1e-9
 
 
-def test_sweep_monotone_and_knee():
+def test_sweep_is_monotone():
     lam = np.arange(64.0)
     grid = np.linspace(0.2 * TWO_PI, 1.15 * TWO_PI, 50)
-    sw = sigma_min_sweep(lam, grid)
-    assert np.min(np.diff(sw.sigma_values)) >= -1e-10
-    assert 0.85 * TWO_PI <= sw.knee <= 1.05 * TWO_PI
+    sigmas = sigma_min_sweep(lam, grid)
+    assert sigmas.shape == grid.shape
+    assert np.min(np.diff(sigmas)) >= -1e-10
 
 
 def test_sweep_matches_gram_sigma_min():
@@ -102,9 +104,8 @@ def test_sweep_matches_gram_sigma_min():
     lam_random = np.sort(rng.uniform(-20.0, 20.0, 48)) + np.arange(48) * 1e-7
     for lam in (np.arange(64.0), lam_random):
         grid = np.linspace(0.3, 1.3 * TWO_PI, 15)
-        sw = sigma_min_sweep(lam, grid)
         expected = [gram_matrix(lam, a).sigma_min for a in grid]
-        assert np.max(np.abs(sw.sigma_values - expected)) <= 1e-12
+        assert np.max(np.abs(sigma_min_sweep(lam, grid) - expected)) <= 1e-12
 
 
 def test_sweep_input_validation():
@@ -116,13 +117,6 @@ def test_sweep_input_validation():
     for bad in ([0.0, 1.0], [-2.0, -1.0]):
         with pytest.raises(ParameterError):
             sigma_min_sweep(np.arange(4.0), bad)
-
-
-def test_knee_locator_on_synthetic_curve():
-    a = np.linspace(0.0, 10.0, 101)
-    sigma = np.where(a < 6.0, 1e-16, np.minimum(np.exp(a - 6.0) * 1e-12, 1.0))
-    knee = knee_location(a, sigma)
-    assert 5.5 <= knee <= 7.5
 
 
 def test_synthesize_two_atoms():
@@ -337,25 +331,11 @@ def test_real_form_spectrum_matches_complex_supports(spec):
         _assert_spectrum_matches_closed_form(lam, a)
 
 
-def test_gram_property_is_the_closed_form():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        n = int(rng.integers(1, 30))
-        lam = np.sort(rng.uniform(-20, 20, n)) + np.arange(n) * 1e-3
-        a = rng.uniform(0.2, 6.0)
-        p = gram_matrix(lam, a)
-        assert np.max(np.abs(p.gram - closed_form_gram(lam, a))) <= 1e-13
-    q = gram_matrix(np.arange(64.0), TWO_PI)
-    assert np.max(np.abs(q.gram - closed_form_gram(np.arange(64.0), TWO_PI))) <= 1e-13
-
-
 def test_kernel_is_real_symmetric():
-    lam = np.array([-3.0, 0.5, 1.0, 7.25])
-    for vectors in (True, False):
-        p = gram_matrix(lam, 2.5, vectors=vectors)
-        assert np.isrealobj(p.kernel)
-        assert np.array_equal(p.kernel, p.kernel.T)
-        assert np.all(np.diag(p.kernel) == 2.5)
+    s = gapnum._gram_entries(np.array([-3.0, 0.5, 1.0, 7.25]), 2.5)
+    assert np.isrealobj(s)
+    assert np.array_equal(s, s.T)
+    assert np.all(np.diag(s) == 2.5)
 
 
 def test_weights_minimize_the_closed_form():
@@ -374,21 +354,16 @@ def test_weights_minimize_the_closed_form():
         assert abs(w[pivot].imag) <= 1e-15 and w[pivot].real > 0.0
 
 
-def test_knee_of_an_all_zero_curve_is_nan():
-    assert math.isnan(knee_location([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]))
-
-
-def test_sub_noise_sweep_has_no_knee():
+def test_sub_noise_sweep_stays_at_rounding_level():
     # 128 Poisson points nearest 0: every sigma_min on the grid is rounding
-    # noise, some of it above the log floor, where an argmax picked a knee
+    # noise, under N * eps * lambda_max, and not all of it is zero
     seq = generate("poisson:1", (-30000, 30000), seed=7)
     lam = _nearest_zero(seq.points, 128)
     grid = np.linspace(0.3, 1.3, 40) * TWO_PI * 0.937
-    sw = sigma_min_sweep(lam, grid)
+    sigmas = sigma_min_sweep(lam, grid)
     top = gram_matrix(lam, grid[-1], vectors=False).eigenvalues[-1]
-    assert np.all(sw.sigma_values <= lam.size * np.finfo(float).eps * top)
-    assert np.max(sw.sigma_values) > 0.0
-    assert math.isnan(sw.knee)
+    assert np.all(sigmas <= lam.size * np.finfo(float).eps * top)
+    assert np.max(sigmas) > 0.0
 
 
 def test_clustered_support_crossing_reads_the_cluster():
@@ -455,19 +430,15 @@ def test_crossing_input_validation():
             sigma_min_crossing(bad)
 
 
-def test_lattice_knee_sits_above_the_noise_floor():
-    lam = np.arange(256.0)
-    grid = np.linspace(0.3, 1.3, 40) * TWO_PI
-    sw = sigma_min_sweep(lam, grid)
-    assert sw.knee == knee_location(grid, sw.sigma_values)
-
-
 @pytest.mark.parametrize("lam,a", [
     ([0.0, 1.0], math.nan),
     ([0.0, 1.0], math.inf),
     ([0.0, 1.0], -math.inf),
     ([0.0, math.nan], 1.0),
     ([0.0, math.inf], 1.0),
+    # a * (max - min frequency) overflows: the entries would be sin(inf) = NaN
+    ([-10.0, 0.0, 10.0], 1e307),
+    ([-1e308, 1e308], 1.0),
 ])
 def test_gram_rejects_non_finite_input(lam, a):
     with pytest.raises(ParameterError):

@@ -197,6 +197,14 @@ def test_non_finite_window_rejected(window):
         PointSequence(np.array([0.0, 1.0]), window)
 
 
+def test_window_wider_than_float64_rejected():
+    # both ends are finite, but hi - lo is inf
+    for call in (lambda w: generate("lattice:1e307", w),
+                 lambda w: PointSequence(np.array([0.0, 1.0]), w)):
+        with pytest.raises(ParameterError, match="wider than float64"):
+            call((-1.7e308, 1.7e308))
+
+
 def test_load_points_rejects_text(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# header\n1.0\nabc\n")
@@ -290,6 +298,7 @@ BAD_POINTS = {
     "decreasing": [0.0, 2.0, 1.0],
     "repeated": [0.0, 1.0, 1.0],
     "2-D": [[0.0, 1.0], [2.0, 3.0]],
+    "span-overflow": [-1.7e308, 0.0, 1.7e308],
 }
 LEVEL_ENTRIES = {
     "PointSequence.scale": lambda a, tmp: LATTICE.scale(a),
