@@ -28,7 +28,11 @@ certificate ran before the crossing, are each timed on the 256 and the 512
 lattice points nearest 0. The two array walks of `refute_mix` are timed on their own: the
 Clark residue weights of every midpoint of the lattice over +-1500 (the job
 `clark_lattice`), and one d3 matching of the perturbed lattice over +-15000
-at slope a = 1 (`d3_perturbed` runs 24 of them).
+at slope a = 1 (`d3_perturbed` runs 24 of them). Three stages every
+certificate process pays for: `load_points` on a file of the Poisson input
+over +-30000, the energy report on the lattice's d1 witness over +-5000
+(10 000 one-point intervals), and `total_energy` of the 2999 lattice points
+of +-1499.
 
 The file name keeps it out of the default test collection. Run it by path:
 
@@ -49,15 +53,15 @@ import numpy as np
 import pytest
 
 from gapkit.clarknum import residue_weights
-from gapkit.density import (d4_complement_estimate, density_d3_estimate,
+from gapkit.density import (d4_complement_estimate, density_d3_estimate, density_lower,
                             long_family_search, match_to_ideal_grid,
                             verify_partition_witness)
-from gapkit.energy import energy_condition_report
+from gapkit.energy import energy_condition_report, total_energy
 from gapkit.fekete import fekete_optimize
 from gapkit.gapnum import (_nearest_zero, estimate_gap_characteristic,
                            sigma_min_crossing, sigma_min_sweep)
 from gapkit.partitions import greedy_density_partition, shortness
-from gapkit.seqcore import Interval, generate
+from gapkit.seqcore import Interval, Partition, generate, load_points, save_points
 
 # name -> (spec, window, level). The levels sit where the certificate spends
 # its time: the lattice at its answer c = 1, the perturbed lattice and
@@ -185,3 +189,24 @@ def test_match_to_ideal_grid(benchmark):
     seq = generate("perturbed:1,0.2", (-15000.0, 15000.0), seed=SEED)
     matched = benchmark(match_to_ideal_grid, seq, 1.0)
     assert 0.99 * len(seq) < matched.size <= len(seq)
+
+
+def test_load_points(benchmark, tmp_path):
+    seq, _ = _input("poisson")
+    path = tmp_path / "poisson.txt"
+    save_points(path, seq.points)
+    pts = benchmark(load_points, path)
+    assert pts.tobytes() == seq.points.tobytes()
+
+
+def test_energy_report_witness(benchmark):
+    seq, _ = _input("lattice")
+    part = Partition(np.array(density_lower(seq, "d1").witness["breakpoints"]))
+    rep = benchmark(energy_condition_report, seq, part)
+    assert rep.verdict == "supported" and rep.partial_sums.size == 10_000
+
+
+def test_total_energy(benchmark):
+    points = generate("lattice:1", (-1499.0, 1499.0)).points
+    energy = benchmark(total_energy, points)
+    assert points.size == 2999 and energy > 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .partitions import _monotone, _short_greedy, _terms_of, shortness
 from .seqcore import (ParameterError, Partition, PointSequence, _dist0, _owned,
-                      _positive, _series_order, _slope)
+                      _percentile, _positive, _series_order, _slope, _unique)
 
 __all__ = [
     "DensityEstimate",
@@ -74,7 +74,7 @@ def _default_a_max(seq: PointSequence) -> float:
     if len(seq) < 2 or seq.span <= 0:
         return 1.0
     gaps = np.diff(seq.points)  # all positive, but their percentile can round to 0
-    dense = float(np.percentile(gaps, 10)) or float(np.min(gaps))
+    dense = _percentile(gaps, 10) or float(np.min(gaps))
     return 1.5 / dense + 10 * GRID_RESOLUTION
 
 
@@ -297,7 +297,7 @@ def counting_residual(matched: np.ndarray, a: float,
     lo, hi = window
     inner = matched[(matched > lo) & (matched < hi)]
     zero = [0.0] if lo < 0.0 < hi else []
-    events = np.unique(np.concatenate([[lo], inner, zero, [hi]]))
+    events = _unique(np.concatenate([[lo], inner, zero, [hi]]))
     if events.size < 2:
         return 0.0
     u, v = events[:-1], events[1:]

@@ -5,10 +5,14 @@ energy-condition series over the intervals of a partition, with a
 three-valued convergence verdict. The verdict applies the decay rule of
 shortness (`partitions.classify_terms`) to the positive parts of the
 summands, so both series of the paper's conditions are judged by one rule.
+The report computes its counts, energies and summands as arrays; the
+per-interval records are built only when read (the `energy` command and its
+CSV read them, the gap certificate reads the verdict alone).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,9 +31,13 @@ def total_energy(seq) -> float:
     """E = sum over ordered pairs k != l of log|x_k - x_l|.
 
     Blocked O(N^2) evaluation; this is the defining sum, not an
-    approximation. Each block of rows takes the strict lower triangle of its
-    differences in row order, in one buffer reused for every block. Raises
-    on non-finite and on duplicate points (log 0).
+    approximation. Each block of rows gathers the strict lower triangle of
+    its differences x_i - x_j, j < i, in row order. The first block, at
+    most 257 columns wide, masks its difference matrix; each later block
+    writes its rows one after another into one buffer reused for every
+    block. A call per row costs less than a mask over hundreds of columns
+    and more than one over a few. Raises on non-finite and on duplicate
+    points (log 0).
     """
     x = seq.points if isinstance(seq, PointSequence) else np.asarray(seq, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -37,13 +45,18 @@ def total_energy(seq) -> float:
     n = x.size
     if n < 2:
         return 0.0
+    blocks = [(i0, min(i0 + _BLOCK, n)) for i0 in range(1, n, _BLOCK)]
+    buf = np.empty(max(((i0 + i1 - 1) * (i1 - i0) // 2 for i0, i1 in blocks[1:]), default=0))
     total = 0.0
-    buf = np.empty((min(_BLOCK, n - 1), n))
-    for i0 in range(1, n, _BLOCK):
-        i1 = min(i0 + _BLOCK, n)
-        diffs = np.subtract(x[i0:i1, None], x[None, :i1], out=buf[:i1 - i0, :i1])
-        mask = np.arange(i0, i1)[:, None] > np.arange(i1)[None, :]
-        vals = diffs[mask]
+    for i0, i1 in blocks:
+        if i0 == 1:
+            vals = (x[i0:i1, None] - x[None, :i1])[np.arange(i0, i1)[:, None] > np.arange(i1)]
+        else:
+            end = 0
+            for i in range(i0, i1):
+                np.subtract(x[i], x[:i], out=buf[end:end + i])
+                end += i
+            vals = buf[:end]
         np.abs(vals, out=vals)
         if np.any(vals == 0.0):
             raise ParameterError("duplicate points give log 0 in the energy")
@@ -67,27 +80,35 @@ class EnergyRecord:
 class EnergyReport:
     """Per-interval energy-condition data plus its decay diagnostic.
 
-    records are ordered by increasing dist(0, I_n); partial_sums accumulate
-    the summands in that order. verdict is one of supported / unsupported /
-    inconclusive for "the series converges": the decay rule of shortness on
-    the positive parts of the summands, with short read as supported and
-    long as unsupported, and a series with fewer positive terms than the
-    rule needs read as supported. fitted_exponent is the rule's decay
-    exponent (0 where it was not fitted).
+    columns holds the arrays (n, a, b, count, energy, summand, dist0), one
+    entry per interval, ordered by increasing dist(0, I_n); records, the
+    EnergyRecord of each interval, is built from them when first read.
+    partial_sums accumulate the summands in that order. verdict is one of
+    supported / unsupported / inconclusive for "the series converges": the
+    decay rule of shortness on the positive parts of the summands, with
+    short read as supported and long as unsupported, and a series with fewer
+    positive terms than the rule needs read as supported. fitted_exponent is
+    the rule's decay exponent (0 where it was not fitted).
     """
 
-    records: tuple
+    columns: tuple
     partial_sums: np.ndarray
     window: tuple[float, float]
     fitted_exponent: float
     verdict: str
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        return tuple(EnergyRecord(n, Interval(a, b), count, e_n, s_n, d)
+                     for n, a, b, count, e_n, s_n, d
+                     in zip(*(col.tolist() for col in self.columns)))
 
     def to_json_dict(self) -> dict:
         return {
             "window": list(self.window),
             "verdict": self.verdict,
             "fitted_exponent": self.fitted_exponent,
-            "partial_sums": [float(v) for v in self.partial_sums],
+            "partial_sums": self.partial_sums.tolist(),
             "records": [
                 {
                     "n": r.n,
@@ -134,24 +155,20 @@ def energy_condition_report(seq: PointSequence, part: Partition) -> EnergyReport
     seq = seq.restrict(lo, hi)
     pts = seq.points
     u, v = part.breakpoints[:-1], part.breakpoints[1:]
+    order = _series_order(u, v)
+    u, v = u[order], v[order]
     # the default closure: (a, b]
     first, last = _owned(pts, u, v)
-    order = _series_order(u, v)
-    dist = _dist0(u, v)[order].tolist()
-    u, v = u[order].tolist(), v[order].tolist()
-    first, last = first[order].tolist(), last[order].tolist()
-    counts = [i1 - i0 for i0, i1 in zip(first, last)]
-    energies = [total_energy(pts[i0:i1]) if i1 - i0 >= 2 else 0.0
-                for i0, i1 in zip(first, last)]
-    # math.log per summand (numpy's log rounds differently in rare cases);
+    counts = last - first
+    energies = np.zeros(counts.size)
+    multi = np.flatnonzero(counts >= 2)
+    for k, i0, i1 in zip(multi.tolist(), first[multi].tolist(), last[multi].tolist()):
+        energies[k] = total_energy(pts[i0:i1])
+    dist = _dist0(u, v)
+    # math.log per width (numpy's log rounds differently in rare cases);
     # dist(0, I) squared exactly, as in the shortness terms
-    summands = [(count * count * math.log(b - a) - e_n) / (1.0 + d * d)
-                for a, b, count, e_n, d in zip(u, v, counts, energies, dist)]
-    z = part.zero_index
-    recs = tuple(EnergyRecord(i - z, Interval(a, b), count, e_n, s_n, d)
-                 for i, a, b, count, e_n, s_n, d
-                 in zip(order.tolist(), u, v, counts, energies, summands, dist))
-    summands = np.array(summands)
-    partial = np.cumsum(summands) if summands.size else np.zeros(0)
+    log_width = np.fromiter(map(math.log, (v - u).tolist()), float, count=counts.size)
+    summands = (counts * counts * log_width - energies) / (1.0 + dist * dist)
+    columns = (order - part.zero_index, u, v, counts, energies, summands, dist)
     verdict, exponent = _series_verdict(summands)
-    return EnergyReport(recs, partial, seq.window, exponent, verdict)
+    return EnergyReport(columns, np.cumsum(summands), seq.window, exponent, verdict)

@@ -29,7 +29,7 @@ import numpy as np
 from .density import GRID_RESOLUTION, DensityEstimate, density_lower
 from .energy import energy_condition_report
 from .seqcore import (AtomicMeasure, ParameterError, Partition, PointSequence,
-                      _check_sweep_n_max, _points, _positive, fourier_eval)
+                      _check_sweep_n_max, _median, _points, _positive, fourier_eval)
 
 __all__ = [
     "GramProbe",
@@ -187,7 +187,7 @@ def sigma_min_crossing(lam) -> CrossingResult:
     lam = _points(np.sort(lam), "frequencies")
     if lam.size < 2:
         raise ParameterError("the Gram crossing needs at least two frequencies")
-    a_max = 8.0 * math.pi / float(np.median(np.diff(lam)))
+    a_max = 8.0 * math.pi / _median(np.diff(lam))
     top = gram_matrix(lam, a_max, vectors=False)
     tau = CROSSING_SAFETY * lam.size * float(np.finfo(float).eps * top.eigenvalues[-1])
     passed = bool(top.sigma_min > tau)

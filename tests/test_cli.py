@@ -466,6 +466,26 @@ def test_cli_import_leaves_out_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_certificate_commands_leave_out_numpy_ma(tmp_path):
+    # np.percentile, np.median and np.unique import numpy.ma on first use,
+    # about 10 ms of each process
+    path = tmp_path / "seq.txt"
+    assert main(["gen", "--spec", "perturbed:1,0.2", "--window=-200,200", "--seed", "1",
+                 "-o", str(path)]) == 0
+    runs = [["gap", "--seq", "lattice:1", "--window=-200,200"],
+            ["report", "--seq", str(path)],
+            *(["density", "--method", m, "--seq", str(path)] for m in ("d1", "d3", "d4", "bm"))]
+    code = ("import sys\n"
+            "from gapkit.cli import main\n"
+            f"codes = [main(argv + ['-o', {str(tmp_path / 'out.json')!r}]) for argv in {runs!r}]\n"
+            "assert codes == [0] * len(codes), codes\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    src = str(Path(gapkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv,loaded", [
     (["density", "--method", "d3", "--seq", "lattice:1", "--window=-100,100"],
      {"seqcore", "partitions", "density"}),

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gapkit.density as density
 from gapkit.clarknum import residue_weights, theta_derivative_profile
 from gapkit.density import (d3_residual_curve, density_lower, density_upper_d4,
                             long_family_search, verify_family_witness,
@@ -11,8 +14,9 @@ from gapkit.energy import total_energy
 from gapkit.gapnum import gram_matrix
 from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import (AtomicMeasure, Interval, ParameterError, Partition,
-                            PointSequence, _dist0, _owned, fourier_eval, generate,
-                            load_points, save_points)
+                            PointSequence, _dist0, _median, _owned, _parse_lines,
+                            _percentile, _unique, fourier_eval, generate, load_points,
+                            save_points)
 
 
 def test_lattice_example():
@@ -210,6 +214,104 @@ def test_load_points_rejects_text(tmp_path):
     path.write_text("# header\n1.0\nabc\n")
     with pytest.raises(ParameterError, match=r"bad.txt:3"):
         load_points(path)
+
+
+# file content -> whether every line is a number, so the streaming parse
+# reads the whole file without falling back to the line loop
+LOADER_FILES = {
+    "comment": ("# header\n-2.0e1\n1.5\n", False),
+    "blank line": ("1.5\n\n2.5\n", False),
+    "crlf": ("1.5\r\n2.5\r\n", True),
+    "trailing spaces": ("1.5  \n2.5\t \n", True),
+    "no final newline": ("1.5\n2.5", True),
+    "underscore": ("1_0\n2_000.5\n", True),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADER_FILES))
+def test_load_points_parse_paths_agree(name, tmp_path):
+    text, streams = LOADER_FILES[name]
+    path = tmp_path / "seq.txt"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8") as fh:
+        slow = np.array(_parse_lines(fh, path), dtype=float)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            fast = np.fromiter(map(float, fh), float)
+        except ValueError:
+            fast = None
+    assert (fast is not None) == streams
+    if streams:
+        assert fast.tobytes() == slow.tobytes()
+    loaded = load_points(path)
+    assert loaded.tobytes() == slow.tobytes() and not loaded.flags.writeable
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("1.0\n2.0\nabc\n", r"seq.txt:3: not a number: 'abc'"),
+    ("1.0\n# note\n\n2.0 3.0\n", r"seq.txt:4: not a number: '2.0 3.0'"),
+    ("1.0\nnan\n", r"seq.txt: points must be finite"),
+    ("-inf\n1.0\n", r"seq.txt: points must be finite"),
+    ("# c\ninf\n", r"seq.txt: points must be finite"),
+])
+def test_load_points_errors_on_either_parse_path(text, needle, tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match=needle):
+        load_points(path)
+
+
+TIED = st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+                min_size=1, max_size=600)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TIED)
+def test_order_statistics_match_numpy(values):
+    x = np.array(values)
+    assert _percentile(x, 10) == float(np.percentile(x, 10))
+    assert _percentile(x, 10).hex() == float(np.percentile(x, 10)).hex()
+    assert _median(x).hex() == float(np.median(x)).hex()
+    assert x.tobytes() == np.array(values).tobytes()  # the input is left as it was
+
+
+def test_order_statistics_match_numpy_at_every_size():
+    for n in range(1, 601):
+        # rounded to a tenth on [0, 5): most values tie with others
+        x = np.round(np.random.default_rng(n).uniform(0.0, 5.0, n), 1)
+        for p in (10, 50, 90):
+            assert _percentile(x, p).hex() == float(np.percentile(x, p)).hex(), (n, p)
+        assert _median(x).hex() == float(np.median(x)).hex(), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-10.0, 10.0),
+                max_size=60))
+def test_unique_matches_numpy_with_signed_zeros(values):
+    x = np.array(values, dtype=float)
+    assert _unique(x).tobytes() == np.unique(x).tobytes()
+
+
+def test_unique_matches_numpy_on_d3_events(monkeypatch):
+    # every event array the d3 residuals sort: window ends, matched points
+    # and 0; matched points on 0, of either sign, repeat the event at 0
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return _unique(x)
+
+    monkeypatch.setattr(density, "_unique", recording)
+    for spec in ("perturbed:1,0.2", "poisson:1", "lattice:1"):
+        seq = generate(spec, (-300.0, 300.0), seed=1)
+        for a in (0.5, 1.0, 1.3):
+            d3_residual_curve(seq, a)
+    for zero in (0.0, -0.0):
+        matched = np.array([-2.0, -1.0, zero, 1.0, 2.0])
+        density.counting_residual(matched, 1.0, (-2.5, 2.5))
+    assert len(seen) > 20 and any(np.unique(x).size < x.size for x in seen)
+    for x in seen:
+        assert _unique(x).tobytes() == np.unique(x).tobytes()
 
 
 @pytest.mark.parametrize("spec", ["lattice:1e-12", "perturbed:1e-12,0", "poisson:1e12",

@@ -2,7 +2,8 @@
 the d3 matching and the Clark atom sums against the per-point, per-interval,
 per-target and per-midpoint loops they replaced, kept here as the
 reference: every reported value must agree bitwise, including the order of
-the terms. The ladder walk of the level search is checked the same way
+the terms. The pairwise energy is checked against the masked-block gather it
+replaced, and the chunked Poisson walk against the scalar walk. The ladder walk of the level search is checked the same way
 against the top-down bisection it replaced, and the long-family search,
 which assembles only candidates at or above the evidence floor, against the
 search over every candidate. The gap certificate, which takes its level from
@@ -28,7 +29,7 @@ from gapkit.energy import (EnergyRecord, EnergyReport, energy_condition_report,
 from gapkit.gapnum import estimate_gap_characteristic
 from gapkit.partitions import (_grow_right, _short_greedy, _terms_of, classify_terms,
                                greedy_density_partition, shortness)
-from gapkit.seqcore import Partition, PointSequence, generate
+from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
 
 
 def loop_grow_right(points, d, hi, monotone):
@@ -102,7 +103,12 @@ def loop_energy_report(seq, part):
     else:
         decay, exponent = classify_terms(positive)
         verdict = {"short": "supported", "long": "unsupported"}.get(decay, "inconclusive")
-    return EnergyReport(tuple(recs), partial, seq.window, exponent, verdict)
+    columns = tuple(np.array(col) for col in zip(*[
+        (r.n, r.interval.a, r.interval.b, r.count, r.energy, r.summand, r.dist0) for r in recs]))
+    rep = EnergyReport(columns, partial, seq.window, exponent, verdict)
+    # the report builds its records from the columns when they are read
+    assert rep.records == tuple(recs)
+    return rep
 
 
 def _cases():
@@ -167,6 +173,70 @@ def test_energy_report_matches_loop(label, seq, part):
     # the same Python types (a numpy integer would not serialize at all)
     assert (json.dumps(new.to_json_dict(), sort_keys=True)
             == json.dumps(old.to_json_dict(), sort_keys=True))
+
+
+def masked_total_energy(x):
+    """total_energy by its former gather: each block of 256 rows takes the
+    strict lower triangle of its difference matrix through a boolean mask."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 2:
+        return 0.0
+    total = 0.0
+    buf = np.empty((min(256, n - 1), n))
+    for i0 in range(1, n, 256):
+        i1 = min(i0 + 256, n)
+        diffs = np.subtract(x[i0:i1, None], x[None, :i1], out=buf[:i1 - i0, :i1])
+        mask = np.arange(i0, i1)[:, None] > np.arange(i1)[None, :]
+        vals = diffs[mask]
+        np.abs(vals, out=vals)
+        if np.any(vals == 0.0):
+            raise ParameterError("duplicate points give log 0 in the energy")
+        total += float(np.sum(np.log(vals, out=vals)))
+    return 2.0 * total
+
+
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 513, 514])
+def test_total_energy_matches_masked_blocks(n):
+    # up to 257 points the one block is masked; 513 adds a block gathered row
+    # by row, and 514 a third block of one row; unsorted and sorted
+    x = np.random.default_rng(n).uniform(-50.0, 50.0, n)
+    for pts in (x, np.sort(x), generate("perturbed:1,0.2", (0.0, n + 1.0), seed=n).points[:n]):
+        assert total_energy(pts).hex() == masked_total_energy(pts).hex()
+    dup = x.copy()
+    dup[-1] = dup[0]
+    for energy_of in (total_energy, masked_total_energy):
+        with pytest.raises(ParameterError, match="duplicate"):
+            energy_of(dup)
+
+
+def loop_poisson(rate, lo, hi, rng):
+    """The Poisson walk one exponential step at a time."""
+    pts = []
+    x = lo + rng.exponential(1.0 / rate)
+    while x <= hi:
+        pts.append(x)
+        x += rng.exponential(1.0 / rate)
+    return np.array(pts, dtype=float)
+
+
+@pytest.mark.parametrize("rate,window", [(1.0, (-1500.0, 1500.0)), (0.3, (-30.0, 30.0)),
+                                         (7.5, (10.0, 12.0)), (2.0, (-0.25, 0.5)),
+                                         (1.0, (0.0, 1e-3))])
+def test_poisson_walk_matches_loop(rate, window):
+    for seed in range(6):
+        pts = generate(f"poisson:{rate}", window, seed=seed).points
+        ref = loop_poisson(rate, *window, np.random.default_rng(seed))
+        assert pts.tobytes() == ref.tobytes()
+
+
+def test_poisson_walk_continues_past_its_first_chunk():
+    # the first chunk draws the expected count plus 16 steps; seed 1 on
+    # +-1500 walks further, so its points come from two chunks
+    lo, hi = -1500.0, 1500.0
+    pts = generate("poisson:1", (lo, hi), seed=1).points
+    assert pts.size > int(hi - lo) + 16
+    assert pts.tobytes() == loop_poisson(1.0, lo, hi, np.random.default_rng(1)).tobytes()
 
 
 # ---------------------------------------------------------------------------
