@@ -154,12 +154,10 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if all(type(v) is float for v in obj):
-            return [None if math.isnan(v) else v for v in obj]
         return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and math.isnan(obj):
         return None

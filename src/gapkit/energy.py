@@ -31,13 +31,10 @@ def total_energy(seq) -> float:
     """E = sum over ordered pairs k != l of log|x_k - x_l|.
 
     Blocked O(N^2) evaluation; this is the defining sum, not an
-    approximation. Each block of rows gathers the strict lower triangle of
-    its differences x_i - x_j, j < i, in row order. The first block, at
-    most 257 columns wide, masks its difference matrix; each later block
-    writes its rows one after another into one buffer reused for every
-    block. A call per row costs less than a mask over hundreds of columns
-    and more than one over a few. Raises on non-finite and on duplicate
-    points (log 0).
+    approximation. Each block of rows writes the differences x_i - x_j,
+    j < i, of its rows one after another into one buffer reused for every
+    block: the strict lower triangle in row order. Raises on non-finite and
+    on duplicate points (log 0).
     """
     x = seq.points if isinstance(seq, PointSequence) else np.asarray(seq, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -46,17 +43,14 @@ def total_energy(seq) -> float:
     if n < 2:
         return 0.0
     blocks = [(i0, min(i0 + _BLOCK, n)) for i0 in range(1, n, _BLOCK)]
-    buf = np.empty(max(((i0 + i1 - 1) * (i1 - i0) // 2 for i0, i1 in blocks[1:]), default=0))
+    buf = np.empty(max((i0 + i1 - 1) * (i1 - i0) // 2 for i0, i1 in blocks))
     total = 0.0
     for i0, i1 in blocks:
-        if i0 == 1:
-            vals = (x[i0:i1, None] - x[None, :i1])[np.arange(i0, i1)[:, None] > np.arange(i1)]
-        else:
-            end = 0
-            for i in range(i0, i1):
-                np.subtract(x[i], x[:i], out=buf[end:end + i])
-                end += i
-            vals = buf[:end]
+        end = 0
+        for i in range(i0, i1):
+            np.subtract(x[i], x[:i], out=buf[end:end + i])
+            end += i
+        vals = buf[:end]
         np.abs(vals, out=vals)
         if np.any(vals == 0.0):
             raise ParameterError("duplicate points give log 0 in the energy")

@@ -425,11 +425,17 @@ def load_points(path) -> np.ndarray:
         raise ParameterError(f"cannot read sequence file {path!r}: {exc.strerror}") from exc
     with fh:
         # float() strips what str.strip() strips, so where every line is a
-        # number this streaming parse reads what the line loop reads
-        try:
-            vals = np.fromiter(map(float, fh), float)
-        except ValueError:
-            fh.seek(0)
+        # number or blank this streaming parse reads what the line loop reads.
+        # A comment or a bad line sends the file back to the line loop from
+        # its start: such a line near the end pays for both parses. A pipe
+        # cannot be read twice, so it goes to the line loop at once.
+        vals = None
+        if fh.seekable():
+            try:
+                vals = np.fromiter(map(float, filter(str.strip, fh)), float)
+            except ValueError:
+                fh.seek(0)
+        if vals is None:
             vals = _parse_lines(fh, path)
     return _points(vals, f"{path}: points")
 

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -220,7 +222,9 @@ def test_load_points_rejects_text(tmp_path):
 # reads the whole file without falling back to the line loop
 LOADER_FILES = {
     "comment": ("# header\n-2.0e1\n1.5\n", False),
-    "blank line": ("1.5\n\n2.5\n", False),
+    "late comment": ("-2.0e1\n1.5\n# footer\n", False),
+    "blank line": ("1.5\n\n2.5\n", True),
+    "trailing blank lines": ("1.5\n2.5\n\n \t\n", True),
     "crlf": ("1.5\r\n2.5\r\n", True),
     "trailing spaces": ("1.5  \n2.5\t \n", True),
     "no final newline": ("1.5\n2.5", True),
@@ -237,7 +241,7 @@ def test_load_points_parse_paths_agree(name, tmp_path):
         slow = np.array(_parse_lines(fh, path), dtype=float)
     with open(path, encoding="utf-8") as fh:
         try:
-            fast = np.fromiter(map(float, fh), float)
+            fast = np.fromiter(map(float, filter(str.strip, fh)), float)
         except ValueError:
             fast = None
     assert (fast is not None) == streams
@@ -247,18 +251,57 @@ def test_load_points_parse_paths_agree(name, tmp_path):
     assert loaded.tobytes() == slow.tobytes() and not loaded.flags.writeable
 
 
-@pytest.mark.parametrize("text,needle", [
+LOADER_ERRORS = [
     ("1.0\n2.0\nabc\n", r"seq.txt:3: not a number: 'abc'"),
     ("1.0\n# note\n\n2.0 3.0\n", r"seq.txt:4: not a number: '2.0 3.0'"),
     ("1.0\nnan\n", r"seq.txt: points must be finite"),
     ("-inf\n1.0\n", r"seq.txt: points must be finite"),
     ("# c\ninf\n", r"seq.txt: points must be finite"),
-])
+]
+
+
+@pytest.mark.parametrize("text,needle", LOADER_ERRORS)
 def test_load_points_errors_on_either_parse_path(text, needle, tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text(text)
     with pytest.raises(ParameterError, match=needle):
         load_points(path)
+
+
+def _load_through_fifo(text, tmp_path):
+    """load_points on a FIFO named seq.txt that a thread fills with text:
+    a source that cannot seek, as `--seq <(...)` or /dev/stdin gives."""
+    path = tmp_path / "seq.txt"
+    os.mkfifo(path)
+
+    def write():
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return load_points(path)
+    finally:
+        writer.join(timeout=10)
+
+
+@pytest.mark.parametrize("name", list(LOADER_FILES))
+def test_load_points_from_a_pipe(name, tmp_path):
+    text = LOADER_FILES[name][0]
+    regular = tmp_path / "regular.txt"
+    regular.write_bytes(text.encode())
+    loaded = _load_through_fifo(text, tmp_path)
+    assert loaded.tobytes() == load_points(regular).tobytes()
+
+
+@pytest.mark.parametrize("text,needle", LOADER_ERRORS)
+def test_load_points_errors_from_a_pipe(text, needle, tmp_path):
+    with pytest.raises(ParameterError, match=needle):
+        _load_through_fifo(text, tmp_path)
 
 
 TIED = st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),

@@ -198,8 +198,8 @@ def masked_total_energy(x):
 
 @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 513, 514])
 def test_total_energy_matches_masked_blocks(n):
-    # up to 257 points the one block is masked; 513 adds a block gathered row
-    # by row, and 514 a third block of one row; unsorted and sorted
+    # up to 257 points one block, 513 a second block, 514 a third block of
+    # one row; unsorted and sorted
     x = np.random.default_rng(n).uniform(-50.0, 50.0, n)
     for pts in (x, np.sort(x), generate("perturbed:1,0.2", (0.0, n + 1.0), seed=n).points[:n]):
         assert total_energy(pts).hex() == masked_total_energy(pts).hex()
