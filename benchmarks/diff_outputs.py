@@ -13,8 +13,9 @@ thread count (see `gapnum.synthesize_gap_measure`).
 Two runs of a command agree when they have the same exit code, stdout and
 stderr, and write the same files with the same bytes, except that JSON files
 are compared less their `timestamp`. The script prints each command whose
-runs differ, with what differs, and exits 1 if any does, else 0. Standard
-library only.
+runs differ, with what differs and, for a JSON file in both runs, its
+top-level keys that differ (`out.json: invocation`). It exits 1 if any
+command differs, else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ def run(tree: Path, where: Path, argv: list) -> dict:
     where.mkdir(parents=True)
     (where / GAP_FILE[0]).write_text(GAP_FILE[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
-    env.pop("GAPKIT_CONFIG", None)
     proc = subprocess.run([sys.executable, "-m", "gapkit.cli", *argv], cwd=where, env=env,
                           capture_output=True, text=True, timeout=1800)
     seen = {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
@@ -96,6 +96,14 @@ def run(tree: Path, where: Path, argv: list) -> dict:
             data = json.dumps(report, sort_keys=True)
         seen[f"file {path.relative_to(where)}"] = data
     return seen
+
+
+def json_keys_differing(old: str, new: str) -> list:
+    """The top-level keys whose values differ between two JSON objects, as
+    `run` keeps them."""
+    a, b = json.loads(old), json.loads(new)
+    return sorted(k for k in a.keys() | b.keys()
+                  if json.dumps(a.get(k), sort_keys=True) != json.dumps(b.get(k), sort_keys=True))
 
 
 def main(argv) -> int:
@@ -125,6 +133,10 @@ def main(argv) -> int:
             differ += 1
             print(f"DIFFERS {name}: {', '.join(parts)}")
             print(f"  gapkit {' '.join(cmds[name])}")
+            for part in parts:
+                if part.endswith(".json") and part in old and part in new:
+                    print(f"  {part.removeprefix('file ')}: "
+                          f"{', '.join(json_keys_differing(old[part], new[part]))}")
     print(f"{differ} of {len(cmds)} commands differ")
     return 1 if differ else 0
 

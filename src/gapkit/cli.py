@@ -3,15 +3,19 @@
 Subcommands: gen | energy | partition | density | spread | regularize |
 fekete | gap | clark | report. Every run writes a JSON report embedding the
 invocation and the effective configuration (under `config`). `invocation`
-is argv as given, in its order, with the subcommand once, less the options
-that only say where output is written (`-o/--output`, `--csv`,
-`--out-prefix`, `--profile-csv`, in any spelling argparse accepts), so two
-runs with the same inputs give the same report bytes apart from
-`timestamp`. The one exception is `gap --synthesize`, whose weights depend
-on the BLAS thread count (see `gapnum.synthesize_gap_measure`). `--csv`
-exists on `energy`, `gap` and `clark`, the commands that write a table, and
-writes it plot-ready (header row, no units). Exit codes: 0 success, 2
-parameter error, 3 infeasible or inconclusive (diagnostics still written).
+is the object of the arguments argparse parsed, defaults included, keyed by
+their names (`command`, `config`, `seq`, ...), less the options that only
+say where output is written (`-o/--output`, `--csv`, `--out-prefix`,
+`--profile-csv`). So runs with the same inputs, however their options are
+spelled or ordered and wherever they write, give the same report bytes
+apart from `timestamp`. The one exception is `gap --synthesize`, whose
+weights depend on the BLAS thread count (see
+`gapnum.synthesize_gap_measure`). The configuration comes from the
+`--config` file alone, else from CONFIG_DEFAULTS. `--csv` exists on
+`energy`, `gap` and `clark`, the commands that write a table, and writes it
+plot-ready (header row, no units). Exit codes: 0 success, 2 parameter error
+(an output path that cannot be written included), 3 infeasible or
+inconclusive (diagnostics still written).
 Each handler imports the gapkit modules it uses, so a command loads only
 those: `gen` loads seqcore alone.
 """
@@ -23,7 +27,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -45,20 +48,20 @@ MAX_OPTION_STEPS = 10_000
 def load_config(path=None) -> dict:
     """key=value text config; CLI flags override these values.
 
-    A named file (`path`, else GAPKIT_CONFIG) that cannot be read, a key
-    outside CONFIG_DEFAULTS and a value that is not a finite number, or a
-    sweep_n_max that is not a positive integer, are ParameterErrors, not a
-    silent fall-back to the defaults.
+    The file is `path` (the `--config` option) alone; without one, the
+    defaults. A file that cannot be read or is not UTF-8 text, a key outside
+    CONFIG_DEFAULTS and a value that is not a finite number, or a sweep_n_max
+    that is not a positive integer, are ParameterErrors, not a silent
+    fall-back to the defaults.
     """
     cfg = dict(CONFIG_DEFAULTS)
-    path = path or os.environ.get("GAPKIT_CONFIG")
     if not path:
         return cfg
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with seqcore._open_text(path, "config") as fh:
+        try:
             lines = fh.readlines()
-    except OSError as exc:
-        raise ParameterError(f"cannot read config {path!r}: {exc.strerror}") from exc
+        except UnicodeDecodeError:
+            raise ParameterError(f"cannot read config {path!r}: not UTF-8 text") from None
     for line in lines:
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -118,15 +121,13 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _load_sequence(args) -> PointSequence:
-    """The --seq sequence (see `seqcore.parse_sequence_spec`). A file lies on
-    --window, or without one on the hull of its points; a law needs
-    --window."""
+    """The --seq sequence on --window; `seqcore.generate` rejects a law
+    without one. A file loads through `seqcore._load_file`, not `generate`,
+    whose calls perfbench counts as input generation."""
     window = _parse_window(args.window) if args.window else None
     kind, path = seqcore.parse_sequence_spec(args.seq)
     if kind == "explicit":
         return seqcore._load_file(path, window)
-    if window is None:
-        raise ParameterError("--window is required for generated sequences")
     return seqcore.generate(args.seq, window, seed=args.seed)
 
 
@@ -138,15 +139,14 @@ def _load_partition(text: str, seq: PointSequence):
         if not res.ok:
             return None, res
         return res.partition, res
-    try:
-        with open(text, "r", encoding="utf-8") as fh:
+    with seqcore._open_text(text, "partition") as fh:
+        try:
             data = json.load(fh)
-        bks = np.array(data["breakpoints"] if isinstance(data, dict) else data, dtype=float)
-    except OSError as exc:
-        raise ParameterError(f"cannot read partition {text!r}: {exc.strerror}") from exc
-    except (KeyError, TypeError, ValueError):
-        raise ParameterError(f"partition {text!r} is neither a JSON list of numbers nor "
-                             f"an object with one under 'breakpoints'") from None
+            bks = np.array(data["breakpoints"] if isinstance(data, dict) else data,
+                           dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise ParameterError(f"partition {text!r} is neither a JSON list of numbers "
+                                 f"nor an object with one under 'breakpoints'") from None
     return Partition(bks), None
 
 
@@ -164,12 +164,12 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(output, command: str, invocation: list, cfg: dict, result: dict) -> None:
+def _emit(output, command: str, invocation: dict, cfg: dict, result: dict) -> None:
     """Write the JSON report to `output`, or to stdout when it is None.
 
-    `invocation` is the recorded argv from `_invocation`: as given, subcommand
-    once, output destinations left out. The effective configuration goes under
-    `config`; only `timestamp` differs between runs with the same inputs.
+    `invocation` is the parsed arguments less output destinations (see
+    `main`). The effective configuration goes under `config`; only
+    `timestamp` differs between runs with the same inputs.
     """
     payload = {
         "command": command,
@@ -180,7 +180,7 @@ def _emit(output, command: str, invocation: list, cfg: dict, result: dict) -> No
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
+        with seqcore._open_text(output, "report", "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -195,7 +195,7 @@ def _certificate(seq: PointSequence, cfg: dict) -> gapnum.GapCertificate:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with seqcore._open_text(path, "CSV", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -390,75 +390,15 @@ def _cmd_report(args, cfg, emit):
 
 # ---------------------------------------------------------------------------
 
-# Options that only say where output is written; `invocation` leaves them out.
-_DESTINATIONS = frozenset({"output", "csv", "out_prefix", "profile_csv"})
+# What `invocation` leaves out: the handler, and the options that only say
+# where output is written.
+_UNRECORDED = frozenset({"handler", "output", "csv", "out_prefix", "profile_csv"})
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that keeps, for `_invocation`, a map from each option
-    string to its action and from each subcommand to its parser."""
-
-    def __init__(self, *args, **kwargs):
-        self.option_actions = {}
-        self.commands = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.option_actions.update(dict.fromkeys(action.option_strings, action))
-        return action
-
-    def add_subparsers(self, **kwargs):
-        sub = super().add_subparsers(**kwargs)
-        self.commands = sub.choices
-        return sub
-
-    def resolve(self, token: str):
-        """(action, value attached?) for an option token, read as argparse
-        reads it: exact, `--opt=X`, `-oX`, or a unique `--opt` prefix.
-        (None, False) for a token that is no option."""
-        if not token.startswith("-"):
-            return None, False
-        if token in self.option_actions:
-            return self.option_actions[token], False
-        name, sep, _ = token.partition("=")
-        if sep and name in self.option_actions:
-            return self.option_actions[name], True
-        if token.startswith("--"):
-            hits = [s for s in self.option_actions if s.startswith(name)]
-            if len(hits) == 1:
-                return self.option_actions[hits[0]], bool(sep)
-        elif token[:2] in self.option_actions:
-            return self.option_actions[token[:2]], True
-        return None, False
-
-
-def _invocation(parser: _Parser, argv: list) -> list:
-    """argv as given, less each option in `_DESTINATIONS` with its value.
-
-    `argv` must have parsed. Every gapkit option then takes one value, either
-    attached or as the next token, and the one other token is the subcommand,
-    after which tokens are read by its parser.
-    """
-    kept, level, i = [], parser, 0
-    while i < len(argv):
-        action, attached = level.resolve(argv[i])
-        if action is None:
-            level = level.commands[argv[i]]
-            kept.append(argv[i])
-            i += 1
-            continue
-        n = 1 if attached else 2
-        if action.dest not in _DESTINATIONS:
-            kept.extend(argv[i:i + n])
-        i += n
-    return kept
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="gapkit",
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="gapkit",
                                 description="spectral-gap toolkit for point sequences")
-    p.add_argument("--config", help="key=value config file (env GAPKIT_CONFIG)")
+    p.add_argument("--config", help="key=value config file; without it, the defaults")
     sub = p.add_subparsers(dest="command")
 
     def command(name, handler, help):
@@ -530,7 +470,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -541,8 +480,8 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = load_config(args.config)
-        emit = functools.partial(_emit, args.output, args.command,
-                                 _invocation(parser, argv), cfg)
+        invocation = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+        emit = functools.partial(_emit, args.output, args.command, invocation, cfg)
         return args.handler(args, cfg, emit)
     except ParameterError as exc:
         print(f"gapkit: parameter error: {exc}", file=sys.stderr)

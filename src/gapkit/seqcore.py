@@ -416,14 +416,21 @@ _LAWS = {
 }
 
 
+def _open_text(path, what: str, mode: str = "r", **kwargs):
+    """open(path, mode) as UTF-8 text; a ParameterError naming `what` and the
+    path where the OS refuses. The one way gapkit opens a file it reads or
+    writes."""
+    try:
+        return open(path, mode, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        verb = "read" if mode == "r" else "write"
+        raise ParameterError(f"cannot {verb} {what} {path!r}: {exc.strerror}") from exc
+
+
 def load_points(path) -> np.ndarray:
     """Read the standard sequence file: one real per line, '#' comments,
     into a read-only array of finite, strictly increasing points."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParameterError(f"cannot read sequence file {path!r}: {exc.strerror}") from exc
-    with fh:
+    with _open_text(path, "sequence file") as fh:
         # float() strips what str.strip() strips, so where every line is a
         # number or blank this streaming parse reads what the line loop reads.
         # A comment or a bad line sends the file back to the line loop from
@@ -442,16 +449,20 @@ def load_points(path) -> np.ndarray:
 
 def _parse_lines(fh, path) -> list:
     """The numbers of a sequence file line by line, skipping blank lines and
-    '#' comments; a ParameterError names the first line that is neither."""
+    '#' comments; a ParameterError names the first line that is neither, or
+    the file when it is not UTF-8 text."""
     vals = []
-    for lineno, line in enumerate(fh, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            vals.append(float(line))
-        except ValueError:
-            raise ParameterError(f"{path}:{lineno}: not a number: {line!r}") from None
+    try:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                vals.append(float(line))
+            except ValueError:
+                raise ParameterError(f"{path}:{lineno}: not a number: {line!r}") from None
+    except UnicodeDecodeError:
+        raise ParameterError(f"cannot read sequence file {path!r}: not UTF-8 text") from None
     return vals
 
 
@@ -474,7 +485,7 @@ def _write_points(fh, points) -> None:
 
 
 def save_points(path, points) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_text(path, "sequence file", "w") as fh:
         _write_points(fh, points)
 
 
@@ -509,16 +520,20 @@ def parse_sequence_spec(text: str):
     return "explicit", text
 
 
-def generate(spec: str, window: tuple[float, float], seed=None) -> PointSequence:
-    """Materialize a sequence spec (see parse_sequence_spec) on a window:
-    a file's points on the closed window, or a law drawn with
+def generate(spec: str, window=None, seed=None) -> PointSequence:
+    """Materialize a sequence spec (see parse_sequence_spec) on a window
+    (lo, hi): a file's points on the closed window, or on the hull of its
+    points when window is None, or a law drawn with
     np.random.default_rng(seed). Deterministic given (spec, window, seed).
-    Laws that would need more than MAX_POINTS points, and a seed that is
-    neither None nor a non-negative integer, are a ParameterError.
+    A law without a window, a law that would need more than MAX_POINTS
+    points, and a seed that is neither None nor a non-negative integer, are
+    a ParameterError.
     """
     kind, params = parse_sequence_spec(spec)
     if kind == "explicit":
         return _load_file(params, window)
+    if window is None:
+        raise ParameterError(f"law {spec!r} needs a window")
     lo, hi = _requested_window(window)
     if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")

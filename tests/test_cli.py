@@ -10,7 +10,8 @@ import pytest
 
 import gapkit
 from gapkit import density, energy, gapnum, regularize
-from gapkit.cli import _build_parser, _invocation, load_config, main
+from gapkit import cli
+from gapkit.cli import CONFIG_DEFAULTS, _build_parser, load_config, main
 from gapkit.energy import total_energy
 
 
@@ -18,6 +19,14 @@ def run_json(argv, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(argv + ["-o", str(out)])
     return code, json.loads(out.read_text())
+
+
+def parsed_less_destinations(argv):
+    """vars(parse_args(argv)) less the handler and the options that only say
+    where output is written: what a report records as its `invocation`."""
+    unrecorded = {"handler", "output", "csv", "out_prefix", "profile_csv"}
+    return {k: v for k, v in vars(_build_parser().parse_args(argv)).items()
+            if k not in unrecorded}
 
 
 def test_gen_writes_201_lines(tmp_path, capsys):
@@ -188,7 +197,7 @@ def test_energy_cli_with_partition_csv(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("n,a,b,count")
     assert len(lines) == 1 + len(payload["result"]["energy_condition"]["records"])
-    assert not any(str(csv_path) in tok for tok in payload["invocation"])
+    assert str(csv_path) not in payload["invocation"].values()
 
 
 def test_clark_cli(tmp_path):
@@ -201,7 +210,7 @@ def test_clark_cli(tmp_path):
     assert all(abs(r["beta_n"] - 1 / math.pi) < 1e-3 for r in recs)
     header = csv_path.read_text().splitlines()[0]
     assert header == "n,a_n,delta_n,beta_n,tail_bound"
-    assert not any(str(csv_path) in tok for tok in payload["invocation"])
+    assert str(csv_path) not in payload["invocation"].values()
 
 
 @pytest.mark.parametrize("extra", [[], ["--width", "5"], ["--width", "5", "--tail-mode",
@@ -288,10 +297,12 @@ def test_determinism_except_timestamp(tmp_path):
 
 
 def test_invocation_embedded(tmp_path):
-    _, payload = run_json(["density", "--method", "d3", "--seq", "lattice:1",
-                           "--window=-200,200"], tmp_path)
-    assert payload["invocation"][0] == "density"
-    assert "--method" in payload["invocation"]
+    argv = ["density", "--method", "d3", "--seq", "lattice:1", "--window=-200,200"]
+    _, payload = run_json(argv, tmp_path)
+    assert payload["invocation"] == {"command": "density", "config": None, "method": "d3",
+                                     "seed": None, "seq": "lattice:1",
+                                     "window": "-200,200"}
+    assert payload["invocation"] == parsed_less_destinations(argv)
 
 
 @pytest.mark.parametrize("spelling", [
@@ -302,14 +313,12 @@ def test_invocation_embedded(tmp_path):
 ], ids=["-o X", "-oX", "--output=X", "--out X"])
 def test_invocation_omits_output_path(tmp_path, spelling):
     out = tmp_path / "out.json"
-    code = main(["density", "--method", "d3", "--seq", "lattice:1",
-                 "--window=-200,200"] + spelling(str(out)))
-    assert code == 0
+    argv = ["density", "--method", "d3", "--seq", "lattice:1", "--window=-200,200"]
+    assert main(argv + spelling(str(out))) == 0
     payload = json.loads(out.read_text())
-    assert payload["invocation"][0] == "density"
-    assert "--method" in payload["invocation"]
-    assert payload["invocation"].count("density") == 1
-    assert not any(str(out) in tok for tok in payload["invocation"])
+    assert payload["invocation"] == parsed_less_destinations(argv + spelling(str(out)))
+    assert payload["invocation"] == parsed_less_destinations(argv)
+    assert str(out) not in payload["invocation"].values()
 
 
 @pytest.mark.parametrize("argv", [
@@ -323,14 +332,19 @@ def test_invocation_omits_output_path(tmp_path, spelling):
     ["fekete", "-k5", "--interval=-1,1", "-o", "f"],
     ["gap", "--seq", "s", "--cs", "g.csv", "--sweep", "1:2:3", "--seed=2"],
 ])
-def test_invocation_reparses_without_destinations(argv):
-    parser = _build_parser()
-    full = vars(parser.parse_args(argv))
-    recorded = vars(parser.parse_args(_invocation(parser, argv)))
-    destinations = {"output", "csv", "out_prefix", "profile_csv"}
-    assert recorded == {k: None if k in destinations else v for k, v in full.items()}
-    order = iter(argv)
-    assert all(tok in order for tok in _invocation(parser, argv))
+def test_invocation_reparses_without_destinations(argv, tmp_path, monkeypatch):
+    # every handler only emits, so these argvs need no real input; the two
+    # --config files they name are empty
+    monkeypatch.chdir(tmp_path)
+    for name in ("c", "density"):
+        (tmp_path / name).write_text("")
+    recorded = []
+    monkeypatch.setattr(cli, "_emit", lambda output, command, invocation, cfg, result:
+                        recorded.append(invocation))
+    for name in [n for n in vars(cli) if n.startswith("_cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args, cfg, emit: emit({}) or 0)
+    assert main(argv) == 0
+    assert recorded == [parsed_less_destinations(argv)]
 
 
 def test_report_bytes_ignore_destinations(tmp_path):
@@ -395,29 +409,50 @@ def test_parameter_error_exit_2(tmp_path):
     assert main([]) == 2
 
 
-def test_config_file_and_env(tmp_path, monkeypatch):
+def test_config_file_and_env(tmp_path):
     cfg = tmp_path / "gapkit.conf"
     cfg.write_text("# comment\nsweep_n_max=11\n")
     assert load_config(str(cfg)) == {"sweep_n_max": 11}
-    monkeypatch.setenv("GAPKIT_CONFIG", str(cfg))
-    assert load_config()["sweep_n_max"] == 11
-    _, payload = run_json(["density", "--method", "d1", "--seq", "lattice:1",
-                           "--window=-200,200"], tmp_path)
-    assert payload["config"] == {"sweep_n_max": 11}
     argv = ["--config", str(cfg), "density", "--method", "d1", "--seq", "lattice:1",
             "--window=-200,200"]
     _, payload = run_json(argv, tmp_path, "global.json")
-    assert payload["invocation"] == argv
-    assert payload["invocation"].count("density") == 1
+    assert payload["config"] == {"sweep_n_max": 11}
+    assert payload["invocation"] == parsed_less_destinations(argv)
+    assert payload["invocation"]["config"] == str(cfg)
 
 
-def test_missing_config_exits_2(tmp_path, monkeypatch, capsys):
+def test_gapkit_config_env_is_ignored(tmp_path, monkeypatch):
+    cfg = tmp_path / "gapkit.conf"
+    cfg.write_text("sweep_n_max=11\n")
+    argv = ["density", "--method", "d1", "--seq", "lattice:1", "--window=-200,200"]
+    for named in (str(cfg), str(tmp_path / "nope.conf")):
+        monkeypatch.setenv("GAPKIT_CONFIG", named)
+        assert load_config() == CONFIG_DEFAULTS
+        code, payload = run_json(argv, tmp_path)
+        assert code == 0 and payload["config"] == CONFIG_DEFAULTS
+
+
+def test_missing_config_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.conf")
     argv = ["density", "--method", "d1", "--seq", "lattice:1", "--window=-50,50"]
     assert main(["--config", missing] + argv) == 2
     assert "nope.conf" in capsys.readouterr().err
-    monkeypatch.setenv("GAPKIT_CONFIG", missing)
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--method", "d1", "--seq", "lattice:1", "--window=-50,50", "-o", "x.json"],
+    ["gen", "--spec", "lattice:1", "--window=-50,50", "-o", "s.txt"],
+    ["gap", "--seq", "lattice:1", "--window=-50,50", "--csv", "c.csv"],
+    ["regularize", "--seq", "lattice:1", "--window=-50,50", "--C", "4",
+     "--out-prefix", "p"],
+], ids=["report", "sequence file", "CSV", "out-prefix"])
+def test_unwritable_destination_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    argv = argv[:-1] + [str(missing / argv[-1])]
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "cannot write" in captured.err and str(missing) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_gap_and_report_share_the_crossing(tmp_path):
@@ -522,10 +557,11 @@ def test_every_exported_name_resolves():
     ("sweep_n_max = abc\n", "must be a number"),
     ("sweep_n_max = nan\n", "must be finite"),
     ("sweep_n_max = inf\n", "must be finite"),
+    ("sweep_n_max = 1\xff\n", "bad.conf': not UTF-8 text"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, text, needle):
     cfg = tmp_path / "bad.conf"
-    cfg.write_text(text)
+    cfg.write_text(text, encoding="latin-1")
     argv = ["--config", str(cfg), "density", "--method", "d1", "--seq", "lattice:1",
             "--window=-50,50", "-o", str(tmp_path / "out.json")]
     assert main(argv) == 2

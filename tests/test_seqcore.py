@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gapkit.density as density
 from gapkit.clarknum import residue_weights, theta_derivative_profile
+from gapkit.cli import load_config
 from gapkit.density import (d3_residual_curve, density_lower, density_upper_d4,
                             long_family_search, verify_family_witness,
                             verify_partition_witness)
@@ -185,6 +186,15 @@ def test_explicit_generate(tmp_path):
     assert seq.points.tolist() == [0.5, 1.5]
 
 
+def test_generate_without_window(tmp_path):
+    path = tmp_path / "pts.txt"
+    save_points(path, [0.5, 1.5, 9.0])
+    seq = generate(str(path))
+    assert seq.points.tolist() == [0.5, 1.5, 9.0] and seq.window == (0.5, 9.0)
+    with pytest.raises(ParameterError, match="law 'lattice:1' needs a window"):
+        generate("lattice:1", seed=1)
+
+
 @pytest.mark.parametrize("points", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0]])
 def test_non_finite_points_rejected(points, tmp_path):
     with pytest.raises(ParameterError, match="finite"):
@@ -268,23 +278,25 @@ def test_load_points_errors_on_either_parse_path(text, needle, tmp_path):
         load_points(path)
 
 
-def _load_through_fifo(text, tmp_path):
-    """load_points on a FIFO named seq.txt that a thread fills with text:
-    a source that cannot seek, as `--seq <(...)` or /dev/stdin gives."""
+def _load_through_fifo(text, tmp_path, load=load_points):
+    """load (load_points by default) on a FIFO named seq.txt that a thread
+    fills with text, str or bytes: a source that cannot seek, as
+    `--seq <(...)` or /dev/stdin gives."""
     path = tmp_path / "seq.txt"
     os.mkfifo(path)
+    data = text if isinstance(text, bytes) else text.encode()
 
     def write():
         try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(path, "wb") as fh:
+                fh.write(data)
         except BrokenPipeError:
             pass
 
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
-        return load_points(path)
+        return load(path)
     finally:
         writer.join(timeout=10)
 
@@ -302,6 +314,21 @@ def test_load_points_from_a_pipe(name, tmp_path):
 def test_load_points_errors_from_a_pipe(text, needle, tmp_path):
     with pytest.raises(ParameterError, match=needle):
         _load_through_fifo(text, tmp_path)
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["file", "fifo"])
+@pytest.mark.parametrize("load,what", [(load_points, "sequence file"),
+                                       (load_config, "config")],
+                         ids=["load_points", "load_config"])
+def test_non_utf8_text_names_the_file(tmp_path, load, what, fifo):
+    # the bad byte past the first read chunk, after lines the fast parse takes
+    text = b"1.0\n" * 5000 + b"\xff\n"
+    with pytest.raises(ParameterError, match=f"cannot read {what} .*seq.txt.*: not UTF-8"):
+        if fifo:
+            _load_through_fifo(text, tmp_path, load)
+        else:
+            (tmp_path / "seq.txt").write_bytes(text)
+            load(str(tmp_path / "seq.txt"))
 
 
 TIED = st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
