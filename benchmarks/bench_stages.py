@@ -14,8 +14,9 @@ It also times the d1 witness re-check, `verify_partition_witness`, on the
 lattice's greedy partition at level 1; `fekete_optimize` at k = 8 on [0, 1]
 (the `refute_mix` job `fekete_8`) and at k = 12; and whole level searches:
 the d4 estimate on the lacunary input and on Poisson input over +-10000 (the
-`refute_mix` jobs `d4_lacunary` and `d4_poisson`), the d3 estimate on the
-perturbed lattice over +-15000 (the `refute_mix` job `d3_perturbed`), and the
+`refute_mix` jobs `d4_lacunary` and `d4_poisson`), the d3 and the BM
+estimates on the perturbed lattice over +-15000 (the `refute_mix` jobs
+`d3_perturbed` and `bm_perturbed`), and the
 gap certificate (`estimate_gap_characteristic`, which runs no Gram sweep) on
 the lacunary input and on the Poisson input over +-30000. d3 on lacunary
 input is left out: trees from before the ladder walk crash there. One
@@ -26,9 +27,11 @@ the perturbed lattice over +-15000 at a = 1. The certificate's Gram crossing
 a plain sigma_min sweep of 40 grid points over 0.3-1.3 x 2*pi, as the
 certificate ran before the crossing, are each timed on the 256 and the 512
 lattice points nearest 0. The two array walks of `refute_mix` are timed on their own: the
-Clark residue weights of every midpoint of the lattice over +-1500 (the job
-`clark_lattice`), and one d3 matching of the perturbed lattice over +-15000
-at slope a = 1 (`d3_perturbed` runs 24 of them). Three stages every
+Clark residue weights of every midpoint of the lattice over +-1500, and one
+d3 matching of the perturbed lattice over +-15000 at slope a = 1
+(`d3_perturbed` runs 24 of them). The job `clark_lattice` itself, a `clark`
+run that writes only its JSON (3000 midpoints, 200 records held), is timed
+in process through `cli.main`. Three stages every
 certificate process pays for: `load_points` on a file of the Poisson input
 over +-30000, the energy report on the lattice's d1 witness over +-5000
 (10 000 one-point intervals), and `total_energy` of the 2999 lattice points
@@ -47,14 +50,16 @@ runs. To quote a stage figure, run that stage alone in a fresh process
 """
 
 import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from gapkit import cli
 from gapkit.clarknum import residue_weights
-from gapkit.density import (d4_complement_estimate, density_d3_estimate, density_lower,
-                            long_family_search, match_to_ideal_grid,
+from gapkit.density import (bm_density, d4_complement_estimate, density_d3_estimate,
+                            density_lower, long_family_search, match_to_ideal_grid,
                             verify_partition_witness)
 from gapkit.energy import energy_condition_report, total_energy
 from gapkit.fekete import fekete_optimize
@@ -127,6 +132,16 @@ def test_d4_level_search(benchmark, name):
     assert est.value == 0.0 if name == "lacunary" else 0.0 < est.value < 1.5
 
 
+BM_WINDOWS = {"perturbed": (-15000.0, 15000.0)}
+
+
+@pytest.mark.parametrize("name", list(BM_WINDOWS))
+def test_bm_level_search(benchmark, name):
+    seq = generate(INPUTS[name][0], BM_WINDOWS[name], seed=SEED)
+    est = benchmark(bm_density, seq)
+    assert 0.9 < est.value < 1.1 and est.witness["verified"]
+
+
 def test_d3_level_search(benchmark):
     seq = generate("perturbed:1,0.2", (-15000.0, 15000.0), seed=SEED)
     est = benchmark(density_d3_estimate, seq)
@@ -183,6 +198,14 @@ def test_residue_weights(benchmark):
     points = generate("lattice:1", (-1500.0, 1500.0)).points
     recs = benchmark(residue_weights, points)
     assert len(recs) == points.size - 1
+
+
+def test_clark_reported_records(benchmark, tmp_path):
+    out = tmp_path / "clark.json"
+    argv = ["clark", "--seq", "lattice:1", "--window=-1500,1500", "-o", str(out)]
+    assert benchmark(cli.main, argv) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["n_reported"] == 3000 and len(result["records"]) == 200
 
 
 def test_match_to_ideal_grid(benchmark):

@@ -58,10 +58,12 @@ def commands() -> dict:
             **{f"{name}/density_{m}": ["density", *seq, "--method", m, *out]
                for m in ("d1", "d2", "d3", "d4", "bm")},
             f"{name}/clark": ["clark", *seq, "--csv", "out.csv", *out],
-            f"{name}/clark_profile": ["clark", *seq, "--profile", "-3:3:25",
+            f"{name}/clark_json": ["clark", *seq, *out],
+            # one token: argparse reads a separate "-3:3:25" as an option
+            f"{name}/clark_profile": ["clark", *seq, "--profile=-3:3:25",
                                       "--profile-csv", "prof.csv", *out],
             f"{name}/clark_profile_width": ["clark", *seq, "--width", "10", "--tail-mode",
-                                            "persistent", "--profile", "-3:3:25", "--csv",
+                                            "persistent", "--profile=-3:3:25", "--csv",
                                             "out.csv", "--profile-csv", "prof.csv", *out],
             f"{name}/spread_narrow": ["spread", *seq, "--J", "0,10", "--C", "2", *out],
             f"{name}/spread_wide": ["spread", *seq, "--J", "1e5,9e5", "--C", "2",

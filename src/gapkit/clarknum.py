@@ -111,14 +111,17 @@ def residue_weights(a, report_width: float | None = None, tail_mode: str = "none
     Returns a list of ResidueRecord. The undetermined global constant of
     the residue formula is fixed to 1, so only ratios are meaningful.
     """
-    return _records(a, report_width, tail_mode, None)
+    return _records(a, report_width, tail_mode)[1]
 
 
-def _records(a, report_width, tail_mode, every):
-    """`residue_weights(a, report_width, tail_mode)`. With `every`, the
-    records of every midpoint of `a` in tail mode 'none', each atom sum is
-    read from there instead of computed again: `_atom_sums` sums each
-    midpoint on its own, so it is the same number."""
+def _records(a, report_width, tail_mode, every=None, limit=None):
+    """(n, records): the number n of midpoints `residue_weights(a,
+    report_width, tail_mode)` reports, and its records, or the first `limit`
+    of them. Atom sums are computed only for the records returned: limit
+    200 costs 200 rows of `_atom_sums` whatever the size of `a`. With
+    `every`, the records of every midpoint of `a` in tail mode 'none', each
+    atom sum is read from there instead of computed again: `_atom_sums`
+    sums each midpoint on its own, so it is the same number."""
     if tail_mode not in ("none", "persistent"):
         raise ParameterError("tail_mode must be 'none' or 'persistent'")
     if report_width is not None and not report_width >= 0:
@@ -132,6 +135,8 @@ def _records(a, report_width, tail_mode, every):
         idx = np.arange(b.size)
     else:
         idx = np.nonzero(np.abs(b) <= report_width)[0]
+    n_reported = idx.size
+    idx = idx[:limit]
     gl, gr = _outer_gap_scale(a)
     if every is None:
         sums = _atom_sums(a, b, idx)
@@ -149,7 +154,7 @@ def _records(a, report_width, tail_mode, every):
         amp = math.exp(-s)
         out.append(ResidueRecord(n, float(a[n]), float(b[n]), float(deltas[n]),
                                  s, amp, float(0.5 * deltas[n] * amp), bound))
-    return out
+    return n_reported, out
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,8 @@ CONFIG_DEFAULTS = {"sweep_n_max": 512.0}
 # 20 ms at the default order of 512 on one BLAS thread, so 10^4 steps take
 # minutes and 10^6 would run for hours.
 MAX_OPTION_STEPS = 10_000
+# Records the `clark` JSON holds; --csv writes every one.
+CLARK_JSON_RECORDS = 200
 
 
 def load_config(path=None) -> dict:
@@ -341,25 +343,25 @@ def _cmd_gap(args, cfg, emit):
 def _cmd_clark(args, cfg, emit):
     from . import clarknum
     seq = _load_sequence(args)
+    every = None
     if args.profile:
         x0, x1, steps = _option_values("--profile", args.profile, "x0:x1:steps", "ffn")
         # the profile needs the atom sum of every midpoint; the records read
         # theirs from the same pass
         every = clarknum.residue_weights(seq.points)
-        recs = clarknum._records(seq.points, args.width, args.tail_mode, every)
-    else:
-        recs = clarknum.residue_weights(seq.points, report_width=args.width,
-                                        tail_mode=args.tail_mode)
+    # the JSON holds the first CLARK_JSON_RECORDS records; only --csv needs the rest
+    n_reported, recs = clarknum._records(seq.points, args.width, args.tail_mode, every,
+                                         None if args.csv else CLARK_JSON_RECORDS)
     if args.csv:
         _write_csv(args.csv,
                    ["n", "a_n", "delta_n", "beta_n", "tail_bound"],
                    [[r.n, r.a_n, r.delta_n, r.beta_n, r.tail_bound] for r in recs])
     result = {
-        "n_reported": len(recs),
+        "n_reported": n_reported,
         "records": [
             {"n": r.n, "a_n": r.a_n, "b_n": r.b_n, "delta_n": r.delta_n,
              "beta_n": r.beta_n, "atom_sum": r.atom_sum, "tail_bound": r.tail_bound}
-            for r in recs[:200]
+            for r in recs[:CLARK_JSON_RECORDS]
         ],
     }
     if args.profile:
@@ -459,7 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("clark", _cmd_clark, "Krein-shift residue weights")
     common(sp)
-    sp.add_argument("--csv", help="CSV output path")
+    sp.add_argument("--csv", help="CSV output path: the JSON holds the first "
+                    f"{CLARK_JSON_RECORDS} records; --csv writes every one")
     sp.add_argument("--width", type=float, default=None)
     sp.add_argument("--tail-mode", choices=["none", "persistent"], default="none")
     sp.add_argument("--profile", help="x0:x1:steps")

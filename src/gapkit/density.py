@@ -8,6 +8,12 @@ density, then a bisection between two neighbouring rungs. It returns the
 exact answer for a predicate that is monotone in the level. Each estimator
 is one probe, probe(a) -> (passes, witness), and the search hands back the
 witnesses it found: none is recomputed after it.
+
+Work that does not depend on the level is done once per search, before the
+first probe: the d4 and BM searches build their block candidates and, for
+d4, the table of sparse widenings (`_family_search`), so a probe compares
+that table against its level. A d3 probe matches once and reads its four
+nested residuals from one table of events (`_counting_residuals`).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .partitions import _monotone, _short_greedy, _terms_of, shortness
 from .seqcore import (ParameterError, Partition, PointSequence, _dist0, _owned,
-                      _percentile, _positive, _series_order, _slope, _unique)
+                      _percentile, _positive, _series_order, _slope)
 
 __all__ = [
     "DensityEstimate",
@@ -220,23 +226,22 @@ def density_lower(seq: PointSequence, method: str = "d1") -> DensityEstimate:
 # d3: counting-function residual
 # ---------------------------------------------------------------------------
 
-def _mismatch_integrals(c: np.ndarray, a: float,
-                        u: np.ndarray, v: np.ndarray) -> float:
-    """Sum over segments i of the exact integral of |c_i - a*x| / (1 + x^2)
-    over [u_i, v_i], splitting a segment where c_i = a*x."""
-
-    def F(x, cc):
-        return cc * np.arctan(x) - 0.5 * a * np.log1p(x * x)
-
-    xs = c / a
-    straddle = (u < xs) & (xs < v)
-    fu, fv = F(u, c), F(v, c)
+def _mismatch_integrals(c: np.ndarray, a: float, x: np.ndarray) -> np.ndarray:
+    """Per segment i, the exact integral of |c_i - a*t| / (1 + t^2) over
+    [x_i, x_(i+1)], splitting a segment where c_i = a*t. The antiderivative
+    c_i * arctan(t) - (a/2) * log1p(t^2) takes arctan and log1p once per
+    point of x."""
+    at, lg = np.arctan(x), 0.5 * a * np.log1p(x * x)
+    fu, fv = c * at[:-1] - lg[:-1], c * at[1:] - lg[1:]
+    del at, lg  # two arrays the size of x, freed before the next ones
+    straddle = (x[:-1] < c / a) & (c / a < x[1:])
     plain = np.abs(fv - fu)
     if np.any(straddle):
-        fxs = F(xs[straddle], c[straddle])
+        xs = c[straddle] / a
+        fxs = c[straddle] * np.arctan(xs) - 0.5 * a * np.log1p(xs * xs)
         plain[straddle] = (np.abs(fxs - fu[straddle])
                            + np.abs(fv[straddle] - fxs))
-    return float(np.sum(plain))
+    return plain
 
 
 def _greedy_match_side(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -275,7 +280,8 @@ def _greedy_match_side(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def match_to_ideal_grid(seq: PointSequence, a: float) -> np.ndarray:
-    """Greedy subsequence tracking the arithmetic progression of slope a."""
+    """Greedy subsequence tracking the arithmetic progression of slope a,
+    sorted and distinct: each side's matches are strictly increasing."""
     lo, hi = seq.window
     pts = seq.points
     pos = pts[pts > 0]
@@ -286,40 +292,83 @@ def match_to_ideal_grid(seq: PointSequence, a: float) -> np.ndarray:
     # count are never read: capping there keeps the arrays at most N long
     right = _greedy_match_side(pos, np.arange(1, min(kmax_r, pos.size) + 1) / a)
     left = _greedy_match_side(neg, np.arange(1, min(kmax_l, neg.size) + 1) / a)
-    return np.sort(np.concatenate([-left, right]))
+    return np.concatenate([-left[::-1], right])
+
+
+def _event_table(matched: np.ndarray):
+    """(x, n): the matched points, with 0 added unless one of them is 0, and
+    at each x_k the number of matched points at or below it less the number
+    at or below 0: the counting function, anchored n(0) = 0, just right of
+    x_k. Positions give n, as matched is sorted and distinct. The events of
+    a window (lo, hi) are its ends and the x strictly inside it; 0 is one of
+    those exactly when lo < 0 < hi.
+    """
+    zero = int(np.searchsorted(matched, 0.0, side="right"))
+    n = np.arange(1 - zero, matched.size + 1 - zero, dtype=float)
+    if zero and matched[zero - 1] == 0.0:
+        return matched, n
+    return np.insert(matched, zero, 0.0), np.insert(n, zero, 0.0)
+
+
+def _counting_residuals(matched: np.ndarray, a: float, windows) -> list:
+    """`counting_residual(matched, a, w)` for each window w, from one event
+    table (`_event_table`): arctan, log1p and the integral of each segment
+    between table points are computed once, and a window adds its two end
+    segments. A segment's count is n at its left end or, where its midpoint
+    rounds onto its right end, the count at the midpoint, as for the end
+    segments. (A midpoint that overflows to -inf needs no care: both ends
+    are then beyond 1e154, where x^2 is inf and the integral is NaN for any
+    count.) Each residual sums its window's segments in order, in one array,
+    so it is the number the window gives alone.
+    """
+    zero = np.searchsorted(matched, 0.0, side="right")
+
+    def at_midpoints(u, v):
+        return (np.searchsorted(matched, 0.5 * (u + v), side="right") - zero).astype(float)
+
+    x, c = _event_table(matched)
+    c = c[:-1]
+    off = 0.5 * (x[:-1] + x[1:]) >= x[1:]
+    c[off] = at_midpoints(x[:-1][off], x[1:][off])
+    inner = _mismatch_integrals(c, a, x)
+    out = []
+    for lo, hi in windows:
+        k0, k1 = np.searchsorted(x, lo, side="right"), np.searchsorted(x, hi)
+        # the end segments (lo, x[k0]) and (x[k1 - 1], hi), less the one
+        # between them, or (lo, hi) alone
+        e = np.array([lo, x[k0], x[k1 - 1], hi] if k0 < k1 else [lo, hi])
+        ends = _mismatch_integrals(at_midpoints(e[:-1], e[1:]), a, e)
+        parts = [ends[:1], inner[k0:max(k0, k1 - 1)], ends[2:]]
+        out.append(float(np.sum(np.concatenate(parts))))
+    return out
 
 
 def counting_residual(matched: np.ndarray, a: float,
                       window: tuple[float, float]) -> float:
     """Exact Poisson-weighted L1 mismatch between the two-sided counting
-    function of the matched points (anchored n(0) = 0) and the line a*x.
+    function of the matched points (anchored n(0) = 0) and the line a*x on
+    the window (lo, hi), lo <= hi. matched is sorted and distinct, as
+    match_to_ideal_grid returns it. The one-window case of the d3 residual
+    curve's `_counting_residuals`.
     """
-    lo, hi = window
-    inner = matched[(matched > lo) & (matched < hi)]
-    zero = [0.0] if lo < 0.0 < hi else []
-    events = _unique(np.concatenate([[lo], inner, zero, [hi]]))
-    if events.size < 2:
-        return 0.0
-    u, v = events[:-1], events[1:]
-    mids = 0.5 * (u + v)
-    # counting value on each open segment between events, anchored n(0) = 0
-    zero_before = np.searchsorted(matched, 0.0, side="right")
-    c = (np.searchsorted(matched, mids, side="right") - zero_before).astype(float)
-    return _mismatch_integrals(c, a, u, v)
+    return _counting_residuals(matched, a, [window])[0]
 
 
 def d3_residual_curve(seq: PointSequence, a: float):
     """Truncation residuals of the d3 condition at slope a on nested
     sub-windows (one matching on the full window), as (fraction, residual).
 
-    Small and flattening with window size indicates d3 >= a; growth of the
-    residual in the window size indicates a genuine slope mismatch. The last
-    entry, at fraction 1, is the residual on the whole window.
+    The four residuals come from one event table of the matching
+    (`_counting_residuals`). Small and flattening with window size
+    indicates d3 >= a; growth of the residual in the window size indicates
+    a genuine slope mismatch. The last entry, at fraction 1, is the
+    residual on the whole window.
     """
     _positive(a, "slope a")
     matched = match_to_ideal_grid(seq, a) if len(seq) else np.empty(0)
     lo, hi = seq.window
-    return [(f, counting_residual(matched, a, (lo * f, hi * f))) for f in D3_FRACTIONS]
+    windows = [(lo * f, hi * f) for f in D3_FRACTIONS]
+    return list(zip(D3_FRACTIONS, _counting_residuals(matched, a, windows)))
 
 
 def density_d3_estimate(seq: PointSequence) -> DensityEstimate:
@@ -377,49 +426,58 @@ PICK_CAP = 0.5
 assert LONG_TERM_FLOOR <= PICK_CAP
 
 
-def _sparse_candidates(pts: np.ndarray, a: float):
-    """Endpoint-on-point intervals with interior count < a * length: the
-    consecutive gap of a start, plus its best widening up to MAX_SPARSE_SPAN
-    interior points (vectorized per width offset). In order: gaps, then
-    widenings, each by ascending start.
+def _sparse_table(pts: np.ndarray):
+    """The part of `_sparse_candidates` that does not depend on the level,
+    as (u, gap_end, widths, v, length, terms).
 
-    Only starts that can supply a term of at least LONG_TERM_FLOOR are kept.
-    For a fixed start the rounded term is non-decreasing in the right end,
-    on either side of 0 and across it, so a start whose widest span stays
-    below the floor has both its gap and its best widening below it.
+    The starts are the points that can supply a term of at least
+    LONG_TERM_FLOOR: for a fixed start the rounded term is non-decreasing in
+    the right end, on either side of 0 and across it, so a start whose
+    widest span, up to MAX_SPARSE_SPAN interior points, stays below the
+    floor has both its gap and its best widening below it. u holds the
+    starts' points and gap_end the next point. Row w - 2 of v, length and
+    terms holds, per start, the right end w points on, v - u and the
+    shortness term; a term is -inf where the end runs past the last point
+    or the term is NaN, so that entry is never picked. widths holds w - 1.
     """
     n = pts.size
     s = np.arange(n - 1)
     s = s[_terms_of(pts[s], pts[np.minimum(s + MAX_SPARSE_SPAN, n - 1)]) >= LONG_TERM_FLOOR]
-    u_list = [pts[s]]
-    v_list = [pts[s + 1]]
-    best_term = np.full(s.size, -1.0)
-    best_v = pts[s + 1]
-    for w in range(2, min(MAX_SPARSE_SPAN, n - 1) + 1):
-        m = np.searchsorted(s, n - w)  # starts with s + w <= n - 1
-        u = pts[s[:m]]
-        v = pts[s[:m] + w]
-        ok = (w - 1) < a * (v - u)
-        t = np.where(ok, _terms_of(u, v), -np.inf)
-        upd = t > best_term[:m]
-        best_term[:m][upd] = t[upd]
-        best_v[:m][upd] = v[upd]
-    widened = best_term > 0
-    u_list.append(pts[s[widened]])
-    v_list.append(best_v[widened])
-    return np.concatenate(u_list), np.concatenate(v_list)
+    w = np.arange(2, MAX_SPARSE_SPAN + 1)[:, None]
+    u = pts[s]
+    v = pts[np.minimum(s + w, n - 1)]
+    terms = _terms_of(u, v)
+    terms[(s + w > n - 1) | np.isnan(terms)] = -np.inf
+    return u, pts[s + 1], w - 1.0, v, v - u, terms
+
+
+def _sparse_candidates(table, a: float):
+    """Endpoint-on-point intervals with interior count < a * length, from
+    `_sparse_table`: the consecutive gap of each start, plus its widening
+    with the largest term among those with count < a * length, the fewest
+    points on a tie. In order: gaps, then widenings, each by ascending
+    start. A level costs one comparison over the table and one argmax.
+    """
+    u, gap_end, widths, v, length, terms = table
+    t = np.where(widths < a * length, terms, -np.inf)
+    best = np.argmax(t, axis=0)
+    cols = np.arange(u.size)
+    widened = t[best, cols] > 0
+    return (np.concatenate([u, u[widened]]),
+            np.concatenate([gap_end, v[best[widened], cols[widened]]]))
 
 
 def _block_candidates(pts: np.ndarray):
-    """Dyadic-style blocks with endpoints snapped to sequence points.
+    """Dyadic-style blocks with endpoints snapped to sequence points. They
+    do not depend on the level: a long-family search builds them once.
 
     Blocks clipped by the window edge to less than 1.5x their anchor are
     dropped: such runts get small shortness terms and only blur the
     long/short classification of the assembled family.
     """
     us, vs = [], []
-    for sign in (1.0, -1.0):
-        side = np.sort(pts[pts * sign > 0] * sign)
+    # each side as distances from 0, ascending: pts is sorted
+    for sign, side in ((1.0, pts[pts > 0]), (-1.0, -pts[pts < 0][::-1])):
         if side.size < 2:
             continue
         c = max(side[0], 1e-9)
@@ -498,6 +556,29 @@ def _check_family_args(a: float, mode: str) -> None:
         raise ParameterError(f"mode must be 'below' or 'above', got {mode!r}")
 
 
+def _family_search(seq: PointSequence, mode: str):
+    """search(a) -> `long_family_search(seq, a, mode)` for levels a > 0, with
+    the work that does not depend on the level done here, once: the block
+    candidates and, for mode 'below', the sparse table (`_sparse_table`).
+    A level search builds one for all its probes."""
+    pts = seq.points
+    if pts.size < 2:
+        return lambda a: (False, [], 0.0, np.zeros(0))
+    lo, hi = seq.window
+    extent = max(abs(lo), abs(hi))
+    blocks = _block_candidates(pts)
+    table = _sparse_table(pts) if mode == "below" else None
+
+    def search(a: float):
+        u, v = blocks
+        if table is not None:
+            su, sv = _sparse_candidates(table, a)
+            u, v = np.concatenate([u, su]), np.concatenate([v, sv])
+        return _evidence_subfamily(_assemble_family(pts, u, v, a, mode), extent)
+
+    return search
+
+
 def long_family_search(seq: PointSequence, a: float, mode: str):
     """Search for a long disjoint family; mode 'below' wants count < a|I|
     (d4-style refutation), mode 'above' wants count >= a|I| (BM-style).
@@ -506,17 +587,7 @@ def long_family_search(seq: PointSequence, a: float, mode: str):
     re-checkable by verify_family_witness.
     """
     _check_family_args(a, mode)
-    pts = seq.points
-    if pts.size < 2:
-        return False, [], 0.0, np.zeros(0)
-    bu, bv = _block_candidates(pts)
-    if mode == "below":
-        su, sv = _sparse_candidates(pts, a)
-        bu, bv = np.concatenate([bu, su]), np.concatenate([bv, sv])
-    family = _assemble_family(pts, bu, bv, a, mode)
-    lo, hi = seq.window
-    extent = max(abs(lo), abs(hi))
-    return _evidence_subfamily(family, extent)
+    return _family_search(seq, mode)(a)
 
 
 def verify_family_witness(seq: PointSequence, a: float, family, mode: str) -> bool:
@@ -531,13 +602,16 @@ def verify_family_witness(seq: PointSequence, a: float, family, mode: str) -> bo
     return found
 
 
-def density_upper_d4(seq: PointSequence, a: float):
+def density_upper_d4(seq: PointSequence, a: float, search=None):
     """Try to refute density >= a with a long family of sparse intervals.
 
     Returns (refuted, witness dict). refuted=True certifies (at truncation
-    scale) that the sequence fails the d4 density at level a.
+    scale) that the sequence fails the d4 density at level a. search is
+    the `_family_search(seq, 'below')` a level search builds once for its
+    probes; without it the search is `long_family_search`.
     """
-    found, family, total, terms = long_family_search(seq, a, "below")
+    found, family, total, terms = (long_family_search(seq, a, "below") if search is None
+                                   else search(a))
     if found and not verify_family_witness(seq, a, family, "below"):
         found = False
     witness = {
@@ -556,9 +630,10 @@ def d4_complement_estimate(seq: PointSequence) -> DensityEstimate:
     """
     if len(seq) == 0:
         return DensityEstimate(0.0, "d4", seq.window)
+    search = _family_search(seq, "below")
 
     def probe(a: float):
-        refuted, witness = density_upper_d4(seq, a)
+        refuted, witness = density_upper_d4(seq, a, search)
         return not refuted, witness
 
     value, _, witness = _grid_max_feasible(probe, seq)
@@ -573,9 +648,10 @@ def bm_density(seq: PointSequence) -> DensityEstimate:
     """
     if len(seq) == 0:
         return DensityEstimate(0.0, "bm", seq.window)
+    search = _family_search(seq, "above")
 
     def probe(d: float):
-        found, family, total, _ = long_family_search(seq, d, "above")
+        found, family, total, _ = search(d)
         return found and verify_family_witness(seq, d, family, "above"), (family, total)
 
     value, passed, _ = _grid_max_feasible(probe, seq)

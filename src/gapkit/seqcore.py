@@ -142,16 +142,6 @@ def _median(x: np.ndarray) -> float:
     return (0.0 + float(part[h - 1]) + float(part[h])) / 2
 
 
-def _unique(x: np.ndarray) -> np.ndarray:
-    """np.unique(x) of a float array: sorted, the first of each run of equal
-    values kept (-0.0 and 0.0 are equal), without numpy.ma."""
-    x = np.sort(x)
-    keep = np.empty(x.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
-
-
 def _finite_window(window) -> tuple[float, float]:
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -478,10 +468,17 @@ def _load_file(path, window) -> PointSequence:
     return PointSequence(pts[first:last], window)
 
 
+# Points per write of `_write_points`: each chunk is one list of Python
+# floats and one string, so the chunk, not the sequence, sets their memory.
+_WRITE_CHUNK = 4096
+
+
 def _write_points(fh, points) -> None:
     """Write the sequence-file format to an open text file: one repr(float)
     per line. The one writer: `save_points` and `gapkit gen` use it."""
-    fh.writelines(f"{float(x)!r}\n" for x in np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    for i in range(0, points.size, _WRITE_CHUNK):
+        fh.write("\n".join(map(repr, points[i:i + _WRITE_CHUNK].tolist())) + "\n")
 
 
 def save_points(path, points) -> None:

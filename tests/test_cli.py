@@ -245,6 +245,37 @@ def test_clark_profile_computes_the_atom_sums_once(tmp_path, monkeypatch, extra)
     assert rows == [f"{x!r},{e!r}" for x, e in prof.pairs()]
 
 
+@pytest.mark.parametrize("extra", [[], ["--width", "150"], ["--width", "250", "--tail-mode",
+                                                              "persistent"],
+                                   ["--width", "20"], ["--profile=-3:3:5"]])
+def test_clark_json_sums_only_the_records_it_holds(tmp_path, monkeypatch, extra):
+    # without --csv the JSON holds the first 200 records, and only their
+    # atom sums are computed; they and n_reported equal a --csv run's
+    from gapkit import clarknum
+    seq = ["clark", "--seq", "lattice:1", "--window=-300,300", *extra]
+    csv_path = tmp_path / "recs.csv"
+    code, full = run_json(seq + ["--csv", str(csv_path)], tmp_path, "full.json")
+    assert code == 0
+    rows = []
+    real = clarknum._atom_sums
+
+    def counted(a, b, idx):
+        rows.append(idx.size)
+        return real(a, b, idx)
+    monkeypatch.setattr(clarknum, "_atom_sums", counted)
+    code, payload = run_json(seq, tmp_path)
+    assert code == 0
+    reported = full["result"]["n_reported"]
+    assert reported == len(csv_path.read_text().splitlines()) - 1
+    assert payload["result"] == full["result"]
+    assert len(payload["result"]["records"]) == min(reported, cli.CLARK_JSON_RECORDS)
+    # --profile sums every midpoint once, for the profile; else at most 200 rows
+    if extra and extra[0].startswith("--profile"):
+        assert rows == [600]
+    else:
+        assert rows == [min(reported, cli.CLARK_JSON_RECORDS)]
+
+
 def test_clark_takes_breakpoints_of_any_extent(tmp_path):
     # the data reach past +-10000; only --width picks the midpoints reported
     code, payload = run_json(

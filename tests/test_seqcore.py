@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import threading
@@ -18,8 +19,8 @@ from gapkit.gapnum import gram_matrix
 from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import (AtomicMeasure, Interval, ParameterError, Partition,
                             PointSequence, _dist0, _median, _owned, _parse_lines,
-                            _percentile, _unique, fourier_eval, generate, load_points,
-                            save_points)
+                            _percentile, _write_points, fourier_eval, generate,
+                            load_points, save_points)
 
 
 def test_lattice_example():
@@ -354,24 +355,54 @@ def test_order_statistics_match_numpy_at_every_size():
         assert _median(x).hex() == float(np.median(x)).hex(), n
 
 
+def assert_events_match_numpy(matched, windows):
+    """Each window's d3 events from one event table (its ends and the table
+    points strictly inside it) equal np.unique of the events the per-window
+    residual sorted: its ends, the matched points inside and 0 when inside.
+    Compared with ==: which of two equal zeros np.unique keeps is up to its
+    sort, and a zero's sign never reaches a residual (it enters through
+    arctan and log1p(x^2), inside an absolute value)."""
+    x, n = density._event_table(matched)
+    # n: the matched points at or below each table point, less those at or below 0
+    at_zero = np.count_nonzero(matched <= 0.0)
+    assert n.tolist() == [np.count_nonzero(matched <= t) - at_zero for t in x.tolist()]
+    for lo, hi in windows:
+        if not lo < hi:
+            continue
+        events = np.concatenate([[lo], x[(x > lo) & (x < hi)], [hi]])
+        inner = matched[(matched > lo) & (matched < hi)]
+        ref = np.unique(np.concatenate([[lo], inner, [0.0] if lo < 0.0 < hi else [], [hi]]))
+        assert events.size == ref.size and np.all(events == ref)
+
+
+_event_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-10.0, 10.0)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-10.0, 10.0),
-                max_size=60))
-def test_unique_matches_numpy_with_signed_zeros(values):
-    x = np.array(values, dtype=float)
-    assert _unique(x).tobytes() == np.unique(x).tobytes()
+@given(st.lists(_event_values, max_size=60), st.lists(_event_values, min_size=2, max_size=2),
+       st.sampled_from([0.0, -0.0]))
+def test_unique_matches_numpy_with_signed_zeros(values, ends, zero):
+    # matched points sorted and distinct, with 0 of either sign among them
+    # or not, and window ends that may sit on matched points
+    matched = np.unique(np.array(values, dtype=float))
+    matched[matched == 0.0] = zero
+    lo, hi = sorted(ends)
+    assert_events_match_numpy(matched, [(lo * f, hi * f) for f in density.D3_FRACTIONS])
 
 
 def test_unique_matches_numpy_on_d3_events(monkeypatch):
-    # every event array the d3 residuals sort: window ends, matched points
-    # and 0; matched points on 0, of either sign, repeat the event at 0
+    # every event table the d3 residuals build: its events on each window
+    # are the sorted, distinct window ends, matched points and 0; a matched
+    # point on 0, of either sign, is the event at 0
     seen = []
+    real = density._event_table
 
-    def recording(x):
-        seen.append(x.copy())
-        return _unique(x)
+    def recording(matched):
+        seen.append(matched.copy())
+        return real(matched)
 
-    monkeypatch.setattr(density, "_unique", recording)
+    monkeypatch.setattr(density, "_event_table", recording)
+    windows = [(-300.0 * f, 300.0 * f) for f in density.D3_FRACTIONS]
     for spec in ("perturbed:1,0.2", "poisson:1", "lattice:1"):
         seq = generate(spec, (-300.0, 300.0), seed=1)
         for a in (0.5, 1.0, 1.3):
@@ -379,9 +410,30 @@ def test_unique_matches_numpy_on_d3_events(monkeypatch):
     for zero in (0.0, -0.0):
         matched = np.array([-2.0, -1.0, zero, 1.0, 2.0])
         density.counting_residual(matched, 1.0, (-2.5, 2.5))
-    assert len(seen) > 20 and any(np.unique(x).size < x.size for x in seen)
-    for x in seen:
-        assert _unique(x).tobytes() == np.unique(x).tobytes()
+        x, _ = real(matched)
+        assert x.tobytes() == matched.tobytes()  # the matched 0 is the one event at 0
+    assert len(seen) == 11
+    for matched in seen[:9]:
+        assert_events_match_numpy(matched, windows)
+    for matched in seen[9:]:
+        assert_events_match_numpy(matched, [(-2.5, 2.5)])
+
+
+def per_point_write(fh, points):
+    """The writer `_write_points` replaced: one formatted line per point."""
+    fh.writelines(f"{float(x)!r}\n" for x in np.asarray(points, dtype=float))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 4095, 4096, 4097, 10_000])
+def test_write_points_bytes_match_the_per_point_writer(size):
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
+               3.0, -42.0, 1e16, 2.0 ** 53, 0.1, -1e-300]
+    rng = np.random.default_rng(size)
+    pts = np.concatenate([special, rng.uniform(-1e4, 1e4, size)])[:size]
+    old, new = io.StringIO(), io.StringIO()
+    per_point_write(old, pts)
+    _write_points(new, pts)
+    assert new.getvalue() == old.getvalue() and new.getvalue().count("\n") == size
 
 
 @pytest.mark.parametrize("spec", ["lattice:1e-12", "perturbed:1e-12,0", "poisson:1e12",

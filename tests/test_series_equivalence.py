@@ -3,13 +3,17 @@ the d3 matching and the Clark atom sums against the per-point, per-interval,
 per-target and per-midpoint loops they replaced, kept here as the
 reference: every reported value must agree bitwise, including the order of
 the terms. The pairwise energy is checked against the masked-block gather it
-replaced, and the chunked Poisson walk against the scalar walk. The ladder walk of the level search is checked the same way
-against the top-down bisection it replaced, and the long-family search,
-which assembles only candidates at or above the evidence floor, against the
-search over every candidate. The gap certificate, which takes its level from
-one d1 search and checks the energy condition once, on that witness, is
-checked against the level search that gates every level by both conditions,
-on inputs whose answer is known."""
+replaced, and the chunked Poisson walk against the scalar walk. The ladder
+walk of the level search is checked the same way against the top-down
+bisection it replaced, and the long-family search, which assembles only
+candidates at or above the evidence floor, against the search over every
+candidate; the d4 and BM searches, which build their level-free candidates
+once, against the search each probe built from scratch; and the d3
+residuals, read from one event table, against the per-window residual. The
+gap certificate, which takes its level from one d1 search and checks the
+energy condition once, on that witness, is checked against the level search
+that gates every level by both conditions, on inputs whose answer is
+known."""
 
 import json
 import math
@@ -21,9 +25,11 @@ from hypothesis import strategies as st
 
 import gapkit.density as density
 from gapkit.clarknum import _outer_gap_scale, residue_weights
-from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _block_candidates,
-                            _evidence_subfamily, _greedy_match_side, _ladder_max,
-                            _qualifying, _sparse_candidates, long_family_search)
+from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _assemble_family,
+                            _block_candidates, _counting_residuals, _evidence_subfamily,
+                            _greedy_match_side, _ladder_max, _qualifying, _sparse_candidates,
+                            _sparse_table, d3_residual_curve, long_family_search,
+                            match_to_ideal_grid)
 from gapkit.energy import (EnergyRecord, EnergyReport, energy_condition_report,
                            total_energy)
 from gapkit.gapnum import estimate_gap_characteristic
@@ -521,7 +527,7 @@ def assert_families_agree(seq, a, mode):
     assert terms.dtype == ref[3].dtype and terms.tobytes() == ref[3].tobytes()
     if mode == "below" and seq.points.size >= 2:
         # the candidates at or above the floor, in the same order
-        new = _sparse_candidates(seq.points, a)
+        new = _sparse_candidates(_sparse_table(seq.points), a)
         old = loop_sparse_candidates(seq.points, a)
         new_keep = _terms_of(*new) >= LONG_TERM_FLOOR
         old_keep = _terms_of(*old) >= LONG_TERM_FLOOR
@@ -583,7 +589,7 @@ def test_long_family_ties_follow_input_order():
     for lo, hi in ((-300, 300), (-40, 400), (5, 500)):
         pts = np.arange(lo, hi + 1, dtype=float)
         seq = PointSequence(pts, (float(lo), float(hi)))
-        u, v = _sparse_candidates(pts, 1.0)
+        u, v = _sparse_candidates(_sparse_table(pts), 1.0)
         terms = _terms_of(u, v)
         floor = terms >= LONG_TERM_FLOOR
         key = np.stack([np.minimum(terms, density.PICK_CAP), v - u])[:, floor]
@@ -612,6 +618,129 @@ def test_long_family_matches_loop_on_random_points(points, a, mode):
         return
     seq = PointSequence(points, (float(points[0]), float(points[-1])))
     assert_families_agree(seq, a, mode)
+
+
+def loop_floor_sparse_candidates(pts, a):
+    """`_sparse_candidates` as one probe built it: the starts at or above the
+    floor, then one pass per width offset."""
+    n = pts.size
+    s = np.arange(n - 1)
+    s = s[_terms_of(pts[s], pts[np.minimum(s + MAX_SPARSE_SPAN, n - 1)]) >= LONG_TERM_FLOOR]
+    u_list = [pts[s]]
+    v_list = [pts[s + 1]]
+    best_term = np.full(s.size, -1.0)
+    best_v = pts[s + 1]
+    for w in range(2, min(MAX_SPARSE_SPAN, n - 1) + 1):
+        m = np.searchsorted(s, n - w)  # starts with s + w <= n - 1
+        u = pts[s[:m]]
+        v = pts[s[:m] + w]
+        ok = (w - 1) < a * (v - u)
+        t = np.where(ok, _terms_of(u, v), -np.inf)
+        upd = t > best_term[:m]
+        best_term[:m][upd] = t[upd]
+        best_v[:m][upd] = v[upd]
+    widened = best_term > 0
+    u_list.append(pts[s[widened]])
+    v_list.append(best_v[widened])
+    return np.concatenate(u_list), np.concatenate(v_list)
+
+
+def loop_block_candidates(pts):
+    """`_block_candidates` sorting each side."""
+    us, vs = [], []
+    for sign in (1.0, -1.0):
+        side = np.sort(pts[pts * sign > 0] * sign)
+        if side.size < 2:
+            continue
+        c = max(side[0], 1e-9)
+        top = side[-1]
+        while c < top:
+            i = np.searchsorted(side, c, side="right") - 1
+            j = np.searchsorted(side, 2.0 * c, side="right") - 1
+            if 0 <= i < j and side[j] >= 1.5 * c:
+                u, v = side[i] * sign, side[j] * sign
+                us.append(min(u, v))
+                vs.append(max(u, v))
+            c *= math.sqrt(2.0)
+    return np.array(us), np.array(vs)
+
+
+def loop_probe_search(seq, a, mode):
+    """The long-family search as each probe ran it, building its candidates
+    from scratch."""
+    pts = seq.points
+    if pts.size < 2:
+        return False, [], 0.0, np.zeros(0)
+    bu, bv = loop_block_candidates(pts)
+    if mode == "below":
+        su, sv = loop_floor_sparse_candidates(pts, a)
+        bu, bv = np.concatenate([bu, su]), np.concatenate([bv, sv])
+    family = _assemble_family(pts, bu, bv, a, mode)
+    lo, hi = seq.window
+    return _evidence_subfamily(family, max(abs(lo), abs(hi)))
+
+
+def assert_same_search(got, ref):
+    assert got[0] == ref[0] and got[1] == ref[1]
+    assert float(got[2]).hex() == float(ref[2]).hex()
+    assert got[3].dtype == ref[3].dtype and got[3].tobytes() == ref[3].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["below", "above"])
+@pytest.mark.parametrize("name", list(FAMILY_SEQS))
+def test_family_probes_match_the_per_probe_search(monkeypatch, name, mode):
+    # every level the d4 (below) and bm (above) ladders probe: the search
+    # built once per level search against the one each probe built
+    seq = FAMILY_SEQS[name]
+    levels = []
+    build = density._family_search
+
+    def checked_build(seq_, mode_):
+        search = build(seq_, mode_)
+
+        def checked(a):
+            got = search(a)
+            assert_same_search(got, loop_probe_search(seq_, a, mode_))
+            levels.append(a)
+            return got
+        return checked
+
+    monkeypatch.setattr(density, "_family_search", checked_build)
+    estimate = density.d4_complement_estimate if mode == "below" else density.bm_density
+    estimate(seq)
+    assert len(levels) >= (1 if name == "lacunary" else 5)
+
+
+@pytest.mark.parametrize("name", list(FAMILY_SEQS))
+def test_sparse_table_matches_the_per_level_candidates(name):
+    pts = FAMILY_SEQS[name].points
+    table = _sparse_table(pts)
+    assert _block_candidates(pts)[0].tobytes() == loop_block_candidates(pts)[0].tobytes()
+    assert _block_candidates(pts)[1].tobytes() == loop_block_candidates(pts)[1].tobytes()
+    for a in np.linspace(0.5, 2.0, 16):
+        new = _sparse_candidates(table, a)
+        for x, y in zip(new, loop_floor_sparse_candidates(pts, a)):
+            assert x.tobytes() == y.tobytes()
+        # and the unfiltered candidates at or above the floor, in order
+        old = loop_sparse_candidates(pts, a)
+        new_keep = _terms_of(*new) >= LONG_TERM_FLOOR
+        old_keep = _terms_of(*old) >= LONG_TERM_FLOOR
+        for x, y in zip(new, old):
+            assert x[new_keep].tobytes() == y[old_keep].tobytes()
+
+
+def test_sparse_table_on_tiny_and_huge_input():
+    # two and three points (no widening, one width), and terms that are NaN
+    # (an infinite length over an infinite distance) or infinite
+    huge = np.array([-1.7e308, -1.5e308, -1e308, -1e155, -1e154, 0.0, 1.0, 2.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _terms_of(huge[:1], huge[1:])
+        assert np.isnan(terms[0]) and terms[-1] == np.inf
+        for pts in (np.array([1.0, 2.0]), np.array([-1.0, 0.5, 3.0]), huge):
+            for a in (0.5, 1.0, 3.0):
+                for x, y in zip(_sparse_candidates(_sparse_table(pts), a),
+                                loop_floor_sparse_candidates(pts, a)):
+                    assert x.tobytes() == y.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +811,7 @@ def test_certificate_matches_gated_search_on_lattice_plus_points(extra):
 
 
 # ---------------------------------------------------------------------------
-# The d3 matching and the Clark atom sums
+# The d3 matching and residuals, and the Clark atom sums
 # ---------------------------------------------------------------------------
 
 def loop_greedy_match_side(points, targets):
@@ -787,6 +916,110 @@ _match_points = st.lists(
        count=st.integers(0, 120), shift=st.sampled_from([0.0, 0.5]))
 def test_match_matches_loop_on_random_points(points, a, count, shift):
     assert_matches_agree(points, (np.arange(1, count + 1) + shift) / a)
+
+
+def loop_counting_residual(matched, a, window):
+    """The d3 residual on one window as it was computed per window: its own
+    sorted, distinct events, counts by searchsorted at segment midpoints,
+    and arctan and log1p at both ends of every segment."""
+    def F(x, cc):
+        return cc * np.arctan(x) - 0.5 * a * np.log1p(x * x)
+
+    lo, hi = window
+    inner = matched[(matched > lo) & (matched < hi)]
+    zero = [0.0] if lo < 0.0 < hi else []
+    events = np.unique(np.concatenate([[lo], inner, zero, [hi]]))
+    if events.size < 2:
+        return 0.0
+    u, v = events[:-1], events[1:]
+    mids = 0.5 * (u + v)
+    zero_before = np.searchsorted(matched, 0.0, side="right")
+    c = (np.searchsorted(matched, mids, side="right") - zero_before).astype(float)
+    xs = c / a
+    straddle = (u < xs) & (xs < v)
+    fu, fv = F(u, c), F(v, c)
+    plain = np.abs(fv - fu)
+    if np.any(straddle):
+        fxs = F(xs[straddle], c[straddle])
+        plain[straddle] = (np.abs(fxs - fu[straddle]) + np.abs(fv[straddle] - fxs))
+    return float(np.sum(plain))
+
+
+def loop_residual_curve(seq, a):
+    matched = np.sort(match_to_ideal_grid(seq, a))
+    lo, hi = seq.window
+    return [(f, loop_counting_residual(matched, a, (lo * f, hi * f)))
+            for f in density.D3_FRACTIONS]
+
+
+def assert_residuals_agree(matched, a, windows):
+    got = _counting_residuals(matched, a, windows)
+    ref = [loop_counting_residual(matched, a, w) for w in windows]
+    assert [r.hex() for r in got] == [r.hex() for r in ref]
+
+
+D3_SEQS = {
+    "perturbed": generate("perturbed:1,0.2", (-1500, 1500), seed=3),
+    "poisson": generate("poisson:1", (-1500, 1500), seed=4),
+    "lattice": generate("lattice:1", (-300, 300)),
+    "lacunary": generate("lacunary:2", (-1e6, 1e6)),
+    "right_of_0": generate("poisson:1", (20, 900), seed=5),
+    "left_of_0": generate("perturbed:1,0.2", (-900, -20), seed=6),
+}
+
+
+@pytest.mark.parametrize("name", list(D3_SEQS))
+def test_residual_curve_matches_the_per_window_residuals(name):
+    seq = D3_SEQS[name]
+    for a in (0.25, 0.5, 0.9, 0.999, 1.0, 1.001, 1.3, 2.0, 3.7):
+        matched = match_to_ideal_grid(seq, a)
+        assert np.all(np.diff(matched) > 0)  # sorted and distinct without a sort
+        curve = d3_residual_curve(seq, a)
+        ref = loop_residual_curve(seq, a)
+        assert [(f, r.hex()) for f, r in curve] == [(f, r.hex()) for f, r in ref]
+
+
+def test_residuals_on_edge_windows():
+    matched = np.array([-3.0, -1.5, -0.25, 0.5, 1.0, 2.0, 4.0])
+    for zero in (None, 0.0, -0.0):
+        m = matched if zero is None else np.sort(np.append(matched, zero))
+        for windows in ([(-4.0, 4.0)], [(0.0, 3.0)], [(1.0, 3.0)], [(-3.0, 0.0)],
+                        [(-3.0, -1.0)], [(-1.5, 2.0)], [(2.0, 2.0)], [(0.0, 0.0)],
+                        [(-0.0, 0.0)], [(-4.0 * f, 4.0 * f) for f in density.D3_FRACTIONS],
+                        [(1.0 * f, 4.0 * f) for f in density.D3_FRACTIONS]):
+            for a in (0.5, 1.0, 2.0):
+                assert_residuals_agree(m, a, windows)
+    for a in (0.5, 1.0):
+        assert_residuals_agree(np.zeros(0), a, [(-2.0, 3.0), (0.0, 3.0), (-2.0, -1.0)])
+    # adjacent floats: the midpoint of (u, v) rounds onto v, a matched
+    # point, so the count there is one more than at u
+    e = np.nextafter(1.0, 2.0) - 1.0
+    u, v = 1.0 + e, 1.0 + 2.0 * e
+    assert 0.5 * (u + v) == v
+    for matched in (np.array([u, v]), np.array([-1.0, u, v]), np.array([-1.0, u, v, 2.0])):
+        for window in ((1.0, 1.0 + 3.0 * e), (-3.0, 3.0), (0.0, v), (u, 3.0)):
+            for a in (0.3, 1.0, 2.0):
+                assert_residuals_agree(matched, a, [window])
+
+
+_residual_points = st.one_of(st.floats(-40.0, 40.0), st.integers(-40, 40).map(float),
+                             st.integers(-8, 8).map(lambda k: k / 4.0),
+                             st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(points=st.lists(_residual_points, max_size=80), ends=st.lists(_residual_points,
+       min_size=2, max_size=2), zero=st.sampled_from([0.0, -0.0]),
+       a=st.one_of(st.floats(1e-2, 10.0), st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+       nested=st.booleans())
+def test_residuals_match_the_per_window_reference(points, ends, zero, a, nested):
+    # matched points sorted and distinct, 0 of either sign among them or
+    # not; window ends on either side of 0, on 0 or on matched points
+    matched = np.unique(np.array(points, dtype=float))
+    matched[matched == 0.0] = zero
+    lo, hi = sorted(ends)
+    windows = [(lo * f, hi * f) for f in density.D3_FRACTIONS] if nested else [(lo, hi)]
+    assert_residuals_agree(matched, a, windows)
 
 
 ATOM_SEQS = {
