@@ -107,7 +107,7 @@ def test_energy_gate(benchmark, name):
     seq, level = _input(name)
     part = greedy_density_partition(seq, level).partition
     rep = benchmark(energy_condition_report, seq, part)
-    assert len(rep.records) == part.breakpoints.size - 1
+    assert rep.n.size == part.breakpoints.size - 1
 
 
 def test_partition_witness(benchmark):

@@ -14,8 +14,12 @@ Two runs of a command agree when they have the same exit code, stdout and
 stderr, and write the same files with the same bytes, except that JSON files
 are compared less their `timestamp`. The script prints each command whose
 runs differ, with what differs and, for a JSON file in both runs, its
-top-level keys that differ (`out.json: invocation`). It exits 1 if any
-command differs, else 0. Standard library only.
+top-level keys that differ (`out.json: invocation`). It also prints each
+command that exits 2, a usage or parameter error, on either tree: such a
+command tests nothing even when both trees fail it alike. The summary line
+gives the number of commands that differ and each tree's tally of exit
+codes. It exits 1 if any command differs or exits 2, else 0. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -127,9 +132,13 @@ def main(argv) -> int:
                 jobs))
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    differ = 0
+    differ = usage = 0
     for i, name in enumerate(cmds):
         old, new = results[2 * i], results[2 * i + 1]
+        if 2 in (old["exit code"], new["exit code"]):
+            usage += 1
+            print(f"EXIT 2 {name}: old {old['exit code']}, new {new['exit code']}")
+            print(f"  gapkit {' '.join(cmds[name])}")
         parts = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
         if parts:
             differ += 1
@@ -139,8 +148,11 @@ def main(argv) -> int:
                 if part.endswith(".json") and part in old and part in new:
                     print(f"  {part.removeprefix('file ')}: "
                           f"{', '.join(json_keys_differing(old[part], new[part]))}")
-    print(f"{differ} of {len(cmds)} commands differ")
-    return 1 if differ else 0
+    tallies = [", ".join(f"{n} x {code}" for code, n in sorted(
+        Counter(r["exit code"] for r in results[side::2]).items())) for side in (0, 1)]
+    print(f"{differ} of {len(cmds)} commands differ; exit codes old {tallies[0]}; "
+          f"new {tallies[1]}; {usage} exit 2")
+    return 1 if differ or usage else 0
 
 
 if __name__ == "__main__":

@@ -233,8 +233,7 @@ def _cmd_energy(args, cfg, emit):
             if args.csv:
                 _write_csv(args.csv,
                            ["n", "a", "b", "count", "energy", "summand", "dist0", "partial_sum"],
-                           [[r.n, r.interval.a, r.interval.b, r.count, r.energy, r.summand,
-                             r.dist0, ps] for r, ps in zip(rep.records, rep.partial_sums)])
+                           rep.rows())
             if rep.verdict == "inconclusive":
                 code = 3
     emit(result)
@@ -260,7 +259,7 @@ def _cmd_partition(args, cfg, emit):
         "monotone": validity.monotone,
     }
     if greedy is not None:
-        result["counts"] = list(greedy.counts)
+        result["counts"] = greedy.counts.tolist()
     emit(result)
     return 0 if validity.shortness.verdict != "inconclusive" else 3
 

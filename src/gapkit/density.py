@@ -42,7 +42,8 @@ __all__ = [
     "density_estimate",
 ]
 
-GRID_RESOLUTION = 1e-3
+GRID_STEPS = 1000
+GRID_RESOLUTION = 1 / GRID_STEPS
 # Divergence threshold for "this family is long": accumulated sum of
 # |I|^2/(1+dist^2) terms with non-decaying behaviour.
 REFUTE_SUM = 10.0
@@ -122,11 +123,11 @@ def _ladder_max(passes, kmax: int, start: float) -> int:
 
 
 def _grid_level(k: int) -> float:
-    """The grid level k / 1000, rounded once: 1001 steps are 1.001, where the
-    float product k * GRID_RESOLUTION rounds twice and gives
+    """The grid level k / GRID_STEPS, rounded once: 1001 steps are 1.001,
+    where the float product k * GRID_RESOLUTION rounds twice and gives
     1.0010000000000001. Division is correctly rounded, so this is the double
     nearest the decimal k / 1000."""
-    return k / 1000
+    return k / GRID_STEPS
 
 
 def _grid_max_feasible(probe, seq: PointSequence):
@@ -216,7 +217,7 @@ def density_lower(seq: PointSequence, method: str = "d1") -> DensityEstimate:
         else:
             witness = {
                 "breakpoints": [float(b) for b in res.partition.breakpoints],
-                "counts": list(res.counts),
+                "counts": res.counts.tolist(),
                 "verified": True,
             }
     return DensityEstimate(value, method, seq.window, witness)

@@ -5,24 +5,19 @@ energy-condition series over the intervals of a partition, with a
 three-valued convergence verdict. The verdict applies the decay rule of
 shortness (`partitions.classify_terms`) to the positive parts of the
 summands, so both series of the paper's conditions are judged by one rule.
-The report computes its counts, energies and summands as arrays; the
-per-interval records are built only when read (the `energy` command and its
-CSV read them, the gap certificate reads the verdict alone).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .partitions import MIN_TERMS_FOR_VERDICT, classify_terms
-from .seqcore import (Interval, ParameterError, Partition, PointSequence, _dist0, _owned,
-                      _series_order)
+from .seqcore import ParameterError, Partition, PointSequence, _dist0, _owned, _series_order
 
-__all__ = ["total_energy", "energy_condition_report", "EnergyReport", "EnergyRecord"]
+__all__ = ["total_energy", "energy_condition_report", "EnergyReport"]
 
 _BLOCK = 256
 
@@ -59,43 +54,37 @@ def total_energy(seq) -> float:
 
 
 @dataclass(frozen=True)
-class EnergyRecord:
-    """One interval of the energy series; dist0 is dist(0, I_n)."""
-
-    n: int
-    interval: Interval
-    count: int
-    energy: float
-    summand: float
-    dist0: float
-
-
-@dataclass(frozen=True)
 class EnergyReport:
     """Per-interval energy-condition data plus its decay diagnostic.
 
-    columns holds the arrays (n, a, b, count, energy, summand, dist0), one
-    entry per interval, ordered by increasing dist(0, I_n); records, the
-    EnergyRecord of each interval, is built from them when first read.
-    partial_sums accumulate the summands in that order. verdict is one of
-    supported / unsupported / inconclusive for "the series converges": the
-    decay rule of shortness on the positive parts of the summands, with
-    short read as supported and long as unsupported, and a series with fewer
-    positive terms than the rule needs read as supported. fitted_exponent is
-    the rule's decay exponent (0 where it was not fitted).
+    One array entry per interval I_n = (a, b], ordered by increasing
+    dist(0, I_n): its index n, ends a and b, point count, energy, summand
+    and dist0 = dist(0, I_n). partial_sums accumulate the summands in that
+    order. verdict is one of supported / unsupported / inconclusive for "the
+    series converges": the decay rule of shortness on the positive parts of
+    the summands, with short read as supported and long as unsupported, and
+    a series with fewer positive terms than the rule needs read as
+    supported. fitted_exponent is the rule's decay exponent (0 where it was
+    not fitted).
     """
 
-    columns: tuple
+    n: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    count: np.ndarray
+    energy: np.ndarray
+    summand: np.ndarray
+    dist0: np.ndarray
     partial_sums: np.ndarray
     window: tuple[float, float]
     fitted_exponent: float
     verdict: str
 
-    @functools.cached_property
-    def records(self) -> tuple:
-        return tuple(EnergyRecord(n, Interval(a, b), count, e_n, s_n, d)
-                     for n, a, b, count, e_n, s_n, d
-                     in zip(*(col.tolist() for col in self.columns)))
+    def rows(self):
+        """An iterator over the intervals, in series order, of (n, a, b,
+        count, energy, summand, dist0, partial sum) as Python numbers."""
+        return zip(*(col.tolist() for col in (self.n, self.a, self.b, self.count, self.energy,
+                                               self.summand, self.dist0, self.partial_sums)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,17 +92,9 @@ class EnergyReport:
             "verdict": self.verdict,
             "fitted_exponent": self.fitted_exponent,
             "partial_sums": self.partial_sums.tolist(),
-            "records": [
-                {
-                    "n": r.n,
-                    "interval": [r.interval.a, r.interval.b],
-                    "count": r.count,
-                    "energy": r.energy,
-                    "summand": r.summand,
-                    "dist0": r.dist0,
-                }
-                for r in self.records
-            ],
+            "records": [{"n": n, "interval": [a, b], "count": count, "energy": e_n,
+                         "summand": s_n, "dist0": d}
+                        for n, a, b, count, e_n, s_n, d, _ in self.rows()],
         }
 
 
@@ -132,9 +113,10 @@ def _series_verdict(summands: np.ndarray):
 def energy_condition_report(seq: PointSequence, part: Partition) -> EnergyReport:
     """Evaluate the energy-condition series of a sequence on a partition.
 
-    The series counts the points the partition covers: the report runs on
-    seq.restrict(*part.cover()), and its window is that intersection; a
-    cover that does not meet the window is a ParameterError naming both.
+    The series counts the points the partition covers: every interval lies
+    inside the cover, and the report's window is the intersection of the
+    cover with the sequence window; a cover that does not meet the window is
+    a ParameterError naming both.
     Summand for interval I_n with count D and energy E:
         s_n = (D^2 * log|I_n| - E) / (1 + dist(0, I_n)^2).
     Partial sums run in order of increasing distance from the origin. The
@@ -143,10 +125,10 @@ def energy_condition_report(seq: PointSequence, part: Partition) -> EnergyReport
     the rule needs (none, say) is supported.
     """
     (lo, hi), (wlo, whi) = part.cover(), seq.window
-    if max(lo, wlo) > min(hi, whi):
+    window = max(lo, wlo), min(hi, whi)
+    if window[0] > window[1]:
         raise ParameterError(f"the partition covers [{lo}, {hi}], which does not meet "
                              f"the sequence window [{wlo}, {whi}]")
-    seq = seq.restrict(lo, hi)
     pts = seq.points
     u, v = part.breakpoints[:-1], part.breakpoints[1:]
     order = _series_order(u, v)
@@ -163,6 +145,6 @@ def energy_condition_report(seq: PointSequence, part: Partition) -> EnergyReport
     # dist(0, I) squared exactly, as in the shortness terms
     log_width = np.fromiter(map(math.log, (v - u).tolist()), float, count=counts.size)
     summands = (counts * counts * log_width - energies) / (1.0 + dist * dist)
-    columns = (order - part.zero_index, u, v, counts, energies, summands, dist)
     verdict, exponent = _series_verdict(summands)
-    return EnergyReport(columns, np.cumsum(summands), seq.window, exponent, verdict)
+    return EnergyReport(order - part.zero_index, u, v, counts, energies, summands, dist,
+                        np.cumsum(summands), window, exponent, verdict)

@@ -58,21 +58,16 @@ def classify_terms(terms: np.ndarray) -> tuple[str, float]:
 @dataclass(frozen=True)
 class ShortnessReport:
     terms: np.ndarray
-    partial_sums: np.ndarray
     verdict: str
     fitted_exponent: float
     window: tuple[float, float]
-
-    @property
-    def total(self) -> float:
-        return float(self.partial_sums[-1]) if len(self.partial_sums) else 0.0
 
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
             "fitted_exponent": self.fitted_exponent,
-            "total": self.total,
-            "terms": [float(t) for t in self.terms],
+            "total": float(np.cumsum(self.terms)[-1]) if self.terms.size else 0.0,
+            "terms": self.terms.tolist(),
             "window": list(self.window),
         }
 
@@ -95,7 +90,7 @@ def shortness(part: Partition) -> ShortnessReport:
     order = _series_order(u, v)
     terms = _terms_of(u[order], v[order])
     verdict, exponent = classify_terms(terms)
-    return ShortnessReport(terms, np.cumsum(terms), verdict, exponent, part.cover())
+    return ShortnessReport(terms, verdict, exponent, part.cover())
 
 
 @dataclass(frozen=True)
@@ -154,7 +149,7 @@ def is_valid_paper_partition(part: Partition) -> PartitionValidity:
 class GreedyResult:
     ok: bool
     partition: Partition | None
-    counts: tuple
+    counts: np.ndarray
     failed_direction: str | None = None
     blocked_at: float | None = None
 
@@ -300,14 +295,15 @@ def greedy_density_partition(seq: PointSequence, d: float,
     right_bks, right_counts, right_block, _ = _grow_right(seq.points, d, hi, monotone)
     # the left side walks the points reflected about 0
     left_bks, left_counts, left_block, _ = _grow_right(-seq.points[::-1], d, -lo, monotone)
+    empty = np.zeros(0, int)
     if right_block is not None:
-        return GreedyResult(False, None, (), "right", right_block)
+        return GreedyResult(False, None, empty, "right", right_block)
     if left_block is not None:
-        return GreedyResult(False, None, (), "left", -left_block)
+        return GreedyResult(False, None, empty, "left", -left_block)
     bks = np.concatenate((-left_bks[::-1], [0.0], right_bks))
-    counts = tuple(np.concatenate((left_counts[::-1], right_counts)))
+    counts = np.concatenate((left_counts[::-1], right_counts))
     if bks.size < 2:
-        return GreedyResult(False, None, (), "both", 0.0)
+        return GreedyResult(False, None, empty, "both", 0.0)
     return GreedyResult(True, Partition(bks), counts)
 
 

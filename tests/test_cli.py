@@ -200,6 +200,25 @@ def test_energy_cli_with_partition_csv(tmp_path):
     assert str(csv_path) not in payload["invocation"].values()
 
 
+@pytest.mark.parametrize("seq,level", [("lattice:1", "1.0"), ("perturbed:1,0.2", "0.5"),
+                                       ("poisson:1", "0.5")])
+def test_energy_csv_rows_are_the_json_records(tmp_path, seq, level):
+    # both are written from the same arrays: every CSV field is the repr of
+    # the JSON value at the same index, its partial sum included
+    csv_path = tmp_path / "energy.csv"
+    code, payload = run_json(
+        ["energy", "--seq", seq, "--window=-300,300", "--seed", "5",
+         "--partition", f"greedy:d={level}", "--csv", str(csv_path)], tmp_path)
+    assert code in (0, 3)
+    cond = payload["result"]["energy_condition"]
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == len(cond["records"]) == len(cond["partial_sums"]) > 0
+    assert any(r["count"] >= 2 for r in cond["records"]) == (seq != "lattice:1")
+    for row, r, ps in zip(rows, cond["records"], cond["partial_sums"]):
+        values = (r["n"], *r["interval"], r["count"], r["energy"], r["summand"], r["dist0"], ps)
+        assert row == [repr(v) for v in values]
+
+
 def test_clark_cli(tmp_path):
     csv_path = tmp_path / "clark.csv"
     code, payload = run_json(

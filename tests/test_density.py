@@ -258,6 +258,7 @@ def test_density_estimate_dispatch():
 @example(1001)  # 1001 * 1e-3 rounds twice, to 1.0010000000000001
 @given(st.integers(min_value=1, max_value=2**53))
 def test_grid_levels_are_the_nearest_double(k):
+    assert density.GRID_RESOLUTION == 1e-3
     assert density._grid_level(k) == float(Fraction(k, 1000))
 
 

@@ -15,6 +15,7 @@ energy condition once, on that witness, is checked against the level search
 that gates every level by both conditions, on inputs whose answer is
 known."""
 
+import itertools
 import json
 import math
 
@@ -30,8 +31,7 @@ from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _assemble_family,
                             _greedy_match_side, _ladder_max, _qualifying, _sparse_candidates,
                             _sparse_table, d3_residual_curve, long_family_search,
                             match_to_ideal_grid)
-from gapkit.energy import (EnergyRecord, EnergyReport, energy_condition_report,
-                           total_energy)
+from gapkit.energy import EnergyReport, energy_condition_report, total_energy
 from gapkit.gapnum import estimate_gap_characteristic
 from gapkit.partitions import (_grow_right, _short_greedy, _terms_of, classify_terms,
                                greedy_density_partition, shortness)
@@ -97,10 +97,11 @@ def loop_energy_report(seq, part):
         count, e_n = inside.size, total_energy(inside)
         d = loop_dist0(iv)
         s_n = (count * count * math.log(iv.length) - e_n) / (1.0 + d * d)
-        recs.append(EnergyRecord(n, iv, count, e_n, s_n, d))
-    recs.sort(key=lambda r: (r.dist0, r.n))
-    summands = np.array([r.summand for r in recs])
-    partial = np.cumsum(summands) if summands.size else np.zeros(0)
+        recs.append((n, iv.a, iv.b, count, e_n, s_n, d))
+    recs.sort(key=lambda r: (r[6], r[0]))  # by (dist0, n)
+    columns = [np.array(col) for col in zip(*recs)]
+    summands = columns[5]
+    partial = np.cumsum(summands)
     # the decay rule of shortness on the positive parts; fewer than three
     # positive terms (none, say) converge
     positive = np.array([max(s_n, 0.0) for s_n in summands])
@@ -109,12 +110,7 @@ def loop_energy_report(seq, part):
     else:
         decay, exponent = classify_terms(positive)
         verdict = {"short": "supported", "long": "unsupported"}.get(decay, "inconclusive")
-    columns = tuple(np.array(col) for col in zip(*[
-        (r.n, r.interval.a, r.interval.b, r.count, r.energy, r.summand, r.dist0) for r in recs]))
-    rep = EnergyReport(columns, partial, seq.window, exponent, verdict)
-    # the report builds its records from the columns when they are read
-    assert rep.records == tuple(recs)
-    return rep
+    return EnergyReport(*columns, partial, seq.window, exponent, verdict)
 
 
 def _cases():
@@ -151,9 +147,8 @@ def test_cases_cover_ties_and_multipoint_intervals():
     labels = " ".join(label for label, _, _ in CASES)
     for law in ("lattice", "perturbed", "poisson", "symmetric"):
         assert law in labels
-    counts = [r.count for _, seq, part in CASES
-              for r in loop_energy_report(seq.restrict(*part.cover()), part).records]
-    assert max(counts) >= 2
+    assert max(loop_energy_report(seq.restrict(*part.cover()), part).count.max()
+               for _, seq, part in CASES) >= 2
 
 
 @pytest.mark.parametrize("label,seq,part", CASES, ids=[c[0] for c in CASES])
@@ -161,7 +156,8 @@ def test_shortness_matches_loop(label, seq, part):
     terms, verdict, exponent = loop_shortness(part)
     rep = shortness(part)
     assert rep.terms.tobytes() == terms.tobytes()
-    assert rep.partial_sums.tobytes() == np.cumsum(terms).tobytes()
+    total = list(itertools.accumulate(terms.tolist()))[-1]
+    assert rep.to_json_dict()["total"].hex() == total.hex()
     assert rep.fitted_exponent.hex() == float(exponent).hex()
     assert rep.verdict == verdict
 
@@ -171,10 +167,13 @@ def test_energy_report_matches_loop(label, seq, part):
     sub = seq.restrict(*part.cover())
     old = loop_energy_report(sub, part)
     new = energy_condition_report(sub, part)
-    assert new.partial_sums.tobytes() == old.partial_sums.tobytes()
+    # bytes, so that -0.0 and 0.0 differ, and the dtypes must agree
+    for name in ("n", "a", "b", "count", "energy", "summand", "dist0", "partial_sums"):
+        col, ref = getattr(new, name), getattr(old, name)
+        assert (col.dtype, col.tobytes()) == (ref.dtype, ref.tobytes()), name
+    assert new.window == old.window
     assert float(new.fitted_exponent).hex() == float(old.fitted_exponent).hex()
     assert new.verdict == old.verdict
-    assert new.records == old.records
     # repr round-trips floats, so equal JSON text is bitwise equality, with
     # the same Python types (a numpy integer would not serialize at all)
     assert (json.dumps(new.to_json_dict(), sort_keys=True)
