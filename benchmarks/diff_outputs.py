@@ -64,6 +64,10 @@ def commands() -> dict:
                for m in ("d1", "d2", "d3", "d4", "bm")},
             f"{name}/clark": ["clark", *seq, "--csv", "out.csv", *out],
             f"{name}/clark_json": ["clark", *seq, *out],
+            # the persistent tail on reported rows only: their atom sums
+            # are computed, not read from a --profile pass
+            f"{name}/clark_persistent": ["clark", *seq, "--width", "150", "--tail-mode",
+                                         "persistent", *out],
             # one token: argparse reads a separate "-3:3:25" as an option
             f"{name}/clark_profile": ["clark", *seq, "--profile=-3:3:25",
                                       "--profile-csv", "prof.csv", *out],

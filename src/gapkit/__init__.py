@@ -18,8 +18,7 @@ _EXPORTS = {
     **dict.fromkeys(["energy_condition_report", "total_energy"], "energy"),
     **dict.fromkeys(["greedy_density_partition", "is_valid_paper_partition",
                      "shortness"], "partitions"),
-    **dict.fromkeys(["bm_density", "density_estimate", "density_lower",
-                     "density_upper_d4"], "density"),
+    **dict.fromkeys(["bm_density", "density_estimate", "density_lower"], "density"),
     **dict.fromkeys(["regularize_gaps", "spread_points"], "regularize"),
     **dict.fromkeys(["fekete_optimize", "jacobi_zeros"], "fekete"),
     **dict.fromkeys(["estimate_gap_characteristic", "gram_matrix", "sigma_min_sweep",

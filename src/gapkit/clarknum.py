@@ -28,7 +28,7 @@ from .seqcore import ParameterError, _points
 _ROWS = 16
 
 __all__ = [
-    "ResidueRecord",
+    "ResidueTable",
     "residue_weights",
     "tail_estimate",
     "ThetaProfile",
@@ -37,15 +37,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ResidueRecord:
-    n: int
-    a_n: float
-    b_n: float
-    delta_n: float
-    atom_sum: float
-    amplitude: float       # A_n = exp(-atom_sum), in (0, 1]
-    beta_n: float
-    tail_bound: float
+class ResidueTable:
+    """The reported midpoints of `residue_weights`, one array per column.
+    n_reported counts them all; the arrays may hold only the first few."""
+    n_reported: int
+    n: np.ndarray
+    a_n: np.ndarray
+    b_n: np.ndarray
+    delta_n: np.ndarray
+    atom_sum: np.ndarray
+    beta_n: np.ndarray
+    tail_bound: np.ndarray
+
+    def rows(self, *names):
+        """One list per midpoint of the named columns, as Python numbers."""
+        return [list(row) for row in zip(*(getattr(self, k).tolist() for k in names))]
 
 
 def _outer_gap_scale(a: np.ndarray):
@@ -97,31 +103,26 @@ def _atom_sums(a: np.ndarray, b: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return sums
 
 
-def residue_weights(a, report_width: float | None = None, tail_mode: str = "none"):
+def residue_weights(a, report_width: float | None = None, tail_mode: str = "none",
+                    limit: int | None = None, sums: np.ndarray | None = None) -> ResidueTable:
     """Residue weights beta_n = (delta_n / 2) * exp(-atom sum) per midpoint.
 
     report_width restricts which midpoints are reported (|b_n| <=
     report_width); edge midpoints see a lopsided atom set, so reports should
-    stay well inside the data. Each record's tail bound comes from the
-    outer gaps of the breakpoints and the distance of b_n to their ends.
-    tail_mode 'persistent' adds the integral extrapolation of the missing
-    tail to the atom sum; 'none' uses the truncated sum only (right for
-    windows that genuinely end, like an isolated pair of breakpoints).
+    stay well inside the data. Each tail bound comes from the outer gaps of
+    the breakpoints and the distance of b_n to their ends. tail_mode
+    'persistent' adds the integral extrapolation of the missing tail to the
+    atom sum; 'none' uses the truncated sum only (right for windows that
+    genuinely end, like an isolated pair of breakpoints).
 
-    Returns a list of ResidueRecord. The undetermined global constant of
-    the residue formula is fixed to 1, so only ratios are meaningful.
+    The table holds the first `limit` reported midpoints, or all of them.
+    Atom sums are computed only for those: limit 200 costs 200 rows of
+    `_atom_sums` whatever the size of `a`. `sums`, the atom sums of every
+    midpoint of `a` (the `atom_sum` of `residue_weights(a)`), are read
+    instead of computed again: `_atom_sums` sums each midpoint on its own,
+    so they are the same numbers. The undetermined global constant of the
+    residue formula is fixed to 1, so only ratios are meaningful.
     """
-    return _records(a, report_width, tail_mode)[1]
-
-
-def _records(a, report_width, tail_mode, every=None, limit=None):
-    """(n, records): the number n of midpoints `residue_weights(a,
-    report_width, tail_mode)` reports, and its records, or the first `limit`
-    of them. Atom sums are computed only for the records returned: limit
-    200 costs 200 rows of `_atom_sums` whatever the size of `a`. With
-    `every`, the records of every midpoint of `a` in tail mode 'none', each
-    atom sum is read from there instead of computed again: `_atom_sums`
-    sums each midpoint on its own, so it is the same number."""
     if tail_mode not in ("none", "persistent"):
         raise ParameterError("tail_mode must be 'none' or 'persistent'")
     if report_width is not None and not report_width >= 0:
@@ -137,24 +138,20 @@ def _records(a, report_width, tail_mode, every=None, limit=None):
         idx = np.nonzero(np.abs(b) <= report_width)[0]
     n_reported = idx.size
     idx = idx[:limit]
+    bn = b[idx]
     gl, gr = _outer_gap_scale(a)
-    if every is None:
-        sums = _atom_sums(a, b, idx)
+    s = _atom_sums(a, b, idx) if sums is None else sums[idx]
+    ests = tail_estimate(a, bn, (gl, gr)) if b.size > 1 else np.zeros(idx.size)
+    if tail_mode == "persistent":
+        s = s + ests
+        d_edge = np.maximum(np.minimum(bn - a[0], a[-1] - bn), max(gl, gr))
+        bound = ests * (0.1 + 4.0 * max(gl, gr) / d_edge)
     else:
-        sums = np.array([every[n].atom_sum for n in idx.tolist()])
-    ests = tail_estimate(a, b[idx], (gl, gr)) if b.size > 1 else np.zeros(idx.size)
-    out = []
-    for n, s, est in zip(idx.tolist(), sums.tolist(), ests.tolist()):
-        if tail_mode == "persistent":
-            s += est
-            d_edge = max(min(b[n] - a[0], a[-1] - b[n]), max(gl, gr))
-            bound = est * (0.1 + 4.0 * max(gl, gr) / d_edge)
-        else:
-            bound = 2.0 * est
-        amp = math.exp(-s)
-        out.append(ResidueRecord(n, float(a[n]), float(b[n]), float(deltas[n]),
-                                 s, amp, float(0.5 * deltas[n] * amp), bound))
-    return n_reported, out
+        bound = 2.0 * ests
+    # math.exp, not np.exp: the two differ in the last bit on some sums
+    amp = np.array([math.exp(-x) for x in s.tolist()])
+    return ResidueTable(n_reported, idx, a[idx], bn, deltas[idx], s,
+                        0.5 * deltas[idx] * amp, bound)
 
 
 @dataclass(frozen=True)
@@ -179,11 +176,9 @@ def theta_derivative_profile(a, x_grid) -> ThetaProfile:
     return _profile(a, residue_weights(a), x_grid)
 
 
-def _profile(a, recs, x_grid) -> ThetaProfile:
-    """`theta_derivative_profile(a, x_grid)` on the records `recs` of
-    `residue_weights(a)`."""
-    b = np.array([r.b_n for r in recs])
-    betas = np.array([r.beta_n for r in recs])
+def _profile(a, table, x_grid) -> ThetaProfile:
+    """`theta_derivative_profile(a, x_grid)` on the table `residue_weights(a)`."""
+    b, betas = table.b_n, table.beta_n
     x = np.atleast_1d(np.asarray(x_grid, dtype=float)).copy()
     est = np.empty(x.size)
     for i, xi in enumerate(x):

@@ -345,23 +345,20 @@ def _cmd_clark(args, cfg, emit):
     every = None
     if args.profile:
         x0, x1, steps = _option_values("--profile", args.profile, "x0:x1:steps", "ffn")
-        # the profile needs the atom sum of every midpoint; the records read
-        # theirs from the same pass
+        # the profile needs the atom sum of every midpoint; the table reads
+        # its own from the same pass
         every = clarknum.residue_weights(seq.points)
     # the JSON holds the first CLARK_JSON_RECORDS records; only --csv needs the rest
-    n_reported, recs = clarknum._records(seq.points, args.width, args.tail_mode, every,
-                                         None if args.csv else CLARK_JSON_RECORDS)
+    table = clarknum.residue_weights(seq.points, args.width, args.tail_mode,
+                                     None if args.csv else CLARK_JSON_RECORDS,
+                                     None if every is None else every.atom_sum)
     if args.csv:
-        _write_csv(args.csv,
-                   ["n", "a_n", "delta_n", "beta_n", "tail_bound"],
-                   [[r.n, r.a_n, r.delta_n, r.beta_n, r.tail_bound] for r in recs])
+        columns = ["n", "a_n", "delta_n", "beta_n", "tail_bound"]
+        _write_csv(args.csv, columns, table.rows(*columns))
+    keys = ["n", "a_n", "b_n", "delta_n", "beta_n", "atom_sum", "tail_bound"]
     result = {
-        "n_reported": n_reported,
-        "records": [
-            {"n": r.n, "a_n": r.a_n, "b_n": r.b_n, "delta_n": r.delta_n,
-             "beta_n": r.beta_n, "atom_sum": r.atom_sum, "tail_bound": r.tail_bound}
-            for r in recs[:CLARK_JSON_RECORDS]
-        ],
+        "n_reported": table.n_reported,
+        "records": [dict(zip(keys, row)) for row in table.rows(*keys)[:CLARK_JSON_RECORDS]],
     }
     if args.profile:
         prof = clarknum._profile(seq.points, every, np.linspace(x0, x1, steps))

@@ -10,10 +10,11 @@ is one probe, probe(a) -> (passes, witness), and the search hands back the
 witnesses it found: none is recomputed after it.
 
 Work that does not depend on the level is done once per search, before the
-first probe: the d4 and BM searches build their block candidates and, for
-d4, the table of sparse widenings (`_family_search`), so a probe compares
-that table against its level. A d3 probe matches once and reads its four
-nested residuals from one table of events (`_counting_residuals`).
+first probe: the d4 and BM estimates each build one search
+(`long_family_search`), which holds the block candidates and, for d4, the
+table of sparse widenings, so a probe compares that table against its
+level. A d3 probe matches once and reads its four nested residuals from one
+table of events (`_counting_residuals`).
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ __all__ = [
     "density_lower",
     "d3_residual_curve",
     "density_d3_estimate",
-    "density_upper_d4",
     "d4_complement_estimate",
     "bm_density",
-    "counting_residual",
     "long_family_search",
     "verify_partition_witness",
     "verify_family_witness",
@@ -312,15 +311,20 @@ def _event_table(matched: np.ndarray):
 
 
 def _counting_residuals(matched: np.ndarray, a: float, windows) -> list:
-    """`counting_residual(matched, a, w)` for each window w, from one event
-    table (`_event_table`): arctan, log1p and the integral of each segment
-    between table points are computed once, and a window adds its two end
-    segments. A segment's count is n at its left end or, where its midpoint
-    rounds onto its right end, the count at the midpoint, as for the end
-    segments. (A midpoint that overflows to -inf needs no care: both ends
-    are then beyond 1e154, where x^2 is inf and the integral is NaN for any
-    count.) Each residual sums its window's segments in order, in one array,
-    so it is the number the window gives alone.
+    """Exact Poisson-weighted L1 mismatch between the two-sided counting
+    function of the matched points (anchored n(0) = 0) and the line a*x, on
+    each window (lo, hi), lo <= hi. matched is sorted and distinct, as
+    match_to_ideal_grid returns it.
+
+    All windows share one event table (`_event_table`): arctan, log1p and
+    the integral of each segment between table points are computed once,
+    and a window adds its two end segments. A segment's count is n at its
+    left end or, where its midpoint rounds onto its right end, the count at
+    the midpoint, as for the end segments. (A midpoint that overflows to
+    -inf needs no care: both ends are then beyond 1e154, where x^2 is inf
+    and the integral is NaN for any count.) Each residual sums its window's
+    segments in order, in one array, so it is the number the window gives
+    alone.
     """
     zero = np.searchsorted(matched, 0.0, side="right")
 
@@ -342,17 +346,6 @@ def _counting_residuals(matched: np.ndarray, a: float, windows) -> list:
         parts = [ends[:1], inner[k0:max(k0, k1 - 1)], ends[2:]]
         out.append(float(np.sum(np.concatenate(parts))))
     return out
-
-
-def counting_residual(matched: np.ndarray, a: float,
-                      window: tuple[float, float]) -> float:
-    """Exact Poisson-weighted L1 mismatch between the two-sided counting
-    function of the matched points (anchored n(0) = 0) and the line a*x on
-    the window (lo, hi), lo <= hi. matched is sorted and distinct, as
-    match_to_ideal_grid returns it. The one-window case of the d3 residual
-    curve's `_counting_residuals`.
-    """
-    return _counting_residuals(matched, a, [window])[0]
 
 
 def d3_residual_curve(seq: PointSequence, a: float):
@@ -551,26 +544,30 @@ def _evidence_subfamily(family, extent: float):
     return long, evidence, capped, terms[order]
 
 
-def _check_family_args(a: float, mode: str) -> None:
-    _positive(a, "level a")
+def _check_mode(mode: str) -> None:
     if mode not in ("below", "above"):
         raise ParameterError(f"mode must be 'below' or 'above', got {mode!r}")
 
 
-def _family_search(seq: PointSequence, mode: str):
-    """search(a) -> `long_family_search(seq, a, mode)` for levels a > 0, with
-    the work that does not depend on the level done here, once: the block
-    candidates and, for mode 'below', the sparse table (`_sparse_table`).
-    A level search builds one for all its probes."""
+def long_family_search(seq: PointSequence, mode: str):
+    """search(a) -> (found, evidence family, total, terms): the search for a
+    long disjoint family at a level a > 0. Mode 'below' wants count < a|I|
+    (d4-style refutation), mode 'above' wants count >= a|I| (BM-style). The
+    family is re-checkable by verify_family_witness.
+
+    The work that does not depend on the level is done here, once: the block
+    candidates and, for mode 'below', the sparse table (`_sparse_table`). A
+    level search builds one search for all its probes.
+    """
+    _check_mode(mode)
     pts = seq.points
-    if pts.size < 2:
-        return lambda a: (False, [], 0.0, np.zeros(0))
     lo, hi = seq.window
     extent = max(abs(lo), abs(hi))
     blocks = _block_candidates(pts)
     table = _sparse_table(pts) if mode == "below" else None
 
     def search(a: float):
+        _positive(a, "level a")
         u, v = blocks
         if table is not None:
             su, sv = _sparse_candidates(table, a)
@@ -580,20 +577,10 @@ def _family_search(seq: PointSequence, mode: str):
     return search
 
 
-def long_family_search(seq: PointSequence, a: float, mode: str):
-    """Search for a long disjoint family; mode 'below' wants count < a|I|
-    (d4-style refutation), mode 'above' wants count >= a|I| (BM-style).
-
-    Returns (found, evidence family, total, terms). The family is
-    re-checkable by verify_family_witness.
-    """
-    _check_family_args(a, mode)
-    return _family_search(seq, mode)(a)
-
-
 def verify_family_witness(seq: PointSequence, a: float, family, mode: str) -> bool:
     """Disjointness, the per-interval count condition, and longness."""
-    _check_family_args(a, mode)
+    _positive(a, "level a")
+    _check_mode(mode)
     fam = sorted(family)
     u, v = np.array(fam, dtype=float).reshape(-1, 2).T
     if np.any(v[:-1] > u[1:]) or not np.all(_qualifying(seq.points, u, v, a, mode)):
@@ -603,43 +590,30 @@ def verify_family_witness(seq: PointSequence, a: float, family, mode: str) -> bo
     return found
 
 
-def density_upper_d4(seq: PointSequence, a: float, search=None):
-    """Try to refute density >= a with a long family of sparse intervals.
-
-    Returns (refuted, witness dict). refuted=True certifies (at truncation
-    scale) that the sequence fails the d4 density at level a. search is
-    the `_family_search(seq, 'below')` a level search builds once for its
-    probes; without it the search is `long_family_search`.
-    """
-    found, family, total, terms = (long_family_search(seq, a, "below") if search is None
-                                   else search(a))
-    if found and not verify_family_witness(seq, a, family, "below"):
-        found = False
-    witness = {
-        "intervals": [[u, v] for u, v in family],
-        "sum": total,
-        "terms": [float(t) for t in terms],
-    }
-    return found, witness
-
-
 def d4_complement_estimate(seq: PointSequence) -> DensityEstimate:
     """Infimum of refuted levels minus one grid step (the d4 density).
 
-    A level passes when density_upper_d4 does not refute it; the witness is
-    the refutation the search found one grid step up, if any.
+    A level is refuted, and fails, when the long-family search finds a long
+    family of sparse intervals (mode 'below') that verify_family_witness
+    accepts: at truncation scale, the sequence fails the d4 density there.
+    The witness is the refutation the search found one grid step up, if any.
     """
     if len(seq) == 0:
         return DensityEstimate(0.0, "d4", seq.window)
-    search = _family_search(seq, "below")
+    search = long_family_search(seq, "below")
 
     def probe(a: float):
-        refuted, witness = density_upper_d4(seq, a, search)
-        return not refuted, witness
+        found, family, total, terms = search(a)
+        refuted = found and verify_family_witness(seq, a, family, "below")
+        return not refuted, (family, total, terms)
 
-    value, _, witness = _grid_max_feasible(probe, seq)
-    if witness is None:
+    value, _, refutation = _grid_max_feasible(probe, seq)
+    if refutation is None:
         witness = {"note": f"no refutation found below {_default_a_max(seq):.6g}"}
+    else:
+        family, total, terms = refutation
+        witness = {"intervals": [[u, v] for u, v in family], "sum": total,
+                   "terms": [float(t) for t in terms]}
     return DensityEstimate(value, "d4", seq.window, witness)
 
 
@@ -649,7 +623,7 @@ def bm_density(seq: PointSequence) -> DensityEstimate:
     """
     if len(seq) == 0:
         return DensityEstimate(0.0, "bm", seq.window)
-    search = _family_search(seq, "above")
+    search = long_family_search(seq, "above")
 
     def probe(d: float):
         found, family, total, _ = search(d)

@@ -47,7 +47,7 @@ def total_energy(seq) -> float:
             end += i
         vals = buf[:end]
         np.abs(vals, out=vals)
-        if np.any(vals == 0.0):
+        if not vals.all():  # a zero distance, found without a boolean copy of vals
             raise ParameterError("duplicate points give log 0 in the energy")
         total += float(np.sum(np.log(vals, out=vals)))
     return 2.0 * total

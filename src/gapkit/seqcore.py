@@ -22,7 +22,7 @@ Four input rules are each written once; breaking one is a ParameterError:
   Partition, AtomicMeasure, `load_points` and `clarknum`'s two entries.
 - `_positive`: a level is finite and > 0. Used by PointSequence.scale, the
   law parameters, `gapnum.gram_matrix`, `partitions.greedy_density_partition`
-  and four `density` entries: d3 and the three witness checks and searches.
+  and four `density` entries: d3, two witness checks and the family search.
 - `_finite_window`: a window has finite ends and a width hi - lo finite in
   float64, as for a span. Used by PointSequence and `_requested_window`.
 - `_requested_window`: a window asked for passes `_finite_window` and has

@@ -16,29 +16,27 @@ def lattice(radius):
 
 
 def test_two_point_window():
-    recs = residue_weights(np.array([0.0, 1.0]))
-    assert len(recs) == 1
-    r = recs[0]
-    assert r.atom_sum == 0.0
-    assert r.amplitude == 1.0
-    assert r.beta_n == pytest.approx(0.5, rel=1e-15)
-    assert r.b_n == 0.5 and r.delta_n == 1.0
+    table = residue_weights(np.array([0.0, 1.0]))
+    assert table.n_reported == table.n.size == 1
+    assert table.atom_sum[0] == 0.0
+    assert 2.0 * table.beta_n[0] / table.delta_n[0] == 1.0  # the amplitude exp(-0)
+    assert table.beta_n[0] == pytest.approx(0.5, rel=1e-15)
+    assert table.b_n[0] == 0.5 and table.delta_n[0] == 1.0
 
 
 def test_lattice_atom_sum_wallis():
     # off-interval contributions at offset m telescope to
     # (1/2) log(m^2 / (m^2 - 1/4)); the full sum is log(pi/2)
     a = lattice(2000)
-    recs = residue_weights(a, report_width=3.5, tail_mode="persistent")
-    for r in recs:
-        assert r.atom_sum == pytest.approx(LOG_PI_HALF, abs=1e-6)
-        assert abs(r.atom_sum - LOG_PI_HALF) <= r.tail_bound
-        assert r.beta_n == pytest.approx(1.0 / math.pi, abs=1e-6)
+    table = residue_weights(a, report_width=3.5, tail_mode="persistent")
+    assert table.n.size == 8
+    assert table.atom_sum == pytest.approx(LOG_PI_HALF, abs=1e-6)
+    assert np.all(np.abs(table.atom_sum - LOG_PI_HALF) <= table.tail_bound)
+    assert table.beta_n == pytest.approx(1.0 / math.pi, abs=1e-6)
 
 
 def test_lattice_betas_translation_invariant():
-    recs = residue_weights(lattice(2000), report_width=20.5, tail_mode="persistent")
-    betas = np.array([r.beta_n for r in recs])
+    betas = residue_weights(lattice(2000), report_width=20.5, tail_mode="persistent").beta_n
     assert betas.size >= 40
     assert np.max(betas) - np.min(betas) <= 1e-9
 
@@ -51,11 +49,10 @@ def test_amplitude_never_exceeds_one():
         gaps = rng.uniform(0.1, 2.0, n)
         a = np.concatenate([[0.0], np.cumsum(gaps)])
         a = a - a[a.size // 2]
-        recs = residue_weights(a)
-        for r in recs:
-            assert r.atom_sum >= -1e-12
-            assert r.amplitude <= 1.0 + 1e-12
-            assert r.beta_n <= r.delta_n / 2.0 + 1e-12
+        table = residue_weights(a)
+        assert np.all(table.atom_sum >= -1e-12)
+        assert np.all(2.0 * table.beta_n / table.delta_n <= 1.0 + 1e-12)  # the amplitude
+        assert np.all(table.beta_n <= table.delta_n / 2.0 + 1e-12)
 
 
 def test_mirror_symmetry():
@@ -63,16 +60,16 @@ def test_mirror_symmetry():
     gaps = rng.uniform(0.2, 1.5, 30)
     half = np.cumsum(gaps)
     a = np.concatenate([-half[::-1], half])  # symmetric about 0
-    recs = residue_weights(a)
-    betas = np.array([r.beta_n for r in recs])
+    betas = residue_weights(a).beta_n
     assert np.allclose(betas, betas[::-1], rtol=1e-12)
 
 
 def test_truncation_stability():
     small = residue_weights(lattice(500), report_width=5.5, tail_mode="none")
     big = residue_weights(lattice(1000), report_width=5.5, tail_mode="none")
-    for r_small, r_big in zip(small, big):
-        assert abs(r_big.beta_n - r_small.beta_n) <= r_small.beta_n * r_small.tail_bound * 1.1 + 1e-12
+    assert small.n.size == big.n.size > 0
+    assert np.all(np.abs(big.beta_n - small.beta_n)
+                  <= small.beta_n * small.tail_bound * 1.1 + 1e-12)
 
 
 def test_scaling_of_residues():
@@ -80,11 +77,10 @@ def test_scaling_of_residues():
     s = 2.5
     base = residue_weights(a, report_width=4.0)
     scaled = residue_weights(a * s, report_width=4.0 * s)
-    assert len(base) == len(scaled)
-    for rb, rs in zip(base, scaled):
-        # atom sums are scale-invariant, so beta scales with delta
-        assert rs.atom_sum == pytest.approx(rb.atom_sum, abs=1e-12)
-        assert rs.beta_n == pytest.approx(s * rb.beta_n, rel=1e-12)
+    assert base.n.size == scaled.n.size
+    # atom sums are scale-invariant, so beta scales with delta
+    assert scaled.atom_sum == pytest.approx(base.atom_sum, abs=1e-12)
+    assert scaled.beta_n == pytest.approx(s * base.beta_n, rel=1e-12)
 
 
 def test_residue_validation():
@@ -135,9 +131,8 @@ def test_profile_nudge_stays_finite_at_large_x():
     # and at 10.5 it is still the 1e-9 step
     for shift, x in ((0.0, 10.5 + 1e-9), (1e8, np.nextafter(1e8 + 10.5, np.inf))):
         a = shift + np.arange(50.0)
-        recs = residue_weights(a)
-        b = np.array([r.b_n for r in recs])
-        betas = np.array([r.beta_n for r in recs])
+        table = residue_weights(a)
+        b, betas = table.b_n, table.beta_n
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             prof = theta_derivative_profile(a, [shift + 10.5])
@@ -153,17 +148,17 @@ def test_band_narrow_for_perturbed_lattices():
         base = lattice(400)
         jitter = rng.uniform(-0.45, 0.45, base.size)
         a = base + jitter
-        recs = residue_weights(a, report_width=30.0)
-        for r in recs:
-            r1_all.append(r.beta_n / r.delta_n)
-            r2_all.append(r.beta_n / r.delta_n ** 2)
-            assert r.beta_n / r.delta_n <= 1.0 + 1e-12
+        table = residue_weights(a, report_width=30.0)
+        r1_all.extend((table.beta_n / table.delta_n).tolist())
+        r2_all.extend((table.beta_n / table.delta_n ** 2).tolist())
+        assert np.all(table.beta_n / table.delta_n <= 1.0 + 1e-12)
     assert max(r1_all) / min(r1_all) <= 100.0
     assert max(r2_all) / min(r2_all) <= 100.0
 
 
 def test_atom_sum_matches_records():
     a = lattice(50)
-    recs = residue_weights(a, report_width=2.0, tail_mode="none")
-    for r in recs:
-        assert r.atom_sum == loop_atom_sum_at(a, r.n)
+    table = residue_weights(a, report_width=2.0, tail_mode="none")
+    assert table.n.size == 4
+    for n, atom_sum in table.rows("n", "atom_sum"):
+        assert atom_sum == loop_atom_sum_at(a, n)

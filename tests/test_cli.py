@@ -248,17 +248,19 @@ def test_clark_profile_computes_the_atom_sums_once(tmp_path, monkeypatch, extra)
             "--profile=-3:3:13", "--csv", str(tmp_path / "recs.csv"),
             "--profile-csv", str(tmp_path / "prof.csv")]
     code, payload = run_json(argv, tmp_path)
-    assert code == 0 and calls == {"residue_weights": 1, "_atom_sums": 1}
+    # one table of every midpoint for the profile, and the reported table,
+    # which reads its atom sums from the first
+    assert code == 0 and calls == {"residue_weights": 2, "_atom_sums": 1}
     monkeypatch.undo()
     # the records and the profile are those of the two separate calls
     points = gapkit.generate("lattice:1", (-60, 60)).points
     width = float(extra[1]) if extra else None
     tail_mode = extra[3] if len(extra) > 2 else "none"
-    recs = clarknum.residue_weights(points, report_width=width, tail_mode=tail_mode)
+    table = clarknum.residue_weights(points, report_width=width, tail_mode=tail_mode)
     prof = clarknum.theta_derivative_profile(points, np.linspace(-3.0, 3.0, 13))
     result = payload["result"]
-    assert [(r["n"], r["atom_sum"], r["beta_n"], r["tail_bound"]) for r in result["records"]] \
-        == [(r.n, r.atom_sum, r.beta_n, r.tail_bound) for r in recs]
+    assert [[r["n"], r["atom_sum"], r["beta_n"], r["tail_bound"]] for r in result["records"]] \
+        == table.rows("n", "atom_sum", "beta_n", "tail_bound")
     assert result["profile_tail_bound"] == prof.tail_bound
     rows = (tmp_path / "prof.csv").read_text().splitlines()[1:]
     assert rows == [f"{x!r},{e!r}" for x, e in prof.pairs()]

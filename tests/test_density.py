@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 import gapkit.density as density
 import gapkit.gapnum as gapnum
-from gapkit.density import (_greedy_match_side, bm_density, counting_residual,
+from gapkit.density import (_counting_residuals, _greedy_match_side, bm_density,
                             d3_residual_curve, d4_complement_estimate, density_estimate,
-                            density_lower, density_upper_d4, long_family_search,
-                            match_to_ideal_grid, verify_family_witness,
-                            verify_partition_witness)
+                            density_lower, long_family_search, match_to_ideal_grid,
+                            verify_family_witness, verify_partition_witness)
 from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import ParameterError, PointSequence, generate
 
@@ -83,7 +82,7 @@ def test_family_witness_point_on_endpoint(end, mode, expected):
 def test_family_mode_must_be_known(mode):
     seq = generate("lattice:1", (-300, 300))
     with pytest.raises(ParameterError, match="mode"):
-        long_family_search(seq, 0.5, mode)
+        long_family_search(seq, mode)
     with pytest.raises(ParameterError, match="mode"):
         verify_family_witness(seq, 0.5, ENDPOINT_FAMILY, mode)
 
@@ -174,29 +173,34 @@ def test_counting_residual_exactness():
     def F(x, c, a=1.0):
         return c * math.atan(x) - 0.5 * a * math.log1p(x * x)
 
-    expected = abs(F(1.0, 0.0) - F(0.0, 0.0)) \
-        + abs(F(1.0, 1.0) - F(1.0, 1.0, )) * 0  # crossing at x = 1 exactly
+    # crossing at x = 1 exactly: |F(1, 0) - F(0, 0)| = log(2) / 2
     expected = (0.5 * math.log(2.0)) + abs(F(2.0, 1.0) - F(1.0, 1.0))
-    assert counting_residual(matched, 1.0, (0.0, 2.0)) == pytest.approx(expected, rel=1e-12)
+    assert _counting_residuals(matched, 1.0, [(0.0, 2.0)])[0] \
+        == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # d4 and BM long families
 # ---------------------------------------------------------------------------
 
+def d4_refutes(seq, a):
+    """(refuted, family): the d4 probe at level a, as the estimate runs it."""
+    found, family, _, _ = long_family_search(seq, "below")(a)
+    return found and verify_family_witness(seq, a, family, "below"), family
+
+
 def test_d4_refutes_lacunary():
     seq = generate("lacunary:2", (1, 2 ** 20))
-    refuted, witness = density_upper_d4(seq, 0.01)
+    refuted, fam = d4_refutes(seq, 0.01)
     assert refuted
-    fam = [tuple(iv) for iv in witness["intervals"]]
     assert verify_family_witness(seq, 0.01, fam, "below")
     # the dyadic gaps themselves appear as members
     assert (1.0, 2.0) in fam or (2.0, 4.0) in fam
 
 
 def test_d4_cannot_refute_dense_lattices():
-    assert not density_upper_d4(generate("lattice:1", WINDOW), 0.5)[0]
-    assert not density_upper_d4(generate("lattice:2", WINDOW), 0.4)[0]
+    assert not d4_refutes(generate("lattice:1", WINDOW), 0.5)[0]
+    assert not d4_refutes(generate("lattice:2", WINDOW), 0.4)[0]
 
 
 def test_d4_complement_tracks_density():
@@ -273,15 +277,18 @@ def test_bm_one_step_above_kadec_reads_the_grid_level(seed):
 # The level search on sparse input
 # ---------------------------------------------------------------------------
 
-PROBED = ("density_upper_d4", "d3_residual_curve", "verify_family_witness")
+PROBED = ("d3_residual_curve", "verify_family_witness")
 
 
 @pytest.fixture
 def probe_count(monkeypatch):
-    """Record the levels every level search probes (`levels`) and, for each
-    function in PROBED, the levels it is called at (`calls[name]`)."""
-    levels, calls = [], {name: [] for name in PROBED}
+    """Record the levels every level search probes (`levels`), the levels
+    each function in PROBED and each search `long_family_search` builds are
+    called at (`calls[name]`, `calls["search"]`), and the mode of each build
+    (`calls["build"]`)."""
+    levels, calls = [], {name: [] for name in (*PROBED, "search", "build")}
     search = density._grid_max_feasible
+    build = density.long_family_search
 
     def counted(probe, seq):
         def recorded(a):
@@ -295,7 +302,17 @@ def probe_count(monkeypatch):
             return fn(seq, a, *args, **kwargs)
         return recorded
 
+    def built(seq, mode):
+        calls["build"].append(mode)
+        real = build(seq, mode)
+
+        def recorded(a):
+            calls["search"].append(a)
+            return real(a)
+        return recorded
+
     monkeypatch.setattr(density, "_grid_max_feasible", counted)
+    monkeypatch.setattr(density, "long_family_search", built)
     for name in PROBED:
         monkeypatch.setattr(density, name, calls_of(name, getattr(density, name)))
     return levels, calls
@@ -327,7 +344,7 @@ def test_lacunary_d3_and_d4_read_zero(method):
 
 
 @pytest.mark.parametrize("method,callee", [
-    ("d3", "d3_residual_curve"), ("d4", "density_upper_d4"), ("bm", "verify_family_witness")])
+    ("d3", "d3_residual_curve"), ("d4", "search"), ("bm", "search")])
 def test_no_probe_runs_after_the_search(probe_count, method, callee):
     # the witness comes from the search: the probe's own calls, each at a
     # distinct probed level, and none after the search returns
@@ -335,9 +352,17 @@ def test_no_probe_runs_after_the_search(probe_count, method, callee):
     est = density_estimate(generate("lattice:1", (-300.0, 300.0)), method)
     assert est.value > 0 and est.witness
     assert len(set(calls[callee])) == len(calls[callee]) > 0
-    assert set(calls[callee]) <= set(levels)
-    if method != "bm":  # bm verifies only the families the search finds
-        assert calls[callee] == levels
+    assert calls[callee] == levels
+    # d4 and bm verify only the families the search finds
+    assert set(calls["verify_family_witness"]) <= set(levels)
+
+
+@pytest.mark.parametrize("method,mode", [("d4", "below"), ("bm", "above")])
+def test_one_long_family_search_per_estimate(probe_count, method, mode):
+    levels, calls = probe_count
+    density_estimate(generate("poisson:1", (-300.0, 300.0), seed=2), method)
+    assert calls["build"] == [mode]
+    assert calls["search"] == levels and len(levels) > 1
 
 
 def test_search_hands_back_the_witnesses_on_the_grid():
@@ -355,8 +380,8 @@ def test_d4_probes_only_grid_levels(probe_count):
     _, calls = probe_count
     est = d4_complement_estimate(generate("lattice:0.5", (-1500.0, 1500.0)))
     assert est.value == 1.996
-    assert calls["density_upper_d4"] and all(
-        a == density._grid_level(round(a * 1000)) for a in calls["density_upper_d4"])
+    assert calls["search"] and all(
+        a == density._grid_level(round(a * 1000)) for a in calls["search"])
     assert est.witness["intervals"]
 
 

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 import gapkit.density as density
 from gapkit.clarknum import residue_weights, theta_derivative_profile
 from gapkit.cli import load_config
-from gapkit.density import (d3_residual_curve, density_lower, density_upper_d4,
-                            long_family_search, verify_family_witness,
-                            verify_partition_witness)
+from gapkit.density import (d3_residual_curve, density_lower, long_family_search,
+                            verify_family_witness, verify_partition_witness)
 from gapkit.energy import total_energy
 from gapkit.gapnum import gram_matrix
 from gapkit.partitions import greedy_density_partition
@@ -409,7 +408,7 @@ def test_unique_matches_numpy_on_d3_events(monkeypatch):
             d3_residual_curve(seq, a)
     for zero in (0.0, -0.0):
         matched = np.array([-2.0, -1.0, zero, 1.0, 2.0])
-        density.counting_residual(matched, 1.0, (-2.5, 2.5))
+        density._counting_residuals(matched, 1.0, [(-2.5, 2.5)])
         x, _ = real(matched)
         assert x.tobytes() == matched.tobytes()  # the matched 0 is the one event at 0
     assert len(seen) == 11
@@ -528,11 +527,11 @@ LEVEL_ENTRIES = {
     "PointSequence.scale": lambda a, tmp: LATTICE.scale(a),
     "gram_matrix": lambda a, tmp: gram_matrix(np.arange(3.0), a),
     "greedy_density_partition": lambda a, tmp: greedy_density_partition(LATTICE, a),
-    "density_upper_d4": lambda a, tmp: density_upper_d4(LATTICE, a),
     "d3_residual_curve": lambda a, tmp: d3_residual_curve(LATTICE, a),
     "verify_partition_witness":
         lambda a, tmp: verify_partition_witness(LATTICE, a, _d1_witness(), True),
-    "long_family_search": lambda a, tmp: long_family_search(LATTICE, a, "below"),
+    "long_family_search": lambda a, tmp: long_family_search(LATTICE, "below")(a),
+    "long_family_search_above": lambda a, tmp: long_family_search(LATTICE, "above")(a),
     "verify_family_witness":
         lambda a, tmp: verify_family_witness(LATTICE, a, [(0.5, 1.5)], "below"),
 }

@@ -517,7 +517,7 @@ def loop_long_family_search(seq, a, mode):
 
 
 def assert_families_agree(seq, a, mode):
-    found, evidence, total, terms = long_family_search(seq, a, mode)
+    found, evidence, total, terms = long_family_search(seq, mode)(a)
     ref = loop_long_family_search(seq, a, mode)
     assert found == ref[0]
     assert evidence == ref[1]
@@ -577,7 +577,7 @@ def test_long_family_floor_equality():
             for mode in ("below", "above"):
                 assert_families_agree(seq, a, mode)
     seq = PointSequence(np.array([-3.0, -2.0, 0.0, 2.0, 3.0]), (-3.0, 3.0))
-    _, evidence, _, terms = long_family_search(seq, 1.0, "below")
+    _, evidence, _, terms = long_family_search(seq, "below")(1.0)
     assert (2.0, 3.0) in evidence and (-3.0, -2.0) in evidence
     assert LONG_TERM_FLOOR in terms.tolist()
 
@@ -692,7 +692,7 @@ def test_family_probes_match_the_per_probe_search(monkeypatch, name, mode):
     # built once per level search against the one each probe built
     seq = FAMILY_SEQS[name]
     levels = []
-    build = density._family_search
+    build = density.long_family_search
 
     def checked_build(seq_, mode_):
         search = build(seq_, mode_)
@@ -704,7 +704,7 @@ def test_family_probes_match_the_per_probe_search(monkeypatch, name, mode):
             return got
         return checked
 
-    monkeypatch.setattr(density, "_family_search", checked_build)
+    monkeypatch.setattr(density, "long_family_search", checked_build)
     estimate = density.d4_complement_estimate if mode == "below" else density.bm_density
     estimate(seq)
     assert len(levels) >= (1 if name == "lacunary" else 5)
@@ -843,8 +843,9 @@ def loop_atom_sum_at(a, n):
 
 
 def loop_records(a, width, tail_mode):
-    """(n, atom_sum, tail_bound) per reported midpoint, one midpoint at a
-    time, with the outer gap scales recomputed for each tail estimate."""
+    """(n, atom_sum, beta_n, tail_bound) per reported midpoint, the floats as
+    hex, one midpoint at a time, with the outer gap scales recomputed for
+    each tail estimate and beta_n = (delta_n / 2) * math.exp(-atom_sum)."""
     b = 0.5 * (a[:-1] + a[1:])
     idx = range(b.size) if width is None else np.nonzero(np.abs(b) <= width)[0]
     out = []
@@ -859,7 +860,8 @@ def loop_records(a, width, tail_mode):
             bound = est * (0.1 + 4.0 * max(gl, gr) / d_edge)
         else:
             bound = 2.0 * est
-        out.append((int(n), float(s).hex(), float(bound).hex()))
+        beta = 0.5 * (a[n + 1] - a[n]) * math.exp(-s)
+        out.append((int(n), float(s).hex(), float(beta).hex(), float(bound).hex()))
     return out
 
 
@@ -1029,6 +1031,11 @@ ATOM_SEQS = {
 }
 
 
+def hex_records(table):
+    return [(n, s.hex(), beta.hex(), bound.hex())
+            for n, s, beta, bound in table.rows("n", "atom_sum", "beta_n", "tail_bound")]
+
+
 @pytest.mark.parametrize("tail_mode", ["none", "persistent"])
 @pytest.mark.parametrize("name", list(ATOM_SEQS))
 def test_atom_sums_match_loop(name, tail_mode):
@@ -1036,10 +1043,9 @@ def test_atom_sums_match_loop(name, tail_mode):
     # the whole slice, a window inside it, and a short slice whose blocks
     # of midpoints do not fill the last one
     for pts, width in ((a, None), (a, 40.0), (a[:37], None), (a[:2], None)):
-        recs = residue_weights(pts, report_width=width, tail_mode=tail_mode)
-        assert recs
-        assert ([(r.n, r.atom_sum.hex(), r.tail_bound.hex()) for r in recs]
-                == loop_records(pts, width, tail_mode))
+        table = residue_weights(pts, report_width=width, tail_mode=tail_mode)
+        assert table.n.size
+        assert hex_records(table) == loop_records(pts, width, tail_mode)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1050,6 +1056,5 @@ def test_atom_sums_match_loop_on_random_slices(name, start, size, width, tail_mo
     pts = ATOM_SEQS[name][start:start + size]
     if pts.size < 2:
         return
-    recs = residue_weights(pts, report_width=width, tail_mode=tail_mode)
-    assert ([(r.n, r.atom_sum.hex(), r.tail_bound.hex()) for r in recs]
-            == loop_records(pts, width, tail_mode))
+    table = residue_weights(pts, report_width=width, tail_mode=tail_mode)
+    assert hex_records(table) == loop_records(pts, width, tail_mode)
