@@ -4,7 +4,8 @@ Times the stages of the certificate's level search on the four inputs of
 the `certify_bisect` workload in perfbench/workloads.py, each at one fixed
 level:
 
-- `greedy_density_partition` (both greedy walks);
+- `greedy_density_partition` (the right greedy walk, and the left one
+  when the right one succeeds);
 - `shortness` of the greedy partition (its terms and verdict);
 - the energy check: the energy-condition report on the greedy partition
   (it counts the points the partition covers), whose verdict the
@@ -29,10 +30,11 @@ certificate ran before the crossing, are each timed on the 256 and the 512
 lattice points nearest 0. The two array walks of `refute_mix` are timed on their own: the
 Clark residue weights of every midpoint of the lattice over +-1500, and one
 d3 matching of the perturbed lattice over +-15000 at slope a = 1
-(`d3_perturbed` runs 24 of them). The job `clark_lattice` itself, a `clark`
-run that writes only its JSON (3000 midpoints, 200 records held), is timed
-in process through `cli.main`. Three stages every
-certificate process pays for: `load_points` on a file of the Poisson input
+(`d3_perturbed` runs 24 of them). `regularize_gaps` is timed at C = 4 on the
+Poisson input over +-30000, as the job `regularize_poisson` runs it. The job
+`clark_lattice` itself, a `clark` run that writes only its JSON (3000
+midpoints, 200 records held), is timed in process through `cli.main`. Three
+stages every certificate process pays for: `load_points` on a file of the Poisson input
 over +-30000, the energy report on the lattice's d1 witness over +-5000
 (10 000 one-point intervals), and `total_energy` of the 2999 lattice points
 of +-1499.
@@ -66,6 +68,7 @@ from gapkit.fekete import fekete_optimize
 from gapkit.gapnum import (_nearest_zero, estimate_gap_characteristic,
                            sigma_min_crossing, sigma_min_sweep)
 from gapkit.partitions import greedy_density_partition, shortness
+from gapkit.regularize import regularize_gaps
 from gapkit.seqcore import Interval, Partition, generate, load_points, save_points
 
 # name -> (spec, window, level). The levels sit where the certificate spends
@@ -206,6 +209,12 @@ def test_clark_reported_records(benchmark, tmp_path):
     assert benchmark(cli.main, argv) == 0
     result = json.loads(out.read_text())["result"]
     assert result["n_reported"] == 3000 and len(result["records"]) == 200
+
+
+def test_regularize_gaps(benchmark):
+    seq, _ = _input("poisson")
+    res = benchmark(regularize_gaps, seq, 4.0)
+    assert res.max_gap <= 8.0 and len(res.added) == res.inserted.sum() > 0
 
 
 def test_match_to_ideal_grid(benchmark):

@@ -79,6 +79,9 @@ def commands() -> dict:
                                     "--out-prefix", "side", *out],
             f"{name}/regularize": ["regularize", *seq, "--C", "4", "--out-prefix", "side",
                                    *out],
+            # several points in many gaps: the index arithmetic of the fill
+            f"{name}/regularize_fine": ["regularize", *seq, "--C", "1.5", "--out-prefix",
+                                        "side", *out],
             f"{name}/gen_file": ["gen", "--spec", spec, f"--window={window}", "--seed", "1",
                                  "-o", "seq.txt"],
             f"{name}/gen_stdout": ["gen", "--spec", spec, f"--window={window}", "--seed", "1"],

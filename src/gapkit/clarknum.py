@@ -30,7 +30,6 @@ _ROWS = 16
 __all__ = [
     "ResidueTable",
     "residue_weights",
-    "tail_estimate",
     "ThetaProfile",
     "theta_derivative_profile",
 ]
@@ -59,18 +58,6 @@ def _outer_gap_scale(a: np.ndarray):
     gaps = np.diff(a)
     k = max(1, gaps.size // 10)
     return float(np.mean(gaps[:k])), float(np.mean(gaps[-k:]))
-
-
-def tail_estimate(a: np.ndarray, bn, scales) -> np.ndarray:
-    """Integral extrapolation of the atom sum beyond the data at the
-    midpoints bn, assuming the boundary gap pattern persists: each far gap
-    contributes about delta^2 / (8 d^2) and the gaps arrive at rate
-    1/delta. scales is `_outer_gap_scale(a)`.
-    """
-    gl, gr = scales
-    d_left = np.maximum(bn - a[0], gl)
-    d_right = np.maximum(a[-1] - bn, gr)
-    return gl / (8.0 * d_left) + gr / (8.0 * d_right)
 
 
 def _atom_sums(a: np.ndarray, b: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -141,7 +128,13 @@ def residue_weights(a, report_width: float | None = None, tail_mode: str = "none
     bn = b[idx]
     gl, gr = _outer_gap_scale(a)
     s = _atom_sums(a, b, idx) if sums is None else sums[idx]
-    ests = tail_estimate(a, bn, (gl, gr)) if b.size > 1 else np.zeros(idx.size)
+    if b.size > 1:
+        # integral extrapolation of the atom sum beyond the data, assuming
+        # the boundary gap pattern persists: each far gap contributes about
+        # delta^2 / (8 d^2) and the gaps arrive at rate 1/delta
+        ests = gl / (8.0 * np.maximum(bn - a[0], gl)) + gr / (8.0 * np.maximum(a[-1] - bn, gr))
+    else:
+        ests = np.zeros(idx.size)
     if tail_mode == "persistent":
         s = s + ests
         d_edge = np.maximum(np.minimum(bn - a[0], a[-1] - bn), max(gl, gr))
@@ -156,9 +149,12 @@ def residue_weights(a, report_width: float | None = None, tail_mode: str = "none
 
 @dataclass(frozen=True)
 class ThetaProfile:
+    """The profile on the grid x, its tail bound, and the table
+    `residue_weights(a)` whose atoms it summed."""
     x: np.ndarray
     estimate: np.ndarray
     tail_bound: float
+    table: ResidueTable
 
     def pairs(self):
         return list(zip(self.x.tolist(), self.estimate.tolist()))
@@ -173,11 +169,7 @@ def theta_derivative_profile(a, x_grid) -> ThetaProfile:
     would otherwise be infinite.
     """
     a = _points(a, "breakpoints")
-    return _profile(a, residue_weights(a), x_grid)
-
-
-def _profile(a, table, x_grid) -> ThetaProfile:
-    """`theta_derivative_profile(a, x_grid)` on the table `residue_weights(a)`."""
+    table = residue_weights(a)
     b, betas = table.b_n, table.beta_n
     x = np.atleast_1d(np.asarray(x_grid, dtype=float)).copy()
     est = np.empty(x.size)
@@ -195,4 +187,4 @@ def _profile(a, table, x_grid) -> ThetaProfile:
     span_l = max(float(np.min(np.abs(x - a[0]))), gl)
     span_r = max(float(np.min(np.abs(a[-1] - x))), gr)
     tail = 0.5 / span_l + 0.5 / span_r
-    return ThetaProfile(x, est, tail)
+    return ThetaProfile(x, est, tail, table)

@@ -342,16 +342,16 @@ def _cmd_gap(args, cfg, emit):
 def _cmd_clark(args, cfg, emit):
     from . import clarknum
     seq = _load_sequence(args)
-    every = None
+    prof = None
     if args.profile:
         x0, x1, steps = _option_values("--profile", args.profile, "x0:x1:steps", "ffn")
-        # the profile needs the atom sum of every midpoint; the table reads
-        # its own from the same pass
-        every = clarknum.residue_weights(seq.points)
+        # the profile sums the atoms of every midpoint; the table reads its
+        # own from the same pass
+        prof = clarknum.theta_derivative_profile(seq.points, np.linspace(x0, x1, steps))
     # the JSON holds the first CLARK_JSON_RECORDS records; only --csv needs the rest
     table = clarknum.residue_weights(seq.points, args.width, args.tail_mode,
                                      None if args.csv else CLARK_JSON_RECORDS,
-                                     None if every is None else every.atom_sum)
+                                     None if prof is None else prof.table.atom_sum)
     if args.csv:
         columns = ["n", "a_n", "delta_n", "beta_n", "tail_bound"]
         _write_csv(args.csv, columns, table.rows(*columns))
@@ -360,8 +360,7 @@ def _cmd_clark(args, cfg, emit):
         "n_reported": table.n_reported,
         "records": [dict(zip(keys, row)) for row in table.rows(*keys)[:CLARK_JSON_RECORDS]],
     }
-    if args.profile:
-        prof = clarknum._profile(seq.points, every, np.linspace(x0, x1, steps))
+    if prof is not None:
         result["profile_tail_bound"] = prof.tail_bound
         if args.profile_csv:
             _write_csv(args.profile_csv, ["x", "estimate"], prof.pairs())

@@ -285,19 +285,20 @@ def greedy_density_partition(seq: PointSequence, d: float,
     #(seq in (a_i, a_(i+1)]) >= d * (a_(i+1) - a_i) and, when monotone,
     (a_(i+1) - a_i) >= (a_i - a_(i-1)); the left side mirrors this away
     from 0. Fails with the offending direction if a side runs out of window
-    before its count condition can be met; a leftover sliver at the window
-    edge too short for the monotone constraint is trimmed instead.
+    before its count condition can be met (the left side is walked only if
+    the right one succeeds); a leftover sliver at the window edge too short
+    for the monotone constraint is trimmed instead.
     """
     _positive(d, "target density")
     if len(seq) == 0:
         raise ParameterError("sequence is empty")
     lo, hi = seq.window
-    right_bks, right_counts, right_block, _ = _grow_right(seq.points, d, hi, monotone)
-    # the left side walks the points reflected about 0
-    left_bks, left_counts, left_block, _ = _grow_right(-seq.points[::-1], d, -lo, monotone)
     empty = np.zeros(0, int)
+    right_bks, right_counts, right_block, _ = _grow_right(seq.points, d, hi, monotone)
     if right_block is not None:
         return GreedyResult(False, None, empty, "right", right_block)
+    # the left side walks the points reflected about 0
+    left_bks, left_counts, left_block, _ = _grow_right(-seq.points[::-1], d, -lo, monotone)
     if left_block is not None:
         return GreedyResult(False, None, empty, "left", -left_block)
     bks = np.concatenate((-left_bks[::-1], [0.0], right_bks))

@@ -21,7 +21,6 @@ __all__ = [
     "spread_points",
     "regularize_gaps",
     "RegularizeResult",
-    "GapFill",
 ]
 
 
@@ -64,27 +63,26 @@ def spread_points(seq: PointSequence, J: Interval, C: float):
 
 
 @dataclass(frozen=True)
-class GapFill:
-    gap: tuple[float, float]
-    inserted: int
-    spacing: float
-
-
-@dataclass(frozen=True)
 class RegularizeResult:
+    """The filled sequence and the points added, with one array entry per
+    gap longer than C: its ends, the points inserted in it and their
+    spacing."""
     gamma: PointSequence
     added: PointSequence
-    fills: tuple
     max_gap: float
+    gap_lo: np.ndarray
+    gap_hi: np.ndarray
+    inserted: np.ndarray
+    spacing: np.ndarray
 
     def to_json_dict(self) -> dict:
+        fills = zip(self.gap_lo.tolist(), self.gap_hi.tolist(), self.inserted.tolist(),
+                    self.spacing.tolist())
         return {
             "max_gap": self.max_gap,
             "n_added": len(self.added),
-            "fills": [
-                {"gap": list(f.gap), "inserted": f.inserted, "spacing": f.spacing}
-                for f in self.fills
-            ],
+            "fills": [{"gap": [lo, hi], "inserted": k, "spacing": h}
+                      for lo, hi, k, h in fills],
         }
 
 
@@ -93,37 +91,35 @@ def regularize_gaps(seq: PointSequence, C: float) -> RegularizeResult:
 
     Each oversized gap g gets floor(g/C) - 1 equally spaced interior points
     (spacing g / floor(g/C), which lands in [C, 2C]); gaps in (C, 2C] need
-    no points. More than MAX_POINTS inserted points in all is a
-    ParameterError, raised before anything is allocated. Asserted
-    post-conditions: max output gap <= 2C and inserted points pairwise >= C
-    apart, each up to the larger of 1e-9 and four ulps of the largest |point|,
-    the rounding of a position.
+    no points. Point j of a fill is spacing * j plus the gap's left end.
+    More than MAX_POINTS inserted points in all is a ParameterError, raised
+    before anything is allocated. Asserted post-conditions: max output gap
+    <= 2C and inserted points pairwise >= C apart, each up to the larger of
+    1e-9 and four ulps of the largest |point|, the rounding of a position.
     """
     if not C > 1:
         raise ParameterError(f"gap constant C must exceed 1, got {C!r}")
     pts = seq.points
-    if pts.size < 2:
-        return RegularizeResult(seq, PointSequence(np.empty(0), seq.window),
-                                (), 0.0)
     gaps = np.diff(pts)
-    ks = np.floor(gaps / C)
     over = np.flatnonzero(gaps > C)
-    _check_count(float(np.sum(ks[over] - 1)), "gap-filling points")
-    fills = []
-    new_points = [np.empty(0)]
-    for i in over.tolist():
-        k = int(ks[i])  # at least 1, as g > C
-        spacing = gaps[i] / k
-        new_points.append(pts[i] + spacing * np.arange(1, k))
-        fills.append(GapFill((float(pts[i]), float(pts[i + 1])), k - 1, float(spacing)))
-    added = np.concatenate(new_points)
-    gamma_pts = np.sort(np.concatenate([pts, added]))
-    gamma = PointSequence(gamma_pts, seq.window)
-    added_seq = PointSequence(added, seq.window)
-    max_gap = float(np.max(np.diff(gamma_pts))) if gamma_pts.size > 1 else 0.0
-    slack = max(1e-9, 4.0 * float(np.spacing(np.max(np.abs(gamma_pts)))))
+    ks = np.floor(gaps[over] / C)  # each at least 1, as g > C
+    _check_count(float(np.sum(ks - 1)), "gap-filling points")
+    gap_lo, spacing = pts[over], gaps[over] / ks
+    inserted = (ks - 1).astype(np.int64)
+    # j of each added point, then spacing * j + left end, in place
+    added = np.arange(1.0, int(inserted.sum()) + 1)
+    added -= np.repeat(np.cumsum(inserted) - inserted, inserted)
+    added *= np.repeat(spacing, inserted)
+    added += np.repeat(gap_lo, inserted)
+    gamma = np.concatenate([pts, added])
+    gamma.sort()
+    max_gap = float(np.max(np.diff(gamma), initial=0.0))
+    slack = max(1e-9, 4.0 * float(np.spacing(np.max(np.abs(gamma), initial=0.0))))
     if max_gap > 2 * C + slack:
         raise AssertionError(f"max gap {max_gap:.6g} exceeds 2C = {2 * C:.6g}")
     if added.size > 1 and float(np.min(np.diff(added))) < C - slack:
         raise AssertionError("inserted points closer than C")
-    return RegularizeResult(gamma, added_seq, tuple(fills), max_gap)
+    # PointSequence copies its points: rebinding frees each array once copied
+    gamma = PointSequence(gamma, seq.window)
+    added = PointSequence(added, seq.window)
+    return RegularizeResult(gamma, added, max_gap, gap_lo, pts[over + 1], inserted, spacing)

@@ -236,7 +236,7 @@ def test_clark_cli(tmp_path):
                                                            "persistent"]])
 def test_clark_profile_computes_the_atom_sums_once(tmp_path, monkeypatch, extra):
     from gapkit import clarknum
-    calls = {"residue_weights": 0, "_atom_sums": 0}
+    calls = {"theta_derivative_profile": 0, "residue_weights": 0, "_atom_sums": 0}
     for name in calls:
         real = getattr(clarknum, name)
 
@@ -248,9 +248,10 @@ def test_clark_profile_computes_the_atom_sums_once(tmp_path, monkeypatch, extra)
             "--profile=-3:3:13", "--csv", str(tmp_path / "recs.csv"),
             "--profile-csv", str(tmp_path / "prof.csv")]
     code, payload = run_json(argv, tmp_path)
-    # one table of every midpoint for the profile, and the reported table,
-    # which reads its atom sums from the first
-    assert code == 0 and calls == {"residue_weights": 2, "_atom_sums": 1}
+    # one profile, which builds the table of every midpoint, and the
+    # reported table, which reads its atom sums from the first
+    assert code == 0 and calls == {"theta_derivative_profile": 1, "residue_weights": 2,
+                                   "_atom_sums": 1}
     monkeypatch.undo()
     # the records and the profile are those of the two separate calls
     points = gapkit.generate("lattice:1", (-60, 60)).points

@@ -97,6 +97,24 @@ def test_greedy_lacunary_fails_at_small_density():
     assert res.blocked_at <= 2 ** 10
 
 
+@pytest.mark.parametrize("spec,d,walks,failed", [
+    ("lattice:2", 1.0, 1, "right"),   # right side blocked: the left one is not walked
+    ("lattice:1", 1.0, 2, None),
+])
+def test_greedy_walks_the_left_side_only_after_the_right(monkeypatch, spec, d, walks, failed):
+    import gapkit.partitions as partitions
+    calls = []
+    real = partitions._grow_right
+
+    def spy(points, *args):
+        calls.append(points.size)
+        return real(points, *args)
+    monkeypatch.setattr(partitions, "_grow_right", spy)
+    res = partitions.greedy_density_partition(generate(spec, (-100, 100)), d)
+    assert len(calls) == walks and res.failed_direction == failed
+    assert res.ok == (failed is None)
+
+
 def test_greedy_minimality():
     # shrinking any breakpoint to the previous candidate must violate a
     # constraint: count >= d * length or the monotone-growth requirement

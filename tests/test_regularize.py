@@ -93,8 +93,8 @@ def test_regularize_two_point_fill():
     seq = PointSequence(np.array([0.0, 100.0]), (0, 100))
     res = regularize_gaps(seq, 10.0)
     assert len(res.added) == 9
-    assert res.fills[0].spacing == pytest.approx(10.0)
-    assert 10.0 <= res.fills[0].spacing <= 20.0
+    assert res.spacing[0] == pytest.approx(10.0)
+    assert 10.0 <= res.spacing[0] <= 20.0
     assert np.allclose(res.added.points, np.arange(10.0, 100.0, 10.0))
 
 
@@ -109,8 +109,8 @@ def test_regularize_idempotent():
 def test_regularize_audit_fields():
     seq = PointSequence(np.array([0.0, 7.0, 100.0]), (0, 100))
     res = regularize_gaps(seq, 3.0)
-    assert len(res.fills) == 2
-    gaps = {f.gap: f for f in res.fills}
+    assert len(res.spacing) == 2
+    gaps = set(zip(res.gap_lo.tolist(), res.gap_hi.tolist()))
     assert (0.0, 7.0) in gaps and (7.0, 100.0) in gaps
     d = res.to_json_dict()
     assert d["n_added"] == len(res.added)

@@ -13,7 +13,8 @@ residuals, read from one event table, against the per-window residual. The
 gap certificate, which takes its level from one d1 search and checks the
 energy condition once, on that witness, is checked against the level search
 that gates every level by both conditions, on inputs whose answer is
-known."""
+known. The gap filling, which builds every added point in one array, is
+checked against the per-gap loop it replaced."""
 
 import itertools
 import json
@@ -33,6 +34,7 @@ from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _assemble_family,
                             match_to_ideal_grid)
 from gapkit.energy import EnergyReport, energy_condition_report, total_energy
 from gapkit.gapnum import estimate_gap_characteristic
+from gapkit.regularize import regularize_gaps
 from gapkit.partitions import (_grow_right, _short_greedy, _terms_of, classify_terms,
                                greedy_density_partition, shortness)
 from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
@@ -1058,3 +1060,80 @@ def test_atom_sums_match_loop_on_random_slices(name, start, size, width, tail_mo
         return
     table = residue_weights(pts, report_width=width, tail_mode=tail_mode)
     assert hex_records(table) == loop_records(pts, width, tail_mode)
+
+
+def loop_regularize(seq, C):
+    """(added, gamma points, fills) as the per-gap loop built them, each
+    fill a (gap_lo, gap_hi, inserted, spacing) tuple."""
+    pts = seq.points
+    if pts.size < 2:
+        return np.empty(0), pts, []
+    gaps = np.diff(pts)
+    ks = np.floor(gaps / C)
+    over = np.flatnonzero(gaps > C)
+    fills = []
+    new_points = [np.empty(0)]
+    for i in over.tolist():
+        k = int(ks[i])  # at least 1, as g > C
+        spacing = gaps[i] / k
+        new_points.append(pts[i] + spacing * np.arange(1, k))
+        fills.append((float(pts[i]), float(pts[i + 1]), k - 1, float(spacing)))
+    added = np.concatenate(new_points)
+    return added, np.sort(np.concatenate([pts, added])), fills
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+def assert_fills_agree(seq, C):
+    res = regularize_gaps(seq, C)
+    added, gamma, fills = loop_regularize(seq, C)
+    assert hexes(res.added.points) == hexes(added)
+    assert hexes(res.gamma.points) == hexes(gamma)
+    lo, hi, inserted, spacing = zip(*fills) if fills else ((),) * 4
+    assert hexes(res.gap_lo) == hexes(lo) and hexes(res.gap_hi) == hexes(hi)
+    assert res.inserted.tolist() == list(inserted)
+    assert hexes(res.spacing) == hexes(spacing)
+    return res
+
+
+FILL_SEQS = {
+    "lattice": generate("lattice:1", (-5000, 5000), seed=1),
+    "perturbed": generate("perturbed:1,0.2", (-1500, 1500), seed=1),
+    "poisson": generate("poisson:1", (-5000, 5000), seed=1),
+    "lacunary": generate("lacunary:2", (-1e6, 1e6), seed=1),
+    "one_gap": PointSequence(np.array([0.0, 1e6]), (0.0, 1e6)),
+    "empty": PointSequence(np.empty(0), (0.0, 10.0)),
+    "one_point": PointSequence(np.array([3.0]), (0.0, 10.0)),
+    "two_points": PointSequence(np.array([0.0, 9.5]), (0.0, 10.0)),
+}
+
+
+@pytest.mark.parametrize("C", [1.5, 4.0, 10.0])
+@pytest.mark.parametrize("name", list(FILL_SEQS))
+def test_fills_match_loop(name, C):
+    res = assert_fills_agree(FILL_SEQS[name], C)
+    # Poisson at C = 1.5 and the one gap fill gaps with several points each
+    if name == "one_gap" or (name, C) == ("poisson", 1.5):
+        assert res.inserted.max() > 1
+
+
+def _ulps_off(x, k):
+    """x moved k ulps up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(np.inf, k))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(C=st.floats(1.01, 50.0), start=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+       picks=st.lists(st.tuples(st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.5, 6.0)),
+                                st.integers(-3, 3)), max_size=40))
+def test_fills_match_loop_on_gaps_near_C_and_2C(C, start, picks):
+    # each gap m * C moved a few ulps: just below, at or above C and 2C,
+    # or any length up to 6C
+    pts = start + np.cumsum([0.0] + [_ulps_off(m * C, k) for m, k in picks])
+    if np.any(np.diff(pts) <= 0):
+        return
+    assert_fills_agree(PointSequence(pts, (pts[0], pts[-1])), C)
