@@ -37,7 +37,11 @@ midpoints, 200 records held), is timed in process through `cli.main`. Three
 stages every certificate process pays for: `load_points` on a file of the Poisson input
 over +-30000, the energy report on the lattice's d1 witness over +-5000
 (10 000 one-point intervals), and `total_energy` of the 2999 lattice points
-of +-1499.
+of +-1499. `test_cli_process` times whole fresh `python -m gapkit.cli`
+processes, start and exit included: `gap` on the lattice over +-1500,
+`report` on the perturbed lattice over +-1500 and `density --method d4` on
+the lacunary input, with one BLAS thread and PYTHONDONTWRITEBYTECODE=1, as
+perfbench/run.py starts its jobs.
 
 The file name keeps it out of the default test collection. Run it by path:
 
@@ -54,6 +58,10 @@ runs. To quote a stage figure, run that stage alone in a fresh process
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +250,26 @@ def test_total_energy(benchmark):
     points = generate("lattice:1", (-1499.0, 1499.0)).points
     energy = benchmark(total_energy, points)
     assert points.size == 2999 and energy > 0
+
+
+# name -> the arguments of one fresh gapkit process
+CLI_PROCESSES = {
+    "gap_lattice": ["gap", "--seq", "lattice:1", "--window=-1500,1500"],
+    "report_perturbed": ["report", "--seq", "perturbed:1,0.2", "--window=-1500,1500",
+                         "--seed", str(SEED)],
+    "d4_lacunary": ["density", "--method", "d4", "--seq", "lacunary:2",
+                    "--window=-1e6,1e6"],
+}
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_CLI_ENV = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONDONTWRITEBYTECODE="1",
+                **{v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")})
+
+
+@pytest.mark.parametrize("name", list(CLI_PROCESSES))
+def test_cli_process(benchmark, tmp_path, name):
+    argv = [sys.executable, "-m", "gapkit.cli", *CLI_PROCESSES[name], "-o", "out.json"]
+    proc = benchmark(subprocess.run, argv, cwd=tmp_path, env=_CLI_ENV,
+                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out.json").read_text())["command"] == CLI_PROCESSES[name][0]

@@ -4,11 +4,11 @@
 
 Each tree is a checkout holding `src/gapkit`. Every command of `commands()`
 runs once per tree, as `python -m gapkit.cli`, in a fresh directory of its
-own with OPENBLAS_NUM_THREADS=1. The list covers every subcommand on
-`lattice:1` +-5000, `perturbed:1,0.2` +-1500, `poisson:1` +-5000 and
-`lacunary:2` +-1e6 (seed 1), plus `fekete` and a regularize of the two points
-{0, 1e6}. `gap --synthesize` is left out: its weights depend on the BLAS
-thread count (see `gapnum.synthesize_gap_measure`).
+own with OPENBLAS_NUM_THREADS=1 and PYTHONUNBUFFERED unset. The list covers
+every subcommand on `lattice:1` +-5000, `perturbed:1,0.2` +-1500,
+`poisson:1` +-5000 and `lacunary:2` +-1e6 (seed 1), plus `fekete` and a
+regularize of the two points {0, 1e6}. `gap --synthesize` is left out: its
+weights depend on the BLAS thread count (see `gapnum.synthesize_gap_measure`).
 
 Two runs of a command agree when they have the same exit code, stdout and
 stderr, and write the same files with the same bytes, except that JSON files
@@ -97,6 +97,9 @@ def run(tree: Path, where: Path, argv: list) -> dict:
     where.mkdir(parents=True)
     (where / GAP_FILE[0]).write_text(GAP_FILE[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+    # stdout block-buffered, as when piped, so output a tree leaves unflushed
+    # at exit shows as a difference
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run([sys.executable, "-m", "gapkit.cli", *argv], cwd=where, env=env,
                           capture_output=True, text=True, timeout=1800)
     seen = {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}

@@ -18,6 +18,14 @@ plot-ready (header row, no units). Exit codes: 0 success, 2 parameter error
 inconclusive (diagnostics still written).
 Each handler imports the gapkit modules it uses, so a command loads only
 those: `gen` loads seqcore alone.
+
+The process entry is `run()`, for `python -m gapkit.cli` and the `gapkit`
+console script: `main()`, then `gc.freeze()`, then exit. The collections the
+interpreter runs at exit skip frozen objects, and so the cyclic module, class
+and function graph of numpy and gapkit is not torn down. Exit still flushes
+stdout and stderr and runs atexit handlers, and every file a command writes
+is closed by its `with` block before `main()` returns. `main()` never touches
+GC state.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import math
 import sys
@@ -371,12 +380,15 @@ def _cmd_clark(args, cfg, emit):
 def _cmd_report(args, cfg, emit):
     from . import density, energy
     seq = _load_sequence(args)
+    # summed before the Gram crossing, so its block buffer is freed before the
+    # crossing's BLAS and LAPACK workspace is allocated, not added to it
+    total = energy.total_energy(seq) if len(seq) <= 5000 else None
     cert = _certificate(seq, cfg)
     bm = density.bm_density(seq)
     result = {
         "n_points": len(seq),
         "window": list(seq.window),
-        "total_energy": energy.total_energy(seq) if len(seq) <= 5000 else None,
+        "total_energy": total,
         "density_d1": cert.d1.to_json_dict(),
         "density_bm": bm.to_json_dict(),
         "gap_certificate": cert.to_json_dict(),
@@ -486,5 +498,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry: run `main()`, freeze the GC, exit with its code.
+
+    Frozen objects that are still alive are not finalized at exit, so no
+    output may wait on a finalizer. None does: `_emit`, `_write_csv` and
+    `save_points` (the `gen -o` file and the `--out-prefix` side files) each
+    write inside a `with` block that has closed its file when `main()`
+    returns, and what goes to stdout (the report without `-o`, `gen`'s
+    points) or stderr is flushed by the interpreter at exit, which the
+    freeze does not skip.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -590,6 +591,67 @@ def test_each_command_imports_only_what_it_uses(tmp_path, argv, loaded):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert {m.removeprefix("gapkit.") for m in proc.stdout.split()} == loaded | {"cli"}
+
+
+def _cli_process(argv, tmp_path):
+    """`python -m gapkit.cli argv`, the process entry `run()`, in a fresh
+    process whose stdout is block-buffered, so output left unflushed at exit
+    would be lost."""
+    src = str(Path(gapkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "gapkit.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _less_timestamp(text):
+    payload = json.loads(text)
+    del payload["timestamp"]
+    return payload
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["gap", "--seq", "lattice:1", "--window=-60,60"], 0),
+    (["gap", "--seq", "lattice:1", "--window=-60"], 2),
+    (["gap", "--seq", "lacunary:2", "--window=-1e6,1e6"], 3),
+])
+def test_process_exit_code_is_main_s(tmp_path, capsys, argv, code):
+    proc = _cli_process(argv + ["-o", "process.json"], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert main(argv + ["-o", str(tmp_path / "main.json")]) == code
+    if code == 2:
+        assert proc.stderr == capsys.readouterr().err
+    else:
+        assert (_less_timestamp((tmp_path / "process.json").read_text())
+                == _less_timestamp((tmp_path / "main.json").read_text()))
+
+
+def test_process_stdout_is_the_whole_report(tmp_path):
+    argv = ["gap", "--seq", "lattice:1", "--window=-60,60"]
+    proc = _cli_process(argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 0
+    assert proc.stdout.endswith("}\n")
+    assert _less_timestamp(proc.stdout) == _less_timestamp((tmp_path / "out.json").read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--seq", "lattice:1", "--window=-60,60"],
+    ["gap", "--seq", "lattice:1", "--window=-60"],
+    ["gen", "--spec", "lattice:1", "--window=-10,10"],
+])
+def test_main_leaves_gc_state_alone(tmp_path, argv):
+    before = gc.isenabled(), gc.get_freeze_count()
+    main(argv + ["-o", str(tmp_path / "out")])
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"gapkit": "gapkit.cli:run"}
 
 
 def test_every_exported_name_resolves():
