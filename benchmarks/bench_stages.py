@@ -77,7 +77,7 @@ from gapkit.gapnum import (_nearest_zero, estimate_gap_characteristic,
                            sigma_min_crossing, sigma_min_sweep)
 from gapkit.partitions import greedy_density_partition, shortness
 from gapkit.regularize import regularize_gaps
-from gapkit.seqcore import Interval, Partition, generate, load_points, save_points
+from gapkit.seqcore import Partition, generate, load_points, save_points
 
 # name -> (spec, window, level). The levels sit where the certificate spends
 # its time: the lattice at its answer c = 1, the perturbed lattice and
@@ -129,7 +129,7 @@ def test_partition_witness(benchmark):
 
 @pytest.mark.parametrize("k", [8, 12])
 def test_fekete(benchmark, k):
-    res = benchmark(fekete_optimize, k, Interval(0.0, 1.0))
+    res = benchmark(fekete_optimize, k, (0.0, 1.0))
     assert res.converged and res.max_deviation <= 1e-6
 
 

@@ -6,20 +6,22 @@ Each tree is a checkout holding `src/gapkit`. Every command of `commands()`
 runs once per tree, as `python -m gapkit.cli`, in a fresh directory of its
 own with OPENBLAS_NUM_THREADS=1 and PYTHONUNBUFFERED unset. The list covers
 every subcommand on `lattice:1` +-5000, `perturbed:1,0.2` +-1500,
-`poisson:1` +-5000 and `lacunary:2` +-1e6 (seed 1), plus `fekete` and a
-regularize of the two points {0, 1e6}. `gap --synthesize` is left out: its
-weights depend on the BLAS thread count (see `gapnum.synthesize_gap_measure`).
+`poisson:1` +-5000 and `lacunary:2` +-1e6 (seed 1), plus `fekete`, a
+regularize of the two points {0, 1e6}, and three commands that print to
+stdout less than its 8 KB buffer, so that output a tree loses at exit shows.
+`gap --synthesize` is left out: its weights depend on the BLAS thread count
+(see `gapnum.synthesize_gap_measure`).
 
 Two runs of a command agree when they have the same exit code, stdout and
-stderr, and write the same files with the same bytes, except that JSON files
-are compared less their `timestamp`. The script prints each command whose
-runs differ, with what differs and, for a JSON file in both runs, its
-top-level keys that differ (`out.json: invocation`). It also prints each
-command that exits 2, a usage or parameter error, on either tree: such a
-command tests nothing even when both trees fail it alike. The summary line
-gives the number of commands that differ and each tree's tally of exit
-codes. It exits 1 if any command differs or exits 2, else 0. Standard
-library only.
+stderr, and write the same files with the same bytes, except that JSON files,
+and stdout that parses as a JSON object, are compared less their
+`timestamp`. The script prints each command whose runs differ, with what
+differs and, for a JSON file in both runs, its top-level keys that differ
+(`out.json: invocation`). It also prints each command that exits 2, a usage
+or parameter error, on either tree: such a command tests nothing even when
+both trees fail it alike. The summary line gives the number of commands
+that differ and each tree's tally of exit codes. It exits 1 if any command
+differs or exits 2, else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -88,7 +90,24 @@ def commands() -> dict:
         })
     cmds["fekete"] = ["fekete", "-k", "8", "--interval", "0,1", "-o", "out.json"]
     cmds["regularize_gap"] = ["regularize", "--seq", GAP_FILE[0], "--C", "4", "-o", "out.json"]
+    # reports and points under the stdout buffer: written at exit, or lost
+    cmds["stdout/gap_lattice"] = ["gap", "--seq", "lattice:1", "--window=-60,60"]
+    cmds["stdout/gap_lacunary"] = ["gap", "--seq", "lacunary:2", "--window=-1e6,1e6"]
+    cmds["stdout/gen_lattice"] = ["gen", "--spec", "lattice:1", "--window=-60,60"]
     return cmds
+
+
+def less_timestamp(data):
+    """A JSON object's text, or bytes, as sorted-key JSON without its
+    `timestamp`; data unchanged when it is not a JSON object."""
+    try:
+        report = json.loads(data)
+    except ValueError:
+        return data
+    if not isinstance(report, dict):
+        return data
+    report.pop("timestamp", None)
+    return json.dumps(report, sort_keys=True)
 
 
 def run(tree: Path, where: Path, argv: list) -> dict:
@@ -102,15 +121,14 @@ def run(tree: Path, where: Path, argv: list) -> dict:
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run([sys.executable, "-m", "gapkit.cli", *argv], cwd=where, env=env,
                           capture_output=True, text=True, timeout=1800)
-    seen = {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    seen = {"exit code": proc.returncode, "stdout": less_timestamp(proc.stdout),
+            "stderr": proc.stderr}
     for path in sorted(where.rglob("*")):
         if not path.is_file():
             continue
         data = path.read_bytes()
         if path.suffix == ".json":
-            report = json.loads(data)
-            report.pop("timestamp", None)
-            data = json.dumps(report, sort_keys=True)
+            data = less_timestamp(data)
         seen[f"file {path.relative_to(where)}"] = data
     return seen
 

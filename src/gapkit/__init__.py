@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 # name -> the module that defines it
 _EXPORTS = {
-    **dict.fromkeys(["AtomicMeasure", "Interval", "ParameterError", "Partition",
-                     "PointSequence", "fourier_eval", "generate"], "seqcore"),
+    **dict.fromkeys(["AtomicMeasure", "ParameterError", "Partition", "PointSequence",
+                     "fourier_eval", "generate"], "seqcore"),
     **dict.fromkeys(["energy_condition_report", "total_energy"], "energy"),
     **dict.fromkeys(["greedy_density_partition", "is_valid_paper_partition",
                      "shortness"], "partitions"),

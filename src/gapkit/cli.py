@@ -16,8 +16,10 @@ weights depend on the BLAS thread count (see
 plot-ready (header row, no units). Exit codes: 0 success, 2 parameter error
 (an output path that cannot be written included), 3 infeasible or
 inconclusive (diagnostics still written).
-Each handler imports the gapkit modules it uses, so a command loads only
-those: `gen` loads seqcore alone.
+Each handler `_cmd_*` takes (args, cfg), writes any CSV and side files and
+returns (exit code, result), which `main` writes as the report (`gen` writes
+its points and returns no result). Each handler imports the gapkit modules
+it uses, so a command loads only those: `gen` loads seqcore alone.
 
 The process entry is `run()`, for `python -m gapkit.cli` and the `gapkit`
 console script: `main()`, then `gc.freeze()`, then exit. The collections the
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import gc
 import json
 import math
@@ -42,7 +43,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import seqcore
-from .seqcore import Interval, ParameterError, Partition, PointSequence
+from .seqcore import ParameterError, Partition, PointSequence
 
 # sweep_n_max: every Gram crossing, sigma_min sweep and synthesis runs on at
 # most this many points nearest 0
@@ -124,11 +125,11 @@ def _option_values(option: str, text: str, form: str, kinds: str,
     return tuple(values)
 
 
-def _parse_window(text: str) -> tuple[float, float]:
+def _parse_window(text: str, option: str = "window") -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParameterError(f"window must be 'lo,hi', got {text!r}")
-    return _finite(parts[0], "window lo"), _finite(parts[1], "window hi")
+        raise ParameterError(f"{option} must be 'lo,hi', got {text!r}")
+    return _finite(parts[0], f"{option} lo"), _finite(parts[1], f"{option} hi")
 
 
 def _load_sequence(args) -> PointSequence:
@@ -216,16 +217,16 @@ def _write_csv(path, header, rows) -> None:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_gen(args, cfg, emit):
+def _cmd_gen(args, cfg):
     seq = seqcore.generate(args.spec, _parse_window(args.window), seed=args.seed)
     if args.output:
         seqcore.save_points(args.output, seq.points)
     else:
         seqcore._write_points(sys.stdout, seq.points)
-    return 0
+    return 0, None
 
 
-def _cmd_energy(args, cfg, emit):
+def _cmd_energy(args, cfg):
     from . import energy
     seq = _load_sequence(args)
     result = {"n_points": len(seq), "total_energy": energy.total_energy(seq)}
@@ -245,19 +246,17 @@ def _cmd_energy(args, cfg, emit):
                            rep.rows())
             if rep.verdict == "inconclusive":
                 code = 3
-    emit(result)
-    return code
+    return code, result
 
 
-def _cmd_partition(args, cfg, emit):
+def _cmd_partition(args, cfg):
     from . import partitions
     seq = _load_sequence(args)
     part, greedy = _load_partition(args.partition, seq)
     if part is None:
-        emit({"ok": False,
-              "direction": greedy.failed_direction,
-              "blocked_at": greedy.blocked_at})
-        return 3
+        return 3, {"ok": False,
+                   "direction": greedy.failed_direction,
+                   "blocked_at": greedy.blocked_at}
     validity = partitions.is_valid_paper_partition(part)
     result = {
         "ok": True,
@@ -269,68 +268,59 @@ def _cmd_partition(args, cfg, emit):
     }
     if greedy is not None:
         result["counts"] = greedy.counts.tolist()
-    emit(result)
-    return 0 if validity.shortness.verdict != "inconclusive" else 3
+    return (0 if validity.shortness.verdict != "inconclusive" else 3), result
 
 
-def _cmd_density(args, cfg, emit):
+def _cmd_density(args, cfg):
     from . import density
     seq = _load_sequence(args)
-    est = density.density_estimate(seq, args.method)
-    emit(est.to_json_dict())
-    return 0
+    return 0, density.density_estimate(seq, args.method).to_json_dict()
 
 
-def _cmd_spread(args, cfg, emit):
+def _cmd_spread(args, cfg):
     from . import regularize
     seq = _load_sequence(args)
-    J = Interval(*_parse_window(args.J))
     try:
-        out, e_in, e_out, floor = regularize.spread_points(seq, J, args.C)
+        out, e_in, e_out, floor = regularize.spread_points(
+            seq, _parse_window(args.J, "--J"), args.C)
     except regularize.InfeasibleError as exc:
-        emit({"ok": False, "error": str(exc)})
-        return 3
+        return 3, {"ok": False, "error": str(exc)}
     if args.out_prefix:
         seqcore.save_points(args.out_prefix + ".spread.txt", out.points)
-    emit({
+    return 0, {
         "ok": True,
         "energy_before": e_in,
         "energy_after": e_out,
         "energy_floor": floor,
         "margin": e_out - floor,
         "points": [float(x) for x in out.points] if len(out) <= 1000 else None,
-    })
-    return 0
+    }
 
 
-def _cmd_regularize(args, cfg, emit):
+def _cmd_regularize(args, cfg):
     from . import regularize
     seq = _load_sequence(args)
     res = regularize.regularize_gaps(seq, args.C)
     if args.out_prefix:
         seqcore.save_points(args.out_prefix + ".gamma.txt", res.gamma.points)
         seqcore.save_points(args.out_prefix + ".added.txt", res.added.points)
-    emit(res.to_json_dict())
-    return 0
+    return 0, res.to_json_dict()
 
 
-def _cmd_fekete(args, cfg, emit):
+def _cmd_fekete(args, cfg):
     from . import fekete
-    lo, hi = _parse_window(args.interval)
-    res = fekete.fekete_optimize(args.k, Interval(lo, hi))
-    emit(res.to_json_dict())
-    return 0 if res.converged else 3
+    res = fekete.fekete_optimize(args.k, _parse_window(args.interval, "--interval"))
+    return (0 if res.converged else 3), res.to_json_dict()
 
 
-def _cmd_gap(args, cfg, emit):
+def _cmd_gap(args, cfg):
     from . import gapnum
     seq = _load_sequence(args)
     if args.synthesize is None and not args.sweep:
         cert = _certificate(seq, cfg)
         if args.csv and cert.crossing is not None:
             _write_csv(args.csv, ["a", "passed"], cert.crossing.probes)
-        emit({"certificate": cert.to_json_dict()})
-        return 3 if cert.c_estimate == 0.0 else 0
+        return (3 if cert.c_estimate == 0.0 else 0), {"certificate": cert.to_json_dict()}
     # the one Gram support of --synthesize and --sweep
     lam = gapnum._nearest_zero(seq.points, cfg["sweep_n_max"])
     result = {}
@@ -344,11 +334,10 @@ def _cmd_gap(args, cfg, emit):
         result["sweep"] = {"points": points}
         if args.csv:
             _write_csv(args.csv, ["a", "sigma_min"], points)
-    emit(result)
-    return 0
+    return 0, result
 
 
-def _cmd_clark(args, cfg, emit):
+def _cmd_clark(args, cfg):
     from . import clarknum
     seq = _load_sequence(args)
     prof = None
@@ -373,11 +362,10 @@ def _cmd_clark(args, cfg, emit):
         result["profile_tail_bound"] = prof.tail_bound
         if args.profile_csv:
             _write_csv(args.profile_csv, ["x", "estimate"], prof.pairs())
-    emit(result)
-    return 0
+    return 0, result
 
 
-def _cmd_report(args, cfg, emit):
+def _cmd_report(args, cfg):
     from . import density, energy
     seq = _load_sequence(args)
     # summed before the Gram crossing, so its block buffer is freed before the
@@ -393,8 +381,7 @@ def _cmd_report(args, cfg, emit):
         "density_bm": bm.to_json_dict(),
         "gap_certificate": cert.to_json_dict(),
     }
-    emit(result)
-    return 0 if cert.c_estimate > 0 else 3
+    return (0 if cert.c_estimate > 0 else 3), result
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +477,11 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = load_config(args.config)
-        invocation = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
-        emit = functools.partial(_emit, args.output, args.command, invocation, cfg)
-        return args.handler(args, cfg, emit)
+        code, result = args.handler(args, cfg)
+        if result is not None:
+            invocation = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+            _emit(args.output, args.command, invocation, cfg, result)
+        return code
     except ParameterError as exc:
         print(f"gapkit: parameter error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import total_energy
-from .seqcore import Interval, ParameterError
+from .seqcore import ParameterError, _requested_window
 
 __all__ = ["jacobi_zeros", "fekete_optimize", "FeketeResult"]
 
@@ -110,8 +110,9 @@ def _newton(m: int) -> tuple[np.ndarray, int]:
     return y, it
 
 
-def fekete_optimize(k: int, interval: Interval) -> FeketeResult:
-    """Maximize the pairwise log energy of k points on the interval.
+def fekete_optimize(k: int, interval) -> FeketeResult:
+    """Maximize the pairwise log energy of k points on the interval (a, b),
+    a window that passes `_requested_window`.
 
     The maximizer keeps both endpoints; it is unique because the energy is
     strictly concave in the ordered interior points. Newton's method from
@@ -121,11 +122,11 @@ def fekete_optimize(k: int, interval: Interval) -> FeketeResult:
     the points to floats can make in a component, which grows with k and
     with the distance of the interval from 0.
     """
+    a, b = _requested_window(interval)
     if k < 2:
         raise ParameterError("need at least two points")
     if k > MAX_FEKETE_POINTS:
         raise ParameterError(f"at most {MAX_FEKETE_POINTS} points, got {k}")
-    a, b = interval.a, interval.b
 
     def onto_interval(u):
         return np.concatenate([[a], 0.5 * (a + b) + 0.5 * (b - a) * u, [b]])

@@ -122,9 +122,10 @@ def gram_matrix(lam, a: float, vectors: bool = True) -> GramProbe:
 def _nearest_zero(points: np.ndarray, n) -> np.ndarray:
     """The n points nearest 0 (all of them if fewer), sorted: the support
     of every Gram crossing, sweep and synthesis; n passes
-    `_check_sweep_n_max`."""
+    `_check_sweep_n_max`. Of two points equally near 0 the left one goes
+    first (a stable sort): on a unit lattice 512 points are -256..255."""
     _check_sweep_n_max(n)
-    return np.sort(points[np.argsort(np.abs(points))[:int(n)]])
+    return np.sort(points[np.argsort(np.abs(points), kind="stable")[:int(n)]])
 
 
 def sigma_min_sweep(lam, a_grid) -> np.ndarray:
@@ -273,49 +274,50 @@ def synthesize_gap_measure(lam, a: float) -> SynthesisResult:
 class GapCertificate:
     """Truncation-scale certificate for the metric gap characteristic.
 
-    g_estimate = 2*pi*c_estimate exactly. c_estimate and the partition come
-    from one d1 search (its witness re-verified), kept in `d1`, which the
-    JSON leaves out. The energy condition is checked once, on that witness,
-    and energy_verdict is what that check found; where it is not
-    "supported", diagnostics["energy"] says that c_estimate meets the
-    density condition only. The density margin re-justifies c_estimate.
+    g_estimate = 2*pi*c_estimate exactly. c_estimate (0 on too few points)
+    and the partition come from one d1 search (its witness re-verified),
+    kept in `d1`, which the JSON leaves out; its window, breakpoints, density
+    margin (which re-justifies c) and shortness verdict are read from d1,
+    and are [], NaN and "inconclusive" where c = 0. The energy condition is
+    checked once, on that witness, and energy_verdict is what that check
+    found; where it is not "supported", diagnostics["energy"] says that
+    c_estimate meets the density condition only.
     `with_gram_crossing` adds the Gram crossing, which cross-checks the
     2*pi*c transition: gram_crossing is the smallest gap length at which
-    sigma_min exceeds tau = CROSSING_SAFETY * N * eps * lambda_max (the
-    eigensolver's rounding level at the top of the range, times a safety
-    factor). It is found by Cholesky bisection over [0, 8*pi / median
-    spacing of the support], a range that does not depend on c, and is
-    exact because sigma_min never decreases in a (the Gram increment is
-    positive semidefinite); the search stops at a bracket of
+    sigma_min exceeds the level tau of `sigma_min_crossing`, to a bracket of
     2*pi*GRID_RESOLUTION. Its record (range, tau, support size, probes) is
     `crossing`, and diagnostics["crossing_over_2pic"] is gram_crossing /
     (2*pi*c). Without it `crossing` is None and `gram_crossing` NaN.
     """
 
     c_estimate: float
-    g_estimate: float
-    window: tuple[float, float]
-    partition_breakpoints: tuple = ()
-    density_margin: float = float("nan")
+    d1: DensityEstimate
     energy_verdict: str = "inconclusive"
-    shortness_verdict: str = "inconclusive"
     crossing: CrossingResult | None = None
     diagnostics: dict = field(default_factory=dict)
-    d1: DensityEstimate | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def g_estimate(self) -> float:
+        return 2.0 * math.pi * self.c_estimate
 
     @property
     def gram_crossing(self) -> float:
         return self.crossing.crossing if self.crossing else float("nan")
 
     def to_json_dict(self) -> dict:
+        c, witness = self.c_estimate, self.d1.witness
+        bks, margin = [], float("nan")
+        if c > 0:
+            bks = witness["breakpoints"]
+            margin = float(np.min(np.asarray(witness["counts"]) - c * np.diff(bks)))
         return {
-            "c_estimate": self.c_estimate,
+            "c_estimate": c,
             "g_estimate": self.g_estimate,
-            "window": list(self.window),
-            "partition_breakpoints": [float(b) for b in self.partition_breakpoints],
-            "density_margin": self.density_margin,
+            "window": list(self.d1.window),
+            "partition_breakpoints": list(bks),
+            "density_margin": margin,
             "energy_verdict": self.energy_verdict,
-            "shortness_verdict": self.shortness_verdict,
+            "shortness_verdict": "short" if c > 0 else "inconclusive",
             "gram_crossing": self.gram_crossing,
             "crossing": self.crossing.to_json_dict() if self.crossing else None,
             "diagnostics": self.diagnostics,
@@ -330,34 +332,16 @@ def estimate_gap_characteristic(seq: PointSequence) -> GapCertificate:
     if len(seq) == 0:
         raise ParameterError("sequence is empty")
     d1 = density_lower(seq, "d1")
-    if len(seq) < 4:
-        return GapCertificate(0.0, 0.0, seq.window, d1=d1,
-                              diagnostics={"note": "too few points"})
-    c, diagnostics = d1.value, {}
-    bks, margin, energy_v, short_v = (), float("nan"), "inconclusive", "inconclusive"
-    if c > 0:
-        part = Partition(np.array(d1.witness["breakpoints"]))
-        bks = tuple(float(b) for b in part.breakpoints)
-        counts = np.asarray(d1.witness["counts"])
-        margin = float(np.min(counts - c * np.diff(part.breakpoints)))
-        energy_v = energy_condition_report(seq, part).verdict
-        short_v = "short"
-        if energy_v != "supported":
-            diagnostics["energy"] = (f"energy condition {energy_v} on the d1 witness: "
-                                     f"c meets the density condition only")
-    else:
-        diagnostics["note"] = "no feasible density level on the grid"
-    return GapCertificate(
-        c_estimate=c,
-        g_estimate=2.0 * math.pi * c,
-        window=seq.window,
-        partition_breakpoints=bks,
-        density_margin=margin,
-        energy_verdict=energy_v,
-        shortness_verdict=short_v,
-        diagnostics=diagnostics,
-        d1=d1,
-    )
+    if len(seq) < 4 or d1.value == 0:
+        note = "too few points" if len(seq) < 4 else "no feasible density level on the grid"
+        return GapCertificate(0.0, d1, diagnostics={"note": note})
+    part = Partition(np.array(d1.witness["breakpoints"]))
+    verdict = energy_condition_report(seq, part).verdict
+    diagnostics = {}
+    if verdict != "supported":
+        diagnostics["energy"] = (f"energy condition {verdict} on the d1 witness: "
+                                 f"c meets the density condition only")
+    return GapCertificate(d1.value, d1, verdict, diagnostics=diagnostics)
 
 
 def with_gram_crossing(cert: GapCertificate, seq: PointSequence,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import total_energy
-from .seqcore import Interval, ParameterError, PointSequence, _check_count, _owned
+from .seqcore import ParameterError, PointSequence, _check_count, _owned, _requested_window
 
 __all__ = [
     "InfeasibleError",
@@ -28,8 +28,9 @@ class InfeasibleError(ParameterError):
     """The requested spreading cannot fit the points at the demanded gap."""
 
 
-def spread_points(seq: PointSequence, J: Interval, C: float):
-    """Equally respace the points inside J (closed hull) at gaps >= C.
+def spread_points(seq: PointSequence, J, C: float):
+    """Equally respace the points inside J = (a, b), a window that passes
+    `_requested_window`, read as the closed [a, b], at gaps >= C.
 
     Requires #(seq in J) <= |J|/C - 1. Points outside J are unchanged and
     the cardinality is preserved. Returns (out, E(in), E(out), floor) with
@@ -38,25 +39,27 @@ def spread_points(seq: PointSequence, J: Interval, C: float):
     and E(out) >= floor asserted on every invocation. When J holds no
     point, out is seq and E(out) = E(in).
     """
+    a, b = _requested_window(J)
     if not C > 1:
         raise ParameterError(f"spreading constant C must exceed 1, got {C!r}")
+    length = b - a
     pts = seq.points
-    first, last = _owned(pts, J.a, J.b, include_left=True)
+    first, last = _owned(pts, a, b, include_left=True)
     m = int(last - first)
-    if m > J.length / C - 1:
+    if m > length / C - 1:
         raise InfeasibleError(
-            f"{m} points in J with |J|/C - 1 = {J.length / C - 1:.6g}: cannot spread")
+            f"{m} points in J with |J|/C - 1 = {length / C - 1:.6g}: cannot spread")
     out = seq
     if m:
-        moved = np.array([0.5 * (J.a + J.b)]) if m == 1 else np.linspace(J.a, J.b, m)
+        moved = np.array([0.5 * (a + b)]) if m == 1 else np.linspace(a, b, m)
         new_pts = np.concatenate([pts[:first], moved, pts[last:]])
         if np.any(np.diff(new_pts) <= 0):
             raise InfeasibleError("spreading collided with points outside J")
         lo, hi = seq.window
-        out = PointSequence(new_pts, (min(lo, J.a), max(hi, J.b)))
+        out = PointSequence(new_pts, (min(lo, a), max(hi, b)))
     e_in = total_energy(seq)
     e_out = total_energy(out) if m else e_in
-    floor = e_in - (math.log(C) / C) * J.length * len(seq)
+    floor = e_in - (math.log(C) / C) * length * len(seq)
     if not e_out >= floor - 1e-9:
         raise AssertionError(f"energy floor violated: {e_out:.6g} < {floor:.6g}")
     return out, e_in, e_out, floor

@@ -1,9 +1,9 @@
-"""Core domain types: point sequences, intervals, partitions, atomic measures.
+"""Core domain types: point sequences, partitions, atomic measures.
 
 All types are immutable after construction and safe to share across threads.
-Interval and Partition intervals are half-open (a, b], so partitions tile
-exactly. Which points a counting interval from u to v owns is decided by
-`_owned` alone, in one of four closures:
+A range of the line is a window (lo, hi). Partition intervals are half-open
+(a, b], so partitions tile exactly. Which points a counting interval from u
+to v owns is decided by `_owned` alone, in one of four closures:
 
 - (u, v]: the default. PointSequence.count_in and slice_in, the energy
   series, the intervals right of 0 in `density.verify_partition_witness`,
@@ -26,8 +26,8 @@ Four input rules are each written once; breaking one is a ParameterError:
 - `_finite_window`: a window has finite ends and a width hi - lo finite in
   float64, as for a span. Used by PointSequence and `_requested_window`.
 - `_requested_window`: a window asked for passes `_finite_window` and has
-  lo < hi. Used by `generate` and `_load_file`, so by every --window of the
-  CLI.
+  lo < hi. Used by `generate`, `_load_file`, `fekete_optimize` and
+  `spread_points`, so by every CLI range: --window, --interval and --J.
 
 A sequence spec is a file or a law, as `parse_sequence_spec` alone decides:
 an existing path wins over a law of the same name. The laws are the one
@@ -46,7 +46,6 @@ import numpy as np
 
 __all__ = [
     "ParameterError",
-    "Interval",
     "PointSequence",
     "Partition",
     "AtomicMeasure",
@@ -68,22 +67,6 @@ MAX_POINTS = 10**7
 
 class ParameterError(ValueError):
     """Invalid parameters for a generator or estimator."""
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Half-open interval (a, b] on the real line."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ParameterError(f"interval needs a < b, got ({self.a}, {self.b}]")
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
 
 
 def _dist0(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -263,15 +246,6 @@ class Partition:
     @property
     def zero_index(self) -> int:
         return int(np.searchsorted(self.breakpoints, 0.0))
-
-    def intervals(self) -> list[tuple[int, Interval]]:
-        """(index, interval) pairs with the paper's two-sided indexing."""
-        z = self.zero_index
-        out = []
-        for i in range(len(self.breakpoints) - 1):
-            iv = Interval(float(self.breakpoints[i]), float(self.breakpoints[i + 1]))
-            out.append((i - z, iv))
-        return out
 
     def cover(self) -> tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])

@@ -387,8 +387,8 @@ def test_invocation_omits_output_path(tmp_path, spelling):
     ["gap", "--seq", "s", "--cs", "g.csv", "--sweep", "1:2:3", "--seed=2"],
 ])
 def test_invocation_reparses_without_destinations(argv, tmp_path, monkeypatch):
-    # every handler only emits, so these argvs need no real input; the two
-    # --config files they name are empty
+    # every handler only returns a result, so these argvs need no real
+    # input; the two --config files they name are empty
     monkeypatch.chdir(tmp_path)
     for name in ("c", "density"):
         (tmp_path / name).write_text("")
@@ -396,7 +396,7 @@ def test_invocation_reparses_without_destinations(argv, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_emit", lambda output, command, invocation, cfg, result:
                         recorded.append(invocation))
     for name in [n for n in vars(cli) if n.startswith("_cmd_")]:
-        monkeypatch.setattr(cli, name, lambda args, cfg, emit: emit({}) or 0)
+        monkeypatch.setattr(cli, name, lambda args, cfg: (0, {}))
     assert main(argv) == 0
     assert recorded == [parsed_less_destinations(argv)]
 
@@ -544,8 +544,7 @@ def test_cli_import_leaves_out_scipy():
     code = ("import sys, gapkit.cli\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n"
             "from gapkit.fekete import fekete_optimize\n"
-            "from gapkit.seqcore import Interval\n"
-            "res = fekete_optimize(4, Interval(-1.0, 1.0))\n"
+            "res = fekete_optimize(4, (-1.0, 1.0))\n"
             "assert res.converged and res.max_deviation <= 1e-6, res\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n")
     src = str(Path(gapkit.__file__).resolve().parents[1])
@@ -784,6 +783,24 @@ def test_bad_partition_file_exits_2(tmp_path, capsys, content, needle, command):
 def test_nan_scalar_options_exit_2(tmp_path, capsys, argv, needle):
     out = tmp_path / "out.json"
     assert main(argv + ["--seq", "lattice:1", "--window=-10,10", "-o", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["fekete", "-k", "5", "--interval", "x,1"], "--interval lo must be a number"),
+    (["fekete", "-k", "5", "--interval=0,inf"], "--interval hi must be finite"),
+    (["fekete", "-k", "5", "--interval", "1,0"], "window [1.0, 0.0] is empty"),
+    (["spread", "--seq", "lattice:1", "--window=-10,10", "--J", "0", "--C", "2"],
+     "--J must be 'lo,hi'"),
+    (["spread", "--seq", "lattice:1", "--window=-10,10", "--J", "5,5", "--C", "2"],
+     "window [5.0, 5.0] is empty"),
+    (["density", "--method", "d1", "--seq", "lattice:1", "--window", "0"],
+     "parameter error: window must be 'lo,hi'"),
+])
+def test_range_errors_name_their_option(tmp_path, capsys, argv, needle):
+    out = tmp_path / "out.json"
+    assert main(argv + ["-o", str(out)]) == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()
 

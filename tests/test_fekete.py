@@ -6,7 +6,7 @@ from scipy.special import roots_jacobi
 
 import gapkit.fekete as fekete
 from gapkit.fekete import MAX_FEKETE_POINTS, fekete_optimize, jacobi_zeros
-from gapkit.seqcore import Interval, ParameterError
+from gapkit.seqcore import ParameterError
 from paper_lemmas import key_example_check
 
 
@@ -49,19 +49,19 @@ def test_jacobi_parameter_domain():
 
 
 def test_fekete_two_points():
-    r = fekete_optimize(2, Interval(0.0, 1.0))
+    r = fekete_optimize(2, (0.0, 1.0))
     assert r.points.tolist() == [0.0, 1.0]
     assert r.energy == 0.0 and r.converged
 
 
 def test_fekete_three_symmetric():
     # grid-search oracle at resolution 1e-4 puts the middle point at 0
-    r = fekete_optimize(3, Interval(-1.0, 1.0))
+    r = fekete_optimize(3, (-1.0, 1.0))
     assert r.points == pytest.approx([-1.0, 0.0, 1.0], abs=1e-6)
 
 
 def test_fekete_five_jacobi_prediction():
-    r = fekete_optimize(5, Interval(-1.0, 1.0))
+    r = fekete_optimize(5, (-1.0, 1.0))
     root = math.sqrt(3.0 / 7.0)
     assert r.points == pytest.approx([-1.0, -root, 0.0, root, 1.0], abs=1e-6)
     assert r.residual <= 1e-8
@@ -70,33 +70,33 @@ def test_fekete_five_jacobi_prediction():
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8])
 def test_fekete_matches_jacobi(k):
-    r = fekete_optimize(k, Interval(-1.0, 1.0))
+    r = fekete_optimize(k, (-1.0, 1.0))
     assert r.converged and r.residual <= 1e-8
     assert r.max_deviation <= 1e-6
 
 
 def test_endpoints_always_active():
     for k in (3, 6, 9):
-        r = fekete_optimize(k, Interval(2.0, 7.0))
+        r = fekete_optimize(k, (2.0, 7.0))
         assert abs(r.points[0] - 2.0) <= 1e-8
         assert abs(r.points[-1] - 7.0) <= 1e-8
 
 
 def test_symmetry_of_maximizer():
-    r = fekete_optimize(7, Interval(-3.0, 3.0))
+    r = fekete_optimize(7, (-3.0, 3.0))
     assert np.max(np.abs(r.points + r.points[::-1])) <= 1e-6
 
 
 def test_affine_covariance():
-    rb = fekete_optimize(6, Interval(-1.0, 1.0))
-    ra = fekete_optimize(6, Interval(2.0, 5.0))
+    rb = fekete_optimize(6, (-1.0, 1.0))
+    ra = fekete_optimize(6, (2.0, 5.0))
     mapped = 2.0 + (rb.points + 1.0) * 1.5
     assert np.max(np.abs(ra.points - mapped)) <= 1e-6
 
 
 @pytest.mark.parametrize("k", [5, 9, 12])
 def test_oracle_dominance(k):
-    r = fekete_optimize(k, Interval(-1.0, 1.0))
+    r = fekete_optimize(k, (-1.0, 1.0))
 
     def energy(x):
         d = np.abs(x[:, None] - x[None, :])
@@ -114,14 +114,14 @@ def test_oracle_dominance(k):
 
 def test_fekete_long_interval():
     # 1e-12 relative to the interval length
-    r = fekete_optimize(5, Interval(0.0, 1e4))
+    r = fekete_optimize(5, (0.0, 1e4))
     assert r.converged
     assert r.max_deviation <= 1e-12 * 1e4
 
 
 @pytest.mark.parametrize("k", range(3, 41))
 def test_fekete_reaches_jacobi_zeros(k):
-    r = fekete_optimize(k, Interval(-1.0, 1.0))
+    r = fekete_optimize(k, (-1.0, 1.0))
     z = np.sort(roots_jacobi(k - 2, 1.0, 1.0)[0])
     assert np.max(np.abs(r.points[1:-1] - z)) <= 1e-13
     assert r.points[0] == -1.0 and r.points[-1] == 1.0
@@ -131,20 +131,31 @@ def test_fekete_reaches_jacobi_zeros(k):
 @pytest.mark.parametrize("k", [500, 1000])
 def test_fekete_converged_at_large_k(k):
     # the gradient's rounding error grows with k: 1.6e-7 at k = 500
-    r = fekete_optimize(k, Interval(0.0, 1.0))
+    r = fekete_optimize(k, (0.0, 1.0))
     assert r.converged and r.max_deviation <= 1e-14
 
 
 def test_fekete_not_converged_after_one_step(monkeypatch):
     monkeypatch.setattr(fekete, "MAX_NEWTON_STEPS", 1)
-    assert not fekete_optimize(50, Interval(0.0, 1.0)).converged
+    assert not fekete_optimize(50, (0.0, 1.0)).converged
+
+
+@pytest.mark.parametrize("interval,needle", [
+    ((0.0, math.inf), "must have finite ends"),
+    ((-1e308, 1e308), "wider than float64 holds"),
+    ((1.0, 0.0), "is empty"),
+    ((1.0, 1.0), "is empty"),
+])
+def test_fekete_interval_passes_the_window_rule(interval, needle):
+    with pytest.raises(ParameterError, match=needle):
+        fekete_optimize(8, interval)
 
 
 def test_fekete_caps_point_count():
     # k x k arrays: k = 100000 would ask for 75 GiB before the first step
     for k in (MAX_FEKETE_POINTS + 1, 100000):
         with pytest.raises(ParameterError, match="at most"):
-            fekete_optimize(k, Interval(0.0, 1.0))
+            fekete_optimize(k, (0.0, 1.0))
 
 
 def test_key_example_two_points():

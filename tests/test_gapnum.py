@@ -155,13 +155,21 @@ def test_synthesize_rejects_a_quadrature_past_its_node_cap():
         synthesize_gap_measure([0.0, 1e4], 1e4)
 
 
+def test_gram_support_breaks_ties_to_the_left():
+    # +-k tie in |x| on a symmetric lattice: the stable sort keeps the left
+    # one first, whatever numpy's default sort would pick
+    pts = generate("lattice:1", (-1500, 1500)).points
+    assert _nearest_zero(pts, 512).tolist() == list(map(float, range(-256, 256)))
+    assert _nearest_zero(pts, 256).tolist() == list(map(float, range(-128, 128)))
+
+
 def test_estimate_lattice():
     seq = generate("lattice:1", (-1500, 1500))
     cert = estimate_gap_characteristic(seq)
     assert 0.9 <= cert.c_estimate <= 1.0
     assert cert.g_estimate == 2.0 * math.pi * cert.c_estimate
     assert cert.energy_verdict == "supported"
-    assert cert.shortness_verdict == "short"
+    assert cert.to_json_dict()["shortness_verdict"] == "short"
 
 
 @pytest.mark.parametrize("spec,window", [
@@ -175,7 +183,8 @@ def test_certificate_partition_passes_d1_witness_check(spec, window):
     seq = generate(spec, window, seed=1)
     cert = estimate_gap_characteristic(seq)
     assert cert.c_estimate > 0
-    bks = np.array(cert.partition_breakpoints)
+    d = cert.to_json_dict()
+    bks = np.array(d["partition_breakpoints"])
     assert verify_partition_witness(seq, cert.c_estimate, Partition(bks),
                                     monotone_required=True)
     # the margin recounted with the outward closure: (u, v] right of 0,
@@ -184,7 +193,7 @@ def test_certificate_partition_passes_d1_witness_check(spec, window):
     counts = np.array([pts.searchsorted(v, side) - pts.searchsorted(u, side)
                        for u, v, side in zip(bks[:-1], bks[1:], sides)])
     margin = np.min(counts - cert.c_estimate * np.diff(bks))
-    assert cert.density_margin == pytest.approx(margin, abs=1e-12)
+    assert d["density_margin"] == pytest.approx(margin, abs=1e-12)
 
 
 def _counted_energy_verdict(monkeypatch, verdict_of=None):
@@ -221,7 +230,7 @@ def test_failing_energy_on_the_d1_witness_is_reported(monkeypatch):
     # found on the witness is reported
     assert len(parts) == 1
     assert cert.c_estimate == 1.0 and cert.energy_verdict == "unsupported"
-    assert list(cert.partition_breakpoints) == cert.d1.witness["breakpoints"]
+    assert cert.to_json_dict()["partition_breakpoints"] == cert.d1.witness["breakpoints"]
     assert "unsupported" in cert.diagnostics["energy"]
 
 
@@ -231,7 +240,7 @@ def test_energy_verdict_not_supported_keeps_the_d1_level():
     base = generate("lattice:1", (-300, 300))
     seq = PointSequence(np.union1d(base.points, [-248.61, -157.914, 180.765]), base.window)
     cert = estimate_gap_characteristic(seq)
-    part = Partition(np.array(cert.partition_breakpoints))
+    part = Partition(np.array(cert.to_json_dict()["partition_breakpoints"]))
     assert cert.c_estimate == cert.d1.value == 1.0
     assert cert.energy_verdict == "inconclusive"
     sub = seq.restrict(*part.cover())
@@ -254,6 +263,18 @@ def test_estimate_with_gram_crossing():
     assert cert.diagnostics["crossing_over_2pic"] == cert.gram_crossing / (2.0 * math.pi)
     center = 2.0 * math.pi * cert.c_estimate
     assert 0.7 * center <= cert.gram_crossing <= 1.1 * center
+
+
+def test_few_points_certificate_fields_follow_c():
+    # d1 finds level 1 on three points, but a certificate needs four: c = 0,
+    # and the fields derived from d1 read as for no level at all
+    seq = PointSequence([-1, 0.5, 1], (-3, 3))
+    cert = estimate_gap_characteristic(seq)
+    assert cert.d1.value == 1.0 and cert.c_estimate == 0.0
+    assert cert.diagnostics == {"note": "too few points"}
+    d = cert.to_json_dict()
+    assert d["partition_breakpoints"] == [] and math.isnan(d["density_margin"])
+    assert d["shortness_verdict"] == "inconclusive" and d["window"] == [-3.0, 3.0]
 
 
 def test_estimate_lacunary_zero():

@@ -6,12 +6,12 @@ import pytest
 from gapkit.density import bm_density
 from gapkit.energy import total_energy
 from gapkit.regularize import InfeasibleError, regularize_gaps, spread_points
-from gapkit.seqcore import Interval, ParameterError, PointSequence, generate
+from gapkit.seqcore import ParameterError, PointSequence, generate
 
 
 def test_spread_hand_example():
     seq = PointSequence(np.array([0.0, 0.1, 10.0]), (0, 10))
-    out, e_in, e_out, floor = spread_points(seq, Interval(0, 10), 2.0)
+    out, e_in, e_out, floor = spread_points(seq, (0, 10), 2.0)
     assert out.points.tolist() == [0.0, 5.0, 10.0]
     assert e_in == total_energy(seq) and e_out == total_energy(out)
     assert e_out == pytest.approx(2 * (math.log(5) + math.log(10) + math.log(5)), rel=1e-12)
@@ -21,14 +21,14 @@ def test_spread_hand_example():
 
 def test_spread_empty_intersection():
     seq = PointSequence(np.array([1.0, 2.0, 3.0]), (0, 20))
-    out, e_in, e_out, _ = spread_points(seq, Interval(10, 15), 3.0)
+    out, e_in, e_out, _ = spread_points(seq, (10, 15), 3.0)
     assert out is seq
     assert e_out == e_in == total_energy(seq)
 
 
 def test_spread_pushes_apart():
     seq = PointSequence(np.array([1.0, 1.01]), (0, 10))
-    out, e_in, e_out, _ = spread_points(seq, Interval(0, 10), 3.0)
+    out, e_in, e_out, _ = spread_points(seq, (0, 10), 3.0)
     assert np.min(np.diff(out.points)) >= 3.0
     assert e_out == total_energy(out) > total_energy(seq) == e_in
 
@@ -36,13 +36,24 @@ def test_spread_pushes_apart():
 def test_spread_infeasible():
     seq = PointSequence(np.linspace(0, 10, 8), (0, 10))
     with pytest.raises(InfeasibleError):
-        spread_points(seq, Interval(0, 10), 2.0)  # 8 > 10/2 - 1
+        spread_points(seq, (0, 10), 2.0)  # 8 > 10/2 - 1
 
 
 def test_spread_requires_c_above_one():
     seq = PointSequence(np.array([0.0, 5.0]), (0, 10))
     with pytest.raises(ParameterError):
-        spread_points(seq, Interval(0, 10), 1.0)
+        spread_points(seq, (0, 10), 1.0)
+
+
+@pytest.mark.parametrize("J,needle", [
+    ((0.0, math.inf), "must have finite ends"),
+    ((-1e308, 1e308), "wider than float64 holds"),
+    ((1.0, 0.0), "is empty"),
+])
+def test_spread_J_passes_the_window_rule(J, needle):
+    seq = PointSequence(np.array([0.0, 5.0]), (0, 10))
+    with pytest.raises(ParameterError, match=needle):
+        spread_points(seq, J, 2.0)
 
 
 def _random_feasible_instance(rng):
@@ -54,10 +65,9 @@ def _random_feasible_instance(rng):
     for _ in range(30):
         a = rng.uniform(-110, 90)
         b = a + rng.uniform(2 * c, 60)
-        iv = Interval(a, b)
         inside = np.sum((pts >= a) & (pts <= b))
-        if inside <= iv.length / c - 1:
-            return seq, iv, c
+        if inside <= (b - a) / c - 1:
+            return seq, (a, b), c
     return None
 
 
@@ -68,8 +78,8 @@ def test_spread_energy_floor_randomized():
         inst = _random_feasible_instance(rng)
         if inst is None:
             continue
-        seq, iv, c = inst
-        spread_points(seq, iv, c)  # energy floor asserted inside
+        seq, J, c = inst
+        spread_points(seq, J, c)  # energy floor asserted inside
         done += 1
 
 

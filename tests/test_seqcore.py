@@ -16,9 +16,9 @@ from gapkit.density import (d3_residual_curve, density_lower, long_family_search
 from gapkit.energy import total_energy
 from gapkit.gapnum import gram_matrix
 from gapkit.partitions import greedy_density_partition
-from gapkit.seqcore import (AtomicMeasure, Interval, ParameterError, Partition,
-                            PointSequence, _dist0, _median, _owned, _parse_lines,
-                            _percentile, _write_points, fourier_eval, generate,
+from gapkit.seqcore import (AtomicMeasure, ParameterError, Partition, PointSequence,
+                            _dist0, _median, _owned, _parse_lines, _percentile,
+                            _requested_window, _write_points, fourier_eval, generate,
                             load_points, save_points)
 
 
@@ -139,13 +139,13 @@ def test_restrict_scale_translate():
 
 
 def test_interval_and_partition():
-    assert Interval(1.0, 3.0).length == 2.0
+    assert _requested_window((1, 3)) == (1.0, 3.0)
     with pytest.raises(ParameterError):
-        Interval(2.0, 2.0)
+        _requested_window((2.0, 2.0))
     with pytest.raises(ParameterError):
         Partition(np.array([1.0, 2.0]))  # no zero breakpoint
     part = Partition(np.array([-4.0, -1.0, 0.0, 2.0, 6.0]))
-    idx = [n for n, _ in part.intervals()]
+    idx = [i - part.zero_index for i in range(len(part.breakpoints) - 1)]
     assert idx == [-2, -1, 0, 1]
     refl = part.reflect()
     assert refl.breakpoints.tolist() == [-6.0, -2.0, 0.0, 1.0, 4.0]

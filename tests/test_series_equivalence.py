@@ -77,29 +77,38 @@ def loop_grow_right(points, d, hi, monotone):
     return bks[1:], counts, None, False
 
 
-def loop_dist0(iv):
-    """Distance from 0 to the closure of the interval."""
-    if iv.a <= 0.0 <= iv.b:
+def loop_intervals(part):
+    """(n, a, b) for each interval (a, b] of the partition, as Python floats,
+    with the paper's two-sided indexing: n = 0 is the interval right of 0."""
+    bks = [float(x) for x in part.breakpoints]
+    z = bks.index(0.0)
+    return [(i - z, a, b) for i, (a, b) in enumerate(zip(bks, bks[1:]))]
+
+
+def loop_dist0(a, b):
+    """Distance from 0 to the closure of the interval from a to b."""
+    if a <= 0.0 <= b:
         return 0.0
-    return min(abs(iv.a), abs(iv.b))
+    return min(abs(a), abs(b))
 
 
 def loop_shortness(part):
-    ivs = sorted((iv for _, iv in part.intervals()), key=lambda iv: (loop_dist0(iv), iv.a))
-    dists = [loop_dist0(iv) for iv in ivs]
-    terms = np.array([iv.length * iv.length / (1.0 + d * d) for iv, d in zip(ivs, dists)])
+    ivs = sorted(((a, b) for _, a, b in loop_intervals(part)),
+                 key=lambda iv: (loop_dist0(*iv), iv[0]))
+    dists = [loop_dist0(a, b) for a, b in ivs]
+    terms = np.array([(b - a) * (b - a) / (1.0 + d * d) for (a, b), d in zip(ivs, dists)])
     verdict, exponent = classify_terms(terms)
     return terms, verdict, exponent
 
 
 def loop_energy_report(seq, part):
     recs = []
-    for n, iv in part.intervals():
-        inside = seq.slice_in(iv.a, iv.b)
+    for n, a, b in loop_intervals(part):
+        inside = seq.slice_in(a, b)
         count, e_n = inside.size, total_energy(inside)
-        d = loop_dist0(iv)
-        s_n = (count * count * math.log(iv.length) - e_n) / (1.0 + d * d)
-        recs.append((n, iv.a, iv.b, count, e_n, s_n, d))
+        d = loop_dist0(a, b)
+        s_n = (count * count * math.log(b - a) - e_n) / (1.0 + d * d)
+        recs.append((n, a, b, count, e_n, s_n, d))
     recs.sort(key=lambda r: (r[6], r[0]))  # by (dist0, n)
     columns = [np.array(col) for col in zip(*recs)]
     summands = columns[5]
@@ -786,7 +795,8 @@ CERTIFICATE_ORACLES = [
 def test_certificate_matches_gated_search_and_oracle(spec, window, known):
     seq = generate(spec, window, seed=1)
     cert = estimate_gap_characteristic(seq)
-    assert (cert.c_estimate, cert.partition_breakpoints) == gated_search(seq)
+    bks = tuple(cert.to_json_dict()["partition_breakpoints"])
+    assert (cert.c_estimate, bks) == gated_search(seq)
     assert "energy" not in cert.diagnostics
     c = cert.c_estimate
     assert (cert.energy_verdict == "supported") == (c > 0)
@@ -806,7 +816,8 @@ def test_certificate_matches_gated_search_on_lattice_plus_points(extra):
     base = generate("lattice:1", (-300, 300))
     seq = PointSequence(np.union1d(base.points, extra), base.window)
     cert = estimate_gap_characteristic(seq)
-    assert (cert.c_estimate, cert.partition_breakpoints) == gated_search(seq)
+    bks = tuple(cert.to_json_dict()["partition_breakpoints"])
+    assert (cert.c_estimate, bks) == gated_search(seq)
     assert cert.c_estimate == 1.0
     assert cert.energy_verdict == "supported" and cert.diagnostics == {}
 
