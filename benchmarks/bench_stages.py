@@ -124,7 +124,7 @@ def test_energy_gate(benchmark, name):
 def test_partition_witness(benchmark):
     seq, level = _input("lattice")
     part = greedy_density_partition(seq, level).partition
-    assert benchmark(verify_partition_witness, seq, level, part, True)
+    assert benchmark(verify_partition_witness, seq, level, part)
 
 
 @pytest.mark.parametrize("k", [8, 12])
@@ -241,7 +241,7 @@ def test_load_points(benchmark, tmp_path):
 
 def test_energy_report_witness(benchmark):
     seq, _ = _input("lattice")
-    part = Partition(np.array(density_lower(seq, "d1").witness["breakpoints"]))
+    part = Partition(np.array(density_lower(seq).witness["breakpoints"]))
     rep = benchmark(energy_condition_report, seq, part)
     assert rep.verdict == "supported" and rep.partial_sums.size == 10_000
 

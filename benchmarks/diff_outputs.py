@@ -7,8 +7,10 @@ runs once per tree, as `python -m gapkit.cli`, in a fresh directory of its
 own with OPENBLAS_NUM_THREADS=1 and PYTHONUNBUFFERED unset. The list covers
 every subcommand on `lattice:1` +-5000, `perturbed:1,0.2` +-1500,
 `poisson:1` +-5000 and `lacunary:2` +-1e6 (seed 1), plus `fekete`, a
-regularize of the two points {0, 1e6}, and three commands that print to
-stdout less than its 8 KB buffer, so that output a tree loses at exit shows.
+regularize of the two points {0, 1e6}, a `partition` check of a file
+partition whose lengths do not grow outward, and three commands that print
+to stdout less than its 8 KB buffer, so that output a tree loses at exit
+shows.
 `gap --synthesize` is left out: its weights depend on the BLAS thread count
 (see `gapnum.synthesize_gap_measure`).
 
@@ -44,6 +46,9 @@ INPUTS = {
 }
 # A sequence file the `regularize_gap` command reads: one gap of 1e6.
 GAP_FILE = ("gap.txt", "0.0\n1000000.0\n")
+# A partition file the `partition_file` command checks: lengths 2, 3, 1, 9
+# right of 0, so it reports "monotone": false.
+PART_FILE = ("part.json", "[-60.0, -20.0, -12.0, -3.0, 0.0, 2.0, 5.0, 6.0, 15.0, 40.0, 60.0]\n")
 
 
 def commands() -> dict:
@@ -63,7 +68,7 @@ def commands() -> dict:
                                    "--csv", "out.csv", *out],
             f"{name}/partition": ["partition", *seq, "--partition", "greedy:d=0.9", *out],
             **{f"{name}/density_{m}": ["density", *seq, "--method", m, *out]
-               for m in ("d1", "d2", "d3", "d4", "bm")},
+               for m in ("d1", "d3", "d4", "bm")},
             f"{name}/clark": ["clark", *seq, "--csv", "out.csv", *out],
             f"{name}/clark_json": ["clark", *seq, *out],
             # the persistent tail on reported rows only: their atom sums
@@ -90,6 +95,8 @@ def commands() -> dict:
         })
     cmds["fekete"] = ["fekete", "-k", "8", "--interval", "0,1", "-o", "out.json"]
     cmds["regularize_gap"] = ["regularize", "--seq", GAP_FILE[0], "--C", "4", "-o", "out.json"]
+    cmds["partition_file"] = ["partition", "--seq", "lattice:1", "--window=-60,60",
+                              "--partition", PART_FILE[0], "-o", "out.json"]
     # reports and points under the stdout buffer: written at exit, or lost
     cmds["stdout/gap_lattice"] = ["gap", "--seq", "lattice:1", "--window=-60,60"]
     cmds["stdout/gap_lacunary"] = ["gap", "--seq", "lacunary:2", "--window=-1e6,1e6"]
@@ -114,7 +121,8 @@ def run(tree: Path, where: Path, argv: list) -> dict:
     """Run one command of `tree` in the empty directory `where`; return what
     it left: exit code, stdout, stderr and every file it wrote."""
     where.mkdir(parents=True)
-    (where / GAP_FILE[0]).write_text(GAP_FILE[1])
+    for name, text in (GAP_FILE, PART_FILE):
+        (where / name).write_text(text)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     # stdout block-buffered, as when piped, so output a tree leaves unflushed
     # at exit shows as a difference

@@ -425,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("density", _cmd_density, "density estimators")
     common(sp)
-    sp.add_argument("--method", required=True, choices=["d1", "d2", "d3", "d4", "bm"])
+    sp.add_argument("--method", required=True, choices=["d1", "d3", "d4", "bm"])
 
     sp = command("spread", _cmd_spread, "respace points inside an interval")
     common(sp)

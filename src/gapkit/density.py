@@ -1,4 +1,4 @@
-"""Interior density estimators d1-d4 and the Beurling-Malliavin density.
+"""Density estimators d1, d3 and d4 and the Beurling-Malliavin density.
 
 All estimators work at truncation scale, return witnesses, and re-check
 every witness before reporting. The gap certificate in gapnum takes its
@@ -52,6 +52,9 @@ REFUTE_SUM = 10.0
 D3_FLAT_SLOPE = 0.03
 # The nested sub-windows of the d3 residual curve, as fractions of the window.
 D3_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
+# The fewest points d1 reads a level from; fewer read 0, and so does the gap
+# certificate.
+MIN_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -164,12 +167,11 @@ def _grid_max_feasible(probe, seq: PointSequence):
 
 
 # ---------------------------------------------------------------------------
-# d1 / d2: short partitions from the greedy construction
+# d1: short partitions from the greedy construction
 # ---------------------------------------------------------------------------
 
-def verify_partition_witness(seq: PointSequence, a: float, part: Partition,
-                             monotone_required: bool) -> bool:
-    """Re-check a witness partition: density condition and shortness.
+def verify_partition_witness(seq: PointSequence, a: float, part: Partition) -> bool:
+    """Re-check a witness partition: density, monotone lengths and shortness.
 
     Counting uses the outward closure the greedy construction uses:
     intervals right of 0 are (u, v], intervals left of 0 are [u, v), so
@@ -185,41 +187,34 @@ def verify_partition_witness(seq: PointSequence, a: float, part: Partition,
         first, last = _owned(seq.points, u, v, include_left=left, include_right=not left)
         if np.any(last - first < a * (v - u) - 1e-9):
             return False
-    if monotone_required and not _monotone(part):
+    if not _monotone(part):
         return False
     return shortness(part).verdict == "short"
 
 
-def density_lower(seq: PointSequence, method: str = "d1") -> DensityEstimate:
-    """Lower (interior) density via greedy short partitions.
+def density_lower(seq: PointSequence) -> DensityEstimate:
+    """d1, the lower (interior) density via greedy short partitions.
 
-    d1 demands a monotone partition, d2 drops the monotonicity constraint.
-    Feasibility at level a = greedy construction succeeds and its partition
-    is short; the returned witness partition is re-verified.
+    Feasibility at level a = the monotone greedy construction succeeds and
+    its partition is short; the returned witness partition is re-verified.
+    Fewer than MIN_POINTS points read 0.
     """
-    if method not in ("d1", "d2"):
-        raise ParameterError("method must be 'd1' or 'd2'")
-    monotone = method == "d1"
-    if len(seq) == 0:
-        return DensityEstimate(0.0, method, seq.window)
+    if len(seq) < MIN_POINTS:
+        return DensityEstimate(0.0, "d1", seq.window)
 
     def probe(a: float):
-        res, _ = _short_greedy(seq, a, monotone)
+        res = _short_greedy(seq, a)
         return res is not None, res
 
     value, res, _ = _grid_max_feasible(probe, seq)
     witness = {}
     if value > 0:
-        ok = verify_partition_witness(seq, value, res.partition, monotone)
-        if not ok:   # witness must reproduce the claim
+        if verify_partition_witness(seq, value, res.partition):
+            witness = {"breakpoints": [float(b) for b in res.partition.breakpoints],
+                       "counts": res.counts.tolist(), "verified": True}
+        else:   # the witness must reproduce the claim
             value = 0.0
-        else:
-            witness = {
-                "breakpoints": [float(b) for b in res.partition.breakpoints],
-                "counts": res.counts.tolist(),
-                "verified": True,
-            }
-    return DensityEstimate(value, method, seq.window, witness)
+    return DensityEstimate(value, "d1", seq.window, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +633,9 @@ def bm_density(seq: PointSequence) -> DensityEstimate:
 
 
 def density_estimate(seq: PointSequence, method: str) -> DensityEstimate:
-    """Dispatch on method in {d1, d2, d3, d4, bm}."""
-    if method in ("d1", "d2"):
-        return density_lower(seq, method)
+    """Dispatch on method in {d1, d3, d4, bm}."""
+    if method == "d1":
+        return density_lower(seq)
     if method == "d3":
         return density_d3_estimate(seq)
     if method == "d4":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .density import GRID_RESOLUTION, DensityEstimate, density_lower
+from .density import GRID_RESOLUTION, MIN_POINTS, DensityEstimate, density_lower
 from .energy import energy_condition_report
 from .seqcore import (AtomicMeasure, ParameterError, Partition, PointSequence,
                       _check_sweep_n_max, _median, _points, _positive, fourier_eval)
@@ -331,9 +331,10 @@ def estimate_gap_characteristic(seq: PointSequence) -> GapCertificate:
     """
     if len(seq) == 0:
         raise ParameterError("sequence is empty")
-    d1 = density_lower(seq, "d1")
-    if len(seq) < 4 or d1.value == 0:
-        note = "too few points" if len(seq) < 4 else "no feasible density level on the grid"
+    d1 = density_lower(seq)
+    if d1.value == 0:
+        note = ("too few points" if len(seq) < MIN_POINTS
+                else "no feasible density level on the grid")
         return GapCertificate(0.0, d1, diagnostics={"note": note})
     part = Partition(np.array(d1.witness["breakpoints"]))
     verdict = energy_condition_report(seq, part).verdict

@@ -161,22 +161,20 @@ _STEP_CHUNK = 16
 _RUN_CHUNK = 64
 
 
-def _step(points, d, end, pos, a_i, prev_len, monotone):
-    """One greedy step from breakpoint a_i; candidates are points[pos:end].
+def _step(points, d, end, pos, a_i, prev_len):
+    """One greedy step from breakpoint a_i; candidates are points[pos:end],
+    less those shorter than prev_len.
 
     Returns (found, exhausted): the index of the chosen point, or None with
     exhausted False when d * length outran every point still to come.
     """
-    j = pos
-    if monotone:
-        # Candidates shorter than prev_len are skipped. Since 0 <= prev_len
-        # <= a_i, points[j] - a_i is exact for points[j] <= a_i + prev_len
-        # and at least prev_len beyond it, so the skipped points are those
-        # below a_i + prev_len. Its rounded sum can fall one point short,
-        # never past the last skipped one; the loop's own test settles it.
-        j = max(int(points.searchsorted(a_i + prev_len)), pos)
-        if j < end and points[j] - a_i < prev_len:
-            j += 1
+    # Since 0 <= prev_len <= a_i, points[j] - a_i is exact for points[j] <=
+    # a_i + prev_len and at least prev_len beyond it, so the points left out
+    # are those below a_i + prev_len. Its rounded sum can fall one point
+    # short, never past the last left out; the loop's own test settles it.
+    j = max(int(points.searchsorted(a_i + prev_len)), pos)
+    if j < end and points[j] - a_i < prev_len:
+        j += 1
     room = (points.size - pos) + 1
     size = _STEP_CHUNK
     while j < end:
@@ -194,12 +192,12 @@ def _step(points, d, end, pos, a_i, prev_len, monotone):
     return None, True
 
 
-def _single_run(points, d, end, pos, prev_len, monotone):
+def _single_run(points, d, end, pos, prev_len):
     """How many single-point steps follow in a row from points[pos - 1].
 
-    Step m takes points[m] alone: 1 >= d * gap and, when monotone,
-    gap >= the previous gap, with gap = points[m] - points[m - 1]. The
-    trim test needs no check here: it fails only where the gap test does.
+    Step m takes points[m] alone: 1 >= d * gap and gap >= the previous gap,
+    with gap = points[m] - points[m - 1]. The trim test needs no check
+    here: it fails only where the gap test does.
     """
     taken = 0
     size = _RUN_CHUNK
@@ -208,9 +206,8 @@ def _single_run(points, d, end, pos, prev_len, monotone):
         seg = points[lo - 1:min(lo + size, end)]
         gaps = seg[1:] - seg[:-1]
         ok = 1 >= d * gaps
-        if monotone:
-            ok[0] &= not gaps[0] < prev_len
-            ok[1:] &= ~(gaps[1:] < gaps[:-1])
+        ok[0] &= not gaps[0] < prev_len
+        ok[1:] &= ~(gaps[1:] < gaps[:-1])
         m = int(ok.argmin()) if not ok.all() else ok.size
         taken += m
         if m < ok.size:
@@ -220,12 +217,12 @@ def _single_run(points, d, end, pos, prev_len, monotone):
     return taken
 
 
-def _grow_right(points: np.ndarray, d: float, hi: float, monotone: bool):
+def _grow_right(points: np.ndarray, d: float, hi: float):
     """Greedy breakpoints 0 = a_0 < a_1 < ... with count >= d * length.
 
     Candidates are the sequence points themselves (counts only change
     there). Each step takes the smallest candidate satisfying the count
-    condition and, if requested, the non-decreasing length constraint.
+    condition and the non-decreasing length constraint.
 
     Returns (breakpoints beyond 0, counts, blocked_at or None, trimmed).
     A step where the remaining span cannot even hold an interval of the
@@ -250,10 +247,10 @@ def _grow_right(points: np.ndarray, d: float, hi: float, monotone: bool):
     a_i, prev_len = 0.0, 0.0
     blocked_at, trimmed = None, False
     while pos < end:
-        if monotone and points[n - 1] - a_i < prev_len:
+        if points[n - 1] - a_i < prev_len:
             trimmed = True
             break
-        found, exhausted = _step(points, d, end, pos, a_i, prev_len, monotone)
+        found, exhausted = _step(points, d, end, pos, a_i, prev_len)
         if found is None:
             # a stall on a final sliver of the window is a truncation
             # artifact: the points that would have completed the interval
@@ -266,7 +263,7 @@ def _grow_right(points: np.ndarray, d: float, hi: float, monotone: bool):
         prev_len = points[found] - a_i
         last = found
         if found == pos:
-            taken = _single_run(points, d, end, found + 1, prev_len, monotone)
+            taken = _single_run(points, d, end, found + 1, prev_len)
             if taken:
                 last = found + taken
                 prev_len = points[last] - points[last - 1]
@@ -277,28 +274,27 @@ def _grow_right(points: np.ndarray, d: float, hi: float, monotone: bool):
     return points[idx[1:]], np.diff(idx), blocked_at, trimmed
 
 
-def greedy_density_partition(seq: PointSequence, d: float,
-                             monotone: bool = True) -> GreedyResult:
+def greedy_density_partition(seq: PointSequence, d: float) -> GreedyResult:
     """Greedy short-partition candidate at target density d.
 
     Walks right from 0 choosing the smallest sequence point a_(i+1) with
-    #(seq in (a_i, a_(i+1)]) >= d * (a_(i+1) - a_i) and, when monotone,
+    #(seq in (a_i, a_(i+1)]) >= d * (a_(i+1) - a_i) and
     (a_(i+1) - a_i) >= (a_i - a_(i-1)); the left side mirrors this away
     from 0. Fails with the offending direction if a side runs out of window
     before its count condition can be met (the left side is walked only if
     the right one succeeds); a leftover sliver at the window edge too short
-    for the monotone constraint is trimmed instead.
+    for the length constraint is trimmed instead.
     """
     _positive(d, "target density")
     if len(seq) == 0:
         raise ParameterError("sequence is empty")
     lo, hi = seq.window
     empty = np.zeros(0, int)
-    right_bks, right_counts, right_block, _ = _grow_right(seq.points, d, hi, monotone)
+    right_bks, right_counts, right_block, _ = _grow_right(seq.points, d, hi)
     if right_block is not None:
         return GreedyResult(False, None, empty, "right", right_block)
     # the left side walks the points reflected about 0
-    left_bks, left_counts, left_block, _ = _grow_right(-seq.points[::-1], d, -lo, monotone)
+    left_bks, left_counts, left_block, _ = _grow_right(-seq.points[::-1], d, -lo)
     if left_block is not None:
         return GreedyResult(False, None, empty, "left", -left_block)
     bks = np.concatenate((-left_bks[::-1], [0.0], right_bks))
@@ -308,14 +304,9 @@ def greedy_density_partition(seq: PointSequence, d: float,
     return GreedyResult(True, Partition(bks), counts)
 
 
-def _short_greedy(seq: PointSequence, d: float, monotone: bool = True):
-    """(result, blocker) for the short-partition test at level d: the greedy
-    partition succeeds with at least 4 breakpoints and is short. Returns
-    (GreedyResult, None) when it passes, else (None, "density") or
-    (None, "shortness") for the condition that failed first."""
-    res = greedy_density_partition(seq, d, monotone=monotone)
-    if not res.ok or len(res.partition.breakpoints) < 4:
-        return None, "density"
-    if shortness(res.partition).verdict != "short":
-        return None, "shortness"
-    return res, None
+def _short_greedy(seq: PointSequence, d: float) -> GreedyResult | None:
+    """The greedy result at level d if its partition has at least 4
+    breakpoints and is short, else None: d1's test at level d."""
+    res = greedy_density_partition(seq, d)
+    ok = res.ok and len(res.partition.breakpoints) >= 4
+    return res if ok and shortness(res.partition).verdict == "short" else None

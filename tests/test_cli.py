@@ -456,6 +456,16 @@ def test_fekete_cli_has_no_seed(tmp_path):
     assert main(argv + ["--seed", "1"]) == 2
 
 
+def test_density_has_one_partition_method(tmp_path, capsys):
+    # d1 is the one greedy short-partition search; d2 is not a method
+    out = tmp_path / "out.json"
+    argv = ["density", "--method", "d2", "--seq", "lattice:1", "--window=-50,50",
+            "-o", str(out)]
+    assert main(argv) == 2
+    assert "argument --method: invalid choice: 'd2'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parameter_error_exit_2(tmp_path):
     assert main(["gen", "--spec", "lattice:0", "--window=0,10"]) == 2
     assert main(["density", "--method", "d1", "--seq", "lattice:1"]) == 2  # no window

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 import gapkit.density as density
 import gapkit.gapnum as gapnum
-from gapkit.density import (_counting_residuals, _greedy_match_side, bm_density,
-                            d3_residual_curve, d4_complement_estimate, density_estimate,
-                            density_lower, long_family_search, match_to_ideal_grid,
-                            verify_family_witness, verify_partition_witness)
+from gapkit.density import (DensityEstimate, _counting_residuals, _greedy_match_side,
+                            bm_density, d3_residual_curve, d4_complement_estimate,
+                            density_estimate, density_lower, long_family_search,
+                            match_to_ideal_grid, verify_family_witness,
+                            verify_partition_witness)
 from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import ParameterError, PointSequence, generate
 
@@ -19,33 +20,38 @@ WINDOW = (-2000.0, 2000.0)
 
 
 def test_d1_lattice():
-    est = density_lower(generate("lattice:1", WINDOW), "d1")
+    est = density_lower(generate("lattice:1", WINDOW))
     assert est.value == pytest.approx(1.0, abs=0.05)
     assert est.witness["verified"]
 
 
 def test_d1_halved_lattice():
-    est = density_lower(generate("lattice:2", WINDOW), "d1")
+    est = density_lower(generate("lattice:2", WINDOW))
     assert est.value == pytest.approx(0.5, abs=0.025)
-
-
-def test_d2_on_perturbed():
-    est = density_lower(generate("perturbed:1,0.3", WINDOW, seed=3), "d2")
-    assert est.value == pytest.approx(1.0, abs=0.05)
 
 
 def test_density_of_finite_set():
     pts = np.linspace(0.05, 0.95, 10)
     seq = PointSequence(pts, (0.0, 1.0))
-    assert density_lower(seq, "d1").value == 0.0
+    assert density_lower(seq).value == 0.0
     assert bm_density(seq).value == 0.0
+
+
+def test_d1_reads_zero_below_four_points():
+    # four points carry a verified level-1 witness; any three of them read 0
+    pts = [-1.0, 0.5, 1.0, 1.5]
+    est = density_lower(PointSequence(pts, (-1.5, 1.5)))
+    assert est.value == 1.0 and est.witness["breakpoints"] == [-1.0, 0.0, 0.5, 1.0, 1.5]
+    for i in range(4):
+        fewer = PointSequence(pts[:i] + pts[i + 1:], (-1.5, 1.5))
+        assert density_lower(fewer) == DensityEstimate(0.0, "d1", (-1.5, 1.5))
 
 
 def test_witness_verification_round_trip():
     seq = generate("lattice:1", WINDOW)
     res = greedy_density_partition(seq, 1.0)
-    assert verify_partition_witness(seq, 1.0, res.partition, True)
-    assert not verify_partition_witness(seq, 1.2, res.partition, True)
+    assert verify_partition_witness(seq, 1.0, res.partition)
+    assert not verify_partition_witness(seq, 1.2, res.partition)
 
 
 @pytest.mark.parametrize("removed,expected", [(0.0, True), (-1.0, False), (1.0, False)])
@@ -56,7 +62,7 @@ def test_witness_counts_outward(removed, expected):
     lattice = generate("lattice:1", (-200.0, 200.0))
     part = greedy_density_partition(lattice, 1.0).partition
     seq = PointSequence(lattice.points[lattice.points != removed], lattice.window)
-    assert verify_partition_witness(seq, 1.0, part, True) is expected
+    assert verify_partition_witness(seq, 1.0, part) is expected
 
 
 # intervals (3^k, 2 * 3^k], k = 0..11: disjoint, each with a shortness term
@@ -224,7 +230,7 @@ def test_sandwich_interior_below_bm():
     for spec, seed in (("lattice:1", None), ("lattice:2", None),
                        ("perturbed:1,0.3", 1)):
         seq = generate(spec, WINDOW, seed=seed)
-        d1 = density_lower(seq, "d1").value
+        d1 = density_lower(seq).value
         bm = bm_density(seq).value
         assert d1 <= bm + 0.05
 
@@ -232,25 +238,25 @@ def test_sandwich_interior_below_bm():
 def test_monotone_under_insertion():
     rng = np.random.default_rng(17)
     seq = generate("lattice:2", (-500, 500))
-    base = density_lower(seq, "d1").value
+    base = density_lower(seq).value
     extra = rng.uniform(-500, 500, 300)
     pts = np.unique(np.concatenate([seq.points, extra]))
     denser = PointSequence(pts, seq.window)
-    assert density_lower(denser, "d1").value >= base - 1e-3 - 1e-12
+    assert density_lower(denser).value >= base - 1e-3 - 1e-12
 
 
 def test_scaling_covariance():
     seq = generate("lattice:1", (-1000, 1000))
-    base = density_lower(seq, "d1").value
+    base = density_lower(seq).value
     for t in (0.5, 2.0):
         scaled = seq.scale(t)
-        est = density_lower(scaled, "d1").value
+        est = density_lower(scaled).value
         assert est == pytest.approx(base / t, abs=0.05 * max(1.0, 1.0 / t))
 
 
 def test_density_estimate_dispatch():
     seq = generate("lattice:1", (-500, 500))
-    for m in ("d1", "d2", "d3", "d4", "bm"):
+    for m in ("d1", "d3", "d4", "bm"):
         est = density_estimate(seq, m)
         assert est.method == m
         assert 0.9 <= est.value <= 1.1

@@ -185,8 +185,7 @@ def test_certificate_partition_passes_d1_witness_check(spec, window):
     assert cert.c_estimate > 0
     d = cert.to_json_dict()
     bks = np.array(d["partition_breakpoints"])
-    assert verify_partition_witness(seq, cert.c_estimate, Partition(bks),
-                                    monotone_required=True)
+    assert verify_partition_witness(seq, cert.c_estimate, Partition(bks))
     # the margin recounted with the outward closure: (u, v] right of 0,
     # [u, v) left of it
     pts, sides = seq.points, np.where(bks[:-1] >= 0, "right", "left")
@@ -215,7 +214,7 @@ def test_energy_checked_once_on_the_d1_witness(monkeypatch):
     parts = _counted_energy_verdict(monkeypatch)
     seq = generate("perturbed:1,0.2", (-1500, 1500), seed=1)
     cert = estimate_gap_characteristic(seq)
-    d1 = density_lower(seq, "d1")
+    d1 = density_lower(seq)
     assert len(parts) == 1
     assert parts[0].breakpoints.tolist() == d1.witness["breakpoints"]
     assert cert.c_estimate == d1.value and cert.d1.value == d1.value
@@ -266,11 +265,12 @@ def test_estimate_with_gram_crossing():
 
 
 def test_few_points_certificate_fields_follow_c():
-    # d1 finds level 1 on three points, but a certificate needs four: c = 0,
-    # and the fields derived from d1 read as for no level at all
+    # d1 reads 0 below four points, and the certificate reads its c from d1:
+    # c = 0 with the note naming that rule, and the fields derived from d1
+    # read as for no level at all
     seq = PointSequence([-1, 0.5, 1], (-3, 3))
     cert = estimate_gap_characteristic(seq)
-    assert cert.d1.value == 1.0 and cert.c_estimate == 0.0
+    assert cert.d1.value == 0.0 and cert.d1.witness == {} and cert.c_estimate == 0.0
     assert cert.diagnostics == {"note": "too few points"}
     d = cert.to_json_dict()
     assert d["partition_breakpoints"] == [] and math.isnan(d["density_margin"])

@@ -146,8 +146,7 @@ def test_greedy_monotone_in_density():
 def test_greedy_counts_recheck():
     seq = generate("poisson:1.5", (-400, 400), seed=10)
     res = greedy_density_partition(seq, 0.7)
-    if not res.ok:
-        pytest.skip("instance infeasible at 0.7")
+    assert res.ok
     bks = res.partition.breakpoints
     z = res.partition.zero_index
     for k, (lo, hi) in enumerate(zip(bks[:-1], bks[1:])):

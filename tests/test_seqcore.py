@@ -503,7 +503,7 @@ def _load_written(values, tmp_path):
 
 
 def _d1_witness():
-    return Partition(density_lower(LATTICE, "d1").witness["breakpoints"])
+    return Partition(density_lower(LATTICE).witness["breakpoints"])
 
 
 POINT_ENTRIES = {
@@ -529,7 +529,7 @@ LEVEL_ENTRIES = {
     "greedy_density_partition": lambda a, tmp: greedy_density_partition(LATTICE, a),
     "d3_residual_curve": lambda a, tmp: d3_residual_curve(LATTICE, a),
     "verify_partition_witness":
-        lambda a, tmp: verify_partition_witness(LATTICE, a, _d1_witness(), True),
+        lambda a, tmp: verify_partition_witness(LATTICE, a, _d1_witness()),
     "long_family_search": lambda a, tmp: long_family_search(LATTICE, "below")(a),
     "long_family_search_above": lambda a, tmp: long_family_search(LATTICE, "above")(a),
     "verify_family_witness":

@@ -35,12 +35,12 @@ from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _assemble_family,
 from gapkit.energy import EnergyReport, energy_condition_report, total_energy
 from gapkit.gapnum import estimate_gap_characteristic
 from gapkit.regularize import regularize_gaps
-from gapkit.partitions import (_grow_right, _short_greedy, _terms_of, classify_terms,
-                               greedy_density_partition, shortness)
+from gapkit.partitions import (_grow_right, _monotone, _short_greedy, _terms_of,
+                               classify_terms, greedy_density_partition, shortness)
 from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
 
 
-def loop_grow_right(points, d, hi, monotone):
+def loop_grow_right(points, d, hi):
     bks = [0.0]
     counts = []
     prev_len = 0.0
@@ -48,7 +48,7 @@ def loop_grow_right(points, d, hi, monotone):
     n = points.size
     while idx < n and points[idx] <= hi:
         a_i = bks[-1]
-        if monotone and points[n - 1] - a_i < prev_len:
+        if points[n - 1] - a_i < prev_len:
             return bks[1:], counts, None, True
         found = None
         exhausted = True
@@ -56,7 +56,7 @@ def loop_grow_right(points, d, hi, monotone):
         while j < n and points[j] <= hi:
             length = points[j] - a_i
             count = j - idx + 1
-            if monotone and length < prev_len:
+            if length < prev_len:
                 j += 1
                 continue
             if count >= d * length:
@@ -126,21 +126,31 @@ def loop_energy_report(seq, part):
 
 def _cases():
     """(label, sequence, partition): greedy partitions of lattice, perturbed
-    and Poisson input, a lattice with one extra point, whose energy series
-    has a single positive summand, and a symmetric partition whose intervals
-    tie in dist(0, I) in pairs and hold several points each."""
+    and Poisson input at level d (monotone=True); for each, a partition of
+    the same range with breakpoints at 0, its ends and a seeded random half
+    of the sequence points inside it (monotone=False: lengths that do not
+    grow outward, as a partition file may give); a lattice with one extra
+    point, whose energy series has a single positive summand; and a
+    symmetric partition whose intervals tie in dist(0, I) in pairs and hold
+    several points each."""
     lattice = generate("lattice:1", (-300, 300))
     seqs = [
         ("lattice:1", lattice),
         ("perturbed:1,0.2", generate("perturbed:1,0.2", (-300, 300), seed=3)),
         ("poisson:1", generate("poisson:1", (-1500, 1500), seed=4)),
     ]
+    rng = np.random.default_rng(5)
     for spec, seq in seqs:
         for d in (0.3, 0.6, 0.9):
-            for monotone in (True, False):
-                res = greedy_density_partition(seq, d, monotone=monotone)
-                if res.ok and len(res.partition.breakpoints) >= 4:
-                    yield f"{spec} d={d} monotone={monotone}", seq, res.partition
+            res = greedy_density_partition(seq, d)
+            if not res.ok or len(res.partition.breakpoints) < 4:
+                continue
+            bks = res.partition.breakpoints
+            yield f"{spec} d={d} monotone=True", seq, res.partition
+            inside = seq.points[(seq.points > bks[0]) & (seq.points < bks[-1])]
+            kept = inside[rng.random(inside.size) < 0.5]
+            part = Partition(np.union1d([bks[0], 0.0, bks[-1]], kept))
+            yield f"{spec} d={d} monotone=False", seq, part
     # one energy summand is positive: the unit interval (10, 11] holds 2 points
     seq = PointSequence(np.union1d(lattice.points, [10.5]), lattice.window)
     yield "lattice plus a point", seq, greedy_density_partition(seq, 1.0).partition
@@ -158,6 +168,11 @@ def test_cases_cover_ties_and_multipoint_intervals():
     labels = " ".join(label for label, _, _ in CASES)
     for law in ("lattice", "perturbed", "poisson", "symmetric"):
         assert law in labels
+    for label, _, part in CASES:
+        if "monotone=" in label:
+            assert label.endswith(f"monotone={_monotone(part)}")
+    assert min(part.breakpoints.size for label, _, part in CASES
+               if label.endswith("monotone=False")) > 100
     assert max(loop_energy_report(seq.restrict(*part.cover()), part).count.max()
                for _, seq, part in CASES) >= 2
 
@@ -259,9 +274,9 @@ def test_poisson_walk_continues_past_its_first_chunk():
 # The greedy walk
 # ---------------------------------------------------------------------------
 
-def assert_walks_agree(points, d, hi, monotone):
-    bks, counts, blocked_at, trimmed = loop_grow_right(points, d, hi, monotone)
-    new = _grow_right(points, d, hi, monotone)
+def assert_walks_agree(points, d, hi):
+    bks, counts, blocked_at, trimmed = loop_grow_right(points, d, hi)
+    new = _grow_right(points, d, hi)
     assert new[0].dtype == np.float64 and new[1].dtype == np.int64
     assert new[0].tobytes() == np.array(bks, dtype=float).tobytes()
     assert new[1].tobytes() == np.array(counts, dtype=np.int64).tobytes()
@@ -270,14 +285,14 @@ def assert_walks_agree(points, d, hi, monotone):
     return blocked_at, trimmed
 
 
-def _greedy_answer(points, lo, hi, monotone):
+def _greedy_answer(points, lo, hi):
     """The largest level at which the reference walk succeeds on both sides,
     to about 1e-12 relative."""
     mirrored = -points[::-1]
 
     def ok(d):
-        return (loop_grow_right(points, d, hi, monotone)[2] is None
-                and loop_grow_right(mirrored, d, -lo, monotone)[2] is None)
+        return (loop_grow_right(points, d, hi)[2] is None
+                and loop_grow_right(mirrored, d, -lo)[2] is None)
 
     below, above = 0.0, 1.0
     while ok(above):
@@ -296,15 +311,14 @@ WALK_SEQS = {
 }
 
 
-@pytest.mark.parametrize("monotone", [True, False])
 @pytest.mark.parametrize("name", list(WALK_SEQS))
-def test_walk_matches_loop(name, monotone):
+def test_walk_matches_loop(name):
     seq = WALK_SEQS[name]
     lo, hi = seq.window
     pts = seq.points
     if name == "lacunary":
         assert pts[pts > 0].min() < 1e-299
-    ans = _greedy_answer(pts, lo, hi, monotone)
+    ans = _greedy_answer(pts, lo, hi)
     levels = {0.05, 0.5, 1.0, 2.0, 1e250}
     if ans > 0:
         levels |= {ans * (1 - 1e-3), ans, np.nextafter(ans, np.inf), ans * (1 + 1e-3)}
@@ -316,7 +330,7 @@ def test_walk_matches_loop(name, monotone):
                  0.5 * (points[-20] + points[-19]), 0.8 * edge)
         for d in sorted(levels):
             for e in edges:
-                blocked, trimmed = assert_walks_agree(points, d, e, monotone)
+                blocked, trimmed = assert_walks_agree(points, d, e)
                 seen.add("blocked" if blocked is not None else
                          "trimmed" if trimmed else "complete")
     assert "blocked" in seen and len(seen) >= 2
@@ -326,27 +340,25 @@ def test_walk_edge_cases():
     pts = np.arange(-5.0, 6.0)
     for hi in (-1.0, 0.0, 0.5, 5.0, 1e300):
         for d in (0.5, 1.0, 3.0):
-            for monotone in (True, False):
-                assert_walks_agree(pts, d, hi, monotone)
-    assert_walks_agree(np.zeros(0), 1.0, 1.0, True)
-    assert_walks_agree(np.array([-0.0, 1.0, 2.0]), 1.0, 2.0, True)
+            assert_walks_agree(pts, d, hi)
+    assert_walks_agree(np.zeros(0), 1.0, 1.0)
+    assert_walks_agree(np.array([-0.0, 1.0, 2.0]), 1.0, 2.0)
 
 
 def test_walk_single_point_runs():
     # slowly growing gaps that shrink once, at every step of three run
-    # chunks: the run must stop there and the monotone walk skip ahead
+    # chunks: the run must stop there and the walk skip ahead
     base = np.cumsum(1.0 + 1e-3 * np.arange(420))
     for k in range(1, 400):
         pts = base.copy()
         pts[k:] -= 0.005
         for d in (0.5, 1.0):
-            assert_walks_agree(pts, d, 600.0, True)
+            assert_walks_agree(pts, d, 600.0)
     # a run of unit steps, then points four times denser: the first step
     # after the run must measure its length against the last unit step
     pts = np.concatenate((np.arange(1.0, 300.0), 299.0 + 0.25 * np.arange(1, 400)))
     for d in (0.5, 1.0, 1.5):
-        for monotone in (True, False):
-            assert_walks_agree(pts, d, 400.0, monotone)
+        assert_walks_agree(pts, d, 400.0)
 
 
 def test_walk_skip_boundary_rounding():
@@ -358,7 +370,7 @@ def test_walk_skip_boundary_rounding():
         a = p0 + rng.uniform(p0, 4.0 * p0)
         t = a + (a - p0)
         cluster = t + np.arange(-3, 4) * np.spacing(t)
-        assert_walks_agree(np.concatenate(([p0, a], cluster)), 1e-6, 10.0, True)
+        assert_walks_agree(np.concatenate(([p0, a], cluster)), 1e-6, 10.0)
 
 
 _walk_points = st.lists(
@@ -370,9 +382,9 @@ _walk_points = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(points=_walk_points,
        d=st.one_of(st.floats(1e-3, 20.0), st.sampled_from([0.5, 1.0, 2.0])),
-       hi=st.floats(-1.0, 60.0), monotone=st.booleans())
-def test_walk_matches_loop_on_random_points(points, d, hi, monotone):
-    assert_walks_agree(points, d, hi, monotone)
+       hi=st.floats(-1.0, 60.0))
+def test_walk_matches_loop_on_random_points(points, d, hi):
+    assert_walks_agree(points, d, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +775,7 @@ def gated_search(seq):
     level, with the partition the search hands back for its answer."""
 
     def probe(a):
-        res, _ = _short_greedy(seq, a)
+        res = _short_greedy(seq, a)
         if res is None:
             return False, None
         part = res.partition
@@ -801,7 +813,7 @@ def test_certificate_matches_gated_search_and_oracle(spec, window, known):
     c = cert.c_estimate
     assert (cert.energy_verdict == "supported") == (c > 0)
     if known == "d1":
-        assert c == density.density_lower(seq, "d1").value > 0
+        assert c == density.density_lower(seq).value > 0
     elif isinstance(known, tuple):
         assert known[0] <= c <= known[1]
     else:
