@@ -39,9 +39,13 @@ over +-30000, the energy report on the lattice's d1 witness over +-5000
 (10 000 one-point intervals), and `total_energy` of the 2999 lattice points
 of +-1499. `test_cli_process` times whole fresh `python -m gapkit.cli`
 processes, start and exit included: `gap` on the lattice over +-1500,
-`report` on the perturbed lattice over +-1500 and `density --method d4` on
-the lacunary input, with one BLAS thread and PYTHONDONTWRITEBYTECODE=1, as
-perfbench/run.py starts its jobs.
+`report` on the perturbed lattice over +-1500, `density --method d4` on
+the lacunary input and `energy` on the Poisson input over +-10000 (about
+20 000 points in one `total_energy`), with one BLAS thread and
+PYTHONDONTWRITEBYTECODE=1, started from perfbench/launcher.py as
+perfbench/run.py starts its jobs. The launcher reads each process's peak RSS
+from os.wait4, and extra_info records them (`peak_rss_mb`, one per process,
+and their median `peak_rss_mb_median`).
 
 The file name keeps it out of the default test collection. Run it by path:
 
@@ -59,6 +63,7 @@ import functools
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -259,17 +264,47 @@ CLI_PROCESSES = {
                          "--seed", str(SEED)],
     "d4_lacunary": ["density", "--method", "d4", "--seq", "lacunary:2",
                     "--window=-1e6,1e6"],
+    "energy_poisson": ["energy", "--seq", "poisson:1", "--window=-10000,10000",
+                       "--seed", str(SEED)],
 }
 _SRC = Path(__file__).resolve().parents[1] / "src"
+_LAUNCHER = Path(__file__).resolve().parents[1] / "perfbench" / "launcher.py"
 _CLI_ENV = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONDONTWRITEBYTECODE="1",
                 **{v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                     "MKL_NUM_THREADS")})
 
 
+@pytest.fixture(scope="module")
+def launcher():
+    """perfbench/launcher.py, the small parent perfbench/run.py starts its
+    jobs from: wait4 reports a child's peak RSS from its parent's high-water
+    mark up, so a job started from this pytest process would report at
+    least pytest's size."""
+    proc = subprocess.Popen([sys.executable, str(_LAUNCHER)], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True)
+    yield proc
+    proc.stdin.close()
+    proc.wait()
+
+
 @pytest.mark.parametrize("name", list(CLI_PROCESSES))
-def test_cli_process(benchmark, tmp_path, name):
-    argv = [sys.executable, "-m", "gapkit.cli", *CLI_PROCESSES[name], "-o", "out.json"]
-    proc = benchmark(subprocess.run, argv, cwd=tmp_path, env=_CLI_ENV,
-                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    assert proc.returncode == 0, proc.stderr
+def test_cli_process(benchmark, launcher, tmp_path, name):
+    request = json.dumps({
+        "argv": [sys.executable, "-m", "gapkit.cli", *CLI_PROCESSES[name], "-o", "out.json"],
+        "cwd": str(tmp_path), "env": _CLI_ENV, "stderr": str(tmp_path / "stderr.txt"),
+        "timeout": 300})
+    rss_mb = []
+
+    def run():
+        launcher.stdin.write(request + "\n")
+        launcher.stdin.flush()
+        reply = json.loads(launcher.stdout.readline())
+        rss_mb.append(reply["rss_kb"] / 1024.0)
+        return reply["code"]
+
+    code = benchmark(run)
+    # one entry per process started, calibration rounds included
+    benchmark.extra_info["peak_rss_mb"] = rss_mb
+    benchmark.extra_info["peak_rss_mb_median"] = statistics.median(rss_mb)
+    assert code == 0, (tmp_path / "stderr.txt").read_text()
     assert json.loads((tmp_path / "out.json").read_text())["command"] == CLI_PROCESSES[name][0]

@@ -19,17 +19,23 @@ from .seqcore import ParameterError, Partition, PointSequence, _dist0, _owned, _
 
 __all__ = ["total_energy", "energy_condition_report", "EnergyReport"]
 
-_BLOCK = 256
+# The most differences one block of total_energy holds: 512 KB of doubles.
+_BLOCK_DIFFS = 2**16
 
 
 def total_energy(seq) -> float:
     """E = sum over ordered pairs k != l of log|x_k - x_l|.
 
     Blocked O(N^2) evaluation; this is the defining sum, not an
-    approximation. Each block of rows writes the differences x_i - x_j,
-    j < i, of its rows one after another into one buffer reused for every
-    block: the strict lower triangle in row order. Raises on non-finite and
-    on duplicate points (log 0).
+    approximation. The strict lower triangle, the differences x_i - x_j,
+    j < i, in row order, is cut into blocks of whole rows: each block takes
+    the most rows whose differences number at most _BLOCK_DIFFS, and at
+    least one row. Every block is written into one buffer, reused, of
+    max(_BLOCK_DIFFS, N - 1) doubles at most: 512 KB up to N = 65 537,
+    whatever the pair count. Each block's logs are summed by np.sum and the
+    block sums by math.fsum. Up to 362 points (rows 1..361, 65 341
+    differences) are one block. Raises on non-finite and on duplicate points
+    (log 0).
     """
     x = seq.points if isinstance(seq, PointSequence) else np.asarray(seq, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -37,10 +43,13 @@ def total_energy(seq) -> float:
     n = x.size
     if n < 2:
         return 0.0
-    blocks = [(i0, min(i0 + _BLOCK, n)) for i0 in range(1, n, _BLOCK)]
-    buf = np.empty(max((i0 + i1 - 1) * (i1 - i0) // 2 for i0, i1 in blocks))
-    total = 0.0
-    for i0, i1 in blocks:
+    cap = _BLOCK_DIFFS
+    buf = np.empty(min(max(cap, n - 1), n * (n - 1) // 2))
+    sums = []
+    i0 = 1
+    while i0 < n:
+        # the largest i1 with i0 + ... + (i1 - 1) <= cap, at least i0 + 1
+        i1 = min(n, max(i0 + 1, (1 + math.isqrt(1 + 8 * cap + 4 * i0 * (i0 - 1))) // 2))
         end = 0
         for i in range(i0, i1):
             np.subtract(x[i], x[:i], out=buf[end:end + i])
@@ -49,8 +58,9 @@ def total_energy(seq) -> float:
         np.abs(vals, out=vals)
         if not vals.all():  # a zero distance, found without a boolean copy of vals
             raise ParameterError("duplicate points give log 0 in the energy")
-        total += float(np.sum(np.log(vals, out=vals)))
-    return 2.0 * total
+        sums.append(float(np.sum(np.log(vals, out=vals))))
+        i0 = i1
+    return 2.0 * math.fsum(sums)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,12 @@ eigensolver's rounding level at the top of that range; it stops when the
 bracket is at most 2*pi times the density grid step. The gap certificate
 reports that crossing (`with_gram_crossing`). `sigma_min_sweep` is the
 plain sweep over a grid of lengths.
+
+The Gram stage holds two n x n matrices per support (`_gram_fill`): the
+difference matrix lam_j - lam_k, built once, and one work matrix that each
+gap length refills in place. `gram_matrix` runs on one; the sweep's
+eigenvalue solves share one; the crossing's Cholesky probes share one, built
+after its top solve, a `gram_matrix` call, has freed its own.
 """
 
 from __future__ import annotations
@@ -69,13 +75,50 @@ class GramProbe:
     eigenvalues: np.ndarray
 
 
-def _gram_entries(lam: np.ndarray, a: float) -> np.ndarray:
-    """S_jk = 2 sin(a(lam_j-lam_k)/2) / (lam_j-lam_k), a on the diagonal."""
+def _gram_fill(lam: np.ndarray):
+    """The Gram stage of one support: fill(a), which writes S(a) of the
+    frequencies lam (see `gram_matrix`) into one work matrix and returns it.
+
+    lam must be finite, nonempty, at most MAX_GRAM_SIZE long and distinct,
+    with a span max - min finite in float64; fill rejects an a that is not
+    positive and finite or for which a * (max - min) overflows (past float64
+    the entries would be sin(inf) = NaN). The difference matrix d = lam_j -
+    lam_k, 1 on the diagonal, is built once. Each fill overwrites the one
+    work matrix with 0.5 * a * d, its sin, times 2, over d, and a on the
+    diagonal: the operations of 2 sin(0.5 a d) / d in their order, so S is
+    the same to the bit as a fresh build. A caller reads or factors S before
+    its next fill.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ParameterError("frequencies must be finite")
+    if lam.size == 0:
+        raise ParameterError("need at least one frequency")
+    if lam.size > MAX_GRAM_SIZE:
+        raise ParameterError(f"N = {lam.size} exceeds the dense-solver cap {MAX_GRAM_SIZE}")
+    srt = np.sort(lam)
+    if np.any(srt[1:] == srt[:-1]):
+        raise ParameterError("frequencies must be distinct")
+    span = float(srt[-1]) - float(srt[0])
+    if not math.isfinite(span):
+        raise ParameterError(f"frequencies span [{float(srt[0])!r}, {float(srt[-1])!r}] is "
+                             "wider than float64 holds")
     d = lam[:, None] - lam[None, :]
     np.fill_diagonal(d, 1.0)
-    s = 2.0 * np.sin(0.5 * a * d) / d
-    np.fill_diagonal(s, a)
-    return s
+    s = np.empty_like(d)
+
+    def fill(a) -> np.ndarray:
+        a = _positive(a, "gap length a")
+        if not math.isfinite(a * span):
+            raise ParameterError(f"a * (max - min frequency) overflows float64 at a = {a!r}")
+        np.multiply(0.5 * a, d, out=s)
+        np.sin(s, out=s)
+        np.multiply(2.0, s, out=s)
+        np.divide(s, d, out=s)
+        np.fill_diagonal(s, a)
+        return s
+
+    return fill
 
 
 def gram_matrix(lam, a: float, vectors: bool = True) -> GramProbe:
@@ -89,23 +132,11 @@ def gram_matrix(lam, a: float, vectors: bool = True) -> GramProbe:
     arithmetic, and S v = sigma v gives G (U v) = sigma (U v): the
     minimizing unit-norm weight vector is U v. G is Hermitian positive
     semidefinite by construction. With vectors=False LAPACK solves for the
-    eigenvalues alone and minimizing_weights is None. a * (max lam - min lam)
-    must be finite: past float64 the entries would be sin(inf) = NaN.
+    eigenvalues alone and minimizing_weights is None. `_gram_fill` gives the
+    input rules.
     """
     lam = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lam)):
-        raise ParameterError("frequencies must be finite")
-    a = _positive(a, "gap length a")
-    if lam.size == 0:
-        raise ParameterError("need at least one frequency")
-    if lam.size > MAX_GRAM_SIZE:
-        raise ParameterError(f"N = {lam.size} exceeds the dense-solver cap {MAX_GRAM_SIZE}")
-    srt = np.sort(lam)
-    if np.any(srt[1:] == srt[:-1]):
-        raise ParameterError("frequencies must be distinct")
-    if not math.isfinite(a * (float(srt[-1]) - float(srt[0]))):
-        raise ParameterError(f"a * (max - min frequency) overflows float64 at a = {a!r}")
-    s = _gram_entries(lam, a)
+    s = _gram_fill(lam)(a)
     if not vectors:
         w = np.linalg.eigvalsh(s)
         return GramProbe(lam, max(float(w[0]), 0.0), None, np.maximum(w, 0.0))
@@ -133,17 +164,18 @@ def sigma_min_sweep(lam, a_grid) -> np.ndarray:
 
     Monotone non-decreasing in a (the Gram increment over [a1, a2] is
     itself a Gram matrix, hence PSD); asserted up to a 1e-10 numerical
-    allowance. Each grid point solves for eigenvalues only: the sweep never
-    uses the minimizing vector. `gram_matrix` rejects each non-finite grid
-    value.
+    allowance. The support is checked once and every grid point refills its
+    one work matrix (`_gram_fill`, which rejects each non-finite grid
+    value) and solves for eigenvalues only: the sweep never uses the
+    minimizing vector.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
         raise ParameterError("grid must be nonempty")
     if np.any(np.diff(a_grid) <= 0):
         raise ParameterError("grid must be increasing")
-    lam = np.asarray(lam, dtype=float)
-    sigmas = np.array([gram_matrix(lam, a, vectors=False).sigma_min for a in a_grid])
+    fill = _gram_fill(lam)
+    sigmas = np.array([max(float(np.linalg.eigvalsh(fill(a))[0]), 0.0) for a in a_grid])
     diffs = np.diff(sigmas)
     if diffs.size and float(np.min(diffs)) < -1e-10:
         raise AssertionError(
@@ -191,12 +223,13 @@ def sigma_min_crossing(lam) -> CrossingResult:
     a_max = 8.0 * math.pi / _median(np.diff(lam))
     top = gram_matrix(lam, a_max, vectors=False)
     tau = CROSSING_SAFETY * lam.size * float(np.finfo(float).eps * top.eigenvalues[-1])
+    fill = _gram_fill(lam)
     passed = bool(top.sigma_min > tau)
     probes = [(a_max, passed)]
     lo, hi = 0.0, (a_max if passed else float("nan"))
     while hi - lo > 2.0 * math.pi * GRID_RESOLUTION:
         mid = 0.5 * (lo + hi)
-        s = _gram_entries(lam, mid)
+        s = fill(mid)
         s.flat[::lam.size + 1] -= tau
         try:
             np.linalg.cholesky(s)

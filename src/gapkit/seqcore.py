@@ -21,7 +21,7 @@ Four input rules are each written once; breaking one is a ParameterError:
   and energies are inf), kept as a read-only copy. Used by PointSequence,
   Partition, AtomicMeasure, `load_points` and `clarknum`'s two entries.
 - `_positive`: a level is finite and > 0. Used by PointSequence.scale, the
-  law parameters, `gapnum.gram_matrix`, `partitions.greedy_density_partition`
+  law parameters, `gapnum._gram_fill`, `partitions.greedy_density_partition`
   and four `density` entries: d3, two witness checks and the family search.
 - `_finite_window`: a window has finite ends and a width hi - lo finite in
   float64, as for a span. Used by PointSequence and `_requested_window`.
@@ -310,7 +310,7 @@ def _check_count(count: float, what: str) -> None:
                              f"the limit of {MAX_POINTS:.0e}")
 
 
-def _gen_lattice(h: float, lo: float, hi: float, rng) -> np.ndarray:
+def _gen_lattice(h: float, lo: float, hi: float, seed) -> np.ndarray:
     _positive(h, "lattice step")
     kmin, kmax = np.ceil(lo / h - 1e-12), np.floor(hi / h + 1e-12)
     _check_count(kmax - kmin + 1, "lattice points")
@@ -320,17 +320,17 @@ def _gen_lattice(h: float, lo: float, hi: float, rng) -> np.ndarray:
     return np.arange(kmin, kmax + 1, dtype=float) * h
 
 
-def _gen_perturbed(h: float, jitter: float, lo: float, hi: float, rng) -> np.ndarray:
+def _gen_perturbed(h: float, jitter: float, lo: float, hi: float, seed) -> np.ndarray:
     _positive(h, "lattice step")
     if not 0 <= jitter < h / 2:
         raise ParameterError(f"jitter must lie in [0, h/2), got {jitter}")
-    base = _gen_lattice(h, lo + jitter, hi - jitter, rng)
+    base = _gen_lattice(h, lo + jitter, hi - jitter, seed)
     if base.size == 0:
         return base
-    return base + rng.uniform(-jitter, jitter, size=base.size)
+    return base + np.random.default_rng(seed).uniform(-jitter, jitter, size=base.size)
 
 
-def _gen_lacunary(q: float, lo: float, hi: float, rng) -> np.ndarray:
+def _gen_lacunary(q: float, lo: float, hi: float, seed) -> np.ndarray:
     if not (q > 1 and math.isfinite(q)):
         raise ParameterError(f"lacunary ratio must be finite and exceed 1, got {q!r}")
     if hi <= 0:
@@ -353,14 +353,14 @@ def _gen_lacunary(q: float, lo: float, hi: float, rng) -> np.ndarray:
     return np.sort(np.array(pts, dtype=float))
 
 
-def _gen_poisson(rate: float, lo: float, hi: float, rng) -> np.ndarray:
+def _gen_poisson(rate: float, lo: float, hi: float, seed) -> np.ndarray:
     """The walk x_k = x_(k-1) + e_k from x_0 = lo with exponential steps,
     up to hi. The steps are drawn a chunk at a time, the expected count of
     the rest of the window plus 16, from the stream the scalar walk reads;
     np.cumsum adds them in order, so the points are that walk's."""
     _positive(rate, "poisson rate")
     _check_count(rate * (hi - lo), "Poisson points")
-    chunks, x = [], lo
+    rng, chunks, x = np.random.default_rng(seed), [], lo
     while True:
         steps = rng.exponential(1.0 / rate, size=int(rate * (hi - x)) + 16)
         walk = np.cumsum(np.concatenate(([x], steps)))[1:]
@@ -371,7 +371,9 @@ def _gen_poisson(rate: float, lo: float, hi: float, rng) -> np.ndarray:
         x = float(walk[-1])
 
 
-# Each generator takes the law's parameters, the window ends and a numpy Generator.
+# Each generator takes the law's parameters, the window ends and the seed. Only
+# the laws that draw make np.random.default_rng(seed), so only they import
+# numpy.random.
 _LAWS = {
     "lattice": (1, _gen_lattice),
     "perturbed": (2, _gen_perturbed),
@@ -509,4 +511,4 @@ def generate(spec: str, window=None, seed=None) -> PointSequence:
     if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     gen = _LAWS[kind][1]
-    return PointSequence(gen(*params, lo, hi, np.random.default_rng(seed)), (lo, hi))
+    return PointSequence(gen(*params, lo, hi, seed), (lo, hi))

@@ -584,6 +584,22 @@ def test_certificate_commands_leave_out_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_gen_leaves_out_numpy_random_for_laws_that_do_not_draw(tmp_path):
+    # importing numpy.random is most of the time `main` spends on `gen`;
+    # only the perturbed and Poisson laws draw
+    runs = [["gen", "--spec", "lattice:1", "--window=-200,200"],
+            ["gen", "--spec", "lacunary:2", "--window=-1e6,1e6", "--seed", "3"]]
+    code = ("import sys\n"
+            "from gapkit.cli import main\n"
+            f"codes = [main(argv + ['-o', {str(tmp_path / 'out.txt')!r}]) for argv in {runs!r}]\n"
+            "assert codes == [0] * len(codes), codes\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n")
+    src = str(Path(gapkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv,loaded", [
     (["density", "--method", "d3", "--seq", "lattice:1", "--window=-100,100"],
      {"seqcore", "partitions", "density"}),

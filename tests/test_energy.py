@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gapkit.energy as energy
 from gapkit.energy import energy_condition_report, total_energy
 from gapkit.partitions import greedy_density_partition
 from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
@@ -40,6 +42,52 @@ def test_against_brute_force():
     for n in (2, 5, 17, 60):
         pts = np.sort(rng.uniform(-30, 30, n))
         assert total_energy(pts) == pytest.approx(brute_force_energy(pts), rel=1e-11)
+
+
+def fsum_energy(pts):
+    """The exact-sum reference: math.fsum of every log difference."""
+    pts = np.asarray(pts, dtype=float)
+    logs = [np.log(np.abs(pts[i] - pts[:i])) for i in range(1, pts.size)]
+    return 2.0 * math.fsum(np.concatenate([[0.0], *logs]).tolist())
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 362, 363, 900, 1500])
+def test_total_energy_against_fsum_reference(n):
+    # uniform points, sorted and not, and clusters of close points
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-100.0, 100.0, n)
+    clustered = np.sort(rng.integers(0, 5, n) * 1000.0 + rng.uniform(0.0, 1.0, n))
+    for pts in (x, np.sort(x), clustered):
+        ref = fsum_energy(pts)
+        assert total_energy(pts) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7, 1000])
+def test_total_energy_block_cap_moves_only_rounding(monkeypatch, cap):
+    # a cap of 1 makes every row its own block, longer than the cap
+    rng = np.random.default_rng(cap)
+    cases = [rng.uniform(-10.0, 10.0, n) for n in (2, 3, 50, 400)]
+    default = [total_energy(pts) for pts in cases]
+    monkeypatch.setattr(energy, "_BLOCK_DIFFS", cap)
+    for pts, e in zip(cases, default):
+        assert total_energy(pts) == pytest.approx(e, rel=1e-14, abs=1e-14)
+    dup = cases[-1].copy()
+    dup[-1] = dup[0]
+    with pytest.raises(ParameterError, match="duplicate"):
+        total_energy(dup)
+
+
+def test_total_energy_working_memory_is_bounded():
+    # one buffer of at most 2**16 doubles (512 KB), whatever the pair count
+    pts = np.random.default_rng(3).uniform(-50.0, 50.0, 5000)
+    total_energy(pts[:10])
+    tracemalloc.start()
+    try:
+        total_energy(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_translation_invariance():

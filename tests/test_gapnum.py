@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,11 @@ TWO_PI = 2.0 * math.pi
 CROSSING_STEP = TWO_PI * GRID_RESOLUTION
 
 
+def gram_entries(lam, a):
+    """The real form S of the Gram matrix, as the Gram stage fills it."""
+    return gapnum._gram_fill(lam)(a)
+
+
 def test_gram_single_atom():
     p = gram_matrix([4.2], 3.0)
     assert p.eigenvalues.shape == (1,)
@@ -28,9 +34,9 @@ def test_gram_single_atom():
 
 def test_gram_full_period_orthogonality():
     # |G_jk| = |S_jk|: the real form vanishes off the diagonal too
-    assert abs(gapnum._gram_entries(np.array([0.0, 1.0]), TWO_PI)[0, 1]) <= 1e-12
+    assert abs(gram_entries([0.0, 1.0], TWO_PI)[0, 1]) <= 1e-12
     assert gram_matrix([0.0, 1.0], TWO_PI).sigma_min == pytest.approx(TWO_PI, abs=1e-12)
-    off = gapnum._gram_entries(np.arange(64.0), TWO_PI) - TWO_PI * np.eye(64)
+    off = gram_entries(np.arange(64.0), TWO_PI) - TWO_PI * np.eye(64)
     assert np.max(np.abs(off)) <= 1e-12
     q = gram_matrix(np.arange(64.0), TWO_PI)
     assert q.eigenvalues == pytest.approx(np.full(64, TWO_PI), abs=1e-12)
@@ -39,7 +45,7 @@ def test_gram_full_period_orthogonality():
 def test_gram_two_by_two_closed_form():
     p = gram_matrix([0.0, 1.0], math.pi)
     # G_01 = -2j is e^(-i*pi/2) times the real form's S_01 = 2
-    assert gapnum._gram_entries(np.array([0.0, 1.0]), math.pi)[0, 1] == pytest.approx(2.0)
+    assert gram_entries([0.0, 1.0], math.pi)[0, 1] == pytest.approx(2.0)
     assert p.sigma_min == pytest.approx(math.pi - 2.0, abs=1e-12)
     assert p.eigenvalues == pytest.approx([math.pi - 2, math.pi + 2], abs=1e-12)
 
@@ -287,7 +293,7 @@ def test_sweep_skipped_without_a_density_level(monkeypatch):
     # c = 0 has no transition to cross-check: no Gram solve, same certificate
     solves = []
     monkeypatch.setattr(gapnum, "gram_matrix", lambda *a, **k: solves.append(a))
-    monkeypatch.setattr(gapnum, "_gram_entries", lambda *a, **k: solves.append(a))
+    monkeypatch.setattr(gapnum, "_gram_fill", lambda *a, **k: solves.append(a))
     seq = generate("lacunary:2", (-1e6, 1e6))
     cert = estimate_gap_characteristic(seq)
     assert cert.c_estimate == 0.0
@@ -353,7 +359,7 @@ def test_real_form_spectrum_matches_complex_supports(spec):
 
 
 def test_kernel_is_real_symmetric():
-    s = gapnum._gram_entries(np.array([-3.0, 0.5, 1.0, 7.25]), 2.5)
+    s = gram_entries([-3.0, 0.5, 1.0, 7.25], 2.5)
     assert np.isrealobj(s)
     assert np.array_equal(s, s.T)
     assert np.all(np.diag(s) == 2.5)
@@ -443,6 +449,20 @@ def test_crossing_scales_with_the_support(spec, t):
     base, scaled = sigma_min_crossing(lam), sigma_min_crossing(t * lam)
     assert scaled.crossing == pytest.approx(base.crossing / t,
                                             abs=CROSSING_STEP * max(1.0, 1.0 / t))
+
+
+def test_crossing_working_memory_is_two_matrices_and_a_factor():
+    # the difference matrix, the work matrix and the Cholesky factor, 2 MB
+    # each at order 512
+    lam = _nearest_zero(generate("lattice:1", (-1500, 1500)).points, 512)
+    sigma_min_crossing(lam[:8])
+    tracemalloc.start()
+    try:
+        sigma_min_crossing(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
 
 
 def test_crossing_input_validation():

@@ -1,20 +1,23 @@
 """The array forms of the greedy walk, shortness, energy_condition_report,
-the d3 matching and the Clark atom sums against the per-point, per-interval,
-per-target and per-midpoint loops they replaced, kept here as the
-reference: every reported value must agree bitwise, including the order of
-the terms. The pairwise energy is checked against the masked-block gather it
-replaced, and the chunked Poisson walk against the scalar walk. The ladder
-walk of the level search is checked the same way against the top-down
-bisection it replaced, and the long-family search, which assembles only
-candidates at or above the evidence floor, against the search over every
-candidate; the d4 and BM searches, which build their level-free candidates
-once, against the search each probe built from scratch; and the d3
-residuals, read from one event table, against the per-window residual. The
-gap certificate, which takes its level from one d1 search and checks the
-energy condition once, on that witness, is checked against the level search
-that gates every level by both conditions, on inputs whose answer is
-known. The gap filling, which builds every added point in one array, is
-checked against the per-gap loop it replaced."""
+the d3 matching and the Clark atom sums against the per-point,
+per-interval, per-target and per-midpoint loops they replaced, kept here as
+the reference: every reported value must agree bitwise, including the order
+of the terms. The pairwise energy is checked against the masked gather it
+replaced, on the same row blocks, and the chunked Poisson walk against the
+scalar walk. The ladder walk of the level search is checked the same way
+against the top-down bisection it replaced, and the long-family search,
+which assembles only candidates at or above the evidence floor, against the
+search over every candidate; the d4 and BM searches, which build their
+level-free candidates once, against the search each probe built from
+scratch; and the d3 residuals, read from one event table, against the
+per-window residual. The gap certificate, which takes its level from one d1
+search and checks the energy condition once, on that witness, is checked
+against the level search that gates every level by both conditions, on
+inputs whose answer is known. The gap filling, which builds every added
+point in one array, is checked against the per-gap loop it replaced. The
+Gram stage, which refills one work matrix in place, is checked against S
+built anew for each gap length: the crossing, the sweep and `gram_matrix`'s
+eigenvalues."""
 
 import itertools
 import json
@@ -33,11 +36,12 @@ from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _assemble_family,
                             _sparse_table, d3_residual_curve, long_family_search,
                             match_to_ideal_grid)
 from gapkit.energy import EnergyReport, energy_condition_report, total_energy
-from gapkit.gapnum import estimate_gap_characteristic
+from gapkit.gapnum import (CROSSING_SAFETY, _nearest_zero, estimate_gap_characteristic,
+                           gram_matrix, sigma_min_crossing, sigma_min_sweep)
 from gapkit.regularize import regularize_gaps
 from gapkit.partitions import (_grow_right, _monotone, _short_greedy, _terms_of,
                                classify_terms, greedy_density_partition, shortness)
-from gapkit.seqcore import ParameterError, Partition, PointSequence, generate
+from gapkit.seqcore import ParameterError, Partition, PointSequence, _median, generate
 
 
 def loop_grow_right(points, d, hi):
@@ -207,30 +211,34 @@ def test_energy_report_matches_loop(label, seq, part):
 
 
 def masked_total_energy(x):
-    """total_energy by its former gather: each block of 256 rows takes the
-    strict lower triangle of its difference matrix through a boolean mask."""
+    """total_energy by the former masked gather, on the row blocks
+    total_energy takes now: each block of whole rows (rows 1..361 for the
+    first block) takes the strict lower triangle of its difference matrix
+    through a boolean mask, and math.fsum adds the block sums."""
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 2:
         return 0.0
-    total = 0.0
-    buf = np.empty((min(256, n - 1), n))
-    for i0 in range(1, n, 256):
-        i1 = min(i0 + 256, n)
-        diffs = np.subtract(x[i0:i1, None], x[None, :i1], out=buf[:i1 - i0, :i1])
+    sums, i0 = [], 1
+    while i0 < n:
+        i1 = i0 + 1
+        while i1 < n and (i1 - i0 + 1) * (i0 + i1) // 2 <= 2**16:
+            i1 += 1
+        diffs = x[i0:i1, None] - x[None, :i1]
         mask = np.arange(i0, i1)[:, None] > np.arange(i1)[None, :]
         vals = diffs[mask]
         np.abs(vals, out=vals)
         if np.any(vals == 0.0):
             raise ParameterError("duplicate points give log 0 in the energy")
-        total += float(np.sum(np.log(vals, out=vals)))
-    return 2.0 * total
+        sums.append(float(np.sum(np.log(vals, out=vals))))
+        i0 = i1
+    return 2.0 * math.fsum(sums)
 
 
-@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 513, 514])
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 362, 363, 364, 513, 514, 1200])
 def test_total_energy_matches_masked_blocks(n):
-    # up to 257 points one block, 513 a second block, 514 a third block of
-    # one row; unsorted and sorted
+    # up to 362 points one block (rows 1..361), 363 a second block of one
+    # row, 364 of two rows; 1200 points take twelve blocks; unsorted and sorted
     x = np.random.default_rng(n).uniform(-50.0, 50.0, n)
     for pts in (x, np.sort(x), generate("perturbed:1,0.2", (0.0, n + 1.0), seed=n).points[:n]):
         assert total_energy(pts).hex() == masked_total_energy(pts).hex()
@@ -239,6 +247,59 @@ def test_total_energy_matches_masked_blocks(n):
     for energy_of in (total_energy, masked_total_energy):
         with pytest.raises(ParameterError, match="duplicate"):
             energy_of(dup)
+
+
+def fresh_gram(lam, a):
+    """S(a) built anew from today's expression, as each Gram solve built it
+    before the stage refilled one work matrix."""
+    d = lam[:, None] - lam[None, :]
+    np.fill_diagonal(d, 1.0)
+    s = 2.0 * np.sin(0.5 * a * d) / d
+    np.fill_diagonal(s, a)
+    return s
+
+
+def fresh_crossing(lam):
+    """sigma_min_crossing with S built anew for the top solve and each probe:
+    (a_max, tau, probes, lo, crossing)."""
+    lam = np.sort(lam)
+    a_max = 8.0 * math.pi / _median(np.diff(lam))
+    w = np.linalg.eigvalsh(fresh_gram(lam, a_max))
+    tau = CROSSING_SAFETY * lam.size * float(np.finfo(float).eps * max(float(w[-1]), 0.0))
+    passed = max(float(w[0]), 0.0) > tau
+    probes = [(a_max, passed)]
+    lo, hi = 0.0, (a_max if passed else float("nan"))
+    while hi - lo > 2.0 * math.pi * density.GRID_RESOLUTION:
+        mid = 0.5 * (lo + hi)
+        s = fresh_gram(lam, mid)
+        s.flat[::lam.size + 1] -= tau
+        try:
+            np.linalg.cholesky(s)
+            passed = True
+        except np.linalg.LinAlgError:
+            passed = False
+        probes.append((mid, passed))
+        lo, hi = (lo, mid) if passed else (mid, hi)
+    return a_max, tau, tuple(probes), lo, hi
+
+
+@pytest.mark.parametrize("order", [64, 256])
+@pytest.mark.parametrize("spec", ["lattice:1", "perturbed:1,0.2", "poisson:1"])
+def test_gram_stage_matches_fresh_builds(spec, order):
+    lam = _nearest_zero(generate(spec, (-1500.0, 1500.0), seed=1).points, order)
+    found = sigma_min_crossing(lam)
+    got = (found.a_max, found.tau, found.probes, found.lo, found.crossing)
+    assert repr(got) == repr(fresh_crossing(lam))
+    grid = np.linspace(0.3, 1.3, 40) * (2.0 * math.pi)
+    ref = [max(float(np.linalg.eigvalsh(fresh_gram(lam, a))[0]), 0.0) for a in grid]
+    assert sigma_min_sweep(lam, grid).tobytes() == np.array(ref).tobytes()
+    shuffled = np.random.default_rng(order).permutation(lam)
+    for a in (0.5, found.crossing, 7.0):
+        probe = gram_matrix(shuffled, a)
+        w = np.linalg.eigh(fresh_gram(shuffled, a))[0]
+        assert probe.eigenvalues.tobytes() == np.maximum(w, 0.0).tobytes()
+        assert gram_matrix(shuffled, a, vectors=False).eigenvalues.tobytes() == (
+            np.maximum(np.linalg.eigvalsh(fresh_gram(shuffled, a)), 0.0).tobytes())
 
 
 def loop_poisson(rate, lo, hi, rng):
