@@ -8,9 +8,10 @@ own with OPENBLAS_NUM_THREADS=1 and PYTHONUNBUFFERED unset. The list covers
 every subcommand on `lattice:1` +-5000, `perturbed:1,0.2` +-1500,
 `poisson:1` +-5000 and `lacunary:2` +-1e6 (seed 1), plus `fekete`, a
 regularize of the two points {0, 1e6}, a `partition` check of a file
-partition whose lengths do not grow outward, and three commands that print
-to stdout less than its 8 KB buffer, so that output a tree loses at exit
-shows.
+partition whose lengths do not grow outward, a `gap` crossing and a `gap`
+sweep whose config puts the Gram stage at order 300, and three commands
+that print to stdout less than its 8 KB buffer, so that output a tree loses
+at exit shows.
 `gap --synthesize` is left out: its weights depend on the BLAS thread count
 (see `gapnum.synthesize_gap_measure`).
 
@@ -49,6 +50,10 @@ GAP_FILE = ("gap.txt", "0.0\n1000000.0\n")
 # A partition file the `partition_file` command checks: lengths 2, 3, 1, 9
 # right of 0, so it reports "monotone": false.
 PART_FILE = ("part.json", "[-60.0, -20.0, -12.0, -3.0, 0.0, 2.0, 5.0, 6.0, 15.0, 40.0, 60.0]\n")
+# A config the `ragged/*` commands read: a Gram order of 300, where the
+# fill's last row block is cut short. Every other command runs at the default
+# order of 512.
+RAGGED_CONFIG = ("ragged.cfg", "sweep_n_max = 300\n")
 
 
 def commands() -> dict:
@@ -95,6 +100,12 @@ def commands() -> dict:
         })
     cmds["fekete"] = ["fekete", "-k", "8", "--interval", "0,1", "-o", "out.json"]
     cmds["regularize_gap"] = ["regularize", "--seq", GAP_FILE[0], "--C", "4", "-o", "out.json"]
+    # --config goes before the subcommand; --sweep runs the sweep instead of
+    # the crossing, so the order is checked with and without it
+    ragged = ["--config", RAGGED_CONFIG[0], "gap", "--seq", "perturbed:1,0.2",
+              "--window=-1500,1500", "--seed", "1", "--csv", "out.csv", "-o", "out.json"]
+    cmds["ragged/gap"] = ragged
+    cmds["ragged/gap_sweep"] = [*ragged, "--sweep", "0.5:7:12"]
     cmds["partition_file"] = ["partition", "--seq", "lattice:1", "--window=-60,60",
                               "--partition", PART_FILE[0], "-o", "out.json"]
     # reports and points under the stdout buffer: written at exit, or lost
@@ -121,7 +132,7 @@ def run(tree: Path, where: Path, argv: list) -> dict:
     """Run one command of `tree` in the empty directory `where`; return what
     it left: exit code, stdout, stderr and every file it wrote."""
     where.mkdir(parents=True)
-    for name, text in (GAP_FILE, PART_FILE):
+    for name, text in (GAP_FILE, PART_FILE, RAGGED_CONFIG):
         (where / name).write_text(text)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     # stdout block-buffered, as when piped, so output a tree leaves unflushed

@@ -50,7 +50,7 @@ from .seqcore import ParameterError, Partition, PointSequence
 CONFIG_DEFAULTS = {"sweep_n_max": 512.0}
 # Most steps a count field of an option value (`gap --sweep`, `clark
 # --profile`) may ask for. Each sweep step is a dense Gram eigensolve, about
-# 20 ms at the default order of 512 on one BLAS thread, so 10^4 steps take
+# 15 ms at the default order of 512 on one BLAS thread, so 10^4 steps take
 # minutes and 10^6 would run for hours.
 MAX_OPTION_STEPS = 10_000
 # Records the `clark` JSON holds; --csv writes every one.

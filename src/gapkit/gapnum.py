@@ -18,11 +18,12 @@ bracket is at most 2*pi times the density grid step. The gap certificate
 reports that crossing (`with_gram_crossing`). `sigma_min_sweep` is the
 plain sweep over a grid of lengths.
 
-The Gram stage holds two n x n matrices per support (`_gram_fill`): the
-difference matrix lam_j - lam_k, built once, and one work matrix that each
-gap length refills in place. `gram_matrix` runs on one; the sweep's
-eigenvalue solves share one; the crossing's Cholesky probes share one, built
-after its top solve, a `gram_matrix` call, has freed its own.
+The Gram stage holds one n x n work matrix per support (`_gram_fill`),
+which each gap length refills in place, on and below the diagonal only,
+from row blocks of differences lam_j - lam_k in one small buffer.
+`gram_matrix` runs on one; the sweep's eigenvalue solves share one; the
+crossing's Cholesky probes share one, built after its top solve, a
+`gram_matrix` call, has freed its own.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 MAX_GRAM_SIZE = 2048
+# The most entries one row block of the Gram fill holds: 64 KB of doubles.
+_BLOCK_ENTRIES = 2**13
 # The crossing level tau is this many times the dense eigensolver's rounding
 # level N * eps * lambda_max, so that a Cholesky factor, whose rounding is of
 # that order, cannot pass on a sigma_min that is rounding noise.
@@ -76,18 +79,25 @@ class GramProbe:
 
 
 def _gram_fill(lam: np.ndarray):
-    """The Gram stage of one support: fill(a), which writes S(a) of the
-    frequencies lam (see `gram_matrix`) into one work matrix and returns it.
+    """The Gram stage of one support: fill(a), which writes the lower
+    triangle of S(a) of the frequencies lam (see `gram_matrix`) into one work
+    matrix and returns it.
 
     lam must be finite, nonempty, at most MAX_GRAM_SIZE long and distinct,
     with a span max - min finite in float64; fill rejects an a that is not
     positive and finite or for which a * (max - min) overflows (past float64
-    the entries would be sin(inf) = NaN). The difference matrix d = lam_j -
-    lam_k, 1 on the diagonal, is built once. Each fill overwrites the one
-    work matrix with 0.5 * a * d, its sin, times 2, over d, and a on the
-    diagonal: the operations of 2 sin(0.5 a d) / d in their order, so S is
-    the same to the bit as a fresh build. A caller reads or factors S before
-    its next fill.
+    the entries would be sin(inf) = NaN). The rows are cut into blocks, each
+    the most rows r0..r1 - 1 whose columns 0..r1 - 1 number at most
+    _BLOCK_ENTRIES (at least one row). Each fill writes a block's
+    differences d = lam_j - lam_k, 1 on the diagonal, into one reused buffer,
+    then its rows of the work matrix with 0.5 * a * d, its sin, times 2, over
+    d; then a on the diagonal: the operations of 2 sin(0.5 a d) / d in their
+    order, so every entry on and below the diagonal is the same to the bit as
+    a fresh build. Above the diagonal only the corners of the diagonal blocks
+    are written; the rest holds whatever the memory held. That is all
+    LAPACK reads: np.linalg.eigvalsh and eigh default to UPLO='L', and
+    np.linalg.cholesky factors the lower triangle. A caller reads or factors
+    S before its next fill.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam)):
@@ -103,18 +113,29 @@ def _gram_fill(lam: np.ndarray):
     if not math.isfinite(span):
         raise ParameterError(f"frequencies span [{float(srt[0])!r}, {float(srt[-1])!r}] is "
                              "wider than float64 holds")
-    d = lam[:, None] - lam[None, :]
-    np.fill_diagonal(d, 1.0)
-    s = np.empty_like(d)
+    n = lam.size
+    s = np.empty((n, n))
+    buf = np.empty(min(_BLOCK_ENTRIES, n * n))
+    blocks = []  # (first row, end row, the block's differences in buf)
+    r0 = 0
+    while r0 < n:
+        # the most rows k with k * (r0 + k) <= _BLOCK_ENTRIES, at least one
+        r1 = min(n, r0 + max(1, (math.isqrt(r0 * r0 + 4 * _BLOCK_ENTRIES) - r0) // 2))
+        blocks.append((r0, r1, buf[:(r1 - r0) * r1].reshape(r1 - r0, r1)))
+        r0 = r1
 
     def fill(a) -> np.ndarray:
         a = _positive(a, "gap length a")
         if not math.isfinite(a * span):
             raise ParameterError(f"a * (max - min frequency) overflows float64 at a = {a!r}")
-        np.multiply(0.5 * a, d, out=s)
-        np.sin(s, out=s)
-        np.multiply(2.0, s, out=s)
-        np.divide(s, d, out=s)
+        for r0, r1, d in blocks:
+            np.subtract(lam[r0:r1, None], lam[None, :r1], out=d)
+            d.flat[r0::r1 + 1] = 1.0
+            out = s[r0:r1, :r1]
+            np.multiply(0.5 * a, d, out=out)
+            np.sin(out, out=out)
+            np.multiply(2.0, out, out=out)
+            np.divide(out, d, out=out)
         np.fill_diagonal(s, a)
         return s
 

@@ -21,7 +21,8 @@ CROSSING_STEP = TWO_PI * GRID_RESOLUTION
 
 
 def gram_entries(lam, a):
-    """The real form S of the Gram matrix, as the Gram stage fills it."""
+    """The real form S of the Gram matrix, as the Gram stage fills it: its
+    diagonal and lower triangle, all that LAPACK reads."""
     return gapnum._gram_fill(lam)(a)
 
 
@@ -33,10 +34,11 @@ def test_gram_single_atom():
 
 
 def test_gram_full_period_orthogonality():
-    # |G_jk| = |S_jk|: the real form vanishes off the diagonal too
-    assert abs(gram_entries([0.0, 1.0], TWO_PI)[0, 1]) <= 1e-12
+    # |G_jk| = |S_jk|: the real form vanishes off the diagonal too (the fill
+    # writes the lower triangle, which LAPACK reads)
+    assert abs(gram_entries([0.0, 1.0], TWO_PI)[1, 0]) <= 1e-12
     assert gram_matrix([0.0, 1.0], TWO_PI).sigma_min == pytest.approx(TWO_PI, abs=1e-12)
-    off = gram_entries(np.arange(64.0), TWO_PI) - TWO_PI * np.eye(64)
+    off = np.tril(gram_entries(np.arange(64.0), TWO_PI)) - TWO_PI * np.eye(64)
     assert np.max(np.abs(off)) <= 1e-12
     q = gram_matrix(np.arange(64.0), TWO_PI)
     assert q.eigenvalues == pytest.approx(np.full(64, TWO_PI), abs=1e-12)
@@ -44,8 +46,8 @@ def test_gram_full_period_orthogonality():
 
 def test_gram_two_by_two_closed_form():
     p = gram_matrix([0.0, 1.0], math.pi)
-    # G_01 = -2j is e^(-i*pi/2) times the real form's S_01 = 2
-    assert gram_entries([0.0, 1.0], math.pi)[0, 1] == pytest.approx(2.0)
+    # G_10 = 2j is e^(i*pi/2) times the real form's S_10 = 2
+    assert gram_entries([0.0, 1.0], math.pi)[1, 0] == pytest.approx(2.0)
     assert p.sigma_min == pytest.approx(math.pi - 2.0, abs=1e-12)
     assert p.eigenvalues == pytest.approx([math.pi - 2, math.pi + 2], abs=1e-12)
 
@@ -359,9 +361,13 @@ def test_real_form_spectrum_matches_complex_supports(spec):
 
 
 def test_kernel_is_real_symmetric():
-    s = gram_entries([-3.0, 0.5, 1.0, 7.25], 2.5)
+    # the fill writes the lower triangle; reversed frequencies put the upper
+    # one there, so the two triangles are compared entry for entry
+    lam = np.array([-3.0, 0.5, 1.0, 7.25])
+    s = gram_entries(lam, 2.5)
+    full = np.tril(s) + np.triu(gram_entries(lam[::-1], 2.5)[::-1, ::-1], 1)
     assert np.isrealobj(s)
-    assert np.array_equal(s, s.T)
+    assert np.array_equal(full, full.T)
     assert np.all(np.diag(s) == 2.5)
 
 
@@ -451,9 +457,9 @@ def test_crossing_scales_with_the_support(spec, t):
                                             abs=CROSSING_STEP * max(1.0, 1.0 / t))
 
 
-def test_crossing_working_memory_is_two_matrices_and_a_factor():
-    # the difference matrix, the work matrix and the Cholesky factor, 2 MB
-    # each at order 512
+def test_crossing_working_memory_is_one_matrix_and_a_factor():
+    # the work matrix and numpy's Cholesky factor, 2 MB each at order 512;
+    # the copy LAPACK factors in place is numpy's own allocation, not traced
     lam = _nearest_zero(generate("lattice:1", (-1500, 1500)).points, 512)
     sigma_min_crossing(lam[:8])
     tracemalloc.start()
@@ -462,7 +468,20 @@ def test_crossing_working_memory_is_two_matrices_and_a_factor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * 2**20
+    assert peak <= 5 * 2**20
+
+
+def test_gram_fill_working_memory_is_one_matrix():
+    # one fill at the dense-solver cap: the 32 MB work matrix and one row
+    # block, no difference matrix
+    lam = np.arange(float(MAX_GRAM_SIZE))
+    tracemalloc.start()
+    try:
+        gapnum._gram_fill(lam)(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * MAX_GRAM_SIZE**2
 
 
 def test_crossing_input_validation():

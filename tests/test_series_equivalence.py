@@ -15,9 +15,10 @@ search and checks the energy condition once, on that witness, is checked
 against the level search that gates every level by both conditions, on
 inputs whose answer is known. The gap filling, which builds every added
 point in one array, is checked against the per-gap loop it replaced. The
-Gram stage, which refills one work matrix in place, is checked against S
-built anew for each gap length: the crossing, the sweep and `gram_matrix`'s
-eigenvalues."""
+Gram stage, which refills the lower triangle of one work matrix in row
+blocks, is checked against S built anew for each gap length: the crossing,
+the sweep, `gram_matrix`'s eigenvalues, and the triangle itself, the only
+part that eigvalsh, eigh and cholesky read."""
 
 import itertools
 import json
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapkit.density as density
+import gapkit.gapnum as gapnum
 from gapkit.clarknum import _outer_gap_scale, residue_weights
 from gapkit.density import (LONG_TERM_FLOOR, MAX_SPARSE_SPAN, _assemble_family,
                             _block_candidates, _counting_residuals, _evidence_subfamily,
@@ -283,7 +285,13 @@ def fresh_crossing(lam):
     return a_max, tau, tuple(probes), lo, hi
 
 
-@pytest.mark.parametrize("order", [64, 256])
+# An order whose fill spans several row blocks and ends on a ragged one: with
+# blocks of 2^13 entries, 300 rows are cut at rows 90, 146, 189, 225, 256 and
+# 284, and the last block, 16 rows, is cut short by the end of the matrix.
+RAGGED_ORDER = 300
+
+
+@pytest.mark.parametrize("order", [64, 256, RAGGED_ORDER])
 @pytest.mark.parametrize("spec", ["lattice:1", "perturbed:1,0.2", "poisson:1"])
 def test_gram_stage_matches_fresh_builds(spec, order):
     lam = _nearest_zero(generate(spec, (-1500.0, 1500.0), seed=1).points, order)
@@ -300,6 +308,29 @@ def test_gram_stage_matches_fresh_builds(spec, order):
         assert probe.eigenvalues.tobytes() == np.maximum(w, 0.0).tobytes()
         assert gram_matrix(shuffled, a, vectors=False).eigenvalues.tobytes() == (
             np.maximum(np.linalg.eigvalsh(fresh_gram(shuffled, a)), 0.0).tobytes())
+
+
+@pytest.mark.parametrize("order", [64, RAGGED_ORDER])
+@pytest.mark.parametrize("spec", ["lattice:1", "poisson:1"])
+def test_gram_fill_writes_the_lower_triangle_lapack_reads(spec, order):
+    # the fill's lower triangle and diagonal are fresh_gram's, bit for bit;
+    # with NaN above the diagonal, eigvalsh, eigh and cholesky give fresh_gram's
+    # bits, so none of them reads the upper triangle
+    lam = np.random.default_rng(order).permutation(
+        _nearest_zero(generate(spec, (-1500.0, 1500.0), seed=1).points, order))
+    fill = gapnum._gram_fill(lam)
+    lower, upper = np.tril_indices(order), np.triu_indices(order, 1)
+    for a in (0.5, 3.0, 7.0):
+        s, ref = fill(a), fresh_gram(lam, a)
+        assert s[lower].tobytes() == ref[lower].tobytes()
+        s[upper] = np.nan
+        assert np.linalg.eigvalsh(s).tobytes() == np.linalg.eigvalsh(ref).tobytes()
+        for got, want in zip(np.linalg.eigh(s), np.linalg.eigh(ref)):
+            assert got.tobytes() == want.tobytes()
+        # S(a) + I is positive definite, so every a has a factor to compare
+        for m in (s, ref):
+            m.flat[::order + 1] += 1.0
+        assert np.linalg.cholesky(s).tobytes() == np.linalg.cholesky(ref).tobytes()
 
 
 def loop_poisson(rate, lo, hi, rng):
